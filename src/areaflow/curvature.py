@@ -8,14 +8,20 @@ R[i,j,j,i] (positive on round spheres).
 Extremal quantities over non-coordinate frames (sectional range, the partial
 Ricci minimum over 3-frames, the isotropic-curvature shift chi_ic1) are
 computed by multi-start frame optimization: random orthonormal starts from QR
-of Gaussian matrices, then projected gradient descent on the Stiefel manifold.
+of Gaussian matrices, then Riemannian gradient descent on the Stiefel
+manifold.  Every objective is a sum of contractions R(a,b,c,d) of its frame
+vectors, evaluated by one batched kernel on the (dim^2, dim^2) matrix of the
+tensor, and its analytic Euclidean gradient comes from the partial
+R(., b, c, d) of the same kernel; the optimizer requires that gradient
+(``gradient=``) and projects it onto the tangent space of the frame.
 Results are deterministic under a fixed seed and exact in practice on the
 homogeneous model spaces this library targets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -234,52 +240,129 @@ def pic1_defect(r: CurvatureTensor, frame4: np.ndarray, mu: float) -> float:
         raise ValueError("frame4 is not orthonormal (tol 1e-10)")
     if not 0.0 <= mu <= 1.0:
         raise ValueError("mu must lie in [0, 1]")
-    k13, k14, k23, k24, r1234 = _pic1_components(r.comp, f[None])
-    return float(k13[0] + mu**2 * k14[0] + k23[0] + mu**2 * k24[0] - 2 * mu * r1234[0])
+    p, q, rr = _pic1_terms(_pair_matrix(r.comp), f.T[None])
+    return float(p[0] + mu**2 * q[0] - 2 * mu * rr[0])
 
 
-def _pic1_components(comp, frames):
-    """Batched components feeding the PIC1 defect.
+# ---------------------------------------------------------------------------
+# contraction kernel and frame objectives
+# ---------------------------------------------------------------------------
+# Objectives take column frames x of shape (B, dim, k) and return (B,)
+# values; their ``*_grad`` partners return the Euclidean gradient in x,
+# shaped like x.  All of them go through the two kernels below.
 
-    ``frames``: (B, 4, dim) row-vector frames.  Returns the five contractions
-    (K13, K14, K23, K24, R_1234) as (B,) arrays.
+
+def _pair_matrix(comp: np.ndarray) -> np.ndarray:
+    """The tensor as a (dim^2, dim^2) matrix M[(ij), (kl)] = R[i,j,k,l]."""
+    d = comp.shape[0]
+    return comp.reshape(d * d, d * d)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched a (x) b of (..., dim) vectors, flattened to (..., dim^2)."""
+    return (a[..., :, None] * b[..., None, :]).reshape(*a.shape[:-1], -1)
+
+
+def _contract(m, a, b, c, d):
+    """R(a, b, c, d) = rowsum(((a (x) b) @ M) * (c (x) d)), batched over (..., dim)."""
+    return ((_outer(a, b) @ m) * _outer(c, d)).sum(axis=-1)
+
+
+def _partial(m, b, c, d):
+    """The covector R(., b, c, d), batched over (..., dim).
+
+    By the tensor's symmetries this gives every partial an objective needs:
+    d/da R(a,b,b,a) = 2 R(.,b,b,a) and d/df1 R(f1,f2,f3,f4) = R(.,f2,f3,f4).
     """
-    f1, f2, f3, f4 = frames[:, 0], frames[:, 1], frames[:, 2], frames[:, 3]
-
-    def sec(a, b):
-        return np.einsum("ijkl,bi,bj,bk,bl->b", comp, a, b, b, a, optimize=True)
-
-    k13 = sec(f1, f3)
-    k14 = sec(f1, f4)
-    k23 = sec(f2, f3)
-    k24 = sec(f2, f4)
-    r1234 = np.einsum("ijkl,bi,bj,bk,bl->b", comp, f1, f2, f3, f4, optimize=True)
-    return k13, k14, k23, k24, r1234
+    dim = b.shape[-1]
+    t = (_outer(c, d) @ m.T).reshape(*b.shape[:-1], dim, dim)
+    return (t @ b[..., :, None])[..., 0]
 
 
-def _pic1_ratio(comp, frames):
-    """min over mu in [0,1] of defect / (2(1+mu^2)), batched over frames.
+def _k_grad(m, a, b):
+    """(dK/da, dK/db) for K(a, b) = R(a, b, b, a)."""
+    g = 2.0 * _partial(m, np.stack([b, a]), np.stack([b, a]), np.stack([a, b]))
+    return g[0], g[1]
 
-    For fixed frame the defect is p + q mu^2 - 2 r mu with p = K13+K23,
-    q = K14+K24, r = R_1234; the normalized ratio has interior critical
-    points at the roots of r mu^2 + (q-p) mu - r = 0.
+
+def _sectional_value(m, x):
+    """K(x_1, x_2)."""
+    a, b = x[..., 0], x[..., 1]
+    return _contract(m, a, b, b, a)
+
+
+def _sectional_grad(m, x):
+    return np.stack(_k_grad(m, x[..., 0], x[..., 1]), axis=-1)
+
+
+def _ric3_value(m, x):
+    """K(u, v) + K(u, w) for x = (u, v, w)."""
+    uu, vw = np.stack([x[..., 0]] * 2), np.moveaxis(x[..., 1:], -1, 0)
+    return _contract(m, uu, vw, vw, uu).sum(axis=0)
+
+
+def _ric3_grad(m, x):
+    gu, gvw = _k_grad(m, np.stack([x[..., 0]] * 2), np.moveaxis(x[..., 1:], -1, 0))
+    return np.stack([gu.sum(axis=0), gvw[0], gvw[1]], axis=-1)
+
+
+def _pic1_terms(m, x):
+    """(p, q, r) with PIC1 defect p + q mu^2 - 2 r mu on frames x = (f1..f4).
+
+    p = K13 + K23, q = K14 + K24, r = R_1234.
     """
-    k13, k14, k23, k24, r1234 = _pic1_components(comp, frames)
-    p = k13 + k23
-    q = k14 + k24
-    r = r1234
+    f1, f2, f3, f4 = np.moveaxis(x, -1, 0)
+    k = _contract(m, np.stack([f1, f2, f1, f2, f1]), np.stack([f3, f3, f4, f4, f2]),
+                  np.stack([f3, f3, f4, f4, f3]), np.stack([f1, f2, f1, f2, f4]))
+    return k[0] + k[1], k[2] + k[3], k[4]
+
+
+def _pic1_ratio(m, x):
+    """min over mu in [0,1] of defect / (2(1+mu^2)), and the minimising mu.
+
+    For fixed frame the defect is p + q mu^2 - 2 r mu; the normalized ratio
+    has interior critical points at the roots of r mu^2 + (q-p) mu - r = 0.
+    """
+    p, q, r = _pic1_terms(m, x)
 
     def ratio(mu):
         return (p + q * mu**2 - 2.0 * r * mu) / (2.0 * (1.0 + mu**2))
 
-    best = np.minimum(ratio(np.zeros_like(p)), ratio(np.ones_like(p)))
+    mu_best = np.zeros_like(p)
+    best = ratio(mu_best)
+    candidates = [np.ones_like(p)]
     disc = np.sqrt((q - p) ** 2 + 4.0 * r**2)
     with np.errstate(divide="ignore", invalid="ignore"):
         for sign in (+1.0, -1.0):
             mu = (-(q - p) + sign * disc) / (2.0 * r)
-            mu = np.where((r != 0) & (mu > 0.0) & (mu < 1.0), mu, 0.0)
-            best = np.minimum(best, ratio(mu))
-    return best
+            candidates.append(np.where((r != 0) & (mu > 0.0) & (mu < 1.0), mu, 0.0))
+    for mu in candidates:
+        val = ratio(mu)
+        take = val < best
+        best = np.where(take, val, best)
+        mu_best = np.where(take, mu, mu_best)
+    return best, mu_best
+
+
+def _pic1_ratio_grad(m, x):
+    """Gradient of the ratio in the frame, taken at the minimising mu.
+
+    The minimum over mu in the fixed interval [0,1] is differentiated at its
+    minimiser (Danskin): (dp + mu^2 dq - 2 mu dr) / (2(1+mu^2)).
+    """
+    _, mu = _pic1_ratio(m, x)
+    f1, f2, f3, f4 = np.moveaxis(x, -1, 0)
+    ga, gb = _k_grad(m, np.stack([f1, f2, f1, f2]), np.stack([f3, f3, f4, f4]))
+    w = np.stack([np.ones_like(mu), np.ones_like(mu), mu**2, mu**2])[..., None]
+    ga, gb = w * ga, w * gb
+    # R(., f2,f3,f4) = dr/df1, -R(., f1,f3,f4) = dr/df2, R(., f4,f1,f2) = dr/df3,
+    # -R(., f3,f1,f2) = dr/df4
+    dr = 2.0 * mu[..., None] * _partial(m, np.stack([f2, f1, f4, f3]),
+                                        np.stack([f3, f3, f1, f1]),
+                                        np.stack([f4, f4, f2, f2]))
+    g = np.stack([ga[0] + ga[2] - dr[0], ga[1] + ga[3] + dr[1],
+                  gb[0] + gb[1] - dr[2], gb[2] + gb[3] + dr[3]], axis=-1)
+    return g / (2.0 * (1.0 + mu**2))[..., None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -295,30 +378,45 @@ def _qr_frames(mats: np.ndarray) -> np.ndarray:
     return q * d[..., None, :]
 
 
+def _stiefel_gradient(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Riemannian gradient G - X sym(X^T G) of the Stiefel manifold.
+
+    Projection of the Euclidean gradient onto the tangent space at the
+    column-orthonormal frames x (embedded metric; Edelman, Arias & Smith
+    1998): X^T times the result is skew.
+    """
+    xtg = np.swapaxes(x, -1, -2) @ g
+    return g - x @ (0.5 * (xtg + np.swapaxes(xtg, -1, -2)))
+
+
 def minimize_over_frames(
     objective,
     dim: int,
     k: int,
     *,
+    gradient,
     n_starts: int = 64,
     seed: int = 0,
     structured=None,
     max_iter: int = 120,
-    fd_eps: float = 1e-6,
     tol: float = 1e-13,
 ):
     """Minimize a batched objective over orthonormal k-frames in dim space.
 
     ``objective`` maps a (B, dim, k) batch of column-orthonormal frames to a
-    (B,) array.  Descent runs all random starts in lockstep: a central
-    difference gradient in the ambient matrix entries (one batched objective
-    call), a QR retraction, and per-start backtracking; converged starts drop
-    out of the batch.  ``structured`` frames are evaluated but not descended
-    (they are exact candidates such as coordinate frames).  Deterministic
-    under ``seed``; ties resolve to the lowest start index.
+    (B,) array, and the required ``gradient`` maps the same batch to the
+    objective's Euclidean gradient in the matrix entries, shaped (B, dim, k).
+    Descent runs all random starts in lockstep: the gradient projected onto
+    the Stiefel tangent space (one batched gradient call), a QR retraction,
+    and per-start backtracking; converged starts drop out of the batch.
+    ``structured`` frames are evaluated but not descended (they are exact
+    candidates such as coordinate frames).  Deterministic under ``seed``;
+    ties resolve to the lowest start index.
 
     Returns (best_value, best_frame with columns as the frame vectors).
     """
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     rng = np.random.default_rng(seed)
     x = _qr_frames(rng.standard_normal((n_starts, dim, k)))
     fx = objective(x)
@@ -329,20 +427,15 @@ def minimize_over_frames(
         j = int(np.argmin(fs))
         best_struct = (float(fs[j]), s[j])
 
-    npar = dim * k
     lr = np.full(n_starts, 0.1)
     active = np.ones(n_starts, dtype=bool)
-    basis = np.eye(npar).reshape(npar, dim, k)
-    offsets = fd_eps * np.concatenate([basis, -basis])
 
     for _ in range(max_iter):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         xa = x[idx]
-        pert = (xa[:, None] + offsets[None]).reshape(-1, dim, k)
-        vals = objective(_qr_frames(pert)).reshape(idx.size, 2 * npar)
-        step = ((vals[:, :npar] - vals[:, npar:]) / (2.0 * fd_eps)).reshape(idx.size, dim, k)
+        step = _stiefel_gradient(xa, gradient(xa))
         improved = np.zeros(idx.size, dtype=bool)
         lra = lr[idx].copy()
         for _ in range(25):
@@ -384,21 +477,17 @@ def _axis_frames(dim: int, k: int, max_frames: int = 240) -> np.ndarray:
 
 def sectional_range(r: CurvatureTensor, *, n_starts: int = 64, seed: int = 0):
     """(min, max) sectional curvature over all 2-planes, by frame optimization."""
-    comp = r.comp
     structured = _axis_frames(r.dim, 2)
 
-    def obj(sign):
-        def f(frames):
-            a, b = frames[:, :, 0], frames[:, :, 1]
-            return sign * np.einsum("ijkl,bi,bj,bk,bl->b", comp, a, b, b, a, optimize=True)
+    def lowest(comp, seed):
+        m = _pair_matrix(comp)
+        val, _ = minimize_over_frames(partial(_sectional_value, m), r.dim, 2,
+                                      gradient=partial(_sectional_grad, m),
+                                      n_starts=n_starts, seed=seed, structured=structured)
+        return val
 
-        return f
-
-    lo, _ = minimize_over_frames(obj(+1.0), r.dim, 2, n_starts=n_starts, seed=seed,
-                                 structured=structured)
-    hi, _ = minimize_over_frames(obj(-1.0), r.dim, 2, n_starts=n_starts, seed=seed + 1,
-                                 structured=structured)
-    return lo, -hi
+    # the maximum of K is minus the minimum of K for the tensor -R
+    return lowest(r.comp, seed), -lowest(-r.comp, seed + 1)
 
 
 def ric3_min(r: CurvatureTensor, *, n_starts: int = 64, seed: int = 0) -> float:
@@ -411,16 +500,10 @@ def ric3_min(r: CurvatureTensor, *, n_starts: int = 64, seed: int = 0) -> float:
     """
     if r.dim < 3:
         raise ValueError("ric3_min needs dim >= 3")
-    comp = r.comp
-
-    def f(frames):
-        u, v, w = frames[:, :, 0], frames[:, :, 1], frames[:, :, 2]
-        kuv = np.einsum("ijkl,bi,bj,bk,bl->b", comp, u, v, v, u, optimize=True)
-        kuw = np.einsum("ijkl,bi,bj,bk,bl->b", comp, u, w, w, u, optimize=True)
-        return kuv + kuw
-
-    val, _ = minimize_over_frames(f, r.dim, 3, n_starts=n_starts, seed=seed,
-                                  structured=_axis_frames(r.dim, 3))
+    m = _pair_matrix(r.comp)
+    val, _ = minimize_over_frames(partial(_ric3_value, m), r.dim, 3,
+                                  gradient=partial(_ric3_grad, m), n_starts=n_starts,
+                                  seed=seed, structured=_axis_frames(r.dim, 3))
     return val
 
 
@@ -436,7 +519,7 @@ def chi_ic1(
     Because the defect is linear in the tensor and the defect of (1/2) g o g
     equals 2(1+mu^2) on every orthonormal frame, this supremum is the infimum
     over frames and mu of defect / (2(1+mu^2)); the infimum is estimated by
-    multi-start projected gradient descent with mu handled in closed form.
+    multi-start Riemannian gradient descent with mu handled in closed form.
 
     dim 3 is refused: isotropic-curvature positivity degenerates to Ricci
     positivity there, and callers should compare the minimal Ricci eigenvalue
@@ -447,10 +530,10 @@ def chi_ic1(
                          "eigenvalue (Ricci-positivity convention)")
     if r.dim < 4:
         raise ValueError("chi_ic1 needs dim >= 4")
-    comp = _orthonormalize_tensor(r, g)
+    m = _pair_matrix(_orthonormalize_tensor(r, g))
 
     def f(frames):
-        return _pic1_ratio(comp, np.swapaxes(frames, 1, 2))
+        return _pic1_ratio(m, frames)[0]
 
     # axis frames plus their single-sign flips: catches Kaehler-type equality
     # frames such as (e1, Je1, e2, -Je2) on symmetric model spaces
@@ -458,8 +541,8 @@ def chi_ic1(
     flips = axes.copy()
     flips[:, :, 3] *= -1.0
     val, _ = minimize_over_frames(
-        f, r.dim, 4, n_starts=n_starts, seed=seed,
-        structured=np.concatenate([axes, flips]),
+        f, r.dim, 4, gradient=partial(_pic1_ratio_grad, m), n_starts=n_starts,
+        seed=seed, structured=np.concatenate([axes, flips]),
     )
     return val
 

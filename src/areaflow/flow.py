@@ -455,6 +455,19 @@ class FlowConfig:
         presets = TORUS_PRESETS if self.case == "torus" else EQUIVARIANT_PRESETS
         if self.preset not in presets:
             raise ValueError(f"unknown preset {self.preset!r} for {self.case}")
+        if not (math.isfinite(self.cfl) and self.cfl > 0):
+            raise ValueError(f"cfl must be positive and finite, got {self.cfl}")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+        if self.case == "torus" and self.m < 2:
+            raise ValueError(f"torus flows need m >= 2, got m={self.m}")
+        if self.t_end_frac_of_extinction is None:
+            if not (math.isfinite(self.t_end) and self.t_end > 0):
+                raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        elif not (math.isfinite(self.t_end_frac_of_extinction)
+                  and self.t_end_frac_of_extinction > 0):
+            raise ValueError("t_end_frac_of_extinction must be positive and finite, "
+                             f"got {self.t_end_frac_of_extinction}")
         if self.grid == 0:
             self.grid = 64 if self.case == "torus" else 512
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import areaflow
 from areaflow.cli import main, parse_space
 from areaflow.spaces import bounds
 
@@ -55,9 +58,13 @@ class TestAuditCommand:
         assert reports[1]["slacks"][1]["value"] == -1.0
 
     def test_unknown_flag_exits_2(self):
+        # the child imports the same areaflow as the tests, installed or not
+        src = str(Path(areaflow.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "areaflow.cli", "audit", "--nope"],
-            capture_output=True)
+            capture_output=True, env=env)
         assert proc.returncode == 2
 
     def test_bad_spec_exits_1(self, capsys):
@@ -108,6 +115,17 @@ class TestFlowCommand:
                           (outdir / "flow_equivariant.manifest.json").read_bytes()))
         assert blobs[0] == blobs[1]
 
+    def test_zero_cfl_exits_1_with_json_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "case": "equivariant", "m": 3, "n": 3, "grid": 24, "t_end": 0.05,
+            "cfl": 0,
+        }))
+        code = main(["flow", "--case", "equivariant", "--config", str(cfgfile),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "cfl" in json.loads(capsys.readouterr().err)["error"]
+
     def test_outdir_env_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("AREAFLOW_OUTDIR", str(tmp_path / "envout"))
         cfgfile = tmp_path / "cfg.json"
@@ -129,6 +147,16 @@ class TestPic1Command:
         b = json.loads(out)["bounds"]
         assert abs(b["chi_ic1"] - 1.0) < 1e-3
         assert b["ric_min"] == 3.0
+
+    @pytest.mark.parametrize("starts", ["0", "-3"])
+    def test_no_starts_exits_1_with_json_error(self, starts, capsys, monkeypatch):
+        from areaflow import spaces
+
+        # a cold cache, so the optimizer actually runs
+        monkeypatch.setattr(spaces, "_FUBINI_BOUNDS_CACHE", {})
+        code = main(["pic1", "--space", "fubini:4:4", "--starts", starts])
+        assert code == 1
+        assert "n_starts" in json.loads(capsys.readouterr().err)["error"]
 
 
 class TestPersist:

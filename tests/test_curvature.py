@@ -3,6 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from areaflow.curvature import (
+    _contract,
+    _pair_matrix,
+    _partial,
+    _pic1_ratio,
+    _pic1_ratio_grad,
+    _qr_frames,
+    _ric3_grad,
+    _ric3_value,
+    _sectional_grad,
+    _sectional_value,
+    _stiefel_gradient,
     CurvatureTensor,
     SymBilinear,
     bounds_of,
@@ -22,6 +33,86 @@ def sym_matrices(dim, lo=-2.0, hi=2.0):
     return st.lists(
         st.floats(lo, hi, allow_nan=False), min_size=dim * dim, max_size=dim * dim
     ).map(lambda v: 0.5 * (np.array(v).reshape(dim, dim) + np.array(v).reshape(dim, dim).T))
+
+
+def einsum_contract(comp, a, b, c, d):
+    """The five-operand einsum the batched kernel replaced: the reference."""
+    return np.einsum("ijkl,bi,bj,bk,bl->b", comp, a, b, c, d, optimize=True)
+
+
+def random_tensor(dim, rng, terms=3):
+    """A generic algebraic curvature tensor: sum of products h o k."""
+    comp = np.zeros((dim,) * 4)
+    for _ in range(terms):
+        a, b = rng.normal(size=(2, dim, dim))
+        comp += kulkarni_nomizu(SymBilinear(a + a.T), SymBilinear(b + b.T)).comp
+    return CurvatureTensor(comp)
+
+
+OBJECTIVES = [  # (value, gradient, frame size k)
+    (_sectional_value, _sectional_grad, 2),
+    (_ric3_value, _ric3_grad, 3),
+    (lambda m, x: _pic1_ratio(m, x)[0], _pic1_ratio_grad, 4),
+]
+
+
+class TestKernel:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_contract_matches_einsum(self, dim):
+        rng = np.random.default_rng(dim)
+        r = random_tensor(dim, rng)
+        m = _pair_matrix(r.comp)
+        a, b, c, d = rng.normal(size=(4, 16, dim))
+        ref = einsum_contract(r.comp, a, b, c, d)
+        tol = 1e-12 * np.maximum(1.0, abs(ref))
+        assert (abs(_contract(m, a, b, c, d) - ref) <= tol).all()
+        # the partial R(., b, c, d) paired with a gives the same contraction
+        assert (abs((_partial(m, b, c, d) * a).sum(axis=-1) - ref) <= tol).all()
+
+    @pytest.mark.parametrize("value, grad, k", OBJECTIVES)
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_gradient_matches_central_differences(self, value, grad, k, dim):
+        rng = np.random.default_rng(10 * dim + k)
+        m = _pair_matrix(random_tensor(dim, rng).comp)
+        x = _qr_frames(rng.normal(size=(32, dim, k)))
+        g = grad(m, x)
+        eps = 1e-5
+        fd = np.zeros_like(x)
+        for i in range(dim):
+            for j in range(k):
+                e = np.zeros((dim, k))
+                e[i, j] = eps
+                fd[:, i, j] = (value(m, x + e) - value(m, x - e)) / (2 * eps)
+        scale = np.maximum(1.0, abs(g).max(axis=(1, 2)))[:, None, None]
+        assert (abs(g - fd) <= 1e-6 * scale).all()
+
+    def test_pic1_gradient_at_interior_mu(self):
+        rng = np.random.default_rng(21)
+        m = _pair_matrix(random_tensor(5, rng).comp)
+        x = _qr_frames(rng.normal(size=(400, 5, 4)))
+        _, mu = _pic1_ratio(m, x)
+        x = x[(mu > 0.05) & (mu < 0.95)]
+        assert len(x) >= 20
+        g = _pic1_ratio_grad(m, x)
+        eps = 1e-5
+        for _ in range(10):
+            e = eps * rng.normal(size=x.shape[1:])
+            fd = (_pic1_ratio(m, x + e)[0] - _pic1_ratio(m, x - e)[0]) / 2
+            exact = (g * e).sum(axis=(1, 2))
+            assert (abs(exact - fd) <= 1e-6 * eps * np.maximum(1.0, abs(g).max())).all()
+
+    def test_stiefel_step_is_tangent(self):
+        rng = np.random.default_rng(4)
+        for dim, k in ((2, 2), (4, 3), (6, 4)):
+            x = _qr_frames(rng.normal(size=(16, dim, k)))
+            g = rng.normal(size=x.shape)
+            step = _stiefel_gradient(x, g)
+            xs = np.swapaxes(x, 1, 2) @ step
+            assert abs(xs + np.swapaxes(xs, 1, 2)).max() <= 1e-12
+            # what is removed is normal: X S with S symmetric
+            xn = np.swapaxes(x, 1, 2) @ (g - step)
+            assert abs(xn - np.swapaxes(xn, 1, 2)).max() <= 1e-12
+            assert abs(g - step - x @ xn).max() <= 1e-12
 
 
 class TestKulkarniNomizu:

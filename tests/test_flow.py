@@ -181,3 +181,29 @@ class TestRuns:
             FlowConfig(case="torus", preset="identity")
         with pytest.raises(ValueError):
             FlowConfig.from_dict({"case": "torus", "bogus": 1})
+
+    @pytest.mark.parametrize("case", ["equivariant", "torus"])
+    @pytest.mark.parametrize("cfl", [0.0, -0.4, math.nan, math.inf])
+    def test_nonpositive_or_nonfinite_cfl_rejected(self, case, cfl):
+        with pytest.raises(ValueError, match="cfl"):
+            FlowConfig(case=case, cfl=cfl)
+
+    @pytest.mark.parametrize("amp", [math.nan, math.inf])
+    def test_nonfinite_amplitude_rejected(self, amp):
+        with pytest.raises(ValueError, match="amplitude"):
+            FlowConfig(case="torus", amplitude=amp)
+
+    def test_one_dimensional_torus_rejected(self):
+        with pytest.raises(ValueError, match="m >= 2"):
+            FlowConfig(case="torus", m=1)
+
+    @pytest.mark.parametrize("t_end", [0.0, -0.1, math.nan])
+    def test_nonpositive_t_end_rejected(self, t_end):
+        with pytest.raises(ValueError, match="t_end"):
+            FlowConfig(case="equivariant", t_end=t_end)
+        # the extinction fraction replaces t_end, which is then free
+        FlowConfig(case="equivariant", t_end=t_end, background_m="ricci",
+                   background_n="ricci", t_end_frac_of_extinction=0.9)
+        with pytest.raises(ValueError, match="t_end_frac_of_extinction"):
+            FlowConfig(case="equivariant", background_m="ricci",
+                       background_n="ricci", t_end_frac_of_extinction=t_end)
