@@ -139,6 +139,8 @@ def _cmd_flow(args) -> int:
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("a flow config must be a JSON object")
     else:
         raw = {}
     raw.setdefault("case", args.case)

@@ -182,14 +182,17 @@ def kulkarni_nomizu(s: SymBilinear, t: SymBilinear) -> CurvatureTensor:
     """
     if s.dim != t.dim:
         raise ValueError(f"dimension mismatch: {s.dim} vs {t.dim}")
-    a, b = s.comp, t.comp
-    comp = (
-        np.einsum("il,jk->ijkl", a, b)
-        + np.einsum("jk,il->ijkl", a, b)
-        - np.einsum("ik,jl->ijkl", a, b)
-        - np.einsum("jl,ik->ijkl", a, b)
+    return CurvatureTensor(kulkarni_nomizu_comp(s.comp, t.comp))
+
+
+def kulkarni_nomizu_comp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kulkarni-Nomizu product on component arrays; leading axes broadcast."""
+    return (
+        np.einsum("...il,...jk->...ijkl", a, b)
+        + np.einsum("...jk,...il->...ijkl", a, b)
+        - np.einsum("...ik,...jl->...ijkl", a, b)
+        - np.einsum("...jl,...ik->...ijkl", a, b)
     )
-    return CurvatureTensor(comp)
 
 
 def constant_curvature_tensor(dim: int, c: float) -> CurvatureTensor:

@@ -1,8 +1,8 @@
 """Pointwise oracles for the evolution identities and lower bounds.
 
-A PointState freezes everything the evolution equation of the graph tensor S
-sees at one point: the singular profile, the sectional tables K^g (m x m) and
-K^h (l x l with l = min(m,n)), second-fundamental-form entries A[a,i,l]
+A point state freezes everything the evolution equation of the graph tensor
+S sees at one point: the singular values, the sectional tables K^g (m x m)
+and K^h (l x l with l = min(m,n)), second-fundamental-form entries A[a,i,l]
 (target-normal index first, symmetric in i,l), and the metric time
 derivatives in the singular directions.
 
@@ -19,17 +19,24 @@ evaluate both sides of the maximum-principle inequalities (the positivity
 estimate for the smallest Theta eigenvalue, and the curvature lower bounds
 under the static and Ricci-flow-coupled conditions) so that sweeps of random
 admissible states can confirm the stated sign.
+
+``States`` stacks point states of one shape (m, n) on a leading row axis.
+Every oracle is written once on it and returns one value per row; a
+validated ``PointState`` runs as a batch of one and gets a float.  Draws
+reject rows by masks and refill until every row is admissible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .profile import SingularProfile, graph_frame, s_of, c_of
+from .profile import SingularProfile, c_of, graph_frames, s_of, theta_wedge_matrices
 
 GAP_TOL = -1e-10  # sweeps treat gaps above this as nonnegative
+_BATCH = 4096  # rows per sweep batch; bounds the dense tensors of the term-II oracle
+_ROUNDS = 2000  # refill rounds of a draw; the scarcest rows a sweep draws are ~3% admissible
 
 
 @dataclass(frozen=True)
@@ -76,99 +83,152 @@ class PointState:
     def ell(self) -> int:
         return min(self.m, self.n)
 
-    def lam_ext(self) -> np.ndarray:
-        """Singular values extended by zeros to the target dimension."""
-        lam = np.zeros(max(self.m, self.n))
-        lam[: self.m] = self.profile.lam
-        return lam
-
     def theta_min(self) -> float:
         return self.profile.theta_min()
 
+    def batch(self) -> "States":
+        """This state as a batch of one."""
+        one = {f.name: getattr(self, f.name) for f in fields(self)[3:]}  # after the profile
+        return States(self.m, self.n, self.profile.lam[None], **{
+            k: None if v is None else np.asarray(v, dtype=float)[None] for k, v in one.items()})
 
-def terms_I_II_III(st: PointState, i: int):
-    """The three summands of the diagonal evolution at direction i."""
-    m, n, ell = st.m, st.n, st.ell
-    if not 0 <= i < m:
-        raise ValueError("direction index out of range")
-    lam = st.profile.lam
-    s = st.profile.s_diag
-    c = st.profile.c_diag
-    s_ext = s_of(st.lam_ext())[:n]
 
-    term_i = float(2.0 * np.sum((s[i] + s_ext)[:, None] * st.a2[:, i, :] ** 2))
+@dataclass(frozen=True)
+class States:
+    """Point states of one shape (m, n) on a leading row axis: lam (B, m) as in
+    ``SingularProfile``, kg (B, m, m), kh (B, l, l), a2 (B, n, m, m), dtg (B, m),
+    dth (B, l), each declared bound None or (B,)."""
 
-    num = st.kg[i].copy()
-    if i < ell:
-        num[:ell] -= lam[:ell] ** 2 * st.kh[i]
-    term_ii = float(c[i] ** 2 * np.sum(num / (1.0 + lam**2)))
+    m: int
+    n: int
+    lam: np.ndarray
+    kg: np.ndarray
+    kh: np.ndarray
+    a2: np.ndarray
+    dtg: np.ndarray
+    dth: np.ndarray
+    kappa_m: np.ndarray | None = None
+    tau_m: np.ndarray | None = None
+    kappa_n: np.ndarray | None = None
+    tau_n: np.ndarray | None = None
 
-    dth_i = st.dth[i] if i < ell else 0.0
-    term_iii = float(0.5 * c[i] ** 2 * (st.dtg[i] - dth_i))
+    def __len__(self) -> int:
+        return len(self.lam)
+
+    @property
+    def ell(self) -> int:
+        return min(self.m, self.n)
+
+    @property
+    def theta(self) -> np.ndarray:
+        """Theta_1221 = S_11 + S_22, the smallest Theta eigenvalue of each row."""
+        return s_of(self.lam[:, :2]).sum(axis=1)
+
+    def arrays(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if isinstance(getattr(self, f.name), np.ndarray)}
+
+    def row(self, r: int) -> PointState:
+        """Row r as a validated PointState."""
+        values = {k: v[r] for k, v in self.arrays().items()}
+        profile = SingularProfile.from_lambdas(values.pop("lam"), m=self.m, n=self.n)
+        return PointState(self.m, self.n, profile, **values)
+
+
+def _rows(st) -> States:
+    return st.batch() if isinstance(st, PointState) else st
+
+
+def _out(st, values):
+    """Per-row values, or the single float of a PointState."""
+    return float(values[0]) if isinstance(st, PointState) else values
+
+
+def _terms(b: States):
+    """Terms I, II, III of every direction, each (B, m)."""
+    m, n, ell = b.m, b.n, b.ell
+    lam, s, c = b.lam, s_of(b.lam), c_of(b.lam)
+    s_ext = np.pad(s[:, :ell], ((0, 0), (0, n - ell)), constant_values=1.0)  # S_aa = 1 past l
+    a_sq = np.sum(b.a2**2, axis=3)  # (B, a, i)
+    term_i = 2.0 * np.sum((s[:, None, :] + s_ext[:, :, None]) * a_sq, axis=1)
+
+    num = b.kg.copy()
+    num[:, :ell, :ell] -= lam[:, None, :ell] ** 2 * b.kh
+    term_ii = c**2 * np.sum(num / (1.0 + lam[:, None, :] ** 2), axis=2)
+
+    term_iii = 0.5 * c**2 * (b.dtg - np.pad(b.dth, ((0, 0), (0, m - ell))))
     return term_i, term_ii, term_iii
 
 
-def _diag_curvature(table: np.ndarray) -> np.ndarray:
-    """Minimal curvature tensor with prescribed coordinate sectional values."""
-    d = table.shape[0]
-    comp = np.zeros((d,) * 4)
-    for i in range(d):
-        for k in range(i + 1, d):
-            v = table[i, k]
-            comp[i, k, k, i] = comp[k, i, i, k] = v
-            comp[i, k, i, k] = comp[k, i, k, i] = -v
+def _pair_terms(b: States):
+    """(1), (2), (3): terms I, II, III summed over the directions 1 and 2."""
+    return (t[:, 0] + t[:, 1] for t in _terms(b))
+
+
+def terms_I_II_III(st, i: int):
+    """The three summands of the diagonal evolution at direction i."""
+    b = _rows(st)
+    if not 0 <= i < b.m:
+        raise ValueError("direction index out of range")
+    return tuple(_out(st, t[:, i]) for t in _terms(b))
+
+
+def _block_curvature(table: np.ndarray) -> np.ndarray:
+    """Minimal curvature tensors (B, d, d, d, d) with R[i,k,k,i] = table[i,k]."""
+    d = table.shape[1]
+    comp = np.zeros((len(table),) + (d,) * 4)
+    i, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    comp[:, i, k, k, i] = table
+    comp[:, i, k, i, k] = -table
     return comp
 
 
-def term_II_bruteforce(st: PointState, i: int) -> float:
-    """Term II assembled through the ambient product curvature.
+def _term_II_product(b: States) -> np.ndarray:
+    """Term II of every direction through the ambient product curvature, (B, m).
 
     Builds the block curvature of (M x N, g + h) from the sectional tables,
-    forms the adapted graph frame from coordinate singular bases, and
-    contracts -2 C_ii sum_k R(e_i, e_k, e_k, nu_i) directly.  Must agree
-    with the closed form of ``terms_I_II_III`` to machine precision.
+    forms the adapted graph frames of the coordinate singular bases, and
+    contracts -2 C_ii sum_k R(e_i, e_k, e_k, nu_i) directly.  A direction
+    i >= n has no normal nu_i; its term is understood as zero.
     """
-    m, n, ell = st.m, st.n, st.ell
-    if not 0 <= i < m:
+    m, n, ell = b.m, b.n, b.ell
+    kh = np.pad(b.kh, ((0, 0), (0, n - ell), (0, n - ell)))
+    e, nu = graph_frames(b.lam, np.eye(m), np.eye(n))
+    path = "bpqrs,bip,bkq,bkr,bis->bik"  # i < l: the directions with a normal
+    tg = np.einsum(path, _block_curvature(b.kg), e[:, :ell, :m], e[..., :m], e[..., :m],
+                   nu[:, :ell, :m], optimize=True)
+    th = np.einsum(path, _block_curvature(kh), e[:, :ell, m:], e[..., m:], e[..., m:],
+                   nu[:, :ell, m:], optimize=True)
+    out = np.zeros((len(b), m))
+    out[:, :ell] = -2.0 * c_of(b.lam[:, :ell]) * (tg + th).sum(axis=2)
+    return out
+
+
+def term_II_bruteforce(st, i: int):
+    """Term II at direction i through the ambient product curvature; must agree
+    with the closed form of ``terms_I_II_III`` to machine precision."""
+    b = _rows(st)
+    if not 0 <= i < b.m:
         raise ValueError("direction index out of range")
-    if i >= n:
-        return 0.0  # no normal direction nu_i: understood as zero
-    rg = _diag_curvature(st.kg)
-    kh_full = np.zeros((n, n))
-    kh_full[:ell, :ell] = st.kh
-    rh = _diag_curvature(kh_full)
-
-    fr = graph_frame(st.profile, np.eye(m), np.eye(n))
-    e_m, e_n = fr.e[:, :m], fr.e[:, m:]
-    nu_m, nu_n = fr.nu[:, :m], fr.nu[:, m:]
-
-    c_i = st.profile.c_diag[i]
-    total = 0.0
-    for k in range(m):
-        val = np.einsum("pqrs,p,q,r,s->", rg, e_m[i], e_m[k], e_m[k], nu_m[i])
-        val += np.einsum("pqrs,p,q,r,s->", rh, e_n[i], e_n[k], e_n[k], nu_n[i])
-        total += val
-    return float(-2.0 * c_i * total)
+    return _out(st, _term_II_product(b)[:, i])
 
 
-def grad_theta_sq(st: PointState) -> float:
+def _a_diag(b: States) -> np.ndarray:
+    """A[a,a,:] for a = 1, 2 (zero where N has no such direction), (B, 2, m)."""
+    return np.stack([b.a2[:, a, a] if a < b.n else np.zeros((len(b), b.m)) for a in (0, 1)], 1)
+
+
+def grad_theta_sq(st):
     """|grad Theta_1221|^2 from the second-fundamental-form formula.
 
     The gradient in direction k is -2 (C_11 A[1,1,k] + C_22 A[2,2,k]).
     """
-    c = st.profile.c_diag
-    a1 = st.a2[0, 0, :] if st.n >= 1 else np.zeros(st.m)
-    a2 = st.a2[1, 1, :] if st.n >= 2 else np.zeros(st.m)
-    return float(4.0 * np.sum((c[0] * a1 + c[1] * a2) ** 2))
+    b = _rows(st)
+    grad = -2.0 * np.einsum("bi,bik->bk", c_of(b.lam[:, :2]), _a_diag(b))
+    return _out(st, np.sum(grad**2, axis=1))
 
 
-def _one_two_three(st: PointState):
-    i1, ii1, iii1 = terms_I_II_III(st, 0)
-    i2, ii2, iii2 = terms_I_II_III(st, 1)
-    return i1 + i2, ii1 + ii2, iii1 + iii2
-
-
-def positivity_gap(st: PointState, alpha: float) -> float:
+def positivity_gap(st, alpha):
     """Slack of the positivity estimate for the smallest Theta eigenvalue.
 
     With theta = Theta_1221 and alpha >= 0 such that theta + alpha > 0,
@@ -180,58 +240,60 @@ def positivity_gap(st: PointState, alpha: float) -> float:
 
     and the estimate asserts gap >= 0.  alpha = 0 is the logarithmic
     determinant form.  Negative alpha is rejected: the |A|^2 coarsening is
-    one-sided and the inequality genuinely needs alpha >= 0.
+    one-sided and the inequality genuinely needs alpha >= 0.  On a batch,
+    alpha is one value or one per row.
     """
-    if st.m < 2:
+    b = _rows(st)
+    if b.m < 2:
         raise ValueError("needs m >= 2")
-    if alpha < 0:
+    alpha = np.asarray(alpha, dtype=float)
+    if (alpha < 0).any():
         raise ValueError("alpha must be nonnegative")
-    theta = st.theta_min()
-    if theta + alpha <= 0:
+    theta = b.theta
+    if (theta + alpha <= 0).any():
         raise ValueError("need Theta_1221 + alpha > 0")
-    one, two, three = _one_two_three(st)
-    s = st.profile.s_diag
-    a_sq = float(np.sum(st.a2**2))
-    row1 = float(np.sum(st.a2[0, 0, :] ** 2)) if st.n >= 1 else 0.0
-    row2 = float(np.sum(st.a2[1, 1, :] ** 2)) if st.n >= 2 else 0.0
-    lhs = (theta + alpha) * (one + two + three) + 0.5 * grad_theta_sq(st)
+    one, two, three = _pair_terms(b)
+    s = s_of(b.lam)
+    a_sq = np.sum(b.a2**2, axis=(1, 2, 3))
+    rows = np.sum(_a_diag(b) ** 2, axis=2)
+    lhs = (theta + alpha) * (one + two + three) + 0.5 * grad_theta_sq(b)
     rhs = (-2.0 * alpha * (theta + alpha) * a_sq
-           + 4.0 * alpha * (s[0] * row1 + s[1] * row2)
+           + 4.0 * alpha * (s[:, 0] * rows[:, 0] + s[:, 1] * rows[:, 1])
            + (theta + alpha) * (two + three))
-    return float(lhs - rhs)
+    return _out(st, lhs - rhs)
 
 
-def _theta_weight(st: PointState) -> float:
+def _theta_weight(lam: np.ndarray) -> np.ndarray:
     """(lambda_1^2 + lambda_2^2) / ((1+lambda_1^2)(1+lambda_2^2))."""
-    l1, l2 = st.profile.lam[0], st.profile.lam[1]
+    l1, l2 = lam[:, 0], lam[:, 1]
     return (l1**2 + l2**2) / ((1 + l1**2) * (1 + l2**2))
 
 
-def _require_static(st: PointState):
-    if abs(st.dtg).max() > 0 or (st.ell and abs(st.dth).max() > 0):
+def _require_static(b: States):
+    if (b.dtg != 0).any() or (b.dth != 0).any():
         raise ValueError("static condition requires vanishing metric derivatives")
 
 
-def _ricci_rows(st: PointState) -> np.ndarray:
-    return st.kg.sum(axis=1)
+def _margin(b: States, condition: str | None) -> np.ndarray:
+    """Pointwise admissibility margin of each row; draws keep rows >= 0.
+
+    (A): min over i = 1, 2 of Ric^g_ii - sum_k K^h_ik + sum_{p>l} K^g_ip.
+    (C): sum_{p>l} K^g_1p + K^g_2p, plus for n > l the hidden target rows
+    implied by dt h = -Ric^h.  (D): the K^g part alone.  Otherwise 0.
+    """
+    ell = b.ell
+    g_rows = b.kg[:, :2, ell:].sum(axis=2)  # sum_{p>l} K^g_ip for i = 1, 2
+    if condition == "A":
+        return (b.kg[:, :2].sum(axis=2) - b.kh[:, :2].sum(axis=2) + g_rows).min(axis=1)
+    g_tail = g_rows[:, 0] + g_rows[:, 1]
+    if condition == "C" and b.n > ell:
+        return g_tail + (-b.dth[:, :2] - b.kh[:, :2].sum(axis=2)).sum(axis=1)
+    if condition in ("C", "D"):
+        return g_tail
+    return np.zeros(len(b))
 
 
-def _partial_ric_h(st: PointState, i: int) -> float:
-    return float(st.kh[i].sum())
-
-
-def _h_tail(st: PointState, i: int) -> float:
-    """Hidden row sum sum_{p>l} K^h_ip implied by dt_h_ii = -Ric^h_ii."""
-    return float(-st.dth[i] - _partial_ric_h(st, i))
-
-
-def bracket_A(st: PointState, i: int) -> float:
-    """Pointwise Ricci-gap bracket that condition (A) makes nonnegative."""
-    ell = st.ell
-    return float(_ricci_rows(st)[i] - _partial_ric_h(st, i) + st.kg[i, ell:].sum())
-
-
-def bound_A(st: PointState) -> float:
+def bound_A(st):
     """Gap of the static lower bound under condition (A).
 
     Directly computed (2)+(3) minus the stated bound: the S_pp-weighted
@@ -239,72 +301,56 @@ def bound_A(st: PointState) -> float:
     term.  Requires a static state whose pointwise Ricci brackets (the form
     of (A) visible at one point) are nonnegative.
     """
-    _require_static(st)
-    if st.m < 2 or st.ell < 2:
+    b = _rows(st)
+    _require_static(b)
+    if b.m < 2 or b.ell < 2:
         raise ValueError("needs m, l >= 2")
-    for i in (0, 1):
-        if bracket_A(st, i) < -1e-10:
-            raise ValueError("state violates the pointwise form of condition (A)")
-    _, two, three = _one_two_three(st)
-    s = st.profile.s_diag
-    c = st.profile.c_diag
-    ell = st.ell
-    ksum = st.kg[:, :ell] + np.pad(st.kh, ((0, st.m - ell), (0, 0)))[: st.m]
-    weighted = 0.5 * float(
-        np.sum((c[0] ** 2 * ksum[0, 2:ell] + c[1] ** 2 * ksum[1, 2:ell]) * s[2:ell])
-    )
-    theta_term = ksum[0, 1] * _theta_weight(st) * st.theta_min()
-    return float(two + three - weighted - theta_term)
+    if (_margin(b, "A") < -1e-10).any():
+        raise ValueError("state violates the pointwise form of condition (A)")
+    _, two, three = _pair_terms(b)
+    s, c, ell = s_of(b.lam), c_of(b.lam), b.ell
+    ksum = b.kg[:, :2, :ell] + b.kh[:, :2]
+    weighted = 0.5 * np.sum((c[:, 0, None] ** 2 * ksum[:, 0, 2:]
+                             + c[:, 1, None] ** 2 * ksum[:, 1, 2:]) * s[:, 2:ell], axis=1)
+    theta_term = ksum[:, 0, 1] * _theta_weight(b.lam) * b.theta
+    return _out(st, two + three - weighted - theta_term)
 
 
-def bound_B(st: PointState) -> float:
+def bound_B(st):
     """Gap of the static lower bound under condition (B).
 
     Needs declared kappa_M and tau_N; the bound is (kappa_M + tau_N) times
     [ (1/2)(C_11^2 + C_22^2) sum_{p>=3} S_pp + weight * Theta_1221 ].
     """
-    _require_static(st)
-    if st.kappa_m is None or st.tau_n is None:
+    b = _rows(st)
+    _require_static(b)
+    if b.kappa_m is None or b.tau_n is None:
         raise ValueError("condition (B) needs declared kappa_M and tau_N")
-    k, t = st.kappa_m, st.tau_n
-    ell = st.ell
-    if st.m < 2 or ell < 2:
+    k, t, ell = b.kappa_m, b.tau_n, b.ell
+    if b.m < 2 or ell < 2:
         raise ValueError("needs m, l >= 2")
-    if k < 0 or (ell - 1) * t > (2 * (st.m - ell) + ell - 1) * k + 1e-12:
+    if ((k < 0) | ((ell - 1) * t > (2 * (b.m - ell) + ell - 1) * k + 1e-12)).any():
         raise ValueError("declared bounds violate condition (B)")
-    _, two, three = _one_two_three(st)
-    s = st.profile.s_diag
-    c = st.profile.c_diag
-    bound = (k + t) * (
-        0.5 * (c[0] ** 2 + c[1] ** 2) * float(s[2:ell].sum())
-        + _theta_weight(st) * st.theta_min()
-    )
-    return float(two + three - bound)
+    _, two, three = _pair_terms(b)
+    s, c = s_of(b.lam), c_of(b.lam)
+    bound = (k + t) * (0.5 * (c[:, 0] ** 2 + c[:, 1] ** 2) * s[:, 2:ell].sum(axis=1)
+                       + _theta_weight(b.lam) * b.theta)
+    return _out(st, two + three - bound)
 
 
-def lemma_constant(st: PointState, c0: float = 8.0) -> float:
+def lemma_constant(st, c0: float = 8.0):
     """Explicit stand-in for the unnamed curvature-bound constant.
 
     c0 * (max|K^g| + max|K^h| + max|dt g| + max|dt h|) * (m+n); sweeps verify
     sufficiency and double c0 if a counterexample state ever appears.
     """
-
-    def mx(a):
-        a = np.asarray(a)
-        return float(abs(a).max()) if a.size else 0.0
-
-    return c0 * (mx(st.kg) + mx(st.kh) + mx(st.dtg) + mx(st.dth)) * (st.m + st.n)
+    b = _rows(st)
+    size = sum(abs(t).reshape(len(b), -1).max(axis=1, initial=0.0)
+               for t in (b.kg, b.kh, b.dtg, b.dth))
+    return _out(st, c0 * size * (b.m + b.n))
 
 
-def _pair_tail_total(st: PointState) -> float:
-    """sum over hidden directions of (row-1 + row-2) curvature pair sums."""
-    ell = st.ell
-    g_part = float(st.kg[0, ell:].sum() + st.kg[1, ell:].sum())
-    h_part = _h_tail(st, 0) + _h_tail(st, 1) if st.n > ell else 0.0
-    return g_part + h_part
-
-
-def bound_C(st: PointState, c0: float = 8.0) -> float:
+def bound_C(st, c0: float = 8.0):
     """Gap of the coupled lower bound under condition (C).
 
     Both metrics move by -Ric: dt g_ii must equal -sum_p K^g_ip, and the
@@ -316,24 +362,22 @@ def bound_C(st: PointState, c0: float = 8.0) -> float:
 
     with C the explicit constant of ``lemma_constant``.
     """
-    if st.m < 2 or st.ell < 2:
+    b = _rows(st)
+    if b.m < 2 or b.ell < 2:
         raise ValueError("needs m, l >= 2")
-    ric = _ricci_rows(st)
-    if abs(st.dtg + ric).max() > 1e-9:
+    if (abs(b.dtg + b.kg.sum(axis=2)) > 1e-9).any():
         raise ValueError("condition (C) needs dt g = -Ric^g rows")
-    if _pair_tail_total(st) < -1e-10:
+    if (_margin(b, "C") < -1e-10).any():
         raise ValueError("hidden-direction pair sums violate the chi clauses")
-    _, two, three = _one_two_three(st)
-    s = st.profile.s_diag
-    l1 = st.profile.lam[0]
-    ell = st.ell
-    pair = (st.kg[0, 2:ell] + st.kg[1, 2:ell] + st.kh[0, 2:ell] + st.kh[1, 2:ell])
-    bound = (-lemma_constant(st, c0) * abs(st.theta_min())
-             + 2 * l1**2 / (1 + l1**2) ** 2 * float(np.sum(pair * s[2:ell])))
-    return float(two + three - bound)
+    _, two, three = _pair_terms(b)
+    s, l1, ell = s_of(b.lam), b.lam[:, 0], b.ell
+    pair = b.kg[:, 0, 2:ell] + b.kg[:, 1, 2:ell] + b.kh[:, 0, 2:] + b.kh[:, 1, 2:]
+    bound = (-lemma_constant(b, c0) * abs(b.theta)
+             + 2 * l1**2 / (1 + l1**2) ** 2 * np.sum(pair * s[:, 2:ell], axis=1))
+    return _out(st, two + three - bound)
 
 
-def bound_D(st: PointState, c0: float = 8.0) -> float:
+def bound_D(st, c0: float = 8.0):
     """Gap of the coupled lower bound under condition (D).
 
     M moves by -Ric, N is static with tau_N <= 0; the bound replaces the
@@ -341,27 +385,25 @@ def bound_D(st: PointState, c0: float = 8.0) -> float:
 
         - sum_{a<=l} 2 tau_N lambda_a^2 / (1 + lambda_a^2).
     """
-    if st.m < 2 or st.ell < 2:
+    b = _rows(st)
+    if b.m < 2 or b.ell < 2:
         raise ValueError("needs m, l >= 2")
-    if st.tau_n is None or st.tau_n > 0:
+    if b.tau_n is None or (b.tau_n > 0).any():
         raise ValueError("condition (D) needs declared tau_N <= 0")
-    ric = _ricci_rows(st)
-    if abs(st.dtg + ric).max() > 1e-9:
+    if (abs(b.dtg + b.kg.sum(axis=2)) > 1e-9).any():
         raise ValueError("condition (D) needs dt g = -Ric^g rows")
-    if st.ell and abs(st.dth).max() > 0:
+    if (b.dth != 0).any():
         raise ValueError("condition (D) needs a static target metric")
-    ell = st.ell
-    if float(st.kg[0, ell:].sum() + st.kg[1, ell:].sum()) < -1e-10:
+    if (_margin(b, "D") < -1e-10).any():
         raise ValueError("hidden-direction pair sums violate the chi clause")
-    _, two, three = _one_two_three(st)
-    s = st.profile.s_diag
-    lam = st.profile.lam
-    l1 = lam[0]
-    pair = st.kg[0, 2:ell] + st.kg[1, 2:ell]
-    stretch = float(np.sum(2.0 * st.tau_n * lam[:ell] ** 2 / (1.0 + lam[:ell] ** 2)))
-    bound = (-lemma_constant(st, c0) * abs(st.theta_min())
-             + 2 * l1**2 / (1 + l1**2) ** 2 * (float(np.sum(pair * s[2:ell])) - stretch))
-    return float(two + three - bound)
+    _, two, three = _pair_terms(b)
+    s, lam, l1, ell = s_of(b.lam), b.lam, b.lam[:, 0], b.ell
+    pair = b.kg[:, 0, 2:ell] + b.kg[:, 1, 2:ell]
+    stretch = np.sum(2.0 * b.tau_n[:, None] * lam[:, :ell] ** 2 / (1.0 + lam[:, :ell] ** 2),
+                     axis=1)
+    bound = (-lemma_constant(b, c0) * abs(b.theta)
+             + 2 * l1**2 / (1 + l1**2) ** 2 * (np.sum(pair * s[:, 2:ell], axis=1) - stretch))
+    return _out(st, two + three - bound)
 
 
 # ---------------------------------------------------------------------------
@@ -369,107 +411,92 @@ def bound_D(st: PointState, c0: float = 8.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _random_profile(rng, m, n, lam_hi=3.0):
-    ell = min(m, n)
-    lam = np.zeros(m)
-    lam[:ell] = np.sort(rng.uniform(0.0, lam_hi, size=ell))[::-1]
-    return SingularProfile.from_lambdas(lam, m=m, n=n)
-
-
-def _sym_table(rng, d, lo, hi):
-    t = rng.uniform(lo, hi, size=(d, d))
-    t = 0.5 * (t + t.T)
-    np.fill_diagonal(t, 0.0)
+def _sym_tables(rng, rows, d, lo, hi):
+    """Symmetric zero-diagonal tables with entries in [lo, hi] (scalars or per row)."""
+    lo, hi = (np.asarray(v, dtype=float).reshape(-1, 1, 1) for v in (lo, hi))
+    t = rng.uniform(lo, hi, size=(rows, d, d))
+    t = 0.5 * (t + t.transpose(0, 2, 1))
+    t[:, np.arange(d), np.arange(d)] = 0.0
     return t
 
 
-def _random_a2(rng, m, n, scale=1.0):
-    a = rng.normal(0.0, scale, size=(n, m, m))
-    return 0.5 * (a + a.transpose(0, 2, 1))
+def _candidates(rng, condition, m, n, rows) -> States:
+    """Random states for a condition, admissible by construction where possible."""
+    ell = min(m, n)
+    lam = np.zeros((rows, m))
+    lam[:, :ell] = np.sort(rng.uniform(0.0, 3.0, size=(rows, ell)), axis=1)[:, ::-1]
+    a2 = rng.normal(0.0, 1.0, size=(rows, n, m, m))
+    a2 = 0.5 * (a2 + a2.transpose(0, 1, 3, 2))
+    dtg, dth = np.zeros((rows, m)), np.zeros((rows, ell))
+    declared = {}
 
-
-def _random_dims(rng):
-    m = int(rng.integers(2, 5))
-    n = int(rng.integers(2, 5))
-    return m, n
-
-
-def random_state(rng, condition: str | None = None, *, dims=None,
-                 max_tries: int = 2000) -> PointState:
-    """Draw a random PointState, admissible for the named condition.
-
-    Admissibility is enforced by construction where possible and by
-    rejection otherwise (the pointwise brackets of (A), the pair-sum tails
-    of (C)/(D)); seeds are the caller's responsibility.
-    """
-    for _ in range(max_tries):
-        m, n = dims if dims is not None else _random_dims(rng)
-        ell = min(m, n)
-        profile = _random_profile(rng, m, n)
-        a2 = _random_a2(rng, m, n)
-        zero_g, zero_h = np.zeros(m), np.zeros(ell)
-
-        if condition is None:
-            kg = _sym_table(rng, m, -1.0, 1.0)
-            kh = _sym_table(rng, ell, -1.0, 1.0)
-            st = PointState(m, n, profile, kg, kh, a2,
-                            rng.uniform(-1, 1, m), rng.uniform(-1, 1, ell))
-            return st
-
-        if condition == "A":
-            lo = rng.uniform(-0.2, 0.3)
-            kg = _sym_table(rng, m, lo, lo + rng.uniform(0.5, 1.5))
-            kh = _sym_table(rng, ell, -0.5, 0.5)
-            st = PointState(m, n, profile, kg, kh, a2, zero_g, zero_h)
-            if min(bracket_A(st, 0), bracket_A(st, 1)) >= 0:
-                return st
-            continue
-
-        if condition == "B":
-            kap = rng.uniform(0.0, 1.5)
-            tau_m = kap + rng.uniform(0.0, 1.5)
-            cap = (2 * (m - ell) + ell - 1) / (ell - 1) * kap
-            tau_n = rng.uniform(min(-1.0, cap), cap)
-            kap_n = tau_n - rng.uniform(0.0, 1.5)
-            kg = _sym_table(rng, m, kap, tau_m)
-            kh = _sym_table(rng, ell, kap_n, tau_n)
-            return PointState(m, n, profile, kg, kh, a2, zero_g, zero_h,
-                              kappa_m=kap, tau_m=tau_m, kappa_n=kap_n, tau_n=tau_n)
-
+    if condition is None:
+        kg = _sym_tables(rng, rows, m, -1.0, 1.0)
+        kh = _sym_tables(rng, rows, ell, -1.0, 1.0)
+        dtg, dth = rng.uniform(-1, 1, (rows, m)), rng.uniform(-1, 1, (rows, ell))
+    elif condition == "A":
+        lo = rng.uniform(-0.2, 0.3, rows)
+        kg = _sym_tables(rng, rows, m, lo, lo + rng.uniform(0.5, 1.5, rows))
+        kh = _sym_tables(rng, rows, ell, -0.5, 0.5)
+    elif condition == "B":
+        kap = rng.uniform(0.0, 1.5, rows)
+        tau_m = kap + rng.uniform(0.0, 1.5, rows)
+        cap = (2 * (m - ell) + ell - 1) / (ell - 1) * kap
+        tau_n = rng.uniform(np.minimum(-1.0, cap), cap)
+        kap_n = tau_n - rng.uniform(0.0, 1.5, rows)
+        kg = _sym_tables(rng, rows, m, kap, tau_m)
+        kh = _sym_tables(rng, rows, ell, kap_n, tau_n)
+        declared = dict(kappa_m=kap, tau_m=tau_m, kappa_n=kap_n, tau_n=tau_n)
+    elif condition in ("C", "D"):  # M moves by -Ric
+        kg = _sym_tables(rng, rows, m, rng.uniform(-0.3, 0.2, rows), rng.uniform(0.5, 1.5, rows))
+        dtg = -kg.sum(axis=2)
         if condition == "C":
-            kg = _sym_table(rng, m, rng.uniform(-0.3, 0.2), rng.uniform(0.5, 1.5))
-            kh = _sym_table(rng, ell, rng.uniform(-0.3, 0.2), rng.uniform(0.5, 1.5))
-            tails = rng.uniform(0.0, 1.0, size=(ell, max(0, n - ell)))
-            dtg = -kg.sum(axis=1)
-            dth = -(kh.sum(axis=1) + tails.sum(axis=1))
-            st = PointState(m, n, profile, kg, kh, a2, dtg, dth)
-            if _pair_tail_total(st) >= 0:
-                return st
-            continue
-
-        if condition == "D":
-            tau_n = rng.uniform(-1.5, 0.0)
-            kap_n = tau_n - rng.uniform(0.0, 1.5)
-            kg = _sym_table(rng, m, rng.uniform(-0.3, 0.2), rng.uniform(0.5, 1.5))
-            kh = _sym_table(rng, ell, kap_n, tau_n)
-            dtg = -kg.sum(axis=1)
-            st = PointState(m, n, profile, kg, kh, a2, dtg, zero_h,
-                            kappa_n=kap_n, tau_n=tau_n)
-            if float(kg[0, ell:].sum() + kg[1, ell:].sum()) >= 0:
-                return st
-            continue
-
+            kh = _sym_tables(rng, rows, ell, rng.uniform(-0.3, 0.2, rows),
+                             rng.uniform(0.5, 1.5, rows))
+            tails = rng.uniform(0.0, 1.0, size=(rows, ell, n - ell))
+            dth = -(kh.sum(axis=2) + tails.sum(axis=2))
+        else:
+            tau_n = rng.uniform(-1.5, 0.0, rows)
+            kap_n = tau_n - rng.uniform(0.0, 1.5, rows)
+            kh = _sym_tables(rng, rows, ell, kap_n, tau_n)
+            declared = dict(kappa_n=kap_n, tau_n=tau_n)
+    else:
         raise ValueError(f"unknown condition {condition!r}")
-    raise RuntimeError(f"could not draw an admissible state for {condition!r}")
+    return States(m, n, lam, kg, kh, a2, dtg, dth, **declared)
 
 
-def random_positive_state(rng, alpha: float, **kw) -> PointState:
+def draw_states(rng, condition: str | None, m: int, n: int, rows: int, *,
+                alpha=None) -> States:
+    """``rows`` random states of dims (m, n), admissible for the condition.
+
+    Admissible by construction where possible, else rows failing ``_margin``
+    are redrawn; with ``alpha`` (one per row) also Theta_1221 + alpha > 0.
+    """
+    out = cand = _candidates(rng, condition, m, n, rows)
+    slots = np.arange(rows)
+    for _ in range(_ROUNDS):
+        ok = _margin(cand, condition) >= 0
+        if alpha is not None:
+            ok &= cand.theta + alpha[slots] > 1e-6
+        for name, values in out.arrays().items():
+            values[slots[ok]] = getattr(cand, name)[ok]
+        slots = slots[~ok]
+        if not slots.size:
+            return out
+        cand = _candidates(rng, condition, m, n, slots.size)
+    raise RuntimeError(f"could not draw admissible states for {condition!r}")
+
+
+def random_state(rng, condition: str | None = None, *, dims=None) -> PointState:
+    """One random PointState admissible for the named condition (a batch of one)."""
+    m, n = dims if dims is not None else map(int, rng.integers(2, 5, size=2))
+    return draw_states(rng, condition, m, n, 1).row(0)
+
+
+def random_positive_state(rng, alpha: float, *, dims=None) -> PointState:
     """Random state with Theta_1221 + alpha > 0 (rejection on the profile)."""
-    for _ in range(5000):
-        st = random_state(rng, None, **kw)
-        if st.theta_min() + alpha > 1e-6:
-            return st
-    raise RuntimeError("could not draw a state with Theta + alpha > 0")
+    m, n = dims if dims is not None else map(int, rng.integers(2, 5, size=2))
+    return draw_states(rng, None, m, n, 1, alpha=np.array([alpha], float)).row(0)
 
 
 # ---------------------------------------------------------------------------
@@ -477,19 +504,28 @@ def random_positive_state(rng, alpha: float, **kw) -> PointState:
 # ---------------------------------------------------------------------------
 
 
+def _sweep_states(samples: int, seed: int, condition: str | None = None, *, alpha=None):
+    """Batches of a sweep with their alpha per row, uniform in the range ``alpha``.
+
+    Each sample draws its dims (m, n) in {2, 3, 4}^2; samples of equal dims
+    are drawn together, at most ``_BATCH`` at a time.
+    """
+    rng = np.random.default_rng(seed)
+    counts = np.bincount(rng.integers(0, 9, size=samples), minlength=9)
+    for code, count in enumerate(counts.tolist()):
+        m, n = 2 + code // 3, 2 + code % 3
+        for start in range(0, count, _BATCH):
+            rows = min(_BATCH, count - start)
+            a = None if alpha is None else rng.uniform(*alpha, rows)
+            yield draw_states(rng, condition, m, n, rows, alpha=a), a
+
+
 def sweep_positivity(samples: int, seed: int, *, alpha_positive: bool) -> dict:
     """Minimum positivity gap over random states (alpha > 0 or alpha = 0)."""
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(samples):
-        alpha = float(rng.uniform(0.05, 2.0)) if alpha_positive else 0.0
-        st = random_positive_state(rng, alpha)
-        worst = min(worst, positivity_gap(st, alpha))
-    return {
-        "suite": "positivity_alpha_pos" if alpha_positive else "positivity_alpha_zero",
-        "samples": samples,
-        "min_gap": worst,
-    }
+    draws = _sweep_states(samples, seed, alpha=(0.05, 2.0) if alpha_positive else (0.0, 0.0))
+    worst = min((float(positivity_gap(b, a).min()) for b, a in draws), default=np.inf)
+    suite = "positivity_alpha_pos" if alpha_positive else "positivity_alpha_zero"
+    return {"suite": suite, "samples": samples, "min_gap": worst}
 
 
 def sweep_bound(condition: str, samples: int, seed: int, *, c0: float = 8.0) -> dict:
@@ -500,12 +536,8 @@ def sweep_bound(condition: str, samples: int, seed: int, *, c0: float = 8.0) -> 
     """
     fn = {"A": bound_A, "B": bound_B, "C": bound_C, "D": bound_D}[condition]
     while True:
-        rng = np.random.default_rng(seed)
-        worst = np.inf
-        for _ in range(samples):
-            st = random_state(rng, condition)
-            gap = fn(st, c0) if condition in ("C", "D") else fn(st)
-            worst = min(worst, gap)
+        worst = min((float((fn(b, c0) if condition in ("C", "D") else fn(b)).min())
+                     for b, _ in _sweep_states(samples, seed, condition)), default=np.inf)
         out = {"suite": f"bound_{condition}", "samples": samples, "min_gap": worst}
         if condition in ("C", "D"):
             out["chosen_constants"] = {"c0": c0}
@@ -514,69 +546,10 @@ def sweep_bound(condition: str, samples: int, seed: int, *, c0: float = 8.0) -> 
         c0 *= 2.0
 
 
-def sweep_term_II(samples: int, seed: int, *, chunk: int = 2048) -> dict:
-    """Closed-form term II against the product-curvature contraction, batched.
-
-    Every direction i of every random state is compared; the brute-force
-    side assembles dense block curvature tensors and contracts them against
-    the graph frame with one einsum per chunk.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    done = 0
-    while done < samples:
-        b = min(chunk, samples - done)
-        m, n = _random_dims(rng)
-        ell = min(m, n)
-        lam = np.sort(rng.uniform(0, 3, size=(b, ell)), axis=1)[:, ::-1]
-        lam = np.concatenate([lam, np.zeros((b, m - ell))], axis=1)
-        kg = rng.uniform(-1, 1, size=(b, m, m))
-        kg = 0.5 * (kg + kg.transpose(0, 2, 1))
-        kg[:, np.arange(m), np.arange(m)] = 0.0
-        kh = rng.uniform(-1, 1, size=(b, ell, ell))
-        kh = 0.5 * (kh + kh.transpose(0, 2, 1))
-        kh[:, np.arange(ell), np.arange(ell)] = 0.0
-
-        s = s_of(lam)
-        c = c_of(lam)
-        num = kg.copy()
-        num[:, :ell, :ell] -= lam[:, None, :ell] ** 2 * kh
-        closed = c**2 * np.sum(num / (1.0 + lam[:, None, :] ** 2), axis=2)
-
-        # dense diagonal-type block tensors
-        rg = np.zeros((b, m, m, m, m))
-        ii, kk = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-        rg[:, ii, kk, kk, ii] = kg
-        rg[:, ii, kk, ii, kk] = -kg
-        khf = np.zeros((b, n, n))
-        khf[:, :ell, :ell] = kh
-        rh = np.zeros((b, n, n, n, n))
-        ii, kk = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        rh[:, ii, kk, kk, ii] = khf
-        rh[:, ii, kk, ii, kk] = -khf
-
-        norm = np.sqrt(1.0 + lam**2)
-        e_m = np.zeros((b, m, m))  # e_m[b, i, :] domain block of e_i
-        e_m[:, np.arange(m), np.arange(m)] = 1.0 / norm
-        e_n = np.zeros((b, m, n))
-        rng_l = np.arange(ell)
-        e_n[:, rng_l, rng_l] = (lam / norm)[:, :ell]
-        nu_m = np.zeros((b, n, m))
-        nu_m[:, rng_l, rng_l] = (-lam / norm)[:, :ell]
-        nu_n = np.zeros((b, n, n))
-        lam_t = np.zeros((b, n))
-        lam_t[:, :ell] = lam[:, :ell]
-        nu_n[:, np.arange(n), np.arange(n)] = 1.0 / np.sqrt(1.0 + lam_t**2)
-
-        tg = np.einsum("bpqrs,bip,bkq,bkr,bis->bik", rg, e_m[:, :ell], e_m, e_m,
-                       nu_m[:, :ell], optimize=True)
-        th = np.einsum("bpqrs,bip,bkq,bkr,bis->bik", rh, e_n[:, :ell], e_n, e_n,
-                       nu_n[:, :ell], optimize=True)
-        brute = -2.0 * c[:, :ell] * (tg + th).sum(axis=2)
-        diff = abs(closed[:, :ell] - brute).max() if ell else 0.0
-        diff = max(diff, abs(closed[:, ell:]).max() if m > ell else 0.0)
-        worst = max(worst, float(diff))
-        done += b
+def sweep_term_II(samples: int, seed: int) -> dict:
+    """Closed-form term II against the product-curvature contraction, every direction."""
+    worst = max((float(abs(_terms(b)[1] - _term_II_product(b)).max())
+                 for b, _ in _sweep_states(samples, seed)), default=0.0)
     return {"suite": "term_II_oracle", "samples": samples, "max_abs_diff": worst}
 
 
@@ -586,12 +559,11 @@ def sweep_algebra(samples: int, seed: int) -> dict:
     Checks S^2 + C^2 = 1, the keystone 2 Theta_ijji S_ii = Theta^2 + C_jj^2
     - C_ii^2, the weighted identity C_11^2 S_22 + C_22^2 S_11 = 2(l1^2+l2^2)
     Theta/((1+l1^2)(1+l2^2)), and the equality of the pair-sum eigenvalues
-    with the brute-force wedge-form spectrum.
+    with the spectrum of the wedge form of Theta.
     """
     rng = np.random.default_rng(seed)
     worst = {"pythagoras": 0.0, "keystone": 0.0, "weighted": 0.0, "wedge": 0.0}
-    done = 0
-    while done < samples:
+    for done in range(0, samples, 20000):
         b = min(20000, samples - done)
         m = int(rng.integers(2, 5))
         lam = np.sort(rng.uniform(0, 5, size=(b, m)), axis=1)[:, ::-1]
@@ -608,26 +580,26 @@ def sweep_algebra(samples: int, seed: int) -> dict:
         rhs = 2 * (l1**2 + l2**2) * (s[:, 0] + s[:, 1]) / ((1 + l1**2) * (1 + l2**2))
         worst["weighted"] = max(worst["weighted"], float(abs(lhs - rhs).max()))
 
-        # wedge form of Theta = S o eta versus the pair sums
-        eye = np.eye(m)
-        sd = s[:, :, None] * eye
-        theta = (np.einsum("bil,jk->bijkl", sd, eye) + np.einsum("bjk,il->bijkl", sd, eye)
-                 - np.einsum("bik,jl->bijkl", sd, eye) - np.einsum("bjl,ik->bijkl", sd, eye))
-        wedge = theta[:, iu[:, None], ju[:, None], ju[None, :], iu[None, :]]
-        eigs = np.sort(np.linalg.eigvalsh(wedge), axis=1)
+        eigs = np.sort(np.linalg.eigvalsh(theta_wedge_matrices(s)), axis=1)
         worst["wedge"] = max(worst["wedge"], float(abs(eigs - np.sort(th, axis=1)).max()))
-        done += b
     return {"suite": "profile_algebra", "samples": samples, **worst}
 
 
 def sweep_gradient_formula(samples: int, seed: int) -> dict:
-    """Gradient-formula consistency: (1/2)|grad Theta|^2 equals
-    2 sum_k (C_11 A[1,1,k] + C_22 A[2,2,k])^2 exactly."""
-    rng = np.random.default_rng(seed)
+    """(1/2)|grad Theta|^2 of ``grad_theta_sq`` against singular-value perturbation.
+
+    Computed without C: in the graph frame the second fundamental form has
+    B^i_ik = A[i,i,k] (1 + lambda_i^2) sqrt(1 + lambda_k^2), Theta_1221 =
+    s(lambda_1) + s(lambda_2) with s(lambda) = (1 - lambda^2)/(1 + lambda^2),
+    and the singular values move along e_k by B^i_ik / sqrt(1 + lambda_k^2),
+    so e_k Theta = sum_{i=1,2} s'(lambda_i) B^i_ik / sqrt(1 + lambda_k^2)
+    with s'(lambda) = -4 lambda / (1 + lambda^2)^2.
+    """
     worst = 0.0
-    for _ in range(samples):
-        st = random_state(rng, None)
-        c = st.profile.c_diag
-        direct = 2.0 * np.sum((c[0] * st.a2[0, 0, :] + c[1] * st.a2[1, 1, :]) ** 2)
-        worst = max(worst, abs(0.5 * grad_theta_sq(st) - direct))
-    return {"suite": "gradient_formula", "samples": samples, "max_abs_diff": float(worst)}
+    for b, _ in _sweep_states(samples, seed):
+        lam, root = b.lam[:, :2, None], np.sqrt(1.0 + b.lam[:, None, :] ** 2)
+        big_b = _a_diag(b) * (1.0 + lam**2) * root
+        e_theta = np.sum(-4.0 * lam / (1.0 + lam**2) ** 2 * big_b / root, axis=1)
+        diff = 0.5 * grad_theta_sq(b) - 0.5 * np.sum(e_theta**2, axis=1)
+        worst = max(worst, float(abs(diff).max()))
+    return {"suite": "gradient_formula", "samples": samples, "max_abs_diff": worst}

@@ -28,7 +28,8 @@ defect).  Time stepping is explicit Heun with a CFL-limited step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -424,6 +425,8 @@ def equivariant_monitor(st: EquivariantFlowState, r_m: float, r_n: float):
 
 TORUS_PRESETS = ("zero", "sine", "linear_sine")
 EQUIVARIANT_PRESETS = ("zero", "sine", "identity", "identity_sine")
+_FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real,
+                "float | None": numbers.Real}  # annotation -> accepted values
 
 
 @dataclass
@@ -450,6 +453,11 @@ class FlowConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            v, kind = getattr(self, f.name), _FIELD_TYPES.get(f.type, object)
+            if (isinstance(v, bool) or not isinstance(v, kind)) and not (
+                    v is None and f.type.endswith("None")):
+                raise ValueError(f"{f.name} must be {f.type}, got {v!r}")
         if self.case not in ("torus", "equivariant"):
             raise ValueError("case must be 'torus' or 'equivariant'")
         presets = TORUS_PRESETS if self.case == "torus" else EQUIVARIANT_PRESETS
@@ -479,7 +487,10 @@ class FlowConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg = FlowConfig(**d)
         if cfg.winding:
-            cfg.winding = tuple(tuple(int(x) for x in row) for row in cfg.winding)
+            try:
+                cfg.winding = tuple(tuple(int(x) for x in row) for row in cfg.winding)
+            except (TypeError, ValueError):
+                raise ValueError(f"winding needs integer rows, got {cfg.winding!r}") from None
         return cfg
 
     def to_dict(self) -> dict:

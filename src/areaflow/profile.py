@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curvature import SymBilinear, kulkarni_nomizu
+from .curvature import SymBilinear, kulkarni_nomizu_comp
 
 EIG_CLIP = 1e-12  # pullback eigenvalues in [-EIG_CLIP, 0] clip to zero
 
@@ -212,21 +212,26 @@ def graph_frame(p: SingularProfile, u, v,
     if abs(v.T @ h.comp @ v - np.eye(n)).max() > 1e-8:
         raise ValueError("v is not h-orthonormal")
 
-    lam_ext = np.zeros(max(m, n))
-    lam_ext[:m] = p.lam
-    e = np.zeros((m, m + n))
-    for i in range(m):
-        norm = np.sqrt(1.0 + lam_ext[i] ** 2)
-        e[i, :m] = u[:, i] / norm
-        if i < n:
-            e[i, m:] = lam_ext[i] * v[:, i] / norm
-    nu = np.zeros((n, m + n))
-    for a in range(n):
-        norm = np.sqrt(1.0 + lam_ext[a] ** 2)
-        if a < m:
-            nu[a, :m] = -lam_ext[a] * u[:, a] / norm
-        nu[a, m:] = v[:, a] / norm
-    return GraphFrame(e=e, nu=nu)
+    e, nu = graph_frames(p.lam[None], u, v)
+    return GraphFrame(e=e[0], nu=nu[0])
+
+
+def graph_frames(lam: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """Rows e (B, m, m+n) and nu (B, n, m+n) of the graph frames of B profiles.
+
+    lam (B, m) as in ``SingularProfile``; the columns of u (m x m) and v
+    (n x n) are the singular bases, shared by all B.
+    """
+    m, n = len(u), len(v)
+    k, rows = min(m, n), len(lam)
+    lam = np.pad(lam, ((0, 0), (0, max(0, n - m))))
+    norm = np.sqrt(1.0 + lam**2)
+    e, nu = np.zeros((rows, m, m + n)), np.zeros((rows, n, m + n))
+    e[:, :, :m] = u.T / norm[:, :m, None]
+    e[:, :k, m:] = lam[:, :k, None] * v.T[:k] / norm[:, :k, None]
+    nu[:, :k, :m] = -lam[:, :k, None] * u.T[:k] / norm[:, :k, None]
+    nu[:, :, m:] = v.T / norm[:, :n, None]
+    return e, nu
 
 
 def m_monitor(profiles: Sequence[SingularProfile]) -> float:
@@ -258,17 +263,18 @@ def theta_wedge_matrix(p: SingularProfile,
     In the singular frame eta is the identity and S is diagonal; the matrix
     entry for pairs (i<j), (k<l) is Theta(e_i, e_j, e_l, e_k), and the wedge
     basis is orthonormal for (1/2) eta o eta.  Its eigenvalues reproduce
-    theta_eigs; this is the brute-force cross-check path.
+    theta_eigs; this is the brute-force cross-check path, a batch of one of
+    ``theta_wedge_matrices``.
     """
-    m = p.m
-    if m < 2:
+    if p.m < 2:
         raise ValueError("wedge form needs m >= 2")
-    eta = SymBilinear.identity(m) if eta is None else eta
-    s = SymBilinear(np.diag(p.s_diag))
-    theta = kulkarni_nomizu(s, eta).comp
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    mat = np.empty((len(pairs), len(pairs)))
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            mat[a, b] = theta[i, j, l, k]
-    return mat
+    return theta_wedge_matrices(p.s_diag[None], eta)[0]
+
+
+def theta_wedge_matrices(s: np.ndarray, eta: SymBilinear | None = None) -> np.ndarray:
+    """Wedge matrices of Theta = diag(S) o eta, one per row of S values (B, m)."""
+    m = s.shape[1]
+    eta = np.eye(m) if eta is None else eta.comp
+    theta = kulkarni_nomizu_comp(s[:, :, None] * np.eye(m), eta)
+    iu, ju = np.triu_indices(m, k=1)
+    return theta[:, iu[:, None], ju[:, None], ju[None, :], iu[None, :]]

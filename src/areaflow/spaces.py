@@ -163,6 +163,8 @@ def bounds(space: ModelSpace, *, seed: int = 0, n_starts: int = 64) -> Curvature
     validated against the explicit tensor by frame optimization on first use
     (cached per dim/scale); custom spaces echo their override.
     """
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     if space.kind == "custom":
         return space.bounds_override
     if space.kind == "fubini" and space.dim >= 4:

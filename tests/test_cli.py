@@ -82,6 +82,12 @@ class TestVerifyCommand:
         names = {s["suite"] for s in payload["suites"]}
         assert {"profile_algebra", "term_II_oracle", "bound_A", "bound_C"} <= names
 
+    def test_reruns_print_identical_json(self, capsys):
+        outs = [invoke(["verify-identities", "--sweep", "1000", "--seed", "7"], capsys)
+                for _ in range(2)]
+        assert outs[0][0] == 0
+        assert outs[0] == outs[1]
+
 
 class TestFlowCommand:
     def test_run_and_persist(self, tmp_path, capsys):
@@ -126,6 +132,15 @@ class TestFlowCommand:
         assert code == 1
         assert "cfl" in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.mark.parametrize("config", [{"cfl": "0.4"}, {"grid": 24.5}, ["torus"]])
+    def test_bad_config_types_exit_1_with_json_error(self, config, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        code = main(["flow", "--case", "torus", "--config", str(cfgfile),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"]
+
     def test_outdir_env_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("AREAFLOW_OUTDIR", str(tmp_path / "envout"))
         cfgfile = tmp_path / "cfg.json"
@@ -155,6 +170,22 @@ class TestPic1Command:
         # a cold cache, so the optimizer actually runs
         monkeypatch.setattr(spaces, "_FUBINI_BOUNDS_CACHE", {})
         code = main(["pic1", "--space", "fubini:4:4", "--starts", starts])
+        assert code == 1
+        assert "n_starts" in json.loads(capsys.readouterr().err)["error"]
+
+
+    @pytest.mark.parametrize("space", ["sphere:4:1", "torus:3:1", "fubini:2:4"])
+    def test_no_starts_on_a_closed_form_space_exits_1(self, space, capsys):
+        code = main(["pic1", "--space", space, "--starts", "0"])
+        assert code == 1
+        assert "n_starts" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_no_starts_on_a_warm_fubini_cache_exits_1(self, capsys, monkeypatch):
+        from areaflow import spaces
+
+        warm = bounds(parse_space("sphere:4:1"))  # any cached value; never returned
+        monkeypatch.setattr(spaces, "_FUBINI_BOUNDS_CACHE", {(4, 4.0): warm})
+        code = main(["pic1", "--space", "fubini:4:4", "--starts", "0"])
         assert code == 1
         assert "n_starts" in json.loads(capsys.readouterr().err)["error"]
 

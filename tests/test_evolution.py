@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from areaflow import evolution
 from areaflow.evolution import (
     PointState,
     bound_A,
     bound_B,
     bound_C,
     bound_D,
+    draw_states,
     grad_theta_sq,
     lemma_constant,
     positivity_gap,
@@ -129,7 +131,13 @@ class TestPositivity:
 
     def test_gradient_formula(self):
         out = sweep_gradient_formula(800, 13)
-        assert out["max_abs_diff"] == 0.0
+        assert out["max_abs_diff"] <= 1e-12
+
+    def test_gradient_formula_catches_a_wrong_formula(self, monkeypatch):
+        # C_ii with its factor 2 dropped scales |grad Theta|^2 by 1/4
+        right = evolution.grad_theta_sq
+        monkeypatch.setattr(evolution, "grad_theta_sq", lambda st: 0.25 * right(st))
+        assert sweep_gradient_formula(800, 13)["max_abs_diff"] > 1e-3
 
 
 class TestBounds:
@@ -192,6 +200,10 @@ class TestRandomStates:
             assert st.profile.lam[0] >= st.profile.lam[-1]
             assert abs(st.kg - st.kg.T).max() == 0.0
 
+    def test_impossible_draw_raises_instead_of_spinning(self):
+        with pytest.raises(RuntimeError, match="admissible"):
+            random_positive_state(np.random.default_rng(33), -5.0)
+
     def test_positive_state_has_positive_theta(self):
         rng = np.random.default_rng(32)
         st = random_positive_state(rng, 0.0)
@@ -201,3 +213,55 @@ class TestRandomStates:
         out = sweep_algebra(30000, 41)
         assert max(out["pythagoras"], out["keystone"], out["weighted"],
                    out["wedge"]) <= 1e-12
+
+
+class TestBatchOfOne:
+    """Every oracle on a batch agrees with its scalar call on each row."""
+
+    GAPS = {None: (), "A": (bound_A,), "B": (bound_B,), "C": (bound_C,), "D": (bound_D,)}
+
+    @staticmethod
+    def assert_rowwise(batched, scalar_of_row, rows):
+        for r in range(rows):
+            assert abs(batched[r] - scalar_of_row(r)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("condition", [None, "A", "B", "C", "D"])
+    def test_rows_match_scalar_calls(self, condition, m, n):
+        rng = np.random.default_rng(7)
+        rows = 12
+        alpha = rng.uniform(0.0, 1.0, rows)
+        b = draw_states(rng, condition, m, n, rows,
+                        alpha=alpha if condition is None else None)
+        assert len(b) == rows
+        states = [b.row(r) for r in range(rows)]  # each row validates as a PointState
+        for i in range(m):
+            for k, batched in enumerate(terms_I_II_III(b, i)):
+                self.assert_rowwise(batched, lambda r: terms_I_II_III(states[r], i)[k], rows)
+            self.assert_rowwise(term_II_bruteforce(b, i),
+                                lambda r: term_II_bruteforce(states[r], i), rows)
+        self.assert_rowwise(grad_theta_sq(b), lambda r: grad_theta_sq(states[r]), rows)
+        self.assert_rowwise(lemma_constant(b), lambda r: lemma_constant(states[r]), rows)
+        if condition is None:
+            self.assert_rowwise(positivity_gap(b, alpha),
+                                lambda r: positivity_gap(states[r], alpha[r]), rows)
+            assert all(st.theta_min() + a > 0 for st, a in zip(states, alpha))
+        for gap in self.GAPS[condition]:
+            self.assert_rowwise(gap(b), lambda r: gap(states[r]), rows)
+
+    def test_batch_of_one_round_trips(self):
+        st = random_state(np.random.default_rng(7), "B", dims=(3, 4))
+        back = st.batch().row(0)
+        for name in ("kg", "kh", "a2", "dtg", "dth"):
+            assert np.array_equal(getattr(back, name), getattr(st, name))
+        assert np.array_equal(back.profile.lam, st.profile.lam)
+        assert (back.kappa_m, back.tau_n) == (st.kappa_m, st.tau_n)
+        assert bound_B(st) == float(bound_B(st.batch())[0])
+
+    def test_one_inadmissible_row_fails_the_batch(self):
+        b = draw_states(np.random.default_rng(8), "A", 2, 2, 3)
+        assert bound_A(b).shape == (3,)
+        b.kg[1], b.kh[1] = const_table(2, -1.0), const_table(2, 1.0)
+        with pytest.raises(ValueError, match="condition"):
+            bound_A(b)

@@ -207,3 +207,12 @@ class TestRuns:
         with pytest.raises(ValueError, match="t_end_frac_of_extinction"):
             FlowConfig(case="equivariant", background_m="ricci",
                        background_n="ricci", t_end_frac_of_extinction=t_end)
+
+    @pytest.mark.parametrize("key,value", [
+        ("cfl", "0.4"), ("t_end", None), ("amplitude", [0.1]), ("grid", 64.0),
+        ("m", True), ("seed", "0"), ("preset", 3), ("t_end_frac_of_extinction", "0.9"),
+        ("winding", 5), ("winding", [[1, None]]),
+    ])
+    def test_wrong_field_types_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            FlowConfig.from_dict({"case": "torus", key: value})
