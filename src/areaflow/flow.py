@@ -6,7 +6,10 @@ itself evolves:
 
 * periodic flat tori: d/dt f^a = eta^{ij} d_i d_j f^a with
   eta = I + df^T df assembled pointwise (all background Christoffel terms
-  vanish on flat factors);
+  vanish on flat factors).  Each state builds its geometry once: df, eta,
+  eta^{-1} and the Hessian of the map come from one centered stencil over
+  all components, and the right-hand side, the monitor, tr_eta S, its
+  eta^{ij} Laplacian and term I all read that one copy;
 
 * equivariant sphere suspensions f(theta, xi) = (rho(theta), xi) between
   round spheres of radii r_M, r_N:
@@ -22,7 +25,8 @@ the largest stretch, the largest pairwise stretch product, background scale
 factors, and a residual: for tori the discrete defect of the evolution
 identity (d/dt - eta^{ij} d_i d_j) tr_eta S = sum_i term_I, for the
 equivariant case the sup-norm of the discrete right-hand side (stationarity
-defect).  Time stepping is explicit Heun with a CFL-limited step.
+defect).  Time stepping is explicit Heun with a CFL-limited step; a run
+that would take more than ``MAX_STEPS`` steps is refused or aborted.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +43,8 @@ from .profile import s_of
 from .spaces import BackgroundPath, ModelSpace
 
 LAMBDA_ABORT = 50.0
-COND_ABORT = 1e6
+# Most time steps one run may take; criterion 7 takes about 4.3e5.
+MAX_STEPS = 10**7
 
 
 class FlowAbort(RuntimeError):
@@ -78,6 +85,15 @@ class FlowSeries:
 # ---------------------------------------------------------------------------
 
 
+class TorusGeometry(NamedTuple):
+    """Pointwise geometry of one torus state, components leading, grid trailing."""
+
+    df: np.ndarray    # (n, m, grid...): winding part plus centered gradients
+    eta: np.ndarray   # (m, m, grid...): induced metric I + df^T df
+    inv: np.ndarray   # (m, m, grid...): eta^{-1}
+    hess: np.ndarray  # (n, m, m, grid...): centered Hessian of u, symmetric in (m, m)
+
+
 @dataclass
 class TorusFlowState:
     """Map between flat tori: f(x) = lin @ x + u(x), u periodic.
@@ -86,6 +102,9 @@ class TorusFlowState:
     time); ``u`` has shape (n, N, ..., N) with m grid axes of period
     ``period``.  Splitting off the linear part keeps every stored field
     periodic, so centered stencils never see the winding jump.
+
+    A state is a value: ``u`` is read-only after construction, so its
+    ``geometry`` is built once, on first use, and shared by every reader.
     """
 
     m: int
@@ -102,65 +121,83 @@ class TorusFlowState:
             raise ValueError("lin must be n x m")
         if self.u.ndim != self.m + 1 or self.u.shape[0] != self.n:
             raise ValueError("u must have shape (n, grid...)")
+        self.u.flags.writeable = False  # the cached geometry depends on it
 
     @property
     def h(self) -> float:
         return self.period / self.u.shape[1]
 
-
-def _d1(a, axis, h):
-    return (np.roll(a, -1, axis) - np.roll(a, 1, axis)) / (2.0 * h)
-
-
-def _d2(a, axis, h):
-    return (np.roll(a, -1, axis) - 2.0 * a + np.roll(a, 1, axis)) / h**2
+    @cached_property
+    def geometry(self) -> TorusGeometry:
+        df, hess = _torus_df(self)
+        eta, inv = _torus_eta_inv(df, self.m)
+        return TorusGeometry(df, eta, inv, hess)
 
 
-def _torus_df(st: TorusFlowState) -> np.ndarray:
-    """Differential field (n, m, grid...): winding part plus centered grads."""
-    grads = np.stack([
-        np.stack([_d1(st.u[a], ax, st.h) for ax in range(st.m)])
-        for a in range(st.n)
-    ])
-    return st.lin.reshape(st.lin.shape + (1,) * st.m) + grads
+_CELLS = {-1: slice(None, -2), 0: slice(1, -1), 1: slice(2, None), None: slice(None)}
 
 
-def _torus_eta_inv(df: np.ndarray, m: int, *, guard: bool = False):
-    """Inverse induced metric per grid point; optionally checks the guards."""
+def _cells(ringed, m, moves, rest=0):
+    """Cells of an array ringed on its m trailing axes: axis d read one cell back,
+    on or ahead as ``moves.get(d, rest)`` is -1, 0 or 1 (None: the whole axis)."""
+    return ringed[(Ellipsis,) + tuple(_CELLS[moves.get(d, rest)] for d in range(m))]
+
+
+def _stencil(a, m: int, h: float):
+    """Centered gradient (lead, m, grid) and Hessian (lead, m, m, grid) of ``a``
+    over its m trailing periodic axes, every leading component at once; each
+    off-diagonal d_j d_i (i < j) is differenced once and mirrored."""
+    k = a.ndim - m
+    ring = a
+    for ax in range(k, a.ndim):  # one periodic cell on each side
+        ring = np.concatenate([ring.take([-1], ax), ring, ring.take([0], ax)], axis=ax)
+    grad, hess = np.empty((m,) + a.shape), np.empty((m, m) + a.shape)
+    for i in range(m):
+        # d_i on the ring of every other axis, so d_j d_i needs no second ring
+        gi = np.subtract(_cells(ring, m, {i: 1}, None), _cells(ring, m, {i: -1}, None))
+        gi /= 2.0 * h
+        grad[i] = _cells(gi, m, {i: None})
+        np.multiply(a, -2.0, out=hess[i, i])
+        hess[i, i] += _cells(ring, m, {i: 1})
+        hess[i, i] += _cells(ring, m, {i: -1})
+        hess[i, i] /= h**2
+        for j in range(i + 1, m):
+            np.subtract(_cells(gi, m, {i: None, j: 1}), _cells(gi, m, {i: None, j: -1}),
+                        out=hess[i, j])
+            hess[i, j] /= 2.0 * h
+            hess[j, i] = hess[i, j]
+    return np.moveaxis(grad, 0, k), np.moveaxis(hess, (0, 1), (k, k + 1))
+
+
+def _torus_df(st: TorusFlowState):
+    """Differential (n, m, grid) and Hessian (n, m, m, grid) of the map, from one
+    stencil of u; built once per state, by ``TorusFlowState.geometry``."""
+    grad, hess = _stencil(st.u, st.m, st.h)
+    return st.lin.reshape(st.lin.shape + (1,) * st.m) + grad, hess
+
+
+def _torus_eta_inv(df: np.ndarray, m: int):
+    """Induced metric and its inverse per grid point; aborts where det eta <= 0."""
     eta = np.eye(m).reshape((m, m) + (1,) * (df.ndim - 2)) + np.einsum(
         "ai...,aj...->ij...", df, df)
     if m == 2:
         det = eta[0, 0] * eta[1, 1] - eta[0, 1] ** 2
         if det.min() <= 0:
             raise FlowAbort("induced metric lost positive definiteness")
-        inv = np.stack([np.stack([eta[1, 1], -eta[0, 1]]),
-                        np.stack([-eta[1, 0], eta[0, 0]])]) / det
+        inv = eta[::-1, ::-1] / det  # eta is symmetric: flip, then negate off the diagonal
+        inv[0, 1] *= -1.0
+        inv[1, 0] *= -1.0
     else:
         eta_p = np.moveaxis(eta, (0, 1), (-2, -1))
         if np.linalg.det(eta_p).min() <= 0:
             raise FlowAbort("induced metric lost positive definiteness")
         inv = np.moveaxis(np.linalg.inv(eta_p), (-2, -1), (0, 1))
-    if guard:
-        eigs = np.linalg.eigvalsh(np.moveaxis(eta, (0, 1), (-2, -1)))
-        cond = float((eigs[..., -1] / eigs[..., 0]).max())
-        if cond > COND_ABORT:
-            raise FlowAbort(f"induced metric condition number {cond:.2e} beyond guard")
     return eta, inv
 
 
 def torus_rhs(st: TorusFlowState) -> np.ndarray:
-    df = _torus_df(st)
-    _, inv = _torus_eta_inv(df, st.m)
-    out = np.zeros_like(st.u)
-    for i in range(st.m):
-        for j in range(st.m):
-            if i == j:
-                hess = np.stack([_d2(st.u[a], i, st.h) for a in range(st.n)])
-            else:
-                hess = np.stack([_d1(_d1(st.u[a], i, st.h), j, st.h)
-                                 for a in range(st.n)])
-            out += inv[i, j] * hess
-    return out
+    g = st.geometry
+    return np.einsum("ij...,aij...->a...", g.inv, g.hess)
 
 
 def torus_cfl_dt(st: TorusFlowState, cfl: float = 0.4) -> float:
@@ -179,8 +216,7 @@ def torus_step(st: TorusFlowState, dt: float) -> TorusFlowState:
 
 def torus_lambdas(st: TorusFlowState) -> np.ndarray:
     """Descending singular values per grid point, shape (points, m)."""
-    df = _torus_df(st)
-    pts = df.reshape(st.n, st.m, -1).transpose(2, 0, 1)
+    pts = st.geometry.df.reshape(st.n, st.m, -1).transpose(2, 0, 1)
     w = np.linalg.eigvalsh(np.einsum("pai,paj->pij", pts, pts))
     return np.sqrt(np.clip(w, 0.0, None))[:, ::-1]
 
@@ -194,9 +230,7 @@ def torus_monitor(st: TorusFlowState):
 
 def _torus_sigma(st: TorusFlowState) -> np.ndarray:
     """tr_eta S = 2 tr(eta^{-1}) - m, the scalar whose evolution is checked."""
-    df = _torus_df(st)
-    _, inv = _torus_eta_inv(df, st.m)
-    return 2.0 * np.einsum("ii...->...", inv) - st.m
+    return 2.0 * np.einsum("ii...->...", st.geometry.inv) - st.m
 
 
 def _torus_term_one(st: TorusFlowState) -> np.ndarray:
@@ -205,62 +239,41 @@ def _torus_term_one(st: TorusFlowState) -> np.ndarray:
     The second fundamental form is assembled in coordinates,
     A_{kl} = (d_k d_l F - Gamma^p_{kl} d_p F), with the Christoffel symbols of
     the induced metric from centered differences, then contracted into the
-    adapted graph frame built from a pointwise SVD of df.
+    adapted graph frame built from a pointwise SVD of df.  Every array keeps
+    its components leading and the flattened grid last.
     """
-    m, n, h = st.m, st.n, st.h
-    df = _torus_df(st)
-    eta, inv = _torus_eta_inv(df, m)
+    m, n = st.m, st.n
+    g = st.geometry
     grid = st.u.shape[1:]
-    p = int(np.prod(grid))
+    d_eta = _stencil(g.eta, m, st.h)[0].reshape(m, m, m, -1)  # [i, j, k] = d_k eta_ij
+    inv = g.inv.reshape(m, m, -1)
+    df = g.df.reshape(n, m, -1)
+    hess = g.hess.reshape(n, m, m, -1)
+    # Gamma^a_{kl} = (1/2) inv[a,q] (d_l eta_qk + d_k eta_ql - d_q eta_kl)
+    gamma = 0.5 * np.einsum("aq...,qkl...->akl...", inv,
+                            d_eta + d_eta.swapaxes(1, 2) - np.moveaxis(d_eta, 2, 0))
 
-    hess = np.empty((n, m, m) + grid)
-    for a in range(n):
-        for i in range(m):
-            for j in range(i, m):
-                hij = (_d2(st.u[a], i, h) if i == j
-                       else _d1(_d1(st.u[a], i, h), j, h))
-                hess[a, i, j] = hess[a, j, i] = hij
+    uu, sv, vt = np.linalg.svd(np.moveaxis(df, -1, 0))  # point-major for the SVD
+    ell, p = min(m, n), df.shape[-1]
+    lam = np.zeros((m, p))
+    lam[:ell] = sv.T[:ell]
+    lam_t = np.zeros((n, p))
+    lam_t[:ell] = sv.T[:ell]
+    vt = vt.transpose(1, 2, 0)                                # (i, coord k, p)
 
-    deta = np.empty((m, m, m) + grid)
-    for k in range(m):
-        for i in range(m):
-            for j in range(i, m):
-                dk = _d1(eta[i, j], k, h)
-                deta[k, i, j] = deta[k, j, i] = dk
-
-    dfp = df.reshape(n, m, p).transpose(2, 0, 1)            # (p, n, m)
-    hessp = hess.reshape(n, m, m, p).transpose(3, 0, 1, 2)  # (p, n, m, m)
-    invp = inv.reshape(m, m, p).transpose(2, 0, 1)
-    detap = deta.reshape(m, m, m, p).transpose(3, 0, 1, 2)  # (p, k, i, j)
-    # Gamma^a_{kl} = (1/2) inv[a,q] (deta[k,q,l] + deta[l,q,k] - deta[q,k,l])
-    gammap = 0.5 * (np.einsum("paq,pkql->pakl", invp, detap, optimize=True)
-                    + np.einsum("paq,plqk->pakl", invp, detap, optimize=True)
-                    - np.einsum("paq,pqkl->pakl", invp, detap, optimize=True))
-
-    uu, sv, vt = np.linalg.svd(dfp)
-    ell = min(m, n)
-    lam = np.zeros((p, m))
-    lam[:, :ell] = sv[:, :ell]
-    lam_t = np.zeros((p, n))
-    lam_t[:, :ell] = sv[:, :ell]
-
-    e_hat = vt / np.sqrt(1.0 + lam**2)[:, :, None]          # (p, i, coord k)
-    nu_m = np.zeros((p, n, m))
-    nu_m[:, :ell, :] = (-lam_t[:, :ell, None] * vt[:, :ell, :]
-                        / np.sqrt(1.0 + lam_t[:, :ell, None] ** 2))
-    nu_n = uu.transpose(0, 2, 1) / np.sqrt(1.0 + lam_t**2)[:, :, None]
+    e_hat = vt / np.sqrt(1.0 + lam**2)[:, None]
+    nu_m = np.zeros((n, m, p))
+    nu_m[:ell] = -lam_t[:ell, None] * vt[:ell] / np.sqrt(1.0 + lam_t[:ell, None] ** 2)
+    nu_n = uu.transpose(2, 1, 0) / np.sqrt(1.0 + lam_t**2)[:, None]  # (a, b, p)
 
     # <A_{kl}, nu_a> = -Gamma^p_{kl} nuM[a,p] + (hess[b,k,l] - Gamma^p df[b,p]) nuN[a,b]
-    an = hessp - np.einsum("pqkl,pbq->pbkl", gammap, dfp)
-    adot = (-np.einsum("pqkl,paq->pakl", gammap, nu_m)
-            + np.einsum("pbkl,pab->pakl", an, nu_n))
-    a2 = np.einsum("pik,plq,pakq->pail", e_hat, e_hat, adot)
+    an = hess - np.einsum("qkl...,bq...->bkl...", gamma, df)
+    adot = (np.einsum("bkl...,ab...->akl...", an, nu_n)
+            - np.einsum("qkl...,aq...->akl...", gamma, nu_m))
+    a2 = np.einsum("ik...,lq...,akq...->ail...", e_hat, e_hat, adot)
 
-    s_dom = s_of(lam)
-    s_tar = s_of(lam_t)
-    term = 2.0 * np.einsum("pail,pail->p",
-                           (s_dom[:, None, :, None] + s_tar[:, :, None, None])
-                           * a2, a2)
+    weight = s_of(lam)[None, :, None] + s_of(lam_t)[:, None, None]  # S_ii + S_aa
+    term = 2.0 * np.einsum("ail...,ail...->...", weight * a2, a2)
     return term.reshape(grid)
 
 
@@ -276,14 +289,7 @@ def torus_evolution_residual(prev: TorusFlowState, mid: TorusFlowState,
     sig_p = _torus_sigma(prev)
     sig_n = _torus_sigma(nxt)
     sig_m = _torus_sigma(mid)
-    df = _torus_df(mid)
-    _, inv = _torus_eta_inv(df, mid.m)
-    lap = np.zeros_like(sig_m)
-    for i in range(mid.m):
-        for j in range(mid.m):
-            term = (_d2(sig_m, i, mid.h) if i == j
-                    else _d1(_d1(sig_m, i, mid.h), j, mid.h))
-            lap += inv[i, j] * term
+    lap = np.einsum("ij...,ij...->...", mid.geometry.inv, _stencil(sig_m, mid.m, mid.h)[1])
     res = (sig_n - sig_p) / (2.0 * dt) - lap - _torus_term_one(mid)
     return float(abs(res).max())
 
@@ -476,6 +482,9 @@ class FlowConfig:
                   and self.t_end_frac_of_extinction > 0):
             raise ValueError("t_end_frac_of_extinction must be positive and finite, "
                              f"got {self.t_end_frac_of_extinction}")
+        if self.grid < 0 or self.grid in (1, 2):
+            raise ValueError(f"grid must be 0 (the per-case default) or at least 3, "
+                             f"got {self.grid}")
         if self.grid == 0:
             self.grid = 64 if self.case == "torus" else 512
 
@@ -578,6 +587,9 @@ def run(cfg: FlowConfig) -> FlowSeries:
 def _run_torus(cfg: FlowConfig) -> FlowSeries:
     st = _torus_initial(cfg)
     dt = torus_cfl_dt(st, cfg.cfl)
+    if cfg.t_end > MAX_STEPS * dt:
+        raise ValueError(f"torus run needs {cfg.t_end / dt:.3g} steps, beyond the cap "
+                         f"{MAX_STEPS}; raise cfl or lower t_end")
     n_steps = max(2, int(math.ceil(cfg.t_end / dt)))
     dt = cfg.t_end / n_steps
     records = cfg.monitor_every or 120
@@ -655,17 +667,26 @@ def _run_equivariant(cfg: FlowConfig) -> FlowSeries:
     sincos_th = sin_th * np.cos(th)
     rho = st.rho.copy()
     t = 0.0
-    dt = 0.0
-    refresh = 0
+    dt = equivariant_dt(st, r_m, r_n, cfg.cfl)
+    if t_end > MAX_STEPS * dt:
+        raise ValueError(f"equivariant run needs about {t_end / dt:.3g} steps, beyond the "
+                         f"cap {MAX_STEPS}; raise cfl or lower t_end")
+    refresh, refreshes, steps = 16, 1, 0
+    dt_lo, dt_hi = math.inf, 0.0
     try:
         while t < t_end - 1e-14:
+            if steps == MAX_STEPS:
+                raise FlowAbort(f"step cap {MAX_STEPS} reached at t={t!r}")
             if refresh == 0:
                 probe = EquivariantFlowState(m, cfg.n, rho.copy(), cls, t)
                 r_m, r_n = radii(t)
                 dt = equivariant_dt(probe, r_m, r_n, cfg.cfl)
                 refresh = 16
+                refreshes += 1
             refresh -= 1
             step = min(dt, t_end - t, max(next_record - t, 1e-15))
+            steps += 1
+            dt_lo, dt_hi = min(dt_lo, step), max(dt_hi, step)
             r_m, r_n = radii(t)
             dp, ddp = _rho_derivatives(rho, cls, h)
             k1 = _eq_rhs(rho, dp, ddp, sin_th, sincos_th, m, r_m, r_n)
@@ -691,6 +712,8 @@ def _run_equivariant(cfg: FlowConfig) -> FlowSeries:
     except FlowAbort as err:
         series.abort_reason = str(err)
 
+    series.meta.update(steps=steps, dt_min=float(dt_lo), dt_max=float(dt_hi),
+                       cfl_refreshes=refreshes)
     if series.meta["a_used"] is not None:
         series.meta["a_min_observed"] = smallest_monotone_rate(series)
     return series

@@ -120,6 +120,9 @@ class TestFlowCommand:
             blobs.append(((outdir / "flow_equivariant.csv").read_bytes(),
                           (outdir / "flow_equivariant.manifest.json").read_bytes()))
         assert blobs[0] == blobs[1]
+        disc = json.loads(blobs[0][1])["discretization"]
+        assert disc["steps"] > 0 and 0 < disc["dt_min"] <= disc["dt_max"]
+        assert disc["cfl_refreshes"] >= 1
 
     def test_zero_cfl_exits_1_with_json_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
@@ -140,6 +143,17 @@ class TestFlowCommand:
                      "--out", str(tmp_path)])
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("case", ["torus", "equivariant"])
+    @pytest.mark.parametrize("grid", [-8, 2])
+    def test_degenerate_grid_exits_1_with_json_error(self, case, grid, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"case": case, "m": 3, "n": 3, "grid": grid}))
+        code = main(["flow", "--case", case, "--config", str(cfgfile),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "grid" in json.loads(capsys.readouterr().err)["error"]
+        assert not list(tmp_path.glob("flow_*"))
 
     def test_outdir_env_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("AREAFLOW_OUTDIR", str(tmp_path / "envout"))
