@@ -6,7 +6,7 @@ itself evolves:
 
 * periodic flat tori: d/dt f^a = eta^{ij} d_i d_j f^a with
   eta = I + df^T df assembled pointwise (all background Christoffel terms
-  vanish on flat factors).  Each state builds its geometry once: df, eta,
+  vanish on flat factors).  Each state builds its geometry once: df,
   eta^{-1} and the Hessian of the map come from one centered stencil over
   all components, and the right-hand side, the monitor, tr_eta S, its
   eta^{ij} Laplacian and term I all read that one copy;
@@ -25,8 +25,17 @@ the largest stretch, the largest pairwise stretch product, background scale
 factors, and a residual: for tori the discrete defect of the evolution
 identity (d/dt - eta^{ij} d_i d_j) tr_eta S = sum_i term_I, for the
 equivariant case the sup-norm of the discrete right-hand side (stationarity
-defect).  Time stepping is explicit Heun with a CFL-limited step; a run
-that would take more than ``MAX_STEPS`` steps is refused or aborted.
+defect).
+
+Tori step with explicit Heun at the CFL-limited step, which the residual's
+centered time difference is built on.  The equivariant flow steps with one
+second-order Runge-Kutta-Chebyshev stepper (RKC2) on arrays: each record
+interval is split into equal steps of at most h, so the time error is O(h^2)
+like the spatial one, and each step takes the fewest stages whose stability
+interval covers the CFL bound, so ``cfl`` keeps its meaning as the fraction of
+the stability interval used.  ``MAX_STEPS`` caps the steps of a torus run and
+the right-hand-side evaluations of an equivariant run: a run planned beyond
+it is refused, one that outgrows it is aborted.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +52,8 @@ from .profile import s_of
 from .spaces import BackgroundPath, ModelSpace
 
 LAMBDA_ABORT = 50.0
-# Most time steps one run may take; criterion 7 takes about 4.3e5.
+# Most Heun steps of a torus run, and most right-hand-side evaluations of an
+# equivariant run (criterion 7 takes about 2.4e4).
 MAX_STEPS = 10**7
 
 
@@ -89,8 +99,7 @@ class TorusGeometry(NamedTuple):
     """Pointwise geometry of one torus state, components leading, grid trailing."""
 
     df: np.ndarray    # (n, m, grid...): winding part plus centered gradients
-    eta: np.ndarray   # (m, m, grid...): induced metric I + df^T df
-    inv: np.ndarray   # (m, m, grid...): eta^{-1}
+    inv: np.ndarray   # (m, m, grid...): eta^{-1}, eta = I + df^T df the induced metric
     hess: np.ndarray  # (n, m, m, grid...): centered Hessian of u, symmetric in (m, m)
 
 
@@ -130,8 +139,7 @@ class TorusFlowState:
     @cached_property
     def geometry(self) -> TorusGeometry:
         df, hess = _torus_df(self)
-        eta, inv = _torus_eta_inv(df, self.m)
-        return TorusGeometry(df, eta, inv, hess)
+        return TorusGeometry(df, _torus_eta_inv(df, self.m), hess)
 
 
 _CELLS = {-1: slice(None, -2), 0: slice(1, -1), 1: slice(2, None), None: slice(None)}
@@ -176,8 +184,8 @@ def _torus_df(st: TorusFlowState):
     return st.lin.reshape(st.lin.shape + (1,) * st.m) + grad, hess
 
 
-def _torus_eta_inv(df: np.ndarray, m: int):
-    """Induced metric and its inverse per grid point; aborts where det eta <= 0."""
+def _torus_eta_inv(df: np.ndarray, m: int) -> np.ndarray:
+    """Inverse induced metric per grid point; aborts where det eta <= 0."""
     eta = np.eye(m).reshape((m, m) + (1,) * (df.ndim - 2)) + np.einsum(
         "ai...,aj...->ij...", df, df)
     if m == 2:
@@ -192,7 +200,7 @@ def _torus_eta_inv(df: np.ndarray, m: int):
         if np.linalg.det(eta_p).min() <= 0:
             raise FlowAbort("induced metric lost positive definiteness")
         inv = np.moveaxis(np.linalg.inv(eta_p), (-2, -1), (0, 1))
-    return eta, inv
+    return inv
 
 
 def torus_rhs(st: TorusFlowState) -> np.ndarray:
@@ -236,22 +244,18 @@ def _torus_sigma(st: TorusFlowState) -> np.ndarray:
 def _torus_term_one(st: TorusFlowState) -> np.ndarray:
     """sum_i term_I at every grid point: 2 (S_ii + S_aa) |A[a,i,l]|^2 summed.
 
-    The second fundamental form is assembled in coordinates,
-    A_{kl} = (d_k d_l F - Gamma^p_{kl} d_p F), with the Christoffel symbols of
-    the induced metric from centered differences, then contracted into the
-    adapted graph frame built from a pointwise SVD of df.  Every array keeps
-    its components leading and the flattened grid last.
+    The second fundamental form is contracted into the adapted graph frame
+    built from a pointwise SVD of df.  Its Christoffel part
+    -Gamma^p_{kl} (e_p, d_p f) is tangential, and the normals
+    nu_a = (nuM[a], nuN[a]) satisfy nuM[a,p] + nuN[a,b] df[b,p] = 0, so
+    <A_{kl}, nu_a> = hess[b,k,l] nuN[a,b].  Every array keeps its components
+    leading and the flattened grid last.
     """
     m, n = st.m, st.n
     g = st.geometry
     grid = st.u.shape[1:]
-    d_eta = _stencil(g.eta, m, st.h)[0].reshape(m, m, m, -1)  # [i, j, k] = d_k eta_ij
-    inv = g.inv.reshape(m, m, -1)
     df = g.df.reshape(n, m, -1)
     hess = g.hess.reshape(n, m, m, -1)
-    # Gamma^a_{kl} = (1/2) inv[a,q] (d_l eta_qk + d_k eta_ql - d_q eta_kl)
-    gamma = 0.5 * np.einsum("aq...,qkl...->akl...", inv,
-                            d_eta + d_eta.swapaxes(1, 2) - np.moveaxis(d_eta, 2, 0))
 
     uu, sv, vt = np.linalg.svd(np.moveaxis(df, -1, 0))  # point-major for the SVD
     ell, p = min(m, n), df.shape[-1]
@@ -259,17 +263,10 @@ def _torus_term_one(st: TorusFlowState) -> np.ndarray:
     lam[:ell] = sv.T[:ell]
     lam_t = np.zeros((n, p))
     lam_t[:ell] = sv.T[:ell]
-    vt = vt.transpose(1, 2, 0)                                # (i, coord k, p)
 
-    e_hat = vt / np.sqrt(1.0 + lam**2)[:, None]
-    nu_m = np.zeros((n, m, p))
-    nu_m[:ell] = -lam_t[:ell, None] * vt[:ell] / np.sqrt(1.0 + lam_t[:ell, None] ** 2)
+    e_hat = vt.transpose(1, 2, 0) / np.sqrt(1.0 + lam**2)[:, None]  # (i, coord k, p)
     nu_n = uu.transpose(2, 1, 0) / np.sqrt(1.0 + lam_t**2)[:, None]  # (a, b, p)
-
-    # <A_{kl}, nu_a> = -Gamma^p_{kl} nuM[a,p] + (hess[b,k,l] - Gamma^p df[b,p]) nuN[a,b]
-    an = hess - np.einsum("qkl...,bq...->bkl...", gamma, df)
-    adot = (np.einsum("bkl...,ab...->akl...", an, nu_n)
-            - np.einsum("qkl...,aq...->akl...", gamma, nu_m))
+    adot = np.einsum("bkl...,ab...->akl...", hess, nu_n)
     a2 = np.einsum("ik...,lq...,akq...->ail...", e_hat, e_hat, adot)
 
     weight = s_of(lam)[None, :, None] + s_of(lam_t)[:, None, None]  # S_ii + S_aa
@@ -360,13 +357,26 @@ def _eq_rhs(rho, dp, ddp, sin_th, sincos_th, m, r_m, r_n):
     return diff + rot
 
 
+def _eq_field(m: int, boundary_class: int, nodes: int, radii):
+    """Interior right-hand side (y, t) -> rho_t on ``nodes`` nodes, radii(t) =
+    (r_M, r_N); looks up ``_rho_derivatives`` and ``_eq_rhs`` at each call."""
+    h = math.pi / (nodes - 1)
+    th = np.linspace(0.0, math.pi, nodes)[1:-1]
+    sin_th = np.sin(th)
+    sincos_th = sin_th * np.cos(th)
+
+    def rhs(y, t):
+        dp, ddp = _rho_derivatives(y, boundary_class, h)
+        return _eq_rhs(y, dp, ddp, sin_th, sincos_th, m, *radii(t))
+
+    return rhs
+
+
 def equivariant_rhs(st: EquivariantFlowState, r_m: float, r_n: float) -> np.ndarray:
     """Right-hand side of the reduced flow; pinned poles contribute zero."""
-    th = st.theta[1:-1]
-    dp, ddp = equivariant_derivatives(st)
     rhs = np.zeros_like(st.rho)
-    rhs[1:-1] = _eq_rhs(st.rho, dp, ddp, np.sin(th), np.sin(th) * np.cos(th),
-                        st.m, r_m, r_n)
+    rhs[1:-1] = _eq_field(st.m, st.boundary_class, st.rho.size,
+                          lambda t: (r_m, r_n))(st.rho, st.t)
     return rhs
 
 
@@ -382,19 +392,95 @@ def equivariant_dt(st: EquivariantFlowState, r_m: float, r_n: float,
     return cfl / rate
 
 
-def equivariant_step(st: EquivariantFlowState, dt: float, r_of_t) -> EquivariantFlowState:
-    """One Heun step; ``r_of_t`` maps time to the radius pair (r_M, r_N)."""
-    rm1, rn1 = r_of_t(st.t)
-    k1 = equivariant_rhs(st, rm1, rn1)
-    mid = EquivariantFlowState(st.m, st.n, st.rho + dt * k1, st.boundary_class,
-                               st.t + dt)
-    rm2, rn2 = r_of_t(st.t + dt)
-    k2 = equivariant_rhs(mid, rm2, rn2)
-    out = EquivariantFlowState(st.m, st.n, st.rho + 0.5 * dt * (k1 + k2),
-                               st.boundary_class, st.t + dt)
-    out.rho[0] = 0.0
-    out.rho[-1] = st.boundary_class * math.pi
+# Second-order Runge-Kutta-Chebyshev (RKC2; Sommeijer, Shampine & Verwer,
+# "RKC: an explicit solver for parabolic PDEs", 1998) with damping eps = 2/13:
+# s stages of the right-hand side are stable on the real interval
+# [-beta(s), 0], beta(s) ~ 0.653 (s^2 - 1), so the step follows accuracy and
+# the stage count follows the stiffness.
+RKC_EPS = 2.0 / 13.0
+
+
+def _rkc_beta(s: int) -> float:
+    """Real stability interval of s-stage RKC2: (w0 + 1) T_s''(w0) / T_s'(w0).
+
+    Closed form at w0 = cosh(th) = 1 + eps/s^2, exact for any s:
+    T_s''/T_s' = (s coth(s th) - coth(th)) / sinh(th).
+    """
+    d = RKC_EPS / s**2
+    th = math.log1p(d + math.sqrt(d * (2.0 + d)))  # acosh(1 + d) without cancellation
+    return (2.0 + d) * (s / math.tanh(s * th) - 1.0 / math.tanh(th)) / math.sinh(th)
+
+
+def _rkc_stages(step: float, dt_cfl: float, most: int) -> int | None:
+    """Fewest stages s >= 2 with beta(s) >= 2 step / dt_cfl, or None past ``most``.
+
+    ``dt_cfl`` is the explicit step ``equivariant_dt`` allows, cfl / rate, and
+    2 rate bounds the spectrum of the discrete operator (Gershgorin), so cfl is
+    the fraction of the stability interval used, as for Heun's [-2, 0].
+    """
+    if most < 2 or not _rkc_beta(most) * dt_cfl >= 2.0 * step:
+        return None
+    s = max(2, min(most, math.ceil(math.sqrt(2.0 * step / dt_cfl / 0.653 + 1.0))))
+    while _rkc_beta(s) * dt_cfl < 2.0 * step:
+        s += 1
+    while s > 2 and _rkc_beta(s - 1) * dt_cfl >= 2.0 * step:
+        s -= 1
+    return s
+
+
+@lru_cache(maxsize=256)
+def _rkc_coefficients(s: int):
+    """mu, nu, mu~, gamma~ (index j = 1..s; mu[1] = nu[1] = gamma~[1] = 0) and the
+    stage times c (j = 0..s, c[s] = 1) of s-stage RKC2."""
+    w0 = 1.0 + RKC_EPS / s**2
+    t, d1, d2 = [1.0, w0], [0.0, 1.0], [0.0, 0.0]  # T_j, T_j', T_j'' at w0
+    for j in range(2, s + 1):
+        t.append(2.0 * w0 * t[j - 1] - t[j - 2])
+        d1.append(2.0 * t[j - 1] + 2.0 * w0 * d1[j - 1] - d1[j - 2])
+        d2.append(4.0 * d1[j - 1] + 2.0 * w0 * d2[j - 1] - d2[j - 2])
+    w1 = d1[s] / d2[s]
+    b = [d2[j] / d1[j] ** 2 for j in range(2, s + 1)]
+    b = b[:1] * 2 + b  # b_0 = b_1 = b_2
+    mu, nu, mut, gam, c = ([0.0] * (s + 1) for _ in range(5))
+    mut[1] = c[1] = b[1] * w1
+    for j in range(2, s + 1):
+        mu[j] = 2.0 * b[j] * w0 / b[j - 1]
+        nu[j] = -b[j] / b[j - 2]
+        mut[j] = 2.0 * b[j] * w1 / b[j - 1]
+        gam[j] = -(1.0 - b[j - 1] * t[j - 1]) * mut[j]
+        c[j] = mu[j] * c[j - 1] + nu[j] * c[j - 2] + mut[j] + gam[j]
+    return tuple(mu), tuple(nu), tuple(mut), tuple(gam), tuple(c)
+
+
+def _rkc_step(rho: np.ndarray, t: float, dt: float, s: int, rhs) -> np.ndarray:
+    """One s-stage RKC2 step of a profile with pinned poles.
+
+    ``rhs(y, t)`` returns the interior right-hand side.  The recursion runs on
+    the increments d_j = Y_j - rho (d_0 = 0) and adds rho once at the end, so a
+    stationary profile does not drift by rounding.
+    """
+    mu, nu, mut, gam, c = _rkc_coefficients(s)
+    f0 = dt * rhs(rho, t)
+    d_prev, d = 0.0, mut[1] * f0
+    for j in range(2, s + 1):
+        y = rho.copy()
+        y[1:-1] += d
+        f = dt * rhs(y, t + c[j - 1] * dt)
+        d, d_prev = mu[j] * d + nu[j] * d_prev + mut[j] * f + gam[j] * f0, d
+    out = rho.copy()
+    out[1:-1] += d
     return out
+
+
+def equivariant_step(st: EquivariantFlowState, dt: float, r_of_t) -> EquivariantFlowState:
+    """One RKC2 step of size dt, stages from the CFL bound at cfl 0.4;
+    ``r_of_t`` maps time to the radius pair (r_M, r_N)."""
+    s = _rkc_stages(dt, equivariant_dt(st, *r_of_t(st.t)), MAX_STEPS)
+    if s is None:
+        raise ValueError(f"step {dt} needs more than {MAX_STEPS} stages")
+    rhs = _eq_field(st.m, st.boundary_class, st.rho.size, r_of_t)
+    return EquivariantFlowState(st.m, st.n, _rkc_step(st.rho, st.t, dt, s, rhs),
+                                st.boundary_class, st.t + dt)
 
 
 def equivariant_lambdas(st: EquivariantFlowState, r_m: float, r_n: float):
@@ -469,12 +555,19 @@ class FlowConfig:
         presets = TORUS_PRESETS if self.case == "torus" else EQUIVARIANT_PRESETS
         if self.preset not in presets:
             raise ValueError(f"unknown preset {self.preset!r} for {self.case}")
-        if not (math.isfinite(self.cfl) and self.cfl > 0):
-            raise ValueError(f"cfl must be positive and finite, got {self.cfl}")
+        for name in ("cfl", "period", "radius_m", "radius_n"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be positive and finite, got {v}")
         if not math.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude}")
         if self.case == "torus" and self.m < 2:
             raise ValueError(f"torus flows need m >= 2, got m={self.m}")
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got n={self.n}")
+        if self.monitor_every < 0:
+            raise ValueError("monitor_every must be 0 (120 records) or positive, "
+                             f"got {self.monitor_every}")
         if self.t_end_frac_of_extinction is None:
             if not (math.isfinite(self.t_end) and self.t_end > 0):
                 raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
@@ -656,64 +749,45 @@ def _run_equivariant(cfg: FlowConfig) -> FlowSeries:
     series.append(0.0, m_of, lmax, prod,
                   float(abs(equivariant_rhs(st, r_m, r_n)).max()), 1.0, 1.0)
 
-    next_record = t_end / (cfg.monitor_every or 120)
-    record_dt = next_record
-
-    # hot loop: theta trig is grid-fixed, the CFL step is refreshed in blocks
-    h = st.h
-    cls, m = st.boundary_class, st.m
-    th = st.theta[1:-1]
-    sin_th = np.sin(th)
-    sincos_th = sin_th * np.cos(th)
-    rho = st.rho.copy()
-    t = 0.0
+    # equal steps of at most h per record interval: time error O(h^2), like space
+    records = cfg.monitor_every or 120
+    per_record = max(1, math.ceil(t_end / records / st.h))
+    n_steps = records * per_record
+    step = t_end / n_steps
     dt = equivariant_dt(st, r_m, r_n, cfg.cfl)
-    if t_end > MAX_STEPS * dt:
-        raise ValueError(f"equivariant run needs about {t_end / dt:.3g} steps, beyond the "
-                         f"cap {MAX_STEPS}; raise cfl or lower t_end")
-    refresh, refreshes, steps = 16, 1, 0
-    dt_lo, dt_hi = math.inf, 0.0
+    if _rkc_stages(step, dt, MAX_STEPS // n_steps) is None:
+        raise ValueError(f"equivariant run of {n_steps} steps needs more than {MAX_STEPS} "
+                         "right-hand-side evaluations, the cap; raise cfl or lower t_end")
+    rhs = _eq_field(st.m, st.boundary_class, st.rho.size, radii)
+    rho, cls = st.rho, st.boundary_class
+    steps = evals = 0
+    refreshes = 1
     try:
-        while t < t_end - 1e-14:
-            if steps == MAX_STEPS:
-                raise FlowAbort(f"step cap {MAX_STEPS} reached at t={t!r}")
-            if refresh == 0:
-                probe = EquivariantFlowState(m, cfg.n, rho.copy(), cls, t)
-                r_m, r_n = radii(t)
-                dt = equivariant_dt(probe, r_m, r_n, cfg.cfl)
-                refresh = 16
+        while steps < n_steps:
+            t = steps * step
+            if steps:
+                dt = equivariant_dt(EquivariantFlowState(cfg.m, cfg.n, rho, cls, t),
+                                    *radii(t), cfg.cfl)
                 refreshes += 1
-            refresh -= 1
-            step = min(dt, t_end - t, max(next_record - t, 1e-15))
-            steps += 1
-            dt_lo, dt_hi = min(dt_lo, step), max(dt_hi, step)
-            r_m, r_n = radii(t)
-            dp, ddp = _rho_derivatives(rho, cls, h)
-            k1 = _eq_rhs(rho, dp, ddp, sin_th, sincos_th, m, r_m, r_n)
-            mid = rho.copy()
-            mid[1:-1] += step * k1
-            r_m2, r_n2 = radii(t + step)
-            dp, ddp = _rho_derivatives(mid, cls, h)
-            k2 = _eq_rhs(mid, dp, ddp, sin_th, sincos_th, m, r_m2, r_n2)
-            rho[1:-1] += 0.5 * step * (k1 + k2)
-            t += step
-
-            if t >= next_record - 1e-14 or t >= t_end - 1e-14:
-                st = EquivariantFlowState(m, cfg.n, rho.copy(), cls, t)
+            s = _rkc_stages(step, dt, MAX_STEPS - evals)
+            if s is None:
+                raise FlowAbort(f"step cap {MAX_STEPS} reached at t={t!r}")
+            rho = _rkc_step(rho, t, step, s, rhs)
+            steps, evals = steps + 1, evals + s
+            if steps % per_record == 0:
+                t = steps * step
+                st = EquivariantFlowState(cfg.m, cfg.n, rho, cls, t)
                 r_m, r_n = radii(t)
                 m_of, lmax, prod = equivariant_monitor(st, r_m, r_n)
                 res = float(abs(equivariant_rhs(st, r_m, r_n)).max())
-                f_m, f_n = factors(t)
-                series.append(t, m_of, lmax, prod, res, f_m, f_n)
-                while next_record <= t + 1e-14:
-                    next_record += record_dt
+                series.append(t, m_of, lmax, prod, res, *factors(t))
                 if lmax > LAMBDA_ABORT:
                     raise FlowAbort(f"lambda_max {lmax:.2f} beyond guard")
     except FlowAbort as err:
         series.abort_reason = str(err)
 
-    series.meta.update(steps=steps, dt_min=float(dt_lo), dt_max=float(dt_hi),
-                       cfl_refreshes=refreshes)
+    series.meta.update(steps=steps, rhs_evals=evals, dt_min=step if steps else None,
+                       dt_max=step if steps else None, cfl_refreshes=refreshes)
     if series.meta["a_used"] is not None:
         series.meta["a_min_observed"] = smallest_monotone_rate(series)
     return series

@@ -76,8 +76,8 @@ def series_manifest(series: FlowSeries, csv_name: str, *, version: str) -> dict:
             "a_min_observed": series.meta.get("a_min_observed"),
         },
         "discretization": {k: series.meta.get(k)
-                           for k in ("h", "dt", "steps", "t_end", "dt_min", "dt_max",
-                                     "cfl_refreshes") if k in series.meta},
+                           for k in ("h", "dt", "steps", "rhs_evals", "t_end", "dt_min",
+                                     "dt_max", "cfl_refreshes") if k in series.meta},
         "summary": {
             "t_final": series.times[-1] if series.times else None,
             "m_initial": m_of[0] if m_of else None,

@@ -122,7 +122,8 @@ class TestFlowCommand:
         assert blobs[0] == blobs[1]
         disc = json.loads(blobs[0][1])["discretization"]
         assert disc["steps"] > 0 and 0 < disc["dt_min"] <= disc["dt_max"]
-        assert disc["cfl_refreshes"] >= 1
+        assert disc["cfl_refreshes"] == disc["steps"]
+        assert disc["rhs_evals"] >= 2 * disc["steps"]
 
     def test_zero_cfl_exits_1_with_json_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
@@ -153,6 +154,17 @@ class TestFlowCommand:
                      "--out", str(tmp_path)])
         assert code == 1
         assert "grid" in json.loads(capsys.readouterr().err)["error"]
+        assert not list(tmp_path.glob("flow_*"))
+
+    @pytest.mark.parametrize("case,key,value", [
+        ("torus", "period", 0), ("torus", "n", 0), ("equivariant", "monitor_every", -5)])
+    def test_bad_field_exits_1_with_json_error(self, case, key, value, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"case": case, "m": 2, "n": 2, "grid": 8, key: value}))
+        code = main(["flow", "--case", case, "--config", str(cfgfile),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert key in json.loads(capsys.readouterr().err)["error"]
         assert not list(tmp_path.glob("flow_*"))
 
     def test_outdir_env_override(self, tmp_path, capsys, monkeypatch):

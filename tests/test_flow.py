@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from areaflow import flow
 from areaflow.flow import (
@@ -77,7 +78,27 @@ def ref_sigma(st):
     return 2.0 * np.einsum("ii...->...", inv) - st.m
 
 
+def ref_frame(dfp):
+    """Adapted graph frame per point of a point-major (p, n, m) differential:
+    singular values on M and N, tangent e_hat (p, i, k), normals nu_m (p, a, k)
+    and nu_n (p, a, b)."""
+    p, n, m = dfp.shape
+    uu, sv, vt = np.linalg.svd(dfp)
+    ell = min(m, n)
+    lam = np.zeros((p, m))
+    lam[:, :ell] = sv[:, :ell]
+    lam_t = np.zeros((p, n))
+    lam_t[:, :ell] = sv[:, :ell]
+    e_hat = vt / np.sqrt(1.0 + lam**2)[:, :, None]
+    nu_m = np.zeros((p, n, m))
+    nu_m[:, :ell, :] = (-lam_t[:, :ell, None] * vt[:, :ell, :]
+                        / np.sqrt(1.0 + lam_t[:, :ell, None] ** 2))
+    nu_n = uu.transpose(0, 2, 1) / np.sqrt(1.0 + lam_t**2)[:, :, None]
+    return lam, lam_t, e_hat, nu_m, nu_n
+
+
 def ref_term_one(st):
+    """Term I with the Christoffel part of A kept (it is tangential)."""
     m, n, h = st.m, st.n, st.h
     df = ref_df(st)
     eta, inv = ref_eta_inv(df, m)
@@ -96,17 +117,7 @@ def ref_term_one(st):
     gammap = 0.5 * (np.einsum("paq,pkql->pakl", invp, detap, optimize=True)
                     + np.einsum("paq,plqk->pakl", invp, detap, optimize=True)
                     - np.einsum("paq,pqkl->pakl", invp, detap, optimize=True))
-    uu, sv, vt = np.linalg.svd(dfp)
-    ell = min(m, n)
-    lam = np.zeros((p, m))
-    lam[:, :ell] = sv[:, :ell]
-    lam_t = np.zeros((p, n))
-    lam_t[:, :ell] = sv[:, :ell]
-    e_hat = vt / np.sqrt(1.0 + lam**2)[:, :, None]
-    nu_m = np.zeros((p, n, m))
-    nu_m[:, :ell, :] = (-lam_t[:, :ell, None] * vt[:, :ell, :]
-                        / np.sqrt(1.0 + lam_t[:, :ell, None] ** 2))
-    nu_n = uu.transpose(0, 2, 1) / np.sqrt(1.0 + lam_t**2)[:, :, None]
+    lam, lam_t, e_hat, nu_m, nu_n = ref_frame(dfp)
     an = hessp - np.einsum("pqkl,pbq->pbkl", gammap, dfp)
     adot = (-np.einsum("pqkl,paq->pakl", gammap, nu_m)
             + np.einsum("pbkl,pab->pakl", an, nu_n))
@@ -173,6 +184,15 @@ class TestTorusReference:
         nxt = torus_step(mid, dt)
         assert_close(torus_evolution_residual(prev, mid, nxt, dt),
                      ref_residual(prev, mid, nxt, dt))
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_normal_frame_annihilates_tangent_vectors(self, m, n):
+        # <nu_a, (e_p, d_p f)> = nuM[a,p] + nuN[a,b] df[b,p] = 0: why term I
+        # needs no Christoffel symbols
+        st = wound_state(m, n)
+        dfp = ref_df(st).reshape(n, m, -1).transpose(2, 0, 1)
+        _, _, _, nu_m, nu_n = ref_frame(dfp)
+        assert abs(nu_m + np.einsum("pab,pbk->pak", nu_n, dfp)).max() <= 1e-12
 
     def test_read_geometry_steps_like_a_fresh_state(self):
         prev = wound_state(2, 2)
@@ -244,6 +264,132 @@ class TestTorusStep:
                          amplitude=0.05, winding=((0, 1), (1, 0)), monitor_every=2)
         series = run(cfg)
         assert series.abort_reason is None
+
+
+# The explicit Heun loop the RKC2 stepper replaced, inlined as it was in
+# ``_run_equivariant``: the reference for the equivariant path.
+
+
+def ref_heun_m_series(cfg):
+    """Record times and m(t) of an equivariant run by Heun at the CFL step."""
+    pm, pn = flow._paths(cfg)
+    t_end = cfg.t_end
+    if cfg.t_end_frac_of_extinction is not None:
+        t_end = cfg.t_end_frac_of_extinction * min(pm.t_max, pn.t_max)
+
+    def radii(t):
+        f_m = pm.metric_factor(t) if pm.mode == "ricci" else 1.0
+        f_n = pn.metric_factor(t) if pn.mode == "ricci" else 1.0
+        return cfg.radius_m * math.sqrt(f_m), cfg.radius_n * math.sqrt(f_n)
+
+    st = flow._equivariant_initial(cfg)
+    times, m_of = [0.0], [equivariant_monitor(st, *radii(0.0))[0]]
+    next_record = record_dt = t_end / (cfg.monitor_every or 120)
+    h, cls, m = st.h, st.boundary_class, st.m
+    th = st.theta[1:-1]
+    sin_th = np.sin(th)
+    sincos_th = sin_th * np.cos(th)
+    rho, t = st.rho.copy(), 0.0
+    dt = equivariant_dt(st, *radii(0.0), cfg.cfl)
+    refresh = 16
+    while t < t_end - 1e-14:
+        if refresh == 0:
+            dt = equivariant_dt(EquivariantFlowState(m, cfg.n, rho.copy(), cls, t),
+                                *radii(t), cfg.cfl)
+            refresh = 16
+        refresh -= 1
+        step = min(dt, t_end - t, max(next_record - t, 1e-15))
+        dp, ddp = flow._rho_derivatives(rho, cls, h)
+        k1 = flow._eq_rhs(rho, dp, ddp, sin_th, sincos_th, m, *radii(t))
+        mid = rho.copy()
+        mid[1:-1] += step * k1
+        dp, ddp = flow._rho_derivatives(mid, cls, h)
+        k2 = flow._eq_rhs(mid, dp, ddp, sin_th, sincos_th, m, *radii(t + step))
+        rho[1:-1] += 0.5 * step * (k1 + k2)
+        t += step
+        if t >= next_record - 1e-14 or t >= t_end - 1e-14:
+            st = EquivariantFlowState(m, cfg.n, rho.copy(), cls, t)
+            times.append(t)
+            m_of.append(equivariant_monitor(st, *radii(t))[0])
+            while next_record <= t + 1e-14:
+                next_record += record_dt
+    return np.asarray(times), np.asarray(m_of)
+
+
+STATIC = dict(case="equivariant", m=3, n=3, t_end=0.5, preset="sine", amplitude=0.8,
+              monitor_every=40)
+COUPLED = dict(STATIC, t_end=0.0, background_m="ricci", background_n="ricci",
+               t_end_frac_of_extinction=0.9)
+
+
+def ref_chebyshev(s, w):
+    """T_s, T_s', T_s'' at w by the three-term recurrence."""
+    t, d1, d2 = [1.0, w], [0.0, 1.0], [0.0, 0.0]
+    for j in range(2, s + 1):
+        t.append(2 * w * t[-1] - t[-2])
+        d1.append(2 * t[-2] + 2 * w * d1[-1] - d1[-2])
+        d2.append(4 * d1[-2] + 2 * w * d2[-1] - d2[-2])
+    return t[s], d1[s], d2[s]
+
+
+def march(st, t_end, n, r_of_t):
+    for _ in range(n):
+        st = equivariant_step(st, t_end / n, r_of_t)
+    return st
+
+
+class TestEquivariantRKC:
+    @pytest.mark.parametrize("grid", [64, 96])
+    @pytest.mark.parametrize("kind", [STATIC, COUPLED], ids=["static", "coupled"])
+    def test_m_series_matches_heun_to_h2(self, grid, kind):
+        cfg = FlowConfig(grid=grid, **kind)
+        series = run(cfg)
+        times, m_ref = ref_heun_m_series(FlowConfig(grid=grid, **kind))
+        assert series.abort_reason is None
+        assert np.allclose(series.times, times, rtol=0, atol=1e-12)
+        assert abs(np.asarray(series.m_of_t) - m_ref).max() <= series.meta["h"] ** 2
+
+    @pytest.mark.parametrize("nodes", [257, 513, 1025])
+    @pytest.mark.parametrize("dt", [1e-5, 1e-4, 1e-3])
+    def test_identity_steps_stay_put(self, nodes, dt):
+        ident = EquivariantFlowState(3, 3, np.linspace(0, math.pi, nodes), 1)
+        out = equivariant_step(ident, dt, lambda t: (1.0, 1.0))
+        assert abs(out.rho - ident.rho).max() <= 1e-10 * dt
+
+    @pytest.mark.parametrize("s", [2, 3, 7, 40, 333])
+    def test_beta_is_the_stability_interval(self, s):
+        w0 = 1 + (2 / 13) / s**2
+        _, d1, d2 = ref_chebyshev(s, w0)
+        assert flow._rkc_beta(s) == pytest.approx((w0 + 1) * d2 / d1, rel=1e-12)
+        assert flow._rkc_beta(s) == pytest.approx(0.653 * (s**2 - 1), rel=1e-2)
+
+    @pytest.mark.parametrize("ratio", [1e-3, 1.0, 1.9, 1.97, 2.0, 37.5, 537.0, 2845.0, 1e6])
+    def test_fewest_stable_stages(self, ratio):
+        step, dt_cfl = 0.01, 0.02 / ratio  # 2 step / dt_cfl = ratio
+        s = flow._rkc_stages(step, dt_cfl, 10**7)
+        assert s >= 2 and flow._rkc_beta(s) * dt_cfl >= 2 * step
+        assert s == 2 or flow._rkc_beta(s - 1) * dt_cfl < 2 * step
+        assert flow._rkc_stages(step, dt_cfl, s - 1) is None
+        assert flow._rkc_stages(step, dt_cfl, s) == s
+
+    @pytest.mark.parametrize("s", [2, 5, 40])
+    def test_stage_times_are_consistent(self, s):
+        *_, c = flow._rkc_coefficients(s)
+        assert c[0] == 0 and c[s] == pytest.approx(1.0, abs=1e-13)
+        assert all(np.diff(c) > 0)
+
+    @pytest.mark.parametrize("r_of_t", [lambda t: (1.0, 1.0),
+                                        lambda t: (math.sqrt(1 - 4 * t),) * 2],
+                             ids=["static", "ricci"])
+    def test_second_order_in_time(self, r_of_t):
+        th = np.linspace(0, math.pi, 65)
+        st = EquivariantFlowState(3, 3, 0.8 * np.sin(th), 0)
+        # start past the sine profile's grid-scale transient (about 5e-6 at the
+        # poles), which a large step damps over several steps, not at once
+        st = march(st, 0.005, 16, r_of_t)
+        fine = march(st, 0.04, 128, r_of_t).rho
+        errs = [abs(march(st, 0.04, n, r_of_t).rho - fine).max() for n in (1, 2, 4, 8)]
+        assert all(a >= 3 * b for a, b in zip(errs, errs[1:]))
 
 
 class TestEquivariantStep:
@@ -376,6 +522,15 @@ class TestRuns:
         with pytest.raises(ValueError, match="grid"):
             FlowConfig(case=case, grid=grid)
 
+    @pytest.mark.parametrize("case,key,value", [
+        ("equivariant", "radius_m", math.nan), ("equivariant", "radius_n", math.inf),
+        ("equivariant", "radius_m", 0.0), ("torus", "period", 0.0), ("torus", "period", -2.0),
+        ("torus", "period", math.nan), ("equivariant", "monitor_every", -5), ("torus", "n", 0),
+    ])
+    def test_unchecked_fields_rejected(self, case, key, value):
+        with pytest.raises(ValueError, match=key):
+            FlowConfig(case=case, **{key: value})
+
     def test_smallest_grid_runs(self):
         series = run(FlowConfig(case="torus", grid=3, t_end=0.001, monitor_every=2))
         assert series.abort_reason is None
@@ -386,24 +541,35 @@ class TestRuns:
             run(FlowConfig(case=case, m=3, n=3, grid=grid, cfl=1e-12))
 
     def test_step_cap_aborts_a_run_that_outgrows_it(self, monkeypatch):
-        # 120 record times force at least 120 steps; the CFL step alone needs fewer
-        cfg = FlowConfig(case="equivariant", m=3, n=3, grid=8, t_end=0.5, preset="sine",
-                         amplitude=0.5)
-        st = flow._equivariant_initial(cfg)
-        assert cfg.t_end / equivariant_dt(st, 1.0, 1.0, cfg.cfl) < 60
-        monkeypatch.setattr(flow, "MAX_STEPS", 60)
+        # shrinking radii raise the stiffness, so the stages per step grow past
+        # the plan made from the initial CFL step
+        cfg = FlowConfig(case="equivariant", m=3, n=3, grid=16, t_end=0.0, preset="sine",
+                         amplitude=0.5, background_m="ricci", background_n="ricci",
+                         t_end_frac_of_extinction=0.9, monitor_every=10)
+        meta = run(cfg).meta
+        evals = meta["rhs_evals"]
+        dt_cfl = equivariant_dt(flow._equivariant_initial(cfg), 1.0, 1.0, cfg.cfl)
+        planned = meta["steps"] * flow._rkc_stages(meta["dt_min"], dt_cfl, 10**7)
+        assert planned < evals - 1
+        monkeypatch.setattr(flow, "MAX_STEPS", evals - 1)
         series = run(cfg)
-        assert series.abort_reason.startswith("step cap 60")
-        assert series.meta["steps"] == 60
+        assert series.abort_reason.startswith(f"step cap {evals - 1}")
+        assert planned <= series.meta["rhs_evals"] <= evals - 1
 
-    def test_equivariant_step_counters(self):
-        series = run(FlowConfig(case="equivariant", m=3, n=3, grid=24, t_end=0.05,
+    def test_equivariant_step_counters(self, monkeypatch):
+        calls = []
+        eq_rhs = flow._eq_rhs
+        monkeypatch.setattr(flow, "_eq_rhs", lambda *a: calls.append(1) or eq_rhs(*a))
+        series = run(FlowConfig(case="equivariant", m=3, n=3, grid=24, t_end=0.5,
                                 amplitude=0.5, monitor_every=6))
         meta = series.meta
-        assert meta["steps"] >= len(series.times) - 1
-        assert 0 < meta["dt_min"] <= meta["dt_max"]
-        assert meta["dt_max"] * meta["steps"] >= 0.05 - 1e-12
-        assert meta["cfl_refreshes"] == math.ceil(meta["steps"] / 16)
+        # ceil(gap / h) = ceil((0.5 / 6) / (pi / 24)) = 1 step per record
+        assert meta["steps"] == len(series.times) - 1 == 6
+        assert meta["dt_min"] == meta["dt_max"] == pytest.approx(0.5 / 6, rel=1e-15)
+        assert meta["cfl_refreshes"] == meta["steps"]
+        assert meta["rhs_evals"] >= 2 * meta["steps"]
+        # every stage goes through _eq_rhs, besides one call per record's residual
+        assert len(calls) == meta["rhs_evals"] + len(series.times)
 
     @pytest.mark.parametrize("key,value", [
         ("cfl", "0.4"), ("t_end", None), ("amplitude", [0.1]), ("grid", 64.0),
@@ -413,3 +579,50 @@ class TestRuns:
     def test_wrong_field_types_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             FlowConfig.from_dict({"case": "torus", key: value})
+
+
+NONPOSITIVE = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+BAD_VALUES = {"cfl": NONPOSITIVE, "period": NONPOSITIVE, "radius_m": NONPOSITIVE,
+              "radius_n": NONPOSITIVE, "amplitude": [math.nan, math.inf, -math.inf],
+              "monitor_every": [-1, -5], "n": [0, -1]}
+
+
+@hs.composite
+def flow_configs(draw):
+    """Small valid runs of either case, half of them with one field replaced
+    by a value the config must reject."""
+    case = draw(hs.sampled_from(["torus", "equivariant"]))
+    preset = draw(hs.sampled_from(flow.TORUS_PRESETS if case == "torus"
+                                  else flow.EQUIVARIANT_PRESETS))
+    d = {"case": case, "preset": preset, "grid": draw(hs.integers(3, 16)),
+         "t_end": draw(hs.floats(1e-3, 0.05)), "cfl": draw(hs.floats(0.05, 1.0)),
+         "amplitude": draw(hs.floats(-1.0, 1.0)), "period": draw(hs.floats(1.0, 10.0)),
+         "radius_m": draw(hs.floats(0.5, 2.0)), "radius_n": draw(hs.floats(0.5, 2.0)),
+         "monitor_every": draw(hs.integers(0, 12))}
+    if case == "torus":
+        d.update(m=2, n=draw(hs.integers(1, 3)))
+    else:
+        d.update(m=draw(hs.integers(2, 3)), n=3,
+                 boundary_class=int(preset.startswith("identity")))
+        if draw(hs.booleans()):
+            d.update(background_m="ricci", background_n="ricci",
+                     t_end_frac_of_extinction=draw(hs.floats(0.05, 0.95)))
+    if draw(hs.booleans()):
+        bad = draw(hs.sampled_from(sorted(BAD_VALUES)))
+        d[bad] = draw(hs.sampled_from(BAD_VALUES[bad]))
+    return d
+
+
+class TestConfigFuzz:
+    @settings(max_examples=100, deadline=5000, derandomize=True)
+    @given(flow_configs())
+    def test_config_fails_cleanly_or_runs_finite(self, d):
+        try:
+            series = run(FlowConfig.from_dict(d))
+        except ValueError:
+            return
+        assert len(series.times) >= 1
+        if series.abort_reason is None:
+            for values in (series.times, series.m_of_t, series.lambda_max,
+                           series.max_product, series.scale_m, series.scale_n):
+                assert np.isfinite(values).all()
