@@ -69,13 +69,12 @@ def parse_space(spec: str) -> ModelSpace:
             key, _, num = item.partition("=")
             if key not in _CUSTOM_KEYS:
                 raise ValueError(f"unknown custom bound key {key!r}")
-            fields[_CUSTOM_KEYS[key]] = float(num)
-        missing = {"kappa", "tau", "ric_min", "ric_max", "scal_min",
-                   "scal_max", "ric3_min", "chi_ic1"} - set(fields)
+            fields[key] = float(num)
+        missing = set(_CUSTOM_KEYS) - {"einstein"} - set(fields)
         if missing:
             raise ValueError(f"custom spec missing keys: {sorted(missing)}")
-        return ModelSpace("custom", dim,
-                          bounds_override=CurvatureBounds(dim=dim, **fields))
+        return ModelSpace("custom", dim, bounds_override=CurvatureBounds(
+            dim=dim, **{_CUSTOM_KEYS[k]: v for k, v in fields.items()}))
     raise ValueError(f"unknown space kind {kind!r}")
 
 

@@ -20,7 +20,7 @@ homogeneous model spaces this library targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -122,15 +122,21 @@ class CurvatureBounds:
     einstein_const: float | None = None
 
     def __post_init__(self):
+        for f in fields(self)[1:]:
+            v = getattr(self, f.name)
+            # einstein_const is None off Einstein spaces; ric3_min is nan on surfaces
+            undefined = ((f.name == "einstein_const" and v is None)
+                         or (f.name == "ric3_min" and self.dim < 3 and np.isnan(v)))
+            if not (undefined or np.isfinite(v)):
+                raise ValueError(f"{f.name} must be finite, got {v}")
         if self.kappa > self.tau + 1e-12:
             raise ValueError("kappa must not exceed tau")
         if self.ric_min > self.ric_max + 1e-12:
             raise ValueError("ric_min must not exceed ric_max")
         if self.scal_min > self.scal_max + 1e-12:
             raise ValueError("scal_min must not exceed scal_max")
-        if self.dim >= 3 and np.isfinite(self.ric3_min):
-            if self.ric3_min < 2.0 * self.kappa - 1e-9 * max(1.0, abs(self.kappa)):
-                raise ValueError("ric3_min below 2*kappa is inconsistent")
+        if self.dim >= 3 and self.ric3_min < 2.0 * self.kappa - 1e-9 * max(1.0, abs(self.kappa)):
+            raise ValueError("ric3_min below 2*kappa is inconsistent")
 
     def scaled(self, factor: float) -> "CurvatureBounds":
         """Bounds after scaling the metric by 1/factor (curvature x factor)."""

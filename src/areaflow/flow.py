@@ -22,20 +22,19 @@ itself evolves:
 
 Monitors record the area monitor (infimum of the smallest Theta eigenvalue),
 the largest stretch, the largest pairwise stretch product, background scale
-factors, and a residual: for tori the discrete defect of the evolution
-identity (d/dt - eta^{ij} d_i d_j) tr_eta S = sum_i term_I, for the
+factors, and a residual that reads one state: for tori the max-norm defect of
+the evolution identity (d/dt - eta^{ij} d_i d_j) tr_eta S = sum_i term_I, with
+the time derivative taken from the right-hand side by the chain rule, for the
 equivariant case the sup-norm of the discrete right-hand side (stationarity
 defect).
 
-Tori step with explicit Heun at the CFL-limited step, which the residual's
-centered time difference is built on.  The equivariant flow steps with one
-second-order Runge-Kutta-Chebyshev stepper (RKC2) on arrays: each record
-interval is split into equal steps of at most h, so the time error is O(h^2)
-like the spatial one, and each step takes the fewest stages whose stability
-interval covers the CFL bound, so ``cfl`` keeps its meaning as the fraction of
-the stability interval used.  ``MAX_STEPS`` caps the steps of a torus run and
-the right-hand-side evaluations of an equivariant run: a run planned beyond
-it is refused, one that outgrows it is aborted.
+Both reductions march with one second-order Runge-Kutta-Chebyshev stepper
+(RKC2) on whole arrays: each record interval is split into equal steps of at
+most h, so the time error is O(h^2) like the spatial one, and each step takes
+the fewest stages whose stability interval covers the CFL bound, so ``cfl``
+keeps its meaning as the fraction of the stability interval used.
+``MAX_STEPS`` caps the right-hand-side evaluations of a run: a run planned
+beyond it is refused, one that outgrows it is aborted.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ from .profile import s_of
 from .spaces import BackgroundPath, ModelSpace
 
 LAMBDA_ABORT = 50.0
-# Most Heun steps of a torus run, and most right-hand-side evaluations of an
-# equivariant run (criterion 7 takes about 2.4e4).
+# Most right-hand-side evaluations of one run, either reduction (criterion 7
+# takes about 2.4e4).
 MAX_STEPS = 10**7
 
 
@@ -213,13 +212,15 @@ def torus_cfl_dt(st: TorusFlowState, cfl: float = 0.4) -> float:
     return cfl * st.h**2 / (2.0 * st.m)
 
 
+def _torus_field(st: TorusFlowState):
+    """Right-hand side (u, t) -> u_t of the run ``st`` starts, one fresh state per call."""
+    return lambda u, t: torus_rhs(TorusFlowState(st.m, st.n, st.period, st.lin, u, t))
+
+
 def torus_step(st: TorusFlowState, dt: float) -> TorusFlowState:
-    """One Heun step of the quasilinear system with periodic wrap."""
-    k1 = torus_rhs(st)
-    mid = TorusFlowState(st.m, st.n, st.period, st.lin, st.u + dt * k1, st.t + dt)
-    k2 = torus_rhs(mid)
-    return TorusFlowState(st.m, st.n, st.period, st.lin,
-                          st.u + 0.5 * dt * (k1 + k2), st.t + dt)
+    """One RKC2 step of size dt, stages from the CFL bound at cfl 0.4."""
+    u = _rkc_single(st.u, st.t, dt, torus_cfl_dt(st), _torus_field(st))
+    return TorusFlowState(st.m, st.n, st.period, st.lin, u, st.t + dt)
 
 
 def torus_lambdas(st: TorusFlowState) -> np.ndarray:
@@ -241,54 +242,53 @@ def _torus_sigma(st: TorusFlowState) -> np.ndarray:
     return 2.0 * np.einsum("ii...->...", st.geometry.inv) - st.m
 
 
+def _square(a: np.ndarray) -> np.ndarray:
+    """Pointwise matrix square of a (k, k, grid...) field."""
+    return np.einsum("ij...,jk...->ik...", a, a)
+
+
 def _torus_term_one(st: TorusFlowState) -> np.ndarray:
     """sum_i term_I at every grid point: 2 (S_ii + S_aa) |A[a,i,l]|^2 summed.
 
-    The second fundamental form is contracted into the adapted graph frame
-    built from a pointwise SVD of df.  Its Christoffel part
-    -Gamma^p_{kl} (e_p, d_p f) is tangential, and the normals
-    nu_a = (nuM[a], nuN[a]) satisfy nuM[a,p] + nuN[a,b] df[b,p] = 0, so
-    <A_{kl}, nu_a> = hess[b,k,l] nuN[a,b].  Every array keeps its components
-    leading and the flattened grid last.
+    In the adapted graph frame <A(e_i, e_l), nu_a> = hess[b,k,q] e_i^k e_l^q
+    nu_a^b (the Christoffel part of A is tangential, so the normals annihilate
+    it), and every frame sum is a matrix function of df:
+    sum_l e_l e_l^T = eta^{-1}, sum_i S_ii e_i e_i^T = 2 eta^{-2} - eta^{-1},
+    sum_a nu_a nu_a^T = zeta^{-1} = I - df eta^{-1} df^T (zeta = I + df df^T,
+    by Woodbury) and sum_a S_aa nu_a nu_a^T = 2 zeta^{-2} - zeta^{-1}.  The
+    zero singular values of a non-square df (S = 1) come out right on both sides.
     """
-    m, n = st.m, st.n
     g = st.geometry
-    grid = st.u.shape[1:]
-    df = g.df.reshape(n, m, -1)
-    hess = g.hess.reshape(n, m, m, -1)
-
-    uu, sv, vt = np.linalg.svd(np.moveaxis(df, -1, 0))  # point-major for the SVD
-    ell, p = min(m, n), df.shape[-1]
-    lam = np.zeros((m, p))
-    lam[:ell] = sv.T[:ell]
-    lam_t = np.zeros((n, p))
-    lam_t[:ell] = sv.T[:ell]
-
-    e_hat = vt.transpose(1, 2, 0) / np.sqrt(1.0 + lam**2)[:, None]  # (i, coord k, p)
-    nu_n = uu.transpose(2, 1, 0) / np.sqrt(1.0 + lam_t**2)[:, None]  # (a, b, p)
-    adot = np.einsum("bkl...,ab...->akl...", hess, nu_n)
-    a2 = np.einsum("ik...,lq...,akq...->ail...", e_hat, e_hat, adot)
-
-    weight = s_of(lam)[None, :, None] + s_of(lam_t)[:, None, None]  # S_ii + S_aa
-    term = 2.0 * np.einsum("ail...,ail...->...", weight * a2, a2)
-    return term.reshape(grid)
+    inv = g.inv
+    n = st.n
+    zeta_inv = np.eye(n).reshape((n, n) + (1,) * st.m) - np.einsum(
+        "ai...,ij...,bj...->ab...", g.df, inv, g.df)
+    b_inv = np.einsum("bkq...,ql...->bkl...", g.hess, inv)
+    # tangent weights on the first slot, normal weights on the component
+    s_tan = np.einsum("jk...,bkl...->bjl...", 2.0 * _square(inv) - inv, b_inv)
+    plain = np.einsum("jk...,bkl...->bjl...", inv, b_inv)
+    weighted = (np.einsum("ab...,bjl...->ajl...", zeta_inv, s_tan)
+                + np.einsum("ab...,bjl...->ajl...", 2.0 * _square(zeta_inv) - zeta_inv, plain))
+    return 2.0 * np.einsum("ajl...,ajl...->...", weighted, g.hess)
 
 
-def torus_evolution_residual(prev: TorusFlowState, mid: TorusFlowState,
-                             nxt: TorusFlowState, dt: float) -> float:
-    """Max-norm defect of the scalar evolution identity at the middle time.
+def torus_evolution_residual(st: TorusFlowState) -> float:
+    """Max-norm defect of the scalar evolution identity on one state.
 
-    (sigma_next - sigma_prev)/(2 dt) - eta^{ij} d_i d_j sigma - sum_i term_I,
+    d_t sigma - eta^{ij} d_i d_j sigma - sum_i term_I with sigma = tr_eta S,
     evaluated on the integrated (reparametrized) solution, where the
     reparametrizing drift combines with the rough Laplacian into the plain
-    eta^{ij} second-difference form.
+    eta^{ij} second-difference form.  The time derivative comes from the
+    right-hand side by the chain rule: d_t sigma = 2 tr d_t eta^{-1} =
+    -2 tr(eta^{-1} d_t eta eta^{-1}), d_t eta = d(f_t)^T df + df^T d(f_t), with
+    d(f_t) the stencil gradient of ``torus_rhs``.
     """
-    sig_p = _torus_sigma(prev)
-    sig_n = _torus_sigma(nxt)
-    sig_m = _torus_sigma(mid)
-    lap = np.einsum("ij...,ij...->...", mid.geometry.inv, _stencil(sig_m, mid.m, mid.h)[1])
-    res = (sig_n - sig_p) / (2.0 * dt) - lap - _torus_term_one(mid)
-    return float(abs(res).max())
+    g = st.geometry
+    df_t = _stencil(torus_rhs(st), st.m, st.h)[0]
+    sig_t = -4.0 * np.einsum("ai...,ai...->...", df_t,
+                             np.einsum("ij...,aj...->ai...", _square(g.inv), g.df))
+    lap = np.einsum("ij...,ij...->...", g.inv, _stencil(_torus_sigma(st), st.m, st.h)[1])
+    return float(abs(sig_t - lap - _torus_term_one(st)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +328,12 @@ class EquivariantFlowState:
         return math.pi / (self.rho.size - 1)
 
 
-def _rho_ghosts(rho: np.ndarray, boundary_class: int) -> np.ndarray:
-    """Extend rho by odd reflection at both poles (class pi: odd about pi)."""
+def _rho_derivatives(rho: np.ndarray, boundary_class: int, h: float):
+    """Centered rho' and rho'' on all nodes; the poles read a ghost node from
+    odd reflection (class pi: odd about pi)."""
     left = -rho[1]
     right = (2.0 * math.pi - rho[-2]) if boundary_class else -rho[-2]
-    return np.concatenate([[left], rho, [right]])
-
-
-def _rho_derivatives(rho: np.ndarray, boundary_class: int, h: float):
-    ext = _rho_ghosts(rho, boundary_class)
+    ext = np.concatenate([[left], rho, [right]])
     dp = (ext[2:] - ext[:-2]) / (2.0 * h)
     ddp = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / h**2
     return dp, ddp
@@ -348,36 +345,37 @@ def equivariant_derivatives(st: EquivariantFlowState):
 
 
 def _eq_rhs(rho, dp, ddp, sin_th, sincos_th, m, r_m, r_n):
-    """Interior right-hand side given precomputed theta trig (no endpoints)."""
-    i = slice(1, -1)
-    sr = np.sin(rho[i])
-    diff = ddp[i] / (r_m**2 + r_n**2 * dp[i] ** 2)
+    """Right-hand side from rho, rho', rho'' and the theta trig, all on the
+    interior nodes."""
+    sr = np.sin(rho)
+    diff = ddp / (r_m**2 + r_n**2 * dp**2)
     denom = r_m**2 * sin_th**2 + r_n**2 * sr**2
-    rot = (m - 1) * (sincos_th * dp[i] - sr * np.cos(rho[i])) / denom
+    rot = (m - 1) * (sincos_th * dp - sr * np.cos(rho)) / denom
     return diff + rot
 
 
-def _eq_field(m: int, boundary_class: int, nodes: int, radii):
-    """Interior right-hand side (y, t) -> rho_t on ``nodes`` nodes, radii(t) =
-    (r_M, r_N); looks up ``_rho_derivatives`` and ``_eq_rhs`` at each call."""
+def _eq_field(m: int, nodes: int, radii):
+    """Right-hand side (y, t) -> rho_t on ``nodes`` nodes, zero at the pinned
+    poles, radii(t) = (r_M, r_N); the interior derivatives are slices of y, so
+    the poles need no ghosts.  Looks up ``_eq_rhs`` at each call."""
     h = math.pi / (nodes - 1)
     th = np.linspace(0.0, math.pi, nodes)[1:-1]
     sin_th = np.sin(th)
     sincos_th = sin_th * np.cos(th)
 
     def rhs(y, t):
-        dp, ddp = _rho_derivatives(y, boundary_class, h)
-        return _eq_rhs(y, dp, ddp, sin_th, sincos_th, m, *radii(t))
+        out = np.zeros_like(y)
+        out[1:-1] = _eq_rhs(y[1:-1], (y[2:] - y[:-2]) / (2.0 * h),
+                            (y[2:] - 2.0 * y[1:-1] + y[:-2]) / h**2,
+                            sin_th, sincos_th, m, *radii(t))
+        return out
 
     return rhs
 
 
 def equivariant_rhs(st: EquivariantFlowState, r_m: float, r_n: float) -> np.ndarray:
     """Right-hand side of the reduced flow; pinned poles contribute zero."""
-    rhs = np.zeros_like(st.rho)
-    rhs[1:-1] = _eq_field(st.m, st.boundary_class, st.rho.size,
-                          lambda t: (r_m, r_n))(st.rho, st.t)
-    return rhs
+    return _eq_field(st.m, st.rho.size, lambda t: (r_m, r_n))(st.rho, st.t)
 
 
 def equivariant_dt(st: EquivariantFlowState, r_m: float, r_n: float,
@@ -414,9 +412,11 @@ def _rkc_beta(s: int) -> float:
 def _rkc_stages(step: float, dt_cfl: float, most: int) -> int | None:
     """Fewest stages s >= 2 with beta(s) >= 2 step / dt_cfl, or None past ``most``.
 
-    ``dt_cfl`` is the explicit step ``equivariant_dt`` allows, cfl / rate, and
-    2 rate bounds the spectrum of the discrete operator (Gershgorin), so cfl is
-    the fraction of the stability interval used, as for Heun's [-2, 0].
+    ``dt_cfl`` is the explicit step ``torus_cfl_dt`` or ``equivariant_dt``
+    allows, cfl / rate, where 2 rate bounds the spectrum of the discrete
+    operator (eta^{-1} <= I on the torus, Gershgorin on the sphere), so cfl is
+    the fraction of the stability interval used, as it was of the [-2, 0] of a
+    two-stage explicit step.
     """
     if most < 2 or not _rkc_beta(most) * dt_cfl >= 2.0 * step:
         return None
@@ -452,35 +452,36 @@ def _rkc_coefficients(s: int):
     return tuple(mu), tuple(nu), tuple(mut), tuple(gam), tuple(c)
 
 
-def _rkc_step(rho: np.ndarray, t: float, dt: float, s: int, rhs) -> np.ndarray:
-    """One s-stage RKC2 step of a profile with pinned poles.
+def _rkc_step(y: np.ndarray, t: float, dt: float, s: int, rhs) -> np.ndarray:
+    """One s-stage RKC2 step of a whole array; ``rhs(y, t)`` returns y_t, zero
+    on pinned entries.
 
-    ``rhs(y, t)`` returns the interior right-hand side.  The recursion runs on
-    the increments d_j = Y_j - rho (d_0 = 0) and adds rho once at the end, so a
-    stationary profile does not drift by rounding.
+    The recursion runs on the increments d_j = Y_j - y (d_0 = 0) and adds y
+    once at the end, so a stationary state does not drift by rounding.
     """
     mu, nu, mut, gam, c = _rkc_coefficients(s)
-    f0 = dt * rhs(rho, t)
+    f0 = dt * rhs(y, t)
     d_prev, d = 0.0, mut[1] * f0
     for j in range(2, s + 1):
-        y = rho.copy()
-        y[1:-1] += d
-        f = dt * rhs(y, t + c[j - 1] * dt)
+        f = dt * rhs(y + d, t + c[j - 1] * dt)
         d, d_prev = mu[j] * d + nu[j] * d_prev + mut[j] * f + gam[j] * f0, d
-    out = rho.copy()
-    out[1:-1] += d
-    return out
+    return y + d
+
+
+def _rkc_single(y: np.ndarray, t: float, dt: float, dt_cfl: float, rhs) -> np.ndarray:
+    """One RKC2 step of size dt with the fewest stages the CFL step allows."""
+    s = _rkc_stages(dt, dt_cfl, MAX_STEPS)
+    if s is None:
+        raise ValueError(f"step {dt} needs more than {MAX_STEPS} stages")
+    return _rkc_step(y, t, dt, s, rhs)
 
 
 def equivariant_step(st: EquivariantFlowState, dt: float, r_of_t) -> EquivariantFlowState:
     """One RKC2 step of size dt, stages from the CFL bound at cfl 0.4;
     ``r_of_t`` maps time to the radius pair (r_M, r_N)."""
-    s = _rkc_stages(dt, equivariant_dt(st, *r_of_t(st.t)), MAX_STEPS)
-    if s is None:
-        raise ValueError(f"step {dt} needs more than {MAX_STEPS} stages")
-    rhs = _eq_field(st.m, st.boundary_class, st.rho.size, r_of_t)
-    return EquivariantFlowState(st.m, st.n, _rkc_step(st.rho, st.t, dt, s, rhs),
-                                st.boundary_class, st.t + dt)
+    rho = _rkc_single(st.rho, st.t, dt, equivariant_dt(st, *r_of_t(st.t)),
+                      _eq_field(st.m, st.rho.size, r_of_t))
+    return EquivariantFlowState(st.m, st.n, rho, st.boundary_class, st.t + dt)
 
 
 def equivariant_lambdas(st: EquivariantFlowState, r_m: float, r_n: float):
@@ -677,45 +678,65 @@ def run(cfg: FlowConfig) -> FlowSeries:
     return _run_equivariant(cfg)
 
 
-def _run_torus(cfg: FlowConfig) -> FlowSeries:
-    st = _torus_initial(cfg)
-    dt = torus_cfl_dt(st, cfg.cfl)
-    if cfg.t_end > MAX_STEPS * dt:
-        raise ValueError(f"torus run needs {cfg.t_end / dt:.3g} steps, beyond the cap "
-                         f"{MAX_STEPS}; raise cfl or lower t_end")
-    n_steps = max(2, int(math.ceil(cfg.t_end / dt)))
-    dt = cfg.t_end / n_steps
-    records = cfg.monitor_every or 120
-    every = max(1, n_steps // records)
+def _march(series: FlowSeries, y: np.ndarray, rhs, cfl_dt, record,
+           records: int) -> FlowSeries:
+    """Integrate y from 0 to the series' ``t_end`` by RKC2 and append
+    ``records`` + 1 rows.
 
-    series = FlowSeries(meta={
-        "case": "torus", "dt": dt, "steps": n_steps, "h": st.h,
-        "monitor_every_steps": every, "config": cfg.to_dict(), "a_used": None,
-    })
-    m_of, lmax, prod = torus_monitor(st)
-    series.append(0.0, m_of, lmax, prod, float("nan"), 1.0, 1.0)
-
-    # rows land on the middle of a 3-state window so the residual's centered
-    # time difference matches the recorded state
-    window: list[TorusFlowState] = [st]
+    Each record interval of length gap is split into ceil(gap / h) equal steps
+    (time error O(h^2), like space); each step takes its stages from
+    ``cfl_dt(y, t)``, the explicit step the state allows.  ``record(y, t)``
+    gives a row's values after its time.  Right-hand-side evaluations count
+    against ``MAX_STEPS``.
+    """
+    t_end, h = series.meta["t_end"], series.meta["h"]
+    series.append(0.0, *record(y, 0.0))
+    per_record = max(1, math.ceil(t_end / records / h))
+    n_steps = records * per_record
+    step = t_end / n_steps
+    dt = cfl_dt(y, 0.0)
+    if _rkc_stages(step, dt, MAX_STEPS // n_steps) is None:
+        raise ValueError(f"{series.meta['case']} run of {n_steps} steps needs more than "
+                         f"{MAX_STEPS} right-hand-side evaluations, the cap; raise cfl "
+                         "or lower t_end")
+    steps = evals = 0
+    refreshes = 1
     try:
-        for k in range(1, n_steps + 1):
-            st = torus_step(st, dt)
-            window.append(st)
-            if len(window) > 3:
-                window.pop(0)
-            if len(window) == 3 and ((k - 1) % every == 0 or k == n_steps):
-                mid = window[1]
-                m_of, lmax, prod = torus_monitor(mid)
-                res = torus_evolution_residual(window[0], mid, window[2], dt)
-                series.append(mid.t, m_of, lmax, prod, res, 1.0, 1.0)
-                if lmax > LAMBDA_ABORT:
-                    raise FlowAbort(f"lambda_max {lmax:.2f} beyond guard")
-        m_of, lmax, prod = torus_monitor(st)
-        series.append(st.t, m_of, lmax, prod, float("nan"), 1.0, 1.0)
+        while steps < n_steps:
+            t = steps * step
+            if steps:
+                dt = cfl_dt(y, t)
+                refreshes += 1
+            s = _rkc_stages(step, dt, MAX_STEPS - evals)
+            if s is None:
+                raise FlowAbort(f"step cap {MAX_STEPS} reached at t={t!r}")
+            y = _rkc_step(y, t, step, s, rhs)
+            steps, evals = steps + 1, evals + s
+            if steps % per_record == 0:
+                t = steps * step
+                row = record(y, t)
+                series.append(t, *row)
+                if row[1] > LAMBDA_ABORT:
+                    raise FlowAbort(f"lambda_max {row[1]:.2f} beyond guard")
     except FlowAbort as err:
         series.abort_reason = str(err)
+    series.meta.update(steps=steps, rhs_evals=evals, dt_min=step if steps else None,
+                       dt_max=step if steps else None, cfl_refreshes=refreshes)
     return series
+
+
+def _run_torus(cfg: FlowConfig) -> FlowSeries:
+    st = _torus_initial(cfg)
+    dt = torus_cfl_dt(st, cfg.cfl)  # eta^{-1} <= I: the same bound at every state
+
+    def record(u, t):
+        now = TorusFlowState(st.m, st.n, st.period, st.lin, u, t)
+        return (*torus_monitor(now), torus_evolution_residual(now), 1.0, 1.0)
+
+    series = FlowSeries(meta={"case": "torus", "h": st.h, "t_end": cfg.t_end,
+                              "config": cfg.to_dict(), "a_used": None})
+    return _march(series, st.u, _torus_field(st), lambda u, t: dt, record,
+                  cfg.monitor_every or 120)
 
 
 def _run_equivariant(cfg: FlowConfig) -> FlowSeries:
@@ -739,55 +760,23 @@ def _run_equivariant(cfg: FlowConfig) -> FlowSeries:
         return cfg.radius_m * math.sqrt(f_m), cfg.radius_n * math.sqrt(f_n)
 
     st = _equivariant_initial(cfg)
+
+    def state(rho, t):
+        return EquivariantFlowState(cfg.m, cfg.n, rho, st.boundary_class, t)
+
+    def record(rho, t):
+        now, (r_m, r_n) = state(rho, t), radii(t)
+        return (*equivariant_monitor(now, r_m, r_n),
+                float(abs(equivariant_rhs(now, r_m, r_n)).max()), *factors(t))
+
     series = FlowSeries(meta={
         "case": "equivariant", "h": st.h, "t_end": t_end,
         "config": cfg.to_dict(),
         "a_used": _coupling_constant(cfg, t_end),
     })
-    r_m, r_n = radii(0.0)
-    m_of, lmax, prod = equivariant_monitor(st, r_m, r_n)
-    series.append(0.0, m_of, lmax, prod,
-                  float(abs(equivariant_rhs(st, r_m, r_n)).max()), 1.0, 1.0)
-
-    # equal steps of at most h per record interval: time error O(h^2), like space
-    records = cfg.monitor_every or 120
-    per_record = max(1, math.ceil(t_end / records / st.h))
-    n_steps = records * per_record
-    step = t_end / n_steps
-    dt = equivariant_dt(st, r_m, r_n, cfg.cfl)
-    if _rkc_stages(step, dt, MAX_STEPS // n_steps) is None:
-        raise ValueError(f"equivariant run of {n_steps} steps needs more than {MAX_STEPS} "
-                         "right-hand-side evaluations, the cap; raise cfl or lower t_end")
-    rhs = _eq_field(st.m, st.boundary_class, st.rho.size, radii)
-    rho, cls = st.rho, st.boundary_class
-    steps = evals = 0
-    refreshes = 1
-    try:
-        while steps < n_steps:
-            t = steps * step
-            if steps:
-                dt = equivariant_dt(EquivariantFlowState(cfg.m, cfg.n, rho, cls, t),
-                                    *radii(t), cfg.cfl)
-                refreshes += 1
-            s = _rkc_stages(step, dt, MAX_STEPS - evals)
-            if s is None:
-                raise FlowAbort(f"step cap {MAX_STEPS} reached at t={t!r}")
-            rho = _rkc_step(rho, t, step, s, rhs)
-            steps, evals = steps + 1, evals + s
-            if steps % per_record == 0:
-                t = steps * step
-                st = EquivariantFlowState(cfg.m, cfg.n, rho, cls, t)
-                r_m, r_n = radii(t)
-                m_of, lmax, prod = equivariant_monitor(st, r_m, r_n)
-                res = float(abs(equivariant_rhs(st, r_m, r_n)).max())
-                series.append(t, m_of, lmax, prod, res, *factors(t))
-                if lmax > LAMBDA_ABORT:
-                    raise FlowAbort(f"lambda_max {lmax:.2f} beyond guard")
-    except FlowAbort as err:
-        series.abort_reason = str(err)
-
-    series.meta.update(steps=steps, rhs_evals=evals, dt_min=step if steps else None,
-                       dt_max=step if steps else None, cfl_refreshes=refreshes)
+    _march(series, st.rho, _eq_field(st.m, st.rho.size, radii),
+           lambda rho, t: equivariant_dt(state(rho, t), *radii(t), cfg.cfl), record,
+           cfg.monitor_every or 120)
     if series.meta["a_used"] is not None:
         series.meta["a_min_observed"] = smallest_monotone_rate(series)
     return series

@@ -3,8 +3,8 @@
 Identical configuration and seeds must reproduce byte-identical files, so
 floats are written with their shortest round-trip representation, JSON keys
 are sorted, and nothing clock- or host-dependent is recorded.  Non-finite
-values are legal in CSV cells (``nan`` marks an undefined residual sample)
-but are mapped to null in JSON, which has no encoding for them.
+values are legal in CSV cells but are mapped to null in JSON, which has no
+encoding for them.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ def series_manifest(series: FlowSeries, csv_name: str, *, version: str) -> dict:
             "a_min_observed": series.meta.get("a_min_observed"),
         },
         "discretization": {k: series.meta.get(k)
-                           for k in ("h", "dt", "steps", "rhs_evals", "t_end", "dt_min",
-                                     "dt_max", "cfl_refreshes") if k in series.meta},
+                           for k in ("h", "steps", "rhs_evals", "t_end", "dt_min", "dt_max",
+                                     "cfl_refreshes") if k in series.meta},
         "summary": {
             "t_final": series.times[-1] if series.times else None,
             "m_initial": m_of[0] if m_of else None,

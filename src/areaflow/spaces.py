@@ -46,6 +46,10 @@ class ModelSpace:
             raise ValueError(f"unknown space kind {self.kind!r}")
         if self.dim < 2:
             raise ValueError("need dim >= 2")
+        for name in ("scale", "curvature", "einstein_const"):
+            v = getattr(self, name)
+            if v is not None and not np.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
         if self.kind == "fubini" and (self.dim % 2 or self.dim < 2):

@@ -71,6 +71,34 @@ class TestAuditCommand:
         code = main(["audit", "--m", "sphere:3", "--n", "sphere:3:1"])
         assert code == 1
 
+    @pytest.mark.parametrize("args,field", [
+        (["pic1", "--space", "sphere:3:nan"], "scale"),
+        (["pic1", "--space", "constant:3:inf"], "curvature"),
+        (["pic1", "--space", "constant:3:nan"], "curvature"),
+        (["pic1", "--space", "fubini:4:nan"], "scale"),
+        (["pic1", "--space", "torus:2:-inf"], "scale"),
+        (["pic1", "--space", "custom:4:kappa=1,tau=inf,ric_min=6,ric_max=6,"
+                             "scal_min=24,scal_max=24,ric3=2,chi=0"], "tau"),
+        (["pic1", "--space", "custom:4:kappa=1,tau=4,ric_min=6,ric_max=6,"
+                             "scal_min=24,scal_max=24,ric3=2,chi=0,einstein=nan"],
+         "einstein_const"),
+        (["audit", "--m", "sphere:3:nan", "--n", "sphere:3:1", "--conditions", "A"],
+         "scale"),
+        (["audit", "--m", "custom:3:kappa=nan,tau=1,ric_min=2,ric_max=2,scal_min=6,"
+                          "scal_max=6,ric3=2,chi=2", "--n", "sphere:3:1",
+          "--conditions", "A"], "kappa"),
+    ])
+    def test_nonfinite_spec_exits_1_with_json_error(self, args, field, capsys):
+        assert main(args) == 1
+        assert f"{field} must be finite" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_missing_custom_keys_named_as_the_parser_reads_them(self, capsys):
+        assert main(["pic1", "--space", "custom:4:kappa=1,tau=4"]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        for key in ("ric_min", "ric_max", "scal_min", "scal_max", "ric3", "chi"):
+            assert repr(key) in err
+        assert "ric3_min" not in err and "chi_ic1" not in err and "einstein" not in err
+
 
 class TestVerifyCommand:
     def test_small_sweep_passes(self, capsys):
@@ -105,22 +133,26 @@ class TestFlowCommand:
         assert man["config"]["grid"] == 12
         assert man["abort_reason"] is None
 
-    def test_byte_identical_reruns(self, tmp_path, capsys):
+    @pytest.mark.parametrize("case,m,grid", [("equivariant", 3, 24), ("torus", 2, 12)],
+                             ids=["equivariant", "torus"])
+    def test_byte_identical_reruns(self, case, m, grid, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({
-            "case": "equivariant", "m": 3, "n": 3, "grid": 24, "t_end": 0.05,
+            "case": case, "m": m, "n": 3, "grid": grid, "t_end": 0.05,
             "preset": "sine", "amplitude": 0.5, "monitor_every": 6,
         }))
         blobs = []
         for sub in ("a", "b"):
             outdir = tmp_path / sub
-            code, _ = invoke(["flow", "--case", "equivariant", "--config",
+            code, _ = invoke(["flow", "--case", case, "--config",
                               str(cfgfile), "--out", str(outdir)], capsys)
             assert code == 0
-            blobs.append(((outdir / "flow_equivariant.csv").read_bytes(),
-                          (outdir / "flow_equivariant.manifest.json").read_bytes()))
+            blobs.append(((outdir / f"flow_{case}.csv").read_bytes(),
+                          (outdir / f"flow_{case}.manifest.json").read_bytes()))
         assert blobs[0] == blobs[1]
         disc = json.loads(blobs[0][1])["discretization"]
+        assert set(disc) == {"h", "steps", "rhs_evals", "t_end", "dt_min", "dt_max",
+                             "cfl_refreshes"}
         assert disc["steps"] > 0 and 0 < disc["dt_min"] <= disc["dt_max"]
         assert disc["cfl_refreshes"] == disc["steps"]
         assert disc["rhs_evals"] >= 2 * disc["steps"]

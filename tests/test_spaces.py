@@ -136,3 +136,29 @@ class TestValidation:
         sp = ModelSpace("custom", 3, bounds_override=cb)
         with pytest.raises(ValueError):
             BackgroundPath(sp, "ricci")
+
+    @pytest.mark.parametrize("kind,key", [("sphere", "scale"), ("fubini", "scale"),
+                                          ("torus", "scale"), ("constant", "curvature"),
+                                          ("sphere", "einstein_const")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_space_fields_rejected(self, kind, key, value):
+        kw = {"curvature": 1.0} if kind == "constant" else {}
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            ModelSpace(kind, 4, **dict(kw, **{key: value}))
+
+    @pytest.mark.parametrize("index", range(8))
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_bounds_rejected(self, index, value):
+        names = ("kappa", "tau", "ric_min", "ric_max", "scal_min", "scal_max",
+                 "ric3_min", "chi_ic1")
+        vals = [0.0, 1.0, 0.0, 2.0, 0.0, 6.0, 0.0, 0.0]
+        vals[index] = value
+        with pytest.raises(ValueError, match=f"{names[index]} must be finite"):
+            CurvatureBounds(3, *vals)
+        with pytest.raises(ValueError, match="einstein_const must be finite"):
+            CurvatureBounds(3, 0, 1, 0, 2, 0, 6, 0.0, 0.0, einstein_const=value)
+
+    def test_surface_ric3_may_be_undefined(self):
+        assert math.isnan(bounds(ModelSpace("sphere", 2)).ric3_min)
+        with pytest.raises(ValueError, match="ric3_min must be finite"):
+            CurvatureBounds(2, 1, 1, 1, 1, 2, 2, math.inf, 1.0)
