@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+
+import numpy as np
 
 from . import __version__
 from .conditions import CONDITIONS, audit_conditions
@@ -82,7 +83,7 @@ def _cmd_audit(args) -> int:
     space_m = parse_space(args.m)
     space_n = parse_space(args.n)
     conds = [c.strip() for c in args.conditions.split(",") if c.strip()]
-    reports = audit_conditions(space_m, space_n, conds, seed=args.seed)
+    reports = audit_conditions(space_m, space_n, conds)
     payload = {
         "space_M": space_m.describe(),
         "space_N": space_n.describe(),
@@ -96,12 +97,19 @@ def _cmd_audit(args) -> int:
 
 def _cmd_pic1(args) -> int:
     space = parse_space(args.space)
-    b = space_bounds(space, seed=args.seed, n_starts=args.starts)
+    b = space_bounds(space)
     payload = {"space": space.describe(), "bounds": b.to_dict()}
     print(to_json(payload))
     if args.out:
         write_json(payload, output_dir(args.out) / "pic1.json")
     return 0
+
+
+def _suite_pass(suite: dict) -> bool:
+    """A sweep suite passes when its gap (if any) is at least ``GAP_TOL`` and
+    every other float it reports, a defect, is at most 1e-12."""
+    defects = [v for k, v in suite.items() if isinstance(v, float) and k != "min_gap"]
+    return suite.get("min_gap", GAP_TOL) >= GAP_TOL and all(v <= 1e-12 for v in defects)
 
 
 def _cmd_verify(args) -> int:
@@ -118,14 +126,9 @@ def _cmd_verify(args) -> int:
         sweep_bound("C", min(n, 10000), seed + 7),
         sweep_bound("D", min(n, 10000), seed + 8),
     ]
-    ok = True
     for s in suites:
-        if "min_gap" in s:
-            s["pass"] = s["min_gap"] >= GAP_TOL
-        else:
-            err = max(v for k, v in s.items() if isinstance(v, float))
-            s["pass"] = err <= 1e-12
-        ok = ok and s["pass"]
+        s["pass"] = _suite_pass(s)
+    ok = all(s["pass"] for s in suites)
     payload = {"seed": seed, "requested_sweep": n, "suites": suites,
                "pass": ok}
     print(to_json(payload))
@@ -172,20 +175,7 @@ _DEMO_AUDITS = [
 
 
 def _cmd_report(args) -> int:
-    outdir = output_dir(args.out)
-    ok = True
-    audit_payload = []
-    for name, sm, sn, conds, expect in _DEMO_AUDITS:
-        reports = audit_conditions(parse_space(sm), parse_space(sn), conds,
-                                   seed=args.seed)
-        entry = {"name": name, "m": sm, "n": sn,
-                 "reports": [r.to_dict() for r in reports]}
-        entry["expected"] = expect
-        entry["pass"] = all(r.holds == expect[r.condition] for r in reports)
-        ok = ok and entry["pass"]
-        audit_payload.append(entry)
-    write_json({"audits": audit_payload}, outdir / "report_audits.json")
-
+    # the sweeps run first, so a bad sample count fails before a file is written
     sweeps = [
         sweep_algebra(args.sweep, args.seed),
         sweep_term_II(args.sweep, args.seed + 1),
@@ -194,23 +184,29 @@ def _cmd_report(args) -> int:
         sweep_bound("C", min(args.sweep, 2000), args.seed + 4),
     ]
     for s in sweeps:
-        s["pass"] = s.get("min_gap", 0.0) >= GAP_TOL and all(
-            v <= 1e-12 for k, v in s.items()
-            if isinstance(v, float) and k not in ("min_gap",))
-        ok = ok and s["pass"]
+        s["pass"] = _suite_pass(s)
+    outdir = output_dir(args.out)
+    audit_payload = []
+    for name, sm, sn, conds, expect in _DEMO_AUDITS:
+        reports = audit_conditions(parse_space(sm), parse_space(sn), conds)
+        entry = {"name": name, "m": sm, "n": sn,
+                 "reports": [r.to_dict() for r in reports]}
+        entry["expected"] = expect
+        entry["pass"] = all(r.holds == expect[r.condition] for r in reports)
+        audit_payload.append(entry)
+    write_json({"audits": audit_payload}, outdir / "report_audits.json")
     write_json({"suites": sweeps}, outdir / "report_sweeps.json")
 
     cfg = FlowConfig(case="equivariant", m=3, n=3, grid=128, t_end=1.0,
                      preset="sine", amplitude=0.8)
     series = run(cfg)
     persist_series(series, outdir, "report_flow_s3", version=__version__)
-    import numpy as np
-
     mono = bool((np.diff(series.m_of_t) >= -1e-8).all())
-    ok = ok and mono and series.abort_reason is None
 
-    summary = {"pass": ok, "audits_pass": all(e["pass"] for e in audit_payload),
-               "sweeps_pass": all(s["pass"] for s in sweeps),
+    audits_pass = all(e["pass"] for e in audit_payload)
+    sweeps_pass = all(s["pass"] for s in sweeps)
+    ok = audits_pass and sweeps_pass and mono and series.abort_reason is None
+    summary = {"pass": ok, "audits_pass": audits_pass, "sweeps_pass": sweeps_pass,
                "flow_monotone": mono, "version": __version__}
     write_json(summary, outdir / "report_summary.json")
     print(to_json(summary))
@@ -231,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--n", required=True, help="target space spec")
     a.add_argument("--conditions", default="A,B",
                    help=f"comma list from {','.join(CONDITIONS)}")
-    a.add_argument("--seed", type=int, default=0)
     a.add_argument("--out", default=None, help="also write audit.json here")
     a.set_defaults(fn=_cmd_audit)
 
@@ -243,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("pic1", help="curvature extremes of one space")
     q.add_argument("--space", required=True)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--starts", type=int, default=64)
     q.add_argument("--out", default=None)
     q.set_defaults(fn=_cmd_pic1)
 

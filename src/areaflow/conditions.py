@@ -7,16 +7,20 @@ canonical examples have integer slacks); ``strict`` means the condition's
 designated strict slack is > 0, which is what the rigidity statements need.
 Hypotheses the tool cannot decide (local irreducibility, non-symmetry) are
 echoed verbatim as unchecked, never claimed.
+
+Every check is a pure function ``check_X(bm, bn, m, n)`` of the two sides'
+curvature bounds and dimensions; ``audit_conditions`` reads the bounds of a
+pair of model spaces (closed forms, see ``spaces.bounds``) and runs the named
+checks on them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 from .curvature import CurvatureBounds
-from .spaces import ModelSpace, bounds as space_bounds
-
-CONDITIONS = ("A", "B", "C", "D", "E", "F", "Thm1_i", "Thm1_ii")
+from .spaces import ModelSpace, bounds as space_bounds, scalar_slack
 
 
 @dataclass(frozen=True)
@@ -107,8 +111,6 @@ def check_C(bm: CurvatureBounds, bn: CurvatureBounds, m: int, n: int) -> Conditi
 
     Both metrics evolve by d/dt = -Ric.  Strict flag: chi_sum > 0.
     """
-    import math
-
     if not (math.isfinite(bm.ric3_min) and math.isfinite(bn.ric3_min)):
         raise ValueError("condition (C) needs ric3 minima on both sides")
     ell = min(m, n)
@@ -128,8 +130,6 @@ def check_D(bm: CurvatureBounds, bn: CurvatureBounds, m: int, n: int) -> Conditi
     Strict flag follows the rigidity clause chi_M > 0; the alternative
     sharpening tau_N < 0 is readable off the second slack.
     """
-    import math
-
     if not math.isfinite(bm.ric3_min):
         raise ValueError("condition (D) needs the ric3 minimum of M")
     slacks = [("chi_M", bm.ric3_min), ("tau_N_nonpos", -bn.tau)]
@@ -138,16 +138,12 @@ def check_D(bm: CurvatureBounds, bn: CurvatureBounds, m: int, n: int) -> Conditi
 
 def check_thm1_i(bm, bn, m, n) -> ConditionReport:
     """Main-theorem hypothesis (i): condition (A) with kappa_sum required > 0."""
-    rep = check_A(bm, bn, m, n)
-    return ConditionReport("Thm1_i", rep.holds, rep.strict, rep.slacks,
-                           rep.unchecked_hypotheses, rep.inputs_echo)
+    return replace(check_A(bm, bn, m, n), condition="Thm1_i")
 
 
 def check_thm1_ii(bm, bn, m, n) -> ConditionReport:
     """Main-theorem hypothesis (ii): kappa_M > 0 plus the multiplied form."""
-    rep = check_B(bm, bn, m, n)
-    return ConditionReport("Thm1_ii", rep.holds, rep.strict, rep.slacks,
-                           rep.unchecked_hypotheses, rep.inputs_echo)
+    return replace(check_B(bm, bn, m, n), condition="Thm1_ii")
 
 
 _UNCHECKED_M = (
@@ -156,7 +152,7 @@ _UNCHECKED_M = (
 )
 
 
-def check_E(space_m: ModelSpace, space_n: ModelSpace, *, seed: int = 0) -> ConditionReport:
+def check_E(bm: CurvatureBounds, bn: CurvatureBounds, m: int, n: int) -> ConditionReport:
     """Coupled condition (E): Einstein target, isotropic-nonnegative source.
 
     einstein_N   = Ric_min(N) - Ric_max(N)   (zero iff N is Einstein)
@@ -167,20 +163,17 @@ def check_E(space_m: ModelSpace, space_n: ModelSpace, *, seed: int = 0) -> Condi
     Local irreducibility / non-symmetry of M cannot be decided from bounds
     and are echoed unchecked.  Strict flag: scalar_ratio > 0.
     """
-    bm = space_bounds(space_m, seed=seed)
-    bn = space_bounds(space_n, seed=seed)
-    m, n = space_m.dim, space_n.dim
     slacks = [
         ("einstein_N", bn.ric_min - bn.ric_max),
         ("kappa_N", bn.kappa),
         ("chi_ic1_M", bm.chi_ic1),
-        ("scalar_ratio", bm.scal_min - (m / n) * bn.scal_max),
+        ("scalar_ratio", scalar_slack(bm, bn, m, n)),
     ]
     return _report("E", slacks, "scalar_ratio", unchecked=_UNCHECKED_M,
                    echo=_echo(bm, bn, m, n))
 
 
-def check_F(space_m: ModelSpace, space_n: ModelSpace, *, seed: int = 0) -> ConditionReport:
+def check_F(bm: CurvatureBounds, bn: CurvatureBounds, m: int, n: int) -> ConditionReport:
     """Coupled condition (F): nonpositively curved target.
 
     tau_N_nonpos = -tau(N)
@@ -189,37 +182,38 @@ def check_F(space_m: ModelSpace, space_n: ModelSpace, *, seed: int = 0) -> Condi
 
     Strict flag: tau_N_nonpos > 0 (tau_N < 0 forces strict area decrease).
     """
-    bm = space_bounds(space_m, seed=seed)
-    bn = space_bounds(space_n, seed=seed)
-    m, n = space_m.dim, space_n.dim
     slacks = [
         ("tau_N_nonpos", -bn.tau),
         ("chi_ic1_M", bm.chi_ic1),
-        ("scalar_ratio", bm.scal_min - (m / n) * bn.scal_max),
+        ("scalar_ratio", scalar_slack(bm, bn, m, n)),
     ]
     return _report("F", slacks, "tau_N_nonpos", unchecked=_UNCHECKED_M,
                    echo=_echo(bm, bn, m, n))
 
 
+_CHECKS = {
+    "A": check_A,
+    "B": check_B,
+    "C": check_C,
+    "D": check_D,
+    "E": check_E,
+    "F": check_F,
+    "Thm1_i": check_thm1_i,
+    "Thm1_ii": check_thm1_ii,
+}
+CONDITIONS = tuple(_CHECKS)
+
+
 def audit_conditions(space_m: ModelSpace, space_n: ModelSpace, conditions, *,
                      seed: int = 0) -> list[ConditionReport]:
-    """Run the named condition checks on a pair of model spaces."""
-    bm = space_bounds(space_m, seed=seed)
-    bn = space_bounds(space_n, seed=seed)
+    """Run the named condition checks on a pair of model spaces.
+
+    ``seed`` is ignored: every bound is a closed form.  It stays accepted so
+    that existing callers keep working.
+    """
+    unknown = [c for c in conditions if c not in _CHECKS]
+    if unknown:
+        raise ValueError(f"unknown condition {unknown[0]!r}; choose from {CONDITIONS}")
+    bm, bn = space_bounds(space_m), space_bounds(space_n)
     m, n = space_m.dim, space_n.dim
-    table = {
-        "A": lambda: check_A(bm, bn, m, n),
-        "B": lambda: check_B(bm, bn, m, n),
-        "C": lambda: check_C(bm, bn, m, n),
-        "D": lambda: check_D(bm, bn, m, n),
-        "E": lambda: check_E(space_m, space_n, seed=seed),
-        "F": lambda: check_F(space_m, space_n, seed=seed),
-        "Thm1_i": lambda: check_thm1_i(bm, bn, m, n),
-        "Thm1_ii": lambda: check_thm1_ii(bm, bn, m, n),
-    }
-    out = []
-    for cond in conditions:
-        if cond not in table:
-            raise ValueError(f"unknown condition {cond!r}; choose from {CONDITIONS}")
-        out.append(table[cond]())
-    return out
+    return [_CHECKS[c](bm, bn, m, n) for c in conditions]

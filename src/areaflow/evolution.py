@@ -504,12 +504,19 @@ def random_positive_state(rng, alpha: float, *, dims=None) -> PointState:
 # ---------------------------------------------------------------------------
 
 
+def _require_samples(samples: int) -> None:
+    """A sweep of no state checks nothing, so it must not report a pass."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 def _sweep_states(samples: int, seed: int, condition: str | None = None, *, alpha=None):
     """Batches of a sweep with their alpha per row, uniform in the range ``alpha``.
 
     Each sample draws its dims (m, n) in {2, 3, 4}^2; samples of equal dims
     are drawn together, at most ``_BATCH`` at a time.
     """
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     counts = np.bincount(rng.integers(0, 9, size=samples), minlength=9)
     for code, count in enumerate(counts.tolist()):
@@ -523,7 +530,7 @@ def _sweep_states(samples: int, seed: int, condition: str | None = None, *, alph
 def sweep_positivity(samples: int, seed: int, *, alpha_positive: bool) -> dict:
     """Minimum positivity gap over random states (alpha > 0 or alpha = 0)."""
     draws = _sweep_states(samples, seed, alpha=(0.05, 2.0) if alpha_positive else (0.0, 0.0))
-    worst = min((float(positivity_gap(b, a).min()) for b, a in draws), default=np.inf)
+    worst = min(float(positivity_gap(b, a).min()) for b, a in draws)
     suite = "positivity_alpha_pos" if alpha_positive else "positivity_alpha_zero"
     return {"suite": suite, "samples": samples, "min_gap": worst}
 
@@ -536,8 +543,8 @@ def sweep_bound(condition: str, samples: int, seed: int, *, c0: float = 8.0) -> 
     """
     fn = {"A": bound_A, "B": bound_B, "C": bound_C, "D": bound_D}[condition]
     while True:
-        worst = min((float((fn(b, c0) if condition in ("C", "D") else fn(b)).min())
-                     for b, _ in _sweep_states(samples, seed, condition)), default=np.inf)
+        worst = min(float((fn(b, c0) if condition in ("C", "D") else fn(b)).min())
+                    for b, _ in _sweep_states(samples, seed, condition))
         out = {"suite": f"bound_{condition}", "samples": samples, "min_gap": worst}
         if condition in ("C", "D"):
             out["chosen_constants"] = {"c0": c0}
@@ -548,8 +555,8 @@ def sweep_bound(condition: str, samples: int, seed: int, *, c0: float = 8.0) -> 
 
 def sweep_term_II(samples: int, seed: int) -> dict:
     """Closed-form term II against the product-curvature contraction, every direction."""
-    worst = max((float(abs(_terms(b)[1] - _term_II_product(b)).max())
-                 for b, _ in _sweep_states(samples, seed)), default=0.0)
+    worst = max(float(abs(_terms(b)[1] - _term_II_product(b)).max())
+                for b, _ in _sweep_states(samples, seed))
     return {"suite": "term_II_oracle", "samples": samples, "max_abs_diff": worst}
 
 
@@ -561,6 +568,7 @@ def sweep_algebra(samples: int, seed: int) -> dict:
     Theta/((1+l1^2)(1+l2^2)), and the equality of the pair-sum eigenvalues
     with the spectrum of the wedge form of Theta.
     """
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     worst = {"pythagoras": 0.0, "keystone": 0.0, "weighted": 0.0, "wedge": 0.0}
     for done in range(0, samples, 20000):

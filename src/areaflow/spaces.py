@@ -9,6 +9,11 @@ A ModelSpace is one of:
     constant  constant sectional curvature ``curvature`` (may be negative)
     custom    user-supplied CurvatureBounds only (no tensor)
 
+``bounds`` returns every kind's curvature extremes as closed forms (custom
+spaces echo their override), so audits never build a tensor or run the
+frame optimizer; ``curvature_at`` builds the explicit tensor for tests and
+direct use.
+
 Einstein backgrounds shrink self-similarly under the Ricci-type evolution
 d/dt g = -Ric: with Ric(g0) = L g0 the metric is g(t) = (1 - L t) g0, alive
 until t = 1/L, with sectional curvature scaled by 1/(1 - L t).
@@ -24,7 +29,7 @@ from .curvature import (
     CurvatureBounds,
     CurvatureTensor,
     SymBilinear,
-    bounds_of,
+    bounds_of,  # unused here, but perfbench/tracer.py wraps spaces.bounds_of
     constant_curvature_tensor,
     kulkarni_nomizu,
 )
@@ -126,77 +131,49 @@ def _fubini_tensor(dim: int, scale: float) -> CurvatureTensor:
     return CurvatureTensor((scale / 4.0) * (kn + wpart))
 
 
-_FUBINI_BOUNDS_CACHE: dict[tuple, CurvatureBounds] = {}
+def bounds(space: ModelSpace) -> CurvatureBounds:
+    """Curvature extremes of a model space, every kind in closed form.
 
-
-def _fubini_bounds(space: ModelSpace, seed: int, n_starts: int) -> CurvatureBounds:
-    """Closed-form projective-space bounds, validated against the tensor.
-
-    With c the maximal holomorphic sectional curvature: sectional in
-    [c/4, c], Einstein constant (c/4)(dim+2), partial-Ricci minimum c/2,
-    isotropic shift 0 (the weak boundary of the cone).  The formula is not
-    trusted blindly: the first query per (dim, scale) runs the frame
-    optimizer on the explicit tensor and requires agreement to 1e-6, then
-    the exact closed-form values are served (audits compare slacks exactly).
+    Constant curvature c (spheres, tori, ``constant``, and ``fubini`` of dim
+    2, a round sphere of curvature ``scale``): sectional c, Ricci (dim-1)c,
+    partial-Ricci minimum 2c (undefined on surfaces), isotropic shift c
+    (dim >= 4; the minimal Ricci eigenvalue below).  Projective space with c
+    the maximal holomorphic sectional curvature: sectional in [c/4, c],
+    Einstein constant (c/4)(dim+2), partial-Ricci minimum c/2, isotropic
+    shift 0 (the weak boundary of the cone).  Custom spaces echo their
+    override.  No tensor is built and no frame is optimized; the test suite
+    checks the projective formulas against the optimizer on the tensor.
     """
-    c = space.scale
-    d = space.dim
-    ric = (c / 4.0) * (d + 2)
-    closed = CurvatureBounds(
-        dim=d, kappa=c / 4.0, tau=c, ric_min=ric, ric_max=ric,
-        scal_min=d * ric, scal_max=d * ric, ric3_min=c / 2.0, chi_ic1=0.0,
-        einstein_const=space.einstein_const,
-    )
-    r, g = curvature_at(space)
-    measured = bounds_of(r, g, seed=seed, n_starts=n_starts,
-                         einstein_const=space.einstein_const)
-    for name in ("kappa", "tau", "ric_min", "ric_max", "scal_min",
-                 "scal_max", "ric3_min", "chi_ic1"):
-        a, b = getattr(closed, name), getattr(measured, name)
-        if abs(a - b) > 1e-6 * max(1.0, abs(a)):
-            raise RuntimeError(
-                f"projective-space {name} formula ({a}) disagrees with the "
-                f"optimized tensor value ({b})")
-    return closed
-
-
-def bounds(space: ModelSpace, *, seed: int = 0, n_starts: int = 64) -> CurvatureBounds:
-    """Curvature extremes of a model space.
-
-    Constant-curvature kinds use closed forms; Fubini-Study bounds are
-    validated against the explicit tensor by frame optimization on first use
-    (cached per dim/scale); custom spaces echo their override.
-    """
-    if n_starts < 1:
-        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     if space.kind == "custom":
         return space.bounds_override
-    if space.kind == "fubini" and space.dim >= 4:
-        key = (space.dim, space.scale)
-        if key not in _FUBINI_BOUNDS_CACHE:
-            _FUBINI_BOUNDS_CACHE[key] = _fubini_bounds(space, seed, n_starts)
-        return _FUBINI_BOUNDS_CACHE[key]
-    if space.kind == "fubini":  # dim 2: a round 2-sphere of curvature `scale`
-        c = space.scale
-    elif space.kind == "sphere":
-        c = 1.0 / space.scale**2
-    elif space.kind == "torus":
-        c = 0.0
-    else:
-        c = space.curvature
     d = space.dim
+    if space.kind == "fubini" and d >= 4:
+        c = space.scale
+        ric = (c / 4.0) * (d + 2)
+        kappa, tau, scal, ric3, chi = c / 4.0, c, d * ric, c / 2.0, 0.0
+    else:
+        if space.kind == "fubini":
+            c = space.scale
+        elif space.kind == "sphere":
+            c = 1.0 / space.scale**2
+        elif space.kind == "torus":
+            c = 0.0
+        else:
+            c = space.curvature
+        ric = (d - 1) * c
+        kappa, tau, scal = c, c, d * (d - 1) * c
+        ric3 = 2.0 * c if d >= 3 else float("nan")
+        chi = c if d >= 4 else ric
     return CurvatureBounds(
-        dim=d,
-        kappa=c,
-        tau=c,
-        ric_min=(d - 1) * c,
-        ric_max=(d - 1) * c,
-        scal_min=d * (d - 1) * c,
-        scal_max=d * (d - 1) * c,
-        ric3_min=2.0 * c if d >= 3 else float("nan"),
-        chi_ic1=c if d >= 4 else (d - 1) * c,
+        dim=d, kappa=kappa, tau=tau, ric_min=ric, ric_max=ric, scal_min=scal,
+        scal_max=scal, ric3_min=ric3, chi_ic1=chi,
         einstein_const=space.einstein_const,
     )
+
+
+def scalar_slack(bm: CurvatureBounds, bn: CurvatureBounds, m: int, n: int) -> float:
+    """scal_min(M) - (m/n) scal_max(N), the scalar-curvature ratio slack."""
+    return bm.scal_min - (m / n) * bn.scal_max
 
 
 @dataclass(frozen=True)
@@ -251,12 +228,10 @@ def at_time(path: BackgroundPath, t: float) -> ModelSpace:
     )
 
 
-def scalar_hypothesis(space_m: ModelSpace, space_n: ModelSpace, *, seed: int = 0) -> float:
+def scalar_hypothesis(space_m: ModelSpace, space_n: ModelSpace) -> float:
     """Slack of the scalar-curvature ratio hypothesis.
 
     Returns scal_min(M) - (m/n) * scal_max(N); nonnegative slack is the
     entry ticket for the Ricci-flow-coupled conditions.
     """
-    bm = bounds(space_m, seed=seed)
-    bn = bounds(space_n, seed=seed)
-    return bm.scal_min - (space_m.dim / space_n.dim) * bn.scal_max
+    return scalar_slack(bounds(space_m), bounds(space_n), space_m.dim, space_n.dim)

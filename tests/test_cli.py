@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import areaflow
-from areaflow.cli import main, parse_space
-from areaflow.spaces import bounds
+from areaflow.cli import _DEMO_AUDITS, _suite_pass, main, parse_space
+from areaflow.conditions import audit_conditions
+from areaflow.evolution import GAP_TOL
+from areaflow.spaces import ModelSpace, bounds
 
 
 def invoke(args, capsys):
@@ -110,11 +112,32 @@ class TestVerifyCommand:
         names = {s["suite"] for s in payload["suites"]}
         assert {"profile_algebra", "term_II_oracle", "bound_A", "bound_C"} <= names
 
+    @pytest.mark.parametrize("sweep", ["0", "-1"])
+    def test_empty_sweep_exits_1_with_json_error(self, sweep, capsys):
+        assert main(["verify-identities", "--sweep", sweep]) == 1
+        captured = capsys.readouterr()
+        assert "samples" in json.loads(captured.err)["error"]
+        assert captured.out == ""
+
+    def test_suite_pass_rule(self):
+        assert _suite_pass({"suite": "gap", "samples": 9, "min_gap": GAP_TOL})
+        assert not _suite_pass({"suite": "gap", "samples": 9, "min_gap": 2 * GAP_TOL})
+        assert _suite_pass({"suite": "defect", "samples": 9, "a": 0.0, "b": 1e-12})
+        assert not _suite_pass({"suite": "defect", "samples": 9, "a": 0.0, "b": 2e-12})
+        assert not _suite_pass({"suite": "defect", "samples": 9, "a": float("nan")})
+
     def test_reruns_print_identical_json(self, capsys):
         outs = [invoke(["verify-identities", "--sweep", "1000", "--seed", "7"], capsys)
                 for _ in range(2)]
         assert outs[0][0] == 0
         assert outs[0] == outs[1]
+
+
+class TestReportCommand:
+    def test_empty_sweep_exits_1_before_writing(self, tmp_path, capsys):
+        assert main(["report", "--sweep", "0", "--out", str(tmp_path / "rep")]) == 1
+        assert "samples" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "rep").exists()
 
 
 class TestFlowCommand:
@@ -214,38 +237,50 @@ class TestFlowCommand:
 
 class TestPic1Command:
     def test_sphere(self, capsys):
-        code, out = invoke(["pic1", "--space", "sphere:4:1", "--starts", "16"],
-                           capsys)
+        code, out = invoke(["pic1", "--space", "sphere:4:1"], capsys)
         assert code == 0
         b = json.loads(out)["bounds"]
         assert abs(b["chi_ic1"] - 1.0) < 1e-3
         assert b["ric_min"] == 3.0
 
-    @pytest.mark.parametrize("starts", ["0", "-3"])
-    def test_no_starts_exits_1_with_json_error(self, starts, capsys, monkeypatch):
-        from areaflow import spaces
+    @pytest.mark.parametrize("args", [
+        ["pic1", "--space", "fubini:4:4", "--starts", "4"],
+        ["pic1", "--space", "fubini:4:4", "--seed", "0"],
+        ["audit", "--m", "sphere:3:1", "--n", "sphere:3:1", "--seed", "0"],
+    ], ids=["pic1-starts", "pic1-seed", "audit-seed"])
+    def test_removed_optimizer_flags_exit_2(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
 
-        # a cold cache, so the optimizer actually runs
-        monkeypatch.setattr(spaces, "_FUBINI_BOUNDS_CACHE", {})
-        code = main(["pic1", "--space", "fubini:4:4", "--starts", starts])
-        assert code == 1
-        assert "n_starts" in json.loads(capsys.readouterr().err)["error"]
 
+class TestNoTensorOnAuditPaths:
+    """Audits read closed-form bounds: nothing builds a tensor or optimizes frames."""
 
-    @pytest.mark.parametrize("space", ["sphere:4:1", "torus:3:1", "fubini:2:4"])
-    def test_no_starts_on_a_closed_form_space_exits_1(self, space, capsys):
-        code = main(["pic1", "--space", space, "--starts", "0"])
-        assert code == 1
-        assert "n_starts" in json.loads(capsys.readouterr().err)["error"]
+    @pytest.fixture(autouse=True)
+    def forbid_tensors(self, monkeypatch):
+        from areaflow import curvature, spaces
 
-    def test_no_starts_on_a_warm_fubini_cache_exits_1(self, capsys, monkeypatch):
-        from areaflow import spaces
+        def refuse(*args, **kwargs):
+            raise AssertionError("an audit path built a tensor or ran the optimizer")
 
-        warm = bounds(parse_space("sphere:4:1"))  # any cached value; never returned
-        monkeypatch.setattr(spaces, "_FUBINI_BOUNDS_CACHE", {(4, 4.0): warm})
-        code = main(["pic1", "--space", "fubini:4:4", "--starts", "0"])
-        assert code == 1
-        assert "n_starts" in json.loads(capsys.readouterr().err)["error"]
+        monkeypatch.setattr(spaces, "curvature_at", refuse)
+        monkeypatch.setattr(curvature, "minimize_over_frames", refuse)
+
+    def test_bounds_of_a_large_projective_space(self):
+        b = bounds(ModelSpace("fubini", 40, scale=4.0))
+        assert (b.kappa, b.tau, b.ric3_min, b.chi_ic1) == (1.0, 4.0, 2.0, 0.0)
+        assert b.ric_min == b.ric_max == 42.0
+
+    def test_demo_audits(self):
+        for name, sm, sn, conds, expect in _DEMO_AUDITS:
+            reports = audit_conditions(parse_space(sm), parse_space(sn), conds)
+            assert {r.condition: r.holds for r in reports} == expect, name
+
+    def test_pic1_command(self, capsys):
+        code, out = invoke(["pic1", "--space", "fubini:8:4"], capsys)
+        assert code == 0
+        assert json.loads(out)["bounds"]["chi_ic1"] == 0.0
 
 
 class TestPersist:

@@ -88,37 +88,41 @@ class TestCheckCD:
         assert not rep.holds
 
 
+def ef(check, space_m, space_n):
+    return check(space_bounds(space_m), space_bounds(space_n), space_m.dim, space_n.dim)
+
+
 class TestCheckEF:
     def test_s4_to_s3(self):
-        rep = check_E(ModelSpace("sphere", 4, scale=1.0),
-                      ModelSpace("sphere", 3, scale=1.0))
+        rep = ef(check_E, ModelSpace("sphere", 4, scale=1.0),
+                 ModelSpace("sphere", 3, scale=1.0))
         assert rep.holds
         assert rep.slack("scalar_ratio") == 4.0
         assert rep.slack("kappa_N") == 1.0
         assert "M locally irreducible" in rep.unchecked_hypotheses
 
     def test_s3_to_s4_fails_scalar(self):
-        rep = check_E(ModelSpace("sphere", 3, scale=1.0),
-                      ModelSpace("sphere", 4, scale=1.0))
+        rep = ef(check_E, ModelSpace("sphere", 3, scale=1.0),
+                 ModelSpace("sphere", 4, scale=1.0))
         assert not rep.holds
         assert rep.slack("scalar_ratio") == -3.0
 
     def test_flat_target_F(self):
-        rep = check_F(ModelSpace("sphere", 4, scale=1.0),
-                      ModelSpace("torus", 3, scale=6.0))
+        rep = ef(check_F, ModelSpace("sphere", 4, scale=1.0),
+                 ModelSpace("torus", 3, scale=6.0))
         assert rep.holds
         assert rep.slack("tau_N_nonpos") == 0.0
 
     def test_projective_source_E(self):
-        rep = check_E(ModelSpace("fubini", 4, scale=4.0),
-                      ModelSpace("sphere", 4, scale=1.0))
+        rep = ef(check_E, ModelSpace("fubini", 4, scale=4.0),
+                 ModelSpace("sphere", 4, scale=1.0))
         assert rep.slack("chi_ic1_M") == 0.0
         assert rep.holds  # scal 24 >= (4/4) * 12
 
     def test_non_einstein_target_fails(self):
         cb = CurvatureBounds(3, 0.5, 1.0, 1.2, 2.0, 4.0, 5.0, 1.0, 1.2)
-        rep = check_E(ModelSpace("sphere", 4, scale=1.0),
-                      ModelSpace("custom", 3, bounds_override=cb))
+        rep = ef(check_E, ModelSpace("sphere", 4, scale=1.0),
+                 ModelSpace("custom", 3, bounds_override=cb))
         assert rep.slack("einstein_N") < 0
         assert not rep.holds
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from areaflow.curvature import CurvatureBounds, ricci_matrix, sectional
+from areaflow.curvature import CurvatureBounds, bounds_of, ricci_matrix, sectional
 from areaflow.spaces import (
     BackgroundPath,
     ModelSpace,
@@ -30,6 +30,16 @@ class TestCurvatureAt:
         assert b.ric_min == b.ric_max == 6.0
         assert b.scal_min == 24.0
         assert b.chi_ic1 == 0.0
+
+    @pytest.mark.parametrize("dim", [4, 6, 8])
+    def test_fubini_closed_form_matches_optimized_tensor(self, dim):
+        space = ModelSpace("fubini", dim, scale=4.0)
+        closed = bounds(space)
+        measured = bounds_of(*curvature_at(space))
+        for name in ("kappa", "tau", "ric_min", "ric_max", "scal_min",
+                     "scal_max", "ric3_min", "chi_ic1"):
+            a, b = getattr(closed, name), getattr(measured, name)
+            assert abs(a - b) <= 1e-6 * max(1.0, abs(a)), (name, a, b)
 
     def test_custom_has_no_tensor(self):
         cb = CurvatureBounds(3, 1, 4, 2, 2, 6, 6, 2.0, 2.0)
