@@ -50,6 +50,10 @@ class ConditionReport:
 
 
 def _report(condition, slacks, strict_name, unchecked=(), echo=None):
+    for name, v in slacks:
+        if not math.isfinite(v):
+            raise ValueError(f"slack {name} of condition ({condition}) is {v}: "
+                             "the bounds are beyond the float range")
     holds = all(v >= 0 for _, v in slacks)
     strict = holds and dict(slacks)[strict_name] > 0
     return ConditionReport(

@@ -6,10 +6,13 @@ itself evolves:
 
 * periodic flat tori: d/dt f^a = eta^{ij} d_i d_j f^a with
   eta = I + df^T df assembled pointwise (all background Christoffel terms
-  vanish on flat factors).  Each state builds its geometry once: df,
-  eta^{-1} and the Hessian of the map come from one centered stencil over
-  all components, and the right-hand side, the monitor, tr_eta S, its
-  eta^{ij} Laplacian and term I all read that one copy;
+  vanish on flat factors).  df, eta^{-1} and the Hessian of the map come
+  from one centered stencil over all components, written into arrays whose
+  owner the caller picks.  A state owns its geometry: it builds it once,
+  into arrays of its own, and the right-hand side, the monitor, tr_eta S,
+  its eta^{ij} Laplacian and term I all read that one copy.  The stages of
+  a run are not states: they write into one workspace of the run, so a
+  stage allocates only the right-hand side it returns;
 
 * equivariant sphere suspensions f(theta, xi) = (rho(theta), xi) between
   round spheres of radii r_M, r_N:
@@ -46,6 +49,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .profile import s_of
 from .spaces import BackgroundPath, ModelSpace
@@ -102,6 +106,24 @@ class TorusGeometry(NamedTuple):
     hess: np.ndarray  # (n, m, m, grid...): centered Hessian of u, symmetric in (m, m)
 
 
+def _fresh(name: str, shape: tuple) -> np.ndarray:
+    """Buffer owner of a state's geometry: a new array at every request."""
+    return np.empty(shape)
+
+
+class _Workspace(dict):
+    """Buffer owner of one run's stages: one array per (name, shape), made at
+    the first request and handed out again, to be overwritten, at every later
+    one.  Grid-96 fields are larger than glibc's mmap threshold, so fresh ones
+    would map and fault in new pages at every stage."""
+
+    def __call__(self, name: str, shape: tuple) -> np.ndarray:
+        buf = self.get((name, shape))
+        if buf is None:
+            buf = self[name, shape] = np.empty(shape)
+        return buf
+
+
 @dataclass
 class TorusFlowState:
     """Map between flat tori: f(x) = lin @ x + u(x), u periodic.
@@ -112,7 +134,8 @@ class TorusFlowState:
     periodic, so centered stencils never see the winding jump.
 
     A state is a value: ``u`` is read-only after construction, so its
-    ``geometry`` is built once, on first use, and shared by every reader.
+    ``geometry`` is built once, on first use, into arrays of its own, and
+    shared by every reader.
     """
 
     m: int
@@ -137,8 +160,7 @@ class TorusFlowState:
 
     @cached_property
     def geometry(self) -> TorusGeometry:
-        df, hess = _torus_df(self)
-        return TorusGeometry(df, _torus_eta_inv(df, self.m), hess)
+        return _torus_geometry(self.u, self.lin, self.h)
 
 
 _CELLS = {-1: slice(None, -2), 0: slice(1, -1), 1: slice(2, None), None: slice(None)}
@@ -150,18 +172,23 @@ def _cells(ringed, m, moves, rest=0):
     return ringed[(Ellipsis,) + tuple(_CELLS[moves.get(d, rest)] for d in range(m))]
 
 
-def _stencil(a, m: int, h: float):
+def _stencil(a, m: int, h: float, buf=_fresh):
     """Centered gradient (lead, m, grid) and Hessian (lead, m, m, grid) of ``a``
     over its m trailing periodic axes, every leading component at once; each
-    off-diagonal d_j d_i (i < j) is differenced once and mirrored."""
+    off-diagonal d_j d_i (i < j) is differenced once and mirrored.  ``buf``
+    owns the arrays written, the results included."""
     k = a.ndim - m
-    ring = a
-    for ax in range(k, a.ndim):  # one periodic cell on each side
-        ring = np.concatenate([ring.take([-1], ax), ring, ring.take([0], ax)], axis=ax)
-    grad, hess = np.empty((m,) + a.shape), np.empty((m, m) + a.shape)
+    ring = buf("ring", a.shape[:k] + tuple(s + 2 for s in a.shape[k:]))
+    ring[(Ellipsis,) + (slice(1, -1),) * m] = a
+    for d in range(m):  # one periodic cell on each side, axis by axis
+        lead, rest = (Ellipsis,) + (slice(None),) * d, (slice(1, -1),) * (m - d - 1)
+        ring[lead + (0,) + rest] = ring[lead + (-2,) + rest]
+        ring[lead + (-1,) + rest] = ring[lead + (1,) + rest]
+    grad, hess = buf("grad", (m,) + a.shape), buf("hess", (m, m) + a.shape)
     for i in range(m):
         # d_i on the ring of every other axis, so d_j d_i needs no second ring
-        gi = np.subtract(_cells(ring, m, {i: 1}, None), _cells(ring, m, {i: -1}, None))
+        ahead, back = _cells(ring, m, {i: 1}, None), _cells(ring, m, {i: -1}, None)
+        gi = np.subtract(ahead, back, out=buf("gi", ahead.shape))
         gi /= 2.0 * h
         grad[i] = _cells(gi, m, {i: None})
         np.multiply(a, -2.0, out=hess[i, i])
@@ -176,35 +203,52 @@ def _stencil(a, m: int, h: float):
     return np.moveaxis(grad, 0, k), np.moveaxis(hess, (0, 1), (k, k + 1))
 
 
-def _torus_df(st: TorusFlowState):
-    """Differential (n, m, grid) and Hessian (n, m, m, grid) of the map, from one
-    stencil of u; built once per state, by ``TorusFlowState.geometry``."""
-    grad, hess = _stencil(st.u, st.m, st.h)
-    return st.lin.reshape(st.lin.shape + (1,) * st.m) + grad, hess
+def _torus_df(u: np.ndarray, lin: np.ndarray, h: float, buf=_fresh):
+    """Differential (n, m, grid) and Hessian (n, m, m, grid) of the map x -> lin @ x
+    + u(x), from one stencil of u."""
+    m = lin.shape[1]
+    grad, hess = _stencil(u, m, h, buf)
+    return np.add(lin.reshape(lin.shape + (1,) * m), grad, out=buf("df", grad.shape)), hess
 
 
-def _torus_eta_inv(df: np.ndarray, m: int) -> np.ndarray:
+def _torus_eta_inv(df: np.ndarray, m: int, buf=_fresh) -> np.ndarray:
     """Inverse induced metric per grid point; aborts where det eta <= 0."""
-    eta = np.eye(m).reshape((m, m) + (1,) * (df.ndim - 2)) + np.einsum(
-        "ai...,aj...->ij...", df, df)
+    grid = df.shape[2:]
+    eta = np.einsum("ai...,aj...->ij...", df, df, out=buf("eta", (m, m) + grid))
+    eta += np.eye(m).reshape((m, m) + (1,) * len(grid))
     if m == 2:
-        det = eta[0, 0] * eta[1, 1] - eta[0, 1] ** 2
+        det = np.multiply(eta[0, 0], eta[1, 1], out=buf("det", grid))
+        det -= np.square(eta[0, 1], out=buf("square", grid))
         if det.min() <= 0:
             raise FlowAbort("induced metric lost positive definiteness")
-        inv = eta[::-1, ::-1] / det  # eta is symmetric: flip, then negate off the diagonal
+        # eta is symmetric: flip, then negate off the diagonal
+        inv = np.divide(eta[::-1, ::-1], det, out=buf("inv", (m, m) + grid))
         inv[0, 1] *= -1.0
         inv[1, 0] *= -1.0
     else:
+        # the gufuncs behind np.linalg.det and np.linalg.inv, which take no out=
         eta_p = np.moveaxis(eta, (0, 1), (-2, -1))
-        if np.linalg.det(eta_p).min() <= 0:
+        if _umath_linalg.det(eta_p, out=buf("det", grid)).min() <= 0:
             raise FlowAbort("induced metric lost positive definiteness")
-        inv = np.moveaxis(np.linalg.inv(eta_p), (-2, -1), (0, 1))
+        inv = np.moveaxis(_umath_linalg.inv(eta_p, out=buf("inv", grid + (m, m))),
+                          (-2, -1), (0, 1))
     return inv
 
 
-def torus_rhs(st: TorusFlowState) -> np.ndarray:
-    g = st.geometry
+def _torus_geometry(u: np.ndarray, lin: np.ndarray, h: float, buf=_fresh) -> TorusGeometry:
+    """df, eta^{-1} and the Hessian of the map from one stencil of u, written
+    into arrays ``buf`` owns."""
+    df, hess = _torus_df(u, lin, h, buf)
+    return TorusGeometry(df, _torus_eta_inv(df, lin.shape[1], buf), hess)
+
+
+def _eta_laplacian(g: TorusGeometry) -> np.ndarray:
+    """eta^{ij} d_i d_j f^a, the right-hand side of the flow, as a new array."""
     return np.einsum("ij...,aij...->a...", g.inv, g.hess)
+
+
+def torus_rhs(st: TorusFlowState) -> np.ndarray:
+    return _eta_laplacian(st.geometry)
 
 
 def torus_cfl_dt(st: TorusFlowState, cfl: float = 0.4) -> float:
@@ -213,8 +257,11 @@ def torus_cfl_dt(st: TorusFlowState, cfl: float = 0.4) -> float:
 
 
 def _torus_field(st: TorusFlowState):
-    """Right-hand side (u, t) -> u_t of the run ``st`` starts, one fresh state per call."""
-    return lambda u, t: torus_rhs(TorusFlowState(st.m, st.n, st.period, st.lin, u, t))
+    """Right-hand side (u, t) -> u_t of the run ``st`` starts.  Every stage
+    writes its geometry into one workspace of the run, so the returned u_t is
+    the only new array."""
+    work = _Workspace()
+    return lambda u, t: _eta_laplacian(_torus_geometry(u, st.lin, st.h, work))
 
 
 def torus_step(st: TorusFlowState, dt: float) -> TorusFlowState:
@@ -224,10 +271,20 @@ def torus_step(st: TorusFlowState, dt: float) -> TorusFlowState:
 
 
 def torus_lambdas(st: TorusFlowState) -> np.ndarray:
-    """Descending singular values per grid point, shape (points, m)."""
-    pts = st.geometry.df.reshape(st.n, st.m, -1).transpose(2, 0, 1)
-    w = np.linalg.eigvalsh(np.einsum("pai,paj->pij", pts, pts))
-    return np.sqrt(np.clip(w, 0.0, None))[:, ::-1]
+    """Descending singular values per grid point, shape (points, m): the square
+    roots of the eigenvalues of g = df^T df, in closed form for m = 2."""
+    df = st.geometry.df.reshape(st.n, st.m, -1)
+    if st.m > 2:
+        pts = df.transpose(2, 0, 1)
+        w = np.linalg.eigvalsh(np.einsum("pai,paj->pij", pts, pts))[:, ::-1]
+    else:
+        (g00, g01), (_, g11) = np.einsum("aip,ajp->ijp", df, df)
+        w = np.zeros((2, df.shape[-1]))
+        w[0] = 0.5 * (g00 + g11) + np.hypot(0.5 * (g00 - g11), g01)
+        # the small root as det g / w_1, where tr/2 - sqrt(...) would cancel
+        np.divide(g00 * g11 - g01**2, w[0], out=w[1], where=w[0] > 0)
+        w = w.T
+    return np.sqrt(np.clip(w, 0.0, None))
 
 
 def torus_monitor(st: TorusFlowState):

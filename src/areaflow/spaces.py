@@ -21,6 +21,7 @@ until t = 1/L, with sectional curvature scaled by 1/(1 - L t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,20 @@ class ModelSpace:
             raise ValueError("constant-curvature space needs a curvature value")
         if self.kind == "custom" and self.bounds_override is None:
             raise ValueError("custom space needs bounds_override")
-        if self.einstein_const is None:
-            object.__setattr__(self, "einstein_const", self._auto_einstein())
+        if self.einstein_const is not None:
+            if self.kind != "custom":
+                raise ValueError(f"einstein_const of a {self.kind} space follows from its "
+                                 "curvature; only custom spaces take an explicit one")
+            return
+        try:
+            einstein = self._auto_einstein()
+        except (OverflowError, ZeroDivisionError):  # scale**2 left the float range
+            einstein = math.inf
+        if einstein is not None and not math.isfinite(einstein):
+            name = "curvature" if self.kind == "constant" else "scale"
+            raise ValueError(f"{name} {getattr(self, name)} puts the curvature of a "
+                             f"{self.kind} space out of the float range")
+        object.__setattr__(self, "einstein_const", einstein)
 
     def _auto_einstein(self) -> float | None:
         if self.kind == "sphere":

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as hs
 
 import areaflow
-from areaflow.cli import _DEMO_AUDITS, _suite_pass, main, parse_space
-from areaflow.conditions import audit_conditions
+from areaflow.cli import _CUSTOM_KEYS, _DEMO_AUDITS, _suite_pass, main, parse_space
+from areaflow.conditions import CONDITIONS, audit_conditions
 from areaflow.evolution import GAP_TOL
+from areaflow.persist import to_json
 from areaflow.spaces import ModelSpace, bounds
 
 
@@ -299,3 +304,85 @@ class TestPersist:
 
         assert FlowConfig(case="torus").grid == 64
         assert FlowConfig(case="equivariant").grid == 512
+
+
+# Spec values over the whole float range, and text the parser must refuse.
+SPEC_NUMBERS = (hs.floats(allow_nan=True, allow_infinity=True).map(repr)
+                | hs.sampled_from(["", "x", "1e400", "-0", "4", "0.25", "1e200", "1e-200",
+                                   "5e307", "-5e307"]))
+
+
+@hs.composite
+def space_specs(draw):
+    """kind:dim:value specs, valid and not; dims stay small, though the closed-form
+    bounds build no tensor (fubini:1000:4 would be 1000^4 floats if one did)."""
+    kind = draw(hs.sampled_from(["sphere", "fubini", "torus", "constant", "custom",
+                                 "blob", ""]))
+    dim = draw(hs.integers(-1, 9).map(str) | hs.sampled_from(["", "x", "2.5"]))
+    if kind != "custom":
+        return f"{kind}:{dim}:{draw(SPEC_NUMBERS)}"
+    # a constant-curvature template, so that some custom specs are consistent
+    c, d = draw(hs.floats(-10.0, 10.0)), max(2, int(dim) if dim.lstrip("-").isdigit() else 2)
+    values = {"kappa": c, "tau": c, "ric_min": (d - 1) * c, "ric_max": (d - 1) * c,
+              "scal_min": d * (d - 1) * c, "scal_max": d * (d - 1) * c, "ric3": 2 * c,
+              "chi": c, "einstein": (d - 1) * c}
+    items = [f"{k}={v!r}" for k, v in values.items()]
+    for _ in range(draw(hs.integers(0, 2))):  # drop, replace or add an item
+        i = draw(hs.integers(0, len(items) - 1))
+        key = draw(hs.sampled_from(sorted(_CUSTOM_KEYS) + ["zap"]))
+        items[i:i + 1] = draw(hs.sampled_from([[], [f"{key}={draw(SPEC_NUMBERS)}"]]))
+    return f"custom:{dim}:{','.join(items)}"
+
+
+def run_cli(args):
+    """Exit code and the JSON of stdout (exit 0) or stderr (exit 1)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    assert code in (0, 1), args
+    stream = out if code == 0 else err
+    return code, json.loads(stream.getvalue())
+
+
+def numbers(payload, key=None):
+    """(key, value) of every number and null in a JSON payload."""
+    if isinstance(payload, dict):
+        for k, v in payload.items():
+            yield from numbers(v, k)
+    elif isinstance(payload, list):
+        for v in payload:
+            yield from numbers(v, key)
+    elif payload is None or (isinstance(payload, (int, float)) and not isinstance(payload, bool)):
+        yield key, payload
+
+
+def assert_finite(payload):
+    """Every number finite; a null only for ric3_min, undefined on surfaces."""
+    for key, v in numbers(payload):
+        assert v is None and key == "ric3_min" or v is not None and math.isfinite(v), (key, v)
+
+
+class TestSpecFuzz:
+    @settings(max_examples=300, deadline=1000, derandomize=True)
+    @given(space_specs())
+    def test_spec_parses_cleanly_or_is_refused(self, spec):
+        try:
+            b = bounds(parse_space(spec))
+        except ValueError:
+            return
+        assert_finite(json.loads(to_json(b.to_dict())))
+
+    @settings(max_examples=200, deadline=1000, derandomize=True)
+    @example("custom:9:kappa=8e307,tau=8e307,ric_min=0,ric_max=0,scal_min=0,scal_max=0,"
+             "ric3=1.6e308,chi=0", "sphere:9:1", ["B"])  # finite bounds, sec_gap overflows
+    @example("sphere:3:1e200", "sphere:3:1e-200", ["A"])  # 1/scale^2 leaves the float range
+    @given(space_specs(), space_specs(),
+           hs.lists(hs.sampled_from(CONDITIONS + ("Z",)), min_size=1, max_size=3))
+    def test_audit_and_pic1_exit_cleanly(self, spec_m, spec_n, conds):
+        for args in (["pic1", "--space", spec_m],
+                     ["audit", "--m", spec_m, "--n", spec_n, "--conditions", ",".join(conds)]):
+            code, payload = run_cli(args)
+            if code == 1:
+                assert isinstance(payload["error"], str)
+            else:
+                assert_finite(payload)

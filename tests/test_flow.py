@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,10 +150,10 @@ def assert_close(got, ref):
     assert (abs(got - ref) <= 1e-12 * np.maximum(1.0, abs(ref))).all()
 
 
-def wound_state(m, n, seed=0):
-    """A smooth random map with a nonzero winding on a small grid."""
+def wound_state(m, n, seed=0, grid=None):
+    """A smooth random map with a nonzero winding, on a small grid by default."""
     rng = np.random.default_rng([seed, m, n])
-    grid = 12 if m == 2 else 8
+    grid = grid or (12 if m == 2 else 8)
     x = np.arange(grid) * (2 * math.pi / grid)
     mesh = np.meshgrid(*([x] * m), indexing="ij")
     u = np.zeros((n,) + (grid,) * m)
@@ -216,6 +217,86 @@ class TestTorusReference:
         assert np.array_equal(torus_step(mid, dt).u, torus_step(fresh, dt).u)
         with pytest.raises(ValueError, match="read-only"):
             mid.u[0] += 1.0
+
+
+def ref_lambdas(st):
+    """Descending singular values per grid point by the batched eigvalsh of
+    df^T df that the m = 2 closed form replaced: its reference."""
+    pts = st.geometry.df.reshape(st.n, st.m, -1).transpose(2, 0, 1)
+    w = np.linalg.eigvalsh(np.einsum("pai,paj->pij", pts, pts))
+    return np.sqrt(np.clip(w, 0.0, None))[:, ::-1]
+
+
+def s_and_products(lam):
+    """The monitor triple from singular values: min S_11 + S_22, max lambda and
+    max lambda_1 lambda_2."""
+    s = s_of(lam)
+    return float((s[:, 0] + s[:, 1]).min()), float(lam.max()), float((lam[:, 0] * lam[:, 1]).max())
+
+
+class TestTorusWorkspace:
+    """A run's stages write their geometry into one workspace, not a new state's."""
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_stage_is_the_rhs_of_a_fresh_state(self, m, n):
+        st = wound_state(m, n)
+        assert np.array_equal(flow._torus_field(st)(st.u, 0.0), torus_rhs(wound_state(m, n)))
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_stages_do_not_share_results(self, m, n):
+        st = wound_state(m, n)
+        u1, u2 = st.u, torus_step(st, torus_cfl_dt(st)).u
+        field = flow._torus_field(st)
+        first = field(u1, 0.0)
+        kept = first.copy()
+        second = field(u2, 0.0)
+        again = field(u1, 0.0)
+        assert np.array_equal(first, kept) and np.array_equal(again, kept)
+        assert not np.array_equal(second, kept)
+
+    # numpy's ufunc iterator buffers up to 8192 elements per operand at every
+    # call; on these grids the state is large enough to dwarf them
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_stage_allocates_only_its_result(self, m, n):
+        st = wound_state(m, n, grid=96 if m == 2 else 24)
+        field = flow._torus_field(st)
+        field(st.u, 0.0)
+        tracemalloc.start()
+        try:
+            field(st.u, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * st.u.nbytes
+
+
+class TestTorusLambdas:
+    """m = 2 takes the eigenvalues of the 2 x 2 pullback metric in closed form."""
+
+    @staticmethod
+    def assert_squares_close(st):
+        got, ref = flow.torus_lambdas(st), ref_lambdas(st)
+        assert got.shape == ref.shape and np.isfinite(got).all()
+        assert abs(got**2 - ref**2).max() <= 1e-12 * max(1.0, (ref**2).max())
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_wound_states(self, n):
+        st = wound_state(2, n)
+        self.assert_squares_close(st)
+        got, ref = torus_monitor(st), s_and_products(ref_lambdas(st))
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    def test_rank_one_differential(self):
+        grid = 12
+        x = np.arange(grid) * (2 * math.pi / grid)
+        u = 0.2 * (np.sin(x)[:, None] * np.cos(x)[None, :])[None]
+        self.assert_squares_close(torus_state(grid=grid, lin=[[1.0, -1.0]], u=u, n=1))
+
+    def test_zero_map(self):
+        st = torus_state(grid=8)
+        self.assert_squares_close(st)
+        assert (flow.torus_lambdas(st) == 0.0).all()
+        assert torus_monitor(st) == (2.0, 0.0, 0.0)
 
 
 class TestTorusStep:

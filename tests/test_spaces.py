@@ -147,6 +147,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             BackgroundPath(sp, "ricci")
 
+    @pytest.mark.parametrize("kind", ["sphere", "fubini", "torus", "constant"])
+    def test_explicit_einstein_only_for_custom(self, kind):
+        # an explicit constant would contradict the curvature: sphere:3 with 5.0
+        # made the ricci path die at 0.2 instead of 1/2
+        kw = {"curvature": 1.0} if kind == "constant" else {}
+        with pytest.raises(ValueError, match="einstein_const"):
+            ModelSpace(kind, 4, einstein_const=5.0, **kw)
+        assert BackgroundPath(ModelSpace("sphere", 3), "ricci").t_max == 0.5
+        cb = CurvatureBounds(3, 0, 1, 0, 2, 0, 6, 0.0, 0.0)
+        custom = ModelSpace("custom", 3, bounds_override=cb, einstein_const=2.0)
+        assert BackgroundPath(custom, "ricci").t_max == 0.5
+
     @pytest.mark.parametrize("kind,key", [("sphere", "scale"), ("fubini", "scale"),
                                           ("torus", "scale"), ("constant", "curvature"),
                                           ("sphere", "einstein_const")])
