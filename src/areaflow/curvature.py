@@ -9,11 +9,14 @@ Extremal quantities over non-coordinate frames (sectional range, the partial
 Ricci minimum over 3-frames, the isotropic-curvature shift chi_ic1) are
 computed by multi-start frame optimization: random orthonormal starts from QR
 of Gaussian matrices, then Riemannian gradient descent on the Stiefel
-manifold.  Every objective is a sum of contractions R(a,b,c,d) of its frame
-vectors, evaluated by one batched kernel on the (dim^2, dim^2) matrix of the
-tensor, and its analytic Euclidean gradient comes from the partial
-R(., b, c, d) of the same kernel; the optimizer requires that gradient
-(``gradient=``) and projects it onto the tangent space of the frame.
+manifold, whose backtracking line search tries a ladder of halved steps per
+start in two batched calls and takes each start's first sufficient decrease,
+the step that halving one trial at a time would accept.  Every objective is
+a sum of contractions R(a,b,c,d) of its frame vectors, evaluated by one
+batched kernel on the (dim^2, dim^2) matrix of the tensor, and its analytic
+Euclidean gradient comes from the partial R(., b, c, d) of the same kernel;
+the optimizer requires that gradient (``gradient=``) and projects it onto
+the tangent space of the frame.
 Results are deterministic under a fixed seed and exact in practice on the
 homogeneous model spaces this library targets.
 """
@@ -398,6 +401,12 @@ def _stiefel_gradient(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - x @ (0.5 * (xtg + np.swapaxes(xtg, -1, -2)))
 
 
+# Halving rungs per objective call: a start that improved last step grew its
+# step 1.5x, so one halving returns below its last accepted step and rungs 0-1
+# serve almost every improving start; rungs 2-24 run only for the rest.
+_LADDER = (2, 23)
+
+
 def minimize_over_frames(
     objective,
     dim: int,
@@ -416,8 +425,13 @@ def minimize_over_frames(
     (B,) array, and the required ``gradient`` maps the same batch to the
     objective's Euclidean gradient in the matrix entries, shaped (B, dim, k).
     Descent runs all random starts in lockstep: the gradient projected onto
-    the Stiefel tangent space (one batched gradient call), a QR retraction,
-    and per-start backtracking; converged starts drop out of the batch.
+    the Stiefel tangent space (one batched gradient call), then a backtracking
+    line search on a halving ladder.  Each start's trial steps lr, lr/2, ...
+    (25 rungs) are stacked, QR-retracted and evaluated as one batch, in two
+    calls: rungs 0-1 for every start, rungs 2-24 only for starts still
+    without a sufficient decrease.  A start takes its first passing rung,
+    which is the step sequential halving would accept, with the same step
+    values; converged starts drop out of the batch.
     ``structured`` frames are evaluated but not descended (they are exact
     candidates such as coordinate frames).  Deterministic under ``seed``;
     ties resolve to the lowest start index.
@@ -447,19 +461,25 @@ def minimize_over_frames(
         step = _stiefel_gradient(xa, gradient(xa))
         improved = np.zeros(idx.size, dtype=bool)
         lra = lr[idx].copy()
-        for _ in range(25):
+        for rungs in _LADDER:
             todo = np.flatnonzero(~improved)
             if todo.size == 0:
                 break
-            trial = _qr_frames(x[idx[todo]] - lra[todo, None, None] * step[todo])
-            ft = objective(trial)
+            # row j: lra halved j times, one multiplication after another
+            steps = np.cumprod(np.concatenate(
+                [lra[todo][None], np.full((rungs - 1, todo.size), 0.5)]), axis=0)
+            trial = _qr_frames(x[idx[todo]] - steps[:, :, None, None] * step[todo])
+            ft = objective(trial.reshape(-1, dim, k)).reshape(rungs, todo.size)
             ref = fx[idx[todo]]
             better = ft < ref - tol * np.maximum(1.0, np.abs(ref))
-            hit = idx[todo[better]]
-            x[hit] = trial[better]
-            fx[hit] = ft[better]
-            improved[todo[better]] = True
-            lra[todo[~better]] *= 0.5
+            ok = better.any(axis=0)
+            rung = better.argmax(axis=0)[ok]  # first passing rung of each start
+            hit = idx[todo[ok]]
+            x[hit] = trial[rung, ok]
+            fx[hit] = ft[rung, ok]
+            improved[todo[ok]] = True
+            lra[todo[ok]] = steps[rung, ok]
+            lra[todo[~ok]] = steps[-1, ~ok] * 0.5
         lr[idx] = np.where(improved, lra * 1.5, lra)
         active[idx] = improved | (lra > 1e-12)
         if not improved.any():

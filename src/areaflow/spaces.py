@@ -52,6 +52,10 @@ class ModelSpace:
             raise ValueError(f"unknown space kind {self.kind!r}")
         if self.dim < 2:
             raise ValueError("need dim >= 2")
+        try:
+            float(self.dim)
+        except OverflowError:
+            raise ValueError("dim is out of the float range") from None
         for name in ("scale", "curvature", "einstein_const"):
             v = getattr(self, name)
             if v is not None and not np.isfinite(v):
@@ -78,6 +82,11 @@ class ModelSpace:
             raise ValueError(f"{name} {getattr(self, name)} puts the curvature of a "
                              f"{self.kind} space out of the float range")
         object.__setattr__(self, "einstein_const", einstein)
+        try:
+            bounds(self)
+        except (OverflowError, ValueError):  # d(d-1)c and the like left the float range
+            raise ValueError(f"dim {self.dim} puts the closed-form bounds of a "
+                             f"{self.kind} space out of the float range") from None
 
     def _auto_einstein(self) -> float | None:
         if self.kind == "sphere":

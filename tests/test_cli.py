@@ -99,6 +99,19 @@ class TestAuditCommand:
         assert main(args) == 1
         assert f"{field} must be finite" in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.mark.parametrize("kind, value", [("sphere", "1"), ("fubini", "4"),
+                                             ("torus", "1"), ("constant", "1")])
+    def test_dim_past_the_float_range_exits_1_with_json_error(self, kind, value, capsys):
+        spec = f"{kind}:1{'0' * 400}:{value}"
+        for args in (["pic1", "--space", spec], ["audit", "--m", spec, "--n", "sphere:3:1"]):
+            assert main(args) == 1
+            assert "dim" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("spec", ["sphere:1" + "0" * 160 + ":1", "constant:4:5e307"])
+    def test_dim_that_overflows_the_bounds_exits_1_with_json_error(self, spec, capsys):
+        assert main(["pic1", "--space", spec]) == 1
+        assert "dim" in json.loads(capsys.readouterr().err)["error"]
+
     def test_missing_custom_keys_named_as_the_parser_reads_them(self, capsys):
         assert main(["pic1", "--space", "custom:4:kappa=1,tau=4"]) == 1
         err = json.loads(capsys.readouterr().err)["error"]
@@ -386,3 +399,16 @@ class TestSpecFuzz:
                 assert isinstance(payload["error"], str)
             else:
                 assert_finite(payload)
+
+
+class TestVerifyFuzz:
+    @settings(max_examples=40, deadline=2000, derandomize=True)
+    @example(8, 2**64 + 1)  # seeds past 64 bits are accepted
+    @given(hs.integers(1, 8), hs.integers(0, 10**30))
+    def test_small_sweeps_pass_or_fail_cleanly(self, sweep, seed):
+        code, payload = run_cli(["verify-identities", "--sweep", str(sweep),
+                                 "--seed", str(seed)])
+        if code == 1:
+            assert isinstance(payload["error"], str)
+        else:
+            assert payload["pass"] is True and payload["requested_sweep"] == sweep

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from areaflow.curvature import (
     chi_ic1,
     constant_curvature_tensor,
     kulkarni_nomizu,
+    minimize_over_frames,
     pic1_defect,
     product_curvature,
     ric3_min,
@@ -113,6 +116,83 @@ class TestKernel:
             xn = np.swapaxes(x, 1, 2) @ (g - step)
             assert abs(xn - np.swapaxes(xn, 1, 2)).max() <= 1e-12
             assert abs(g - step - x @ xn).max() <= 1e-12
+
+
+def sequential_minimize(objective, dim, k, *, gradient, n_starts=64, seed=0,
+                        structured=None, max_iter=120, tol=1e-13):
+    """The optimizer with one retraction and one objective call per halving,
+    as it was before the batched ladder: the reference."""
+    rng = np.random.default_rng(seed)
+    x = _qr_frames(rng.standard_normal((n_starts, dim, k)))
+    fx = objective(x)
+    best_struct = None
+    if structured is not None and len(structured):
+        s = _qr_frames(np.asarray(structured, dtype=float))
+        fs = objective(s)
+        j = int(np.argmin(fs))
+        best_struct = (float(fs[j]), s[j])
+    lr = np.full(n_starts, 0.1)
+    active = np.ones(n_starts, dtype=bool)
+    for _ in range(max_iter):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        xa = x[idx]
+        step = _stiefel_gradient(xa, gradient(xa))
+        improved = np.zeros(idx.size, dtype=bool)
+        lra = lr[idx].copy()
+        for _ in range(25):
+            todo = np.flatnonzero(~improved)
+            if todo.size == 0:
+                break
+            trial = _qr_frames(x[idx[todo]] - lra[todo, None, None] * step[todo])
+            ft = objective(trial)
+            ref = fx[idx[todo]]
+            better = ft < ref - tol * np.maximum(1.0, np.abs(ref))
+            hit = idx[todo[better]]
+            x[hit] = trial[better]
+            fx[hit] = ft[better]
+            improved[todo[better]] = True
+            lra[todo[~better]] *= 0.5
+        lr[idx] = np.where(improved, lra * 1.5, lra)
+        active[idx] = improved | (lra > 1e-12)
+        if not improved.any():
+            break
+    i = int(np.argmin(fx))
+    out = (float(fx[i]), x[i])
+    if best_struct is not None and best_struct[0] <= out[0]:
+        out = best_struct
+    return out
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("value, grad, k", OBJECTIVES)
+    @pytest.mark.parametrize("dim, seed", [(4, 0), (4, 7), (5, 0), (5, 7)])
+    def test_matches_sequential_backtracking(self, value, grad, k, dim, seed):
+        m = _pair_matrix(random_tensor(dim, np.random.default_rng(100 + dim + seed)).comp)
+        kw = dict(gradient=partial(grad, m), n_starts=16, seed=seed)
+        got, frame = minimize_over_frames(partial(value, m), dim, k, **kw)
+        ref, _ = sequential_minimize(partial(value, m), dim, k, **kw)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert frame.shape == (dim, k)
+        assert abs(frame.T @ frame - np.eye(k)).max() <= 1e-12
+
+    def test_at_most_two_objective_calls_per_descent_step(self):
+        m = _pair_matrix(random_tensor(5, np.random.default_rng(3)).comp)
+        calls = {"objective": 0, "gradient": 0}
+
+        def counted(name, fn):
+            def wrapped(x):
+                calls[name] += 1
+                return fn(m, x)
+            return wrapped
+
+        minimize_over_frames(counted("objective", _ric3_value), 5, 3,
+                             gradient=counted("gradient", _ric3_grad),
+                             structured=np.eye(5)[None, :, :3])
+        assert calls["gradient"] >= 10
+        # two initial evaluations: the random starts and the structured frames
+        assert calls["objective"] <= 2 * calls["gradient"] + 2
 
 
 class TestKulkarniNomizu:
