@@ -12,7 +12,10 @@ itself evolves:
   into arrays of its own, and the right-hand side, the monitor, tr_eta S,
   its eta^{ij} Laplacian and term I all read that one copy.  The stages of
   a run are not states: they write into one workspace of the run, so a
-  stage allocates only the right-hand side it returns;
+  stage allocates only the right-hand side it returns.  A run's rows read
+  the right-hand side the march evaluated at their time and the geometry
+  that evaluation wrote into the stage workspace, and their residual writes
+  its scratch into a second workspace of the run;
 
 * equivariant sphere suspensions f(theta, xi) = (rho(theta), xi) between
   round spheres of radii r_M, r_N:
@@ -35,9 +38,12 @@ Both reductions march with one second-order Runge-Kutta-Chebyshev stepper
 (RKC2) on whole arrays: each record interval is split into equal steps of at
 most h, so the time error is O(h^2) like the spatial one, and each step takes
 the fewest stages whose stability interval covers the CFL bound, so ``cfl``
-keeps its meaning as the fraction of the stability interval used.
-``MAX_STEPS`` caps the right-hand-side evaluations of a run: a run planned
-beyond it is refused, one that outgrows it is aborted.
+keeps its meaning as the fraction of the stability interval used.  The
+right-hand side the march evaluates at a row's time serves the row and is the
+next step's first stage.  ``MAX_STEPS`` caps the right-hand-side evaluations
+of a run: a run planned beyond it is refused, one that outgrows it is
+aborted.  Every row, the one at t = 0 included, aborts a run whose largest
+stretch passes ``LAMBDA_ABORT``.
 """
 
 from __future__ import annotations
@@ -259,9 +265,30 @@ def torus_cfl_dt(st: TorusFlowState, cfl: float = 0.4) -> float:
 def _torus_field(st: TorusFlowState):
     """Right-hand side (u, t) -> u_t of the run ``st`` starts.  Every stage
     writes its geometry into one workspace of the run, so the returned u_t is
-    the only new array."""
+    the only new array; the field's ``geometry`` is the last one it wrote,
+    valid until its next call."""
     work = _Workspace()
-    return lambda u, t: _eta_laplacian(_torus_geometry(u, st.lin, st.h, work))
+
+    def rhs(u, t):
+        rhs.geometry = _torus_geometry(u, st.lin, st.h, work)
+        return _eta_laplacian(rhs.geometry)
+
+    return rhs
+
+
+def _torus_record(st: TorusFlowState, field):
+    """Row function (u, t, f) -> row of the run ``st`` starts, called right after
+    ``field`` gave f = u_t at (u, t).  The row's state borrows the geometry that
+    call wrote, so no row builds one, and its residual writes its scratch into
+    a second workspace of the run."""
+    rows = _Workspace()
+
+    def record(u, t, f):
+        now = TorusFlowState(st.m, st.n, st.period, st.lin, u, t)
+        vars(now)["geometry"] = field.geometry  # primes the cached_property
+        return (*torus_monitor(now), torus_evolution_residual(now, f, rows), 1.0, 1.0)
+
+    return record
 
 
 def torus_step(st: TorusFlowState, dt: float) -> TorusFlowState:
@@ -294,58 +321,76 @@ def torus_monitor(st: TorusFlowState):
     return m_of, float(lam.max()), float((lam[:, 0] * lam[:, 1]).max())
 
 
-def _torus_sigma(st: TorusFlowState) -> np.ndarray:
+def _torus_sigma(st: TorusFlowState, buf=_fresh) -> np.ndarray:
     """tr_eta S = 2 tr(eta^{-1}) - m, the scalar whose evolution is checked."""
-    return 2.0 * np.einsum("ii...->...", st.geometry.inv) - st.m
+    sigma = np.einsum("ii...->...", st.geometry.inv, out=buf("sigma", st.u.shape[1:]))
+    sigma *= 2.0
+    sigma -= st.m
+    return sigma
 
 
-def _square(a: np.ndarray) -> np.ndarray:
+def _square(a: np.ndarray, out=None) -> np.ndarray:
     """Pointwise matrix square of a (k, k, grid...) field."""
-    return np.einsum("ij...,jk...->ik...", a, a)
+    return np.einsum("ij...,jk...->ik...", a, a, out=out)
 
 
-def _torus_term_one(st: TorusFlowState) -> np.ndarray:
+def _torus_term_one(st: TorusFlowState, buf=_fresh) -> np.ndarray:
     """sum_i term_I at every grid point: 2 (S_ii + S_aa) |A[a,i,l]|^2 summed.
 
     In the adapted graph frame <A(e_i, e_l), nu_a> = hess[b,k,q] e_i^k e_l^q
     nu_a^b (the Christoffel part of A is tangential, so the normals annihilate
     it), and every frame sum is a matrix function of df:
     sum_l e_l e_l^T = eta^{-1}, sum_i S_ii e_i e_i^T = 2 eta^{-2} - eta^{-1},
-    sum_a nu_a nu_a^T = zeta^{-1} = I - df eta^{-1} df^T (zeta = I + df df^T,
-    by Woodbury) and sum_a S_aa nu_a nu_a^T = 2 zeta^{-2} - zeta^{-1}.  The
-    zero singular values of a non-square df (S = 1) come out right on both sides.
+    sum_a nu_a nu_a^T = Z = zeta^{-1} = I - df eta^{-1} df^T (zeta = I + df df^T,
+    by Woodbury) and sum_a S_aa nu_a nu_a^T = 2 Z^2 - Z.  The zero singular
+    values of a non-square df (S = 1) come out right on both sides.  With
+    G_b = eta^{-1} hess_b, T_ab = tr(G_b G_a) and U_ab = tr(eta^{-1} G_b G_a)
+    the sum is 4 sum_ab [Z_ab U_ab + (Z^2 - Z)_ab T_ab].  ``buf`` owns the
+    arrays written, the result included.
     """
-    g = st.geometry
-    inv = g.inv
-    n = st.n
-    zeta_inv = np.eye(n).reshape((n, n) + (1,) * st.m) - np.einsum(
-        "ai...,ij...,bj...->ab...", g.df, inv, g.df)
-    b_inv = np.einsum("bkq...,ql...->bkl...", g.hess, inv)
-    # tangent weights on the first slot, normal weights on the component
-    s_tan = np.einsum("jk...,bkl...->bjl...", 2.0 * _square(inv) - inv, b_inv)
-    plain = np.einsum("jk...,bkl...->bjl...", inv, b_inv)
-    weighted = (np.einsum("ab...,bjl...->ajl...", zeta_inv, s_tan)
-                + np.einsum("ab...,bjl...->ajl...", 2.0 * _square(zeta_inv) - zeta_inv, plain))
-    return 2.0 * np.einsum("ajl...,ajl...->...", weighted, g.hess)
+    g, n = st.geometry, st.n
+    grid = st.u.shape[1:]
+    pair = (n, n) + grid
+    z = np.einsum("ai...,ij...,bj...->ab...", g.df, g.inv, g.df, out=buf("zeta_inv", pair))
+    np.negative(z, out=z)
+    for a in range(n):
+        z[a, a] += 1.0
+    gb = np.einsum("ij...,bjk...->bik...", g.inv, g.hess, out=buf("g_b", g.hess.shape))
+    k = np.einsum("ij...,bjk...->bik...", g.inv, gb, out=buf("k_b", g.hess.shape))
+    t = np.einsum("bij...,aji...->ab...", gb, gb, out=buf("t_ab", pair))
+    u = np.einsum("bij...,aji...->ab...", k, gb, out=buf("u_ab", pair))
+    zz = _square(z, out=buf("zz", pair))
+    zz -= z
+    term = np.einsum("ab...,ab...->...", z, u, out=buf("term_one", grid))
+    term += np.einsum("ab...,ab...->...", zz, t, out=buf("zz_t", grid))
+    term *= 4.0
+    return term
 
 
-def torus_evolution_residual(st: TorusFlowState) -> float:
+def torus_evolution_residual(st: TorusFlowState, f=None, buf=_fresh) -> float:
     """Max-norm defect of the scalar evolution identity on one state.
 
     d_t sigma - eta^{ij} d_i d_j sigma - sum_i term_I with sigma = tr_eta S,
     evaluated on the integrated (reparametrized) solution, where the
     reparametrizing drift combines with the rough Laplacian into the plain
     eta^{ij} second-difference form.  The time derivative comes from the
-    right-hand side by the chain rule: d_t sigma = 2 tr d_t eta^{-1} =
-    -2 tr(eta^{-1} d_t eta eta^{-1}), d_t eta = d(f_t)^T df + df^T d(f_t), with
-    d(f_t) the stencil gradient of ``torus_rhs``.
+    right-hand side f = ``torus_rhs`` (a run passes the one its march already
+    has) by the chain rule: d_t sigma = 2 tr d_t eta^{-1} =
+    -2 tr(eta^{-1} d_t eta eta^{-1}), d_t eta = d(f)^T df + df^T d(f), with
+    d(f) the stencil gradient of f.  ``buf`` owns the scratch arrays.
     """
-    g = st.geometry
-    df_t = _stencil(torus_rhs(st), st.m, st.h)[0]
-    sig_t = -4.0 * np.einsum("ai...,ai...->...", df_t,
-                             np.einsum("ij...,aj...->ai...", _square(g.inv), g.df))
-    lap = np.einsum("ij...,ij...->...", g.inv, _stencil(_torus_sigma(st), st.m, st.h)[1])
-    return float(abs(sig_t - lap - _torus_term_one(st)).max())
+    g, m, h = st.geometry, st.m, st.h
+    grid = st.u.shape[1:]
+    f = torus_rhs(st) if f is None else f
+    df_t = _stencil(f, m, h, buf)[0]
+    inv_df = np.einsum("ij...,aj...->ai...", _square(g.inv, out=buf("inv2", g.inv.shape)),
+                       g.df, out=buf("inv_df", g.df.shape))
+    res = np.einsum("ai...,ai...->...", df_t, inv_df, out=buf("residual", grid))
+    res *= -4.0
+    hess = _stencil(_torus_sigma(st, buf), m, h, buf)[1]
+    res -= np.einsum("ij...,ij...->...", g.inv, hess, out=buf("lap", grid))
+    res -= _torus_term_one(st, buf)
+    return float(np.abs(res, out=res).max())
 
 
 # ---------------------------------------------------------------------------
@@ -509,15 +554,15 @@ def _rkc_coefficients(s: int):
     return tuple(mu), tuple(nu), tuple(mut), tuple(gam), tuple(c)
 
 
-def _rkc_step(y: np.ndarray, t: float, dt: float, s: int, rhs) -> np.ndarray:
+def _rkc_step(y: np.ndarray, t: float, dt: float, s: int, rhs, y_t=None) -> np.ndarray:
     """One s-stage RKC2 step of a whole array; ``rhs(y, t)`` returns y_t, zero
-    on pinned entries.
+    on pinned entries, and ``y_t``, if given, is rhs(y, t) already evaluated.
 
     The recursion runs on the increments d_j = Y_j - y (d_0 = 0) and adds y
     once at the end, so a stationary state does not drift by rounding.
     """
     mu, nu, mut, gam, c = _rkc_coefficients(s)
-    f0 = dt * rhs(y, t)
+    f0 = dt * (rhs(y, t) if y_t is None else y_t)
     d_prev, d = 0.0, mut[1] * f0
     for j in range(2, s + 1):
         f = dt * rhs(y + d, t + c[j - 1] * dt)
@@ -742,12 +787,13 @@ def _march(series: FlowSeries, y: np.ndarray, rhs, cfl_dt, record,
 
     Each record interval of length gap is split into ceil(gap / h) equal steps
     (time error O(h^2), like space); each step takes its stages from
-    ``cfl_dt(y, t)``, the explicit step the state allows.  ``record(y, t)``
-    gives a row's values after its time.  Right-hand-side evaluations count
-    against ``MAX_STEPS``.
+    ``cfl_dt(y, t)``, the explicit step the state allows.  At each row time
+    the right-hand side f = rhs(y, t) is evaluated once: ``record(y, t, f)``
+    gives the row's values after its time, and the next step takes f as its
+    first stage.  Every row, the first included, aborts the run past
+    ``LAMBDA_ABORT``.  Stage evaluations count against ``MAX_STEPS``.
     """
     t_end, h = series.meta["t_end"], series.meta["h"]
-    series.append(0.0, *record(y, 0.0))
     per_record = max(1, math.ceil(t_end / records / h))
     n_steps = records * per_record
     step = t_end / n_steps
@@ -756,9 +802,19 @@ def _march(series: FlowSeries, y: np.ndarray, rhs, cfl_dt, record,
         raise ValueError(f"{series.meta['case']} run of {n_steps} steps needs more than "
                          f"{MAX_STEPS} right-hand-side evaluations, the cap; raise cfl "
                          "or lower t_end")
+
+    def row(y, t):
+        f = rhs(y, t)
+        values = record(y, t, f)
+        series.append(t, *values)
+        if values[1] > LAMBDA_ABORT:
+            raise FlowAbort(f"lambda_max {values[1]:.2f} beyond guard")
+        return f
+
     steps = evals = 0
     refreshes = 1
     try:
+        f = row(y, 0.0)
         while steps < n_steps:
             t = steps * step
             if steps:
@@ -767,14 +823,9 @@ def _march(series: FlowSeries, y: np.ndarray, rhs, cfl_dt, record,
             s = _rkc_stages(step, dt, MAX_STEPS - evals)
             if s is None:
                 raise FlowAbort(f"step cap {MAX_STEPS} reached at t={t!r}")
-            y = _rkc_step(y, t, step, s, rhs)
+            y = _rkc_step(y, t, step, s, rhs, f)
             steps, evals = steps + 1, evals + s
-            if steps % per_record == 0:
-                t = steps * step
-                row = record(y, t)
-                series.append(t, *row)
-                if row[1] > LAMBDA_ABORT:
-                    raise FlowAbort(f"lambda_max {row[1]:.2f} beyond guard")
+            f = row(y, steps * step) if steps % per_record == 0 else None
     except FlowAbort as err:
         series.abort_reason = str(err)
     series.meta.update(steps=steps, rhs_evals=evals, dt_min=step if steps else None,
@@ -785,14 +836,10 @@ def _march(series: FlowSeries, y: np.ndarray, rhs, cfl_dt, record,
 def _run_torus(cfg: FlowConfig) -> FlowSeries:
     st = _torus_initial(cfg)
     dt = torus_cfl_dt(st, cfg.cfl)  # eta^{-1} <= I: the same bound at every state
-
-    def record(u, t):
-        now = TorusFlowState(st.m, st.n, st.period, st.lin, u, t)
-        return (*torus_monitor(now), torus_evolution_residual(now), 1.0, 1.0)
-
+    field = _torus_field(st)
     series = FlowSeries(meta={"case": "torus", "h": st.h, "t_end": cfg.t_end,
                               "config": cfg.to_dict(), "a_used": None})
-    return _march(series, st.u, _torus_field(st), lambda u, t: dt, record,
+    return _march(series, st.u, field, lambda u, t: dt, _torus_record(st, field),
                   cfg.monitor_every or 120)
 
 
@@ -821,10 +868,9 @@ def _run_equivariant(cfg: FlowConfig) -> FlowSeries:
     def state(rho, t):
         return EquivariantFlowState(cfg.m, cfg.n, rho, st.boundary_class, t)
 
-    def record(rho, t):
-        now, (r_m, r_n) = state(rho, t), radii(t)
-        return (*equivariant_monitor(now, r_m, r_n),
-                float(abs(equivariant_rhs(now, r_m, r_n)).max()), *factors(t))
+    def record(rho, t, f):
+        return (*equivariant_monitor(state(rho, t), *radii(t)), float(abs(f).max()),
+                *factors(t))
 
     series = FlowSeries(meta={
         "case": "equivariant", "h": st.h, "t_end": t_end,

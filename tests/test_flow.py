@@ -270,6 +270,56 @@ class TestTorusWorkspace:
         assert peak <= 2 * st.u.nbytes
 
 
+class TestTorusRecords:
+    """A run's rows read the right-hand side of the march and the geometry its
+    evaluation wrote, and give what the public functions give on a fresh state."""
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_rows_match_the_public_functions(self, m, n, monkeypatch):
+        cfg = FlowConfig(case="torus", m=m, n=n, grid=12 if m == 2 else 8, t_end=0.2,
+                         preset="linear_sine", amplitude=0.15, monitor_every=4)
+        held = []
+        monitor = flow.torus_monitor
+        monkeypatch.setattr(flow, "torus_monitor",
+                            lambda st: held.append((st.u.copy(), st.t)) or monitor(st))
+        series = run(cfg)
+        monkeypatch.undo()
+        assert series.abort_reason is None and len(held) == len(series.times) == 5
+        lin = flow._torus_initial(cfg).lin
+        for i, (u, t) in enumerate(held):
+            fresh = TorusFlowState(m, n, cfg.period, lin, u, t)
+            assert t == series.times[i]
+            assert (series.m_of_t[i], series.lambda_max[i],
+                    series.max_product[i]) == torus_monitor(fresh)
+            ref = torus_evolution_residual(fresh)
+            assert abs(series.residual[i] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_geometry_built_once_per_evaluation(self, monkeypatch):
+        calls = []
+        torus_df = flow._torus_df
+        monkeypatch.setattr(flow, "_torus_df", lambda *a: calls.append(1) or torus_df(*a))
+        series = run(FlowConfig(case="torus", grid=12, t_end=0.2, monitor_every=4))
+        # the last row's right-hand side is the only one no step takes as a stage
+        assert len(calls) == series.meta["rhs_evals"] + 1
+
+    # the record's stencils, zeta^{-1} and term I write into a workspace of the
+    # run; what is left is the monitor's pointwise arrays (the 2 x 2 pullback
+    # metric, its roots and their S values), about five states' worth
+    def test_record_allocates_bounded_memory(self):
+        st = wound_state(2, 2, grid=96)
+        field = flow._torus_field(st)
+        record = flow._torus_record(st, field)
+        record(st.u, 0.0, field(st.u, 0.0))
+        f = field(st.u, 0.0)
+        tracemalloc.start()
+        try:
+            record(st.u, 0.0, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * st.u.nbytes
+
+
 class TestTorusLambdas:
     """m = 2 takes the eigenvalues of the 2 x 2 pullback metric in closed form."""
 
@@ -691,8 +741,18 @@ class TestRuns:
         assert meta["dt_min"] == meta["dt_max"] == pytest.approx(0.5 / 6, rel=1e-15)
         assert meta["cfl_refreshes"] == meta["steps"]
         assert meta["rhs_evals"] >= 2 * meta["steps"]
-        # every stage goes through _eq_rhs, besides one call per record's residual
-        assert len(calls) == meta["rhs_evals"] + len(series.times)
+        # every stage goes through _eq_rhs; a row's right-hand side is the next
+        # step's first stage, so only the last row's is not counted as one
+        assert len(calls) == meta["rhs_evals"] + 1
+
+    # lambda_max at t = 0: 58.5 on the torus, 59.9 on the sphere
+    @pytest.mark.parametrize("case,grid", [("torus", 16), ("equivariant", 32)])
+    def test_first_row_hits_the_guard(self, case, grid):
+        series = run(FlowConfig(case=case, grid=grid, amplitude=60.0))
+        assert series.lambda_max[0] > flow.LAMBDA_ABORT
+        assert series.abort_reason.startswith("lambda_max")
+        assert series.times == [0.0]
+        assert series.meta["steps"] == series.meta["rhs_evals"] == 0
 
     @pytest.mark.parametrize("key,value", [
         ("cfl", "0.4"), ("t_end", None), ("amplitude", [0.1]), ("grid", 64.0),
