@@ -431,7 +431,8 @@ def minimize_over_frames(
     calls: rungs 0-1 for every start, rungs 2-24 only for starts still
     without a sufficient decrease.  A start takes its first passing rung,
     which is the step sequential halving would accept, with the same step
-    values; converged starts drop out of the batch.
+    values; a start whose whole ladder fails has converged and drops out of
+    the batch.
     ``structured`` frames are evaluated but not descended (they are exact
     candidates such as coordinate frames).  Deterministic under ``seed``;
     ties resolve to the lowest start index.
@@ -479,11 +480,9 @@ def minimize_over_frames(
             fx[hit] = ft[rung, ok]
             improved[todo[ok]] = True
             lra[todo[ok]] = steps[rung, ok]
-            lra[todo[~ok]] = steps[-1, ~ok] * 0.5
-        lr[idx] = np.where(improved, lra * 1.5, lra)
-        active[idx] = improved | (lra > 1e-12)
-        if not improved.any():
-            break
+            lra[todo[~ok]] = steps[-1, ~ok] * 0.5  # the next chunk's first rung
+        lr[idx] = lra * 1.5
+        active[idx] = improved
     i = int(np.argmin(fx))
     out = (float(fx[i]), x[i])
     if best_struct is not None and best_struct[0] <= out[0]:

@@ -25,6 +25,8 @@ itself evolves:
                     / (r_M^2 sin^2 th + r_N^2 sin^2 rho)
 
   where the radii may shrink homothetically (r(t) = r(0) sqrt(1 - L t)).
+  One field per run holds the theta trig and serves the right-hand side and
+  the CFL step alike, so a run builds a state only for a row's monitor.
 
 Monitors record the area monitor (infimum of the smallest Theta eigenvalue),
 the largest stretch, the largest pairwise stretch product, background scale
@@ -432,7 +434,8 @@ class EquivariantFlowState:
 
 def _rho_derivatives(rho: np.ndarray, boundary_class: int, h: float):
     """Centered rho' and rho'' on all nodes; the poles read a ghost node from
-    odd reflection (class pi: odd about pi)."""
+    odd reflection (class pi: odd about pi).  Only the monitor's pole values
+    need the ghosts."""
     left = -rho[1]
     right = (2.0 * math.pi - rho[-2]) if boundary_class else -rho[-2]
     ext = np.concatenate([[left], rho, [right]])
@@ -441,37 +444,48 @@ def _rho_derivatives(rho: np.ndarray, boundary_class: int, h: float):
     return dp, ddp
 
 
-def equivariant_derivatives(st: EquivariantFlowState):
-    """Centered rho' and rho'' on all nodes, poles via ghost reflection."""
-    return _rho_derivatives(st.rho, st.boundary_class, st.h)
+def _eq_coefficients(dp, sr, sin2_th, r_m, r_n):
+    """Diffusion and rotation denominators r_M^2 + r_N^2 rho'^2 and
+    r_M^2 sin^2 th + r_N^2 sin^2 rho from rho', sin rho and sin^2 th."""
+    return r_m**2 + r_n**2 * dp**2, r_m**2 * sin2_th + r_n**2 * sr**2
 
 
-def _eq_rhs(rho, dp, ddp, sin_th, sincos_th, m, r_m, r_n):
+def _eq_rhs(rho, dp, ddp, sin2_th, sincos_th, m, r_m, r_n):
     """Right-hand side from rho, rho', rho'' and the theta trig, all on the
     interior nodes."""
     sr = np.sin(rho)
-    diff = ddp / (r_m**2 + r_n**2 * dp**2)
-    denom = r_m**2 * sin_th**2 + r_n**2 * sr**2
+    diff, denom = _eq_coefficients(dp, sr, sin2_th, r_m, r_n)
     rot = (m - 1) * (sincos_th * dp - sr * np.cos(rho)) / denom
-    return diff + rot
+    return ddp / diff + rot
 
 
-def _eq_field(m: int, nodes: int, radii):
+def _eq_field(m: int, nodes: int, radii, cfl: float = 0.4):
     """Right-hand side (y, t) -> rho_t on ``nodes`` nodes, zero at the pinned
     poles, radii(t) = (r_M, r_N); the interior derivatives are slices of y, so
-    the poles need no ghosts.  Looks up ``_eq_rhs`` at each call."""
+    the poles need no ghosts.  Looks up ``_eq_rhs`` at each call.  The field's
+    ``cfl_dt(y, t)`` is the explicit step cfl / rate the state allows, from
+    the same theta trig and coefficients."""
     h = math.pi / (nodes - 1)
     th = np.linspace(0.0, math.pi, nodes)[1:-1]
     sin_th = np.sin(th)
-    sincos_th = sin_th * np.cos(th)
+    sin2_th, sincos_th = sin_th**2, sin_th * np.cos(th)
+
+    def slope(y):
+        return (y[2:] - y[:-2]) / (2.0 * h)
 
     def rhs(y, t):
         out = np.zeros_like(y)
-        out[1:-1] = _eq_rhs(y[1:-1], (y[2:] - y[:-2]) / (2.0 * h),
-                            (y[2:] - 2.0 * y[1:-1] + y[:-2]) / h**2,
-                            sin_th, sincos_th, m, *radii(t))
+        out[1:-1] = _eq_rhs(y[1:-1], slope(y), (y[2:] - 2.0 * y[1:-1] + y[:-2]) / h**2,
+                            sin2_th, sincos_th, m, *radii(t))
         return out
 
+    def cfl_dt(y, t):
+        diff, denom = _eq_coefficients(slope(y), np.sin(y[1:-1]), sin2_th, *radii(t))
+        # diffusion 1 / diff and drift (m-1) sin th cos th / denom
+        rate = 2.0 / diff.min() / h**2 + abs((m - 1) * sincos_th / denom).max() / h
+        return cfl / rate
+
+    rhs.cfl_dt = cfl_dt
     return rhs
 
 
@@ -483,13 +497,7 @@ def equivariant_rhs(st: EquivariantFlowState, r_m: float, r_n: float) -> np.ndar
 def equivariant_dt(st: EquivariantFlowState, r_m: float, r_n: float,
                    cfl: float = 0.4) -> float:
     """CFL-limited step from the diffusion and drift coefficients."""
-    th = st.theta[1:-1]
-    dp, _ = equivariant_derivatives(st)
-    diff = 1.0 / (r_m**2 + r_n**2 * dp[1:-1] ** 2)
-    denom = r_m**2 * np.sin(th) ** 2 + r_n**2 * np.sin(st.rho[1:-1]) ** 2
-    drift = abs((st.m - 1) * np.sin(th) * np.cos(th) / denom)
-    rate = 2.0 * diff.max() / st.h**2 + drift.max() / st.h
-    return cfl / rate
+    return _eq_field(st.m, st.rho.size, lambda t: (r_m, r_n), cfl).cfl_dt(st.rho, st.t)
 
 
 # Second-order Runge-Kutta-Chebyshev (RKC2; Sommeijer, Shampine & Verwer,
@@ -581,8 +589,8 @@ def _rkc_single(y: np.ndarray, t: float, dt: float, dt_cfl: float, rhs) -> np.nd
 def equivariant_step(st: EquivariantFlowState, dt: float, r_of_t) -> EquivariantFlowState:
     """One RKC2 step of size dt, stages from the CFL bound at cfl 0.4;
     ``r_of_t`` maps time to the radius pair (r_M, r_N)."""
-    rho = _rkc_single(st.rho, st.t, dt, equivariant_dt(st, *r_of_t(st.t)),
-                      _eq_field(st.m, st.rho.size, r_of_t))
+    field = _eq_field(st.m, st.rho.size, r_of_t)
+    rho = _rkc_single(st.rho, st.t, dt, field.cfl_dt(st.rho, st.t), field)
     return EquivariantFlowState(st.m, st.n, rho, st.boundary_class, st.t + dt)
 
 
@@ -594,7 +602,7 @@ def equivariant_lambdas(st: EquivariantFlowState, r_m: float, r_n: float):
     rho'(pole) * cos(rho(pole)) (L'Hopital).
     """
     th = st.theta
-    dp, _ = equivariant_derivatives(st)
+    dp, _ = _rho_derivatives(st.rho, st.boundary_class, st.h)
     lam_r = (r_n / r_m) * np.abs(dp)
     lam_s = np.empty_like(lam_r)
     i = slice(1, -1)
@@ -638,14 +646,12 @@ class FlowConfig:
     amplitude: float = 0.1
     period: float = 2.0 * math.pi
     winding: tuple = ()
-    boundary_class: int = 0
     radius_m: float = 1.0
     radius_n: float = 1.0
     background_m: str = "static"
     background_n: str = "static"
     t_end_frac_of_extinction: float | None = None
     monitor_every: int = 0  # target number of monitor records (0: 120)
-    seed: int = 0
 
     def __post_init__(self):
         for f in fields(self):
@@ -662,6 +668,10 @@ class FlowConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
+        for name in ("background_m", "background_n"):
+            if getattr(self, name) not in ("static", "ricci"):
+                raise ValueError(f"{name} must be 'static' or 'ricci', "
+                                 f"got {getattr(self, name)!r}")
         if not math.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude}")
         if self.case == "torus" and self.m < 2:
@@ -671,6 +681,9 @@ class FlowConfig:
         if self.monitor_every < 0:
             raise ValueError("monitor_every must be 0 (120 records) or positive, "
                              f"got {self.monitor_every}")
+        if self.t_end_frac_of_extinction is not None and (
+                self.case == "torus" or self.background_m == self.background_n == "static"):
+            raise ValueError("extinction fraction needs a shrinking background")
         if self.t_end_frac_of_extinction is None:
             if not (math.isfinite(self.t_end) and self.t_end > 0):
                 raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
@@ -731,41 +744,31 @@ def _equivariant_initial(cfg: FlowConfig) -> EquivariantFlowState:
     th = np.linspace(0.0, math.pi, cfg.grid + 1)
     if cfg.preset == "zero":
         rho = np.zeros_like(th)
-        cls = 0
     elif cfg.preset == "sine":
         rho = cfg.amplitude * np.sin(th)
-        cls = 0
     elif cfg.preset == "identity":
         rho = th.copy()
-        cls = 1
     else:  # identity_sine
         rho = th + cfg.amplitude * np.sin(th)
-        cls = 1
-    if cfg.boundary_class != cls:
-        raise ValueError(f"preset {cfg.preset!r} fixes boundary_class {cls}")
+    cls = int(cfg.preset.startswith("identity"))
+    rho[0], rho[-1] = 0.0, cls * math.pi  # amplitude * sin(pi) need not round to 0
     return EquivariantFlowState(cfg.m, cfg.n, rho, cls)
 
 
 def _paths(cfg: FlowConfig):
-    pm = BackgroundPath(ModelSpace("sphere", cfg.m, scale=cfg.radius_m),
-                        "ricci" if cfg.background_m == "ricci" else "static")
-    pn = BackgroundPath(ModelSpace("sphere", cfg.n, scale=cfg.radius_n),
-                        "ricci" if cfg.background_n == "ricci" else "static")
-    return pm, pn
+    return (BackgroundPath(ModelSpace("sphere", cfg.m, scale=cfg.radius_m), cfg.background_m),
+            BackgroundPath(ModelSpace("sphere", cfg.n, scale=cfg.radius_n), cfg.background_n))
 
 
-def _coupling_constant(cfg: FlowConfig, t_end: float, c0: float = 8.0):
+def _coupling_constant(cfg: FlowConfig, pm: BackgroundPath, pn: BackgroundPath,
+                       t_end: float, c0: float = 8.0) -> float:
     """Explicit monotonicity rate for shrinking-background runs.
 
     Evaluates the curvature-bound aggregate at the worst time of the run
     (curvature 1/r^2 scaled by 1/(1-Lt), metric speed = Einstein constant of
     the evolving metric), mirroring the sweep constant convention.
     """
-    pm, pn = _paths(cfg)
-    if pm.mode == "static" and pn.mode == "static":
-        return None
-    f_m = pm.metric_factor(t_end) if pm.mode == "ricci" else 1.0
-    f_n = pn.metric_factor(t_end) if pn.mode == "ricci" else 1.0
+    f_m, f_n = pm.metric_factor(t_end), pn.metric_factor(t_end)
     k_m = 1.0 / (cfg.radius_m**2 * f_m)
     k_n = 1.0 / (cfg.radius_n**2 * f_n)
     dt_m = pm.einstein_rate / f_m
@@ -845,41 +848,32 @@ def _run_torus(cfg: FlowConfig) -> FlowSeries:
 
 def _run_equivariant(cfg: FlowConfig) -> FlowSeries:
     pm, pn = _paths(cfg)
-    t_cap = min(pm.t_max, pn.t_max)
+    t_cap = min(pm.t_max, pn.t_max)  # finite once a background shrinks
     t_end = cfg.t_end
     if cfg.t_end_frac_of_extinction is not None:
-        if not math.isfinite(t_cap):
-            raise ValueError("extinction fraction needs a shrinking background")
         t_end = cfg.t_end_frac_of_extinction * t_cap
     if t_end >= t_cap:
         raise ValueError(f"t_end {t_end} reaches background extinction {t_cap}")
-
-    def factors(t):
-        f_m = pm.metric_factor(t) if pm.mode == "ricci" else 1.0
-        f_n = pn.metric_factor(t) if pn.mode == "ricci" else 1.0
-        return f_m, f_n
+    # metric_factor is exactly 1.0 on a static path, yet costs ten times a
+    # constant, and the radii are read at every stage
+    f_m, f_n = (p.metric_factor if p.mode == "ricci" else (lambda t: 1.0) for p in (pm, pn))
 
     def radii(t):
-        f_m, f_n = factors(t)
-        return cfg.radius_m * math.sqrt(f_m), cfg.radius_n * math.sqrt(f_n)
+        return cfg.radius_m * math.sqrt(f_m(t)), cfg.radius_n * math.sqrt(f_n(t))
 
     st = _equivariant_initial(cfg)
 
-    def state(rho, t):
-        return EquivariantFlowState(cfg.m, cfg.n, rho, st.boundary_class, t)
-
     def record(rho, t, f):
-        return (*equivariant_monitor(state(rho, t), *radii(t)), float(abs(f).max()),
-                *factors(t))
+        now = EquivariantFlowState(cfg.m, cfg.n, rho, st.boundary_class, t)
+        return (*equivariant_monitor(now, *radii(t)), float(abs(f).max()), f_m(t), f_n(t))
 
     series = FlowSeries(meta={
         "case": "equivariant", "h": st.h, "t_end": t_end,
         "config": cfg.to_dict(),
-        "a_used": _coupling_constant(cfg, t_end),
+        "a_used": _coupling_constant(cfg, pm, pn, t_end) if math.isfinite(t_cap) else None,
     })
-    _march(series, st.rho, _eq_field(st.m, st.rho.size, radii),
-           lambda rho, t: equivariant_dt(state(rho, t), *radii(t), cfg.cfl), record,
-           cfg.monitor_every or 120)
+    field = _eq_field(st.m, st.rho.size, radii, cfg.cfl)
+    _march(series, st.rho, field, field.cfl_dt, record, cfg.monitor_every or 120)
     if series.meta["a_used"] is not None:
         series.meta["a_min_observed"] = smallest_monotone_rate(series)
     return series

@@ -155,9 +155,7 @@ def sequential_minimize(objective, dim, k, *, gradient, n_starts=64, seed=0,
             improved[todo[better]] = True
             lra[todo[~better]] *= 0.5
         lr[idx] = np.where(improved, lra * 1.5, lra)
-        active[idx] = improved | (lra > 1e-12)
-        if not improved.any():
-            break
+        active[idx] = improved  # all 25 halvings failed: converged
     i = int(np.argmin(fx))
     out = (float(fx[i]), x[i])
     if best_struct is not None and best_struct[0] <= out[0]:
@@ -170,12 +168,41 @@ class TestLineSearch:
     @pytest.mark.parametrize("dim, seed", [(4, 0), (4, 7), (5, 0), (5, 7)])
     def test_matches_sequential_backtracking(self, value, grad, k, dim, seed):
         m = _pair_matrix(random_tensor(dim, np.random.default_rng(100 + dim + seed)).comp)
+
+        def each_alone(x):
+            # a batched matmul may round a frame's value differently with the
+            # batch around it; one frame per call takes the same path each time
+            return np.array([value(m, f[None])[0] for f in x])
+
         kw = dict(gradient=partial(grad, m), n_starts=16, seed=seed)
-        got, frame = minimize_over_frames(partial(value, m), dim, k, **kw)
-        ref, _ = sequential_minimize(partial(value, m), dim, k, **kw)
-        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+        got, frame = minimize_over_frames(each_alone, dim, k, **kw)
+        ref, ref_frame = sequential_minimize(each_alone, dim, k, **kw)
+        assert got == ref
+        assert np.array_equal(frame, ref_frame)
         assert frame.shape == (dim, k)
         assert abs(frame.T @ frame - np.eye(k)).max() <= 1e-12
+
+    @pytest.mark.parametrize("rung", [2, 23, 24])
+    def test_first_passing_rung_anywhere_on_the_ladder(self, rung):
+        # -<x, D> + K |x - x0|^2 from the one start x0 decreases along the
+        # descent step only for steps below 1 / K, first at lr / 2^rung
+        dim, k, seed = 4, 2, 3
+        x0 = _qr_frames(np.random.default_rng(seed).standard_normal((1, dim, k)))[0]
+        d = np.random.default_rng(1).standard_normal((dim, k))
+        big = 1.5 * 2.0 ** (rung - 1) / 0.1
+
+        def value(x):
+            return -np.einsum("bij,ij->b", x, d) + big * ((x - x0) ** 2).sum(axis=(1, 2))
+
+        def grad(x):
+            return -d + 2.0 * big * (x - x0)
+
+        kw = dict(gradient=grad, n_starts=1, seed=seed)
+        got, frame = minimize_over_frames(value, dim, k, **kw)
+        ref, ref_frame = sequential_minimize(value, dim, k, **kw)
+        assert got < value(x0[None])[0]
+        assert got == ref
+        assert np.array_equal(frame, ref_frame)
 
     def test_at_most_two_objective_calls_per_descent_step(self):
         m = _pair_matrix(random_tensor(5, np.random.default_rng(3)).comp)

@@ -433,7 +433,18 @@ class TestTorusStep:
 
 
 # The explicit Heun loop the RKC2 stepper replaced, inlined as it was in
-# ``_run_equivariant``: the reference for the equivariant path.
+# ``_run_equivariant``, and the CFL step as ``equivariant_dt`` computed it
+# before the run's field took it over: the references for the equivariant path.
+
+
+def ref_equivariant_dt(st, r_m, r_n, cfl=0.4):
+    th = st.theta[1:-1]
+    dp, _ = flow._rho_derivatives(st.rho, st.boundary_class, st.h)
+    diff = 1.0 / (r_m**2 + r_n**2 * dp[1:-1] ** 2)
+    denom = r_m**2 * np.sin(th) ** 2 + r_n**2 * np.sin(st.rho[1:-1]) ** 2
+    drift = abs((st.m - 1) * np.sin(th) * np.cos(th) / denom)
+    rate = 2.0 * diff.max() / st.h**2 + drift.max() / st.h
+    return cfl / rate
 
 
 def ref_heun_m_series(cfg):
@@ -454,23 +465,23 @@ def ref_heun_m_series(cfg):
     h, cls, m = st.h, st.boundary_class, st.m
     th = st.theta[1:-1]
     sin_th = np.sin(th)
-    sincos_th = sin_th * np.cos(th)
+    sin2_th, sincos_th = sin_th**2, sin_th * np.cos(th)
     rho, t = st.rho.copy(), 0.0
-    dt = equivariant_dt(st, *radii(0.0), cfg.cfl)
+    dt = ref_equivariant_dt(st, *radii(0.0), cfg.cfl)
     refresh = 16
     while t < t_end - 1e-14:
         if refresh == 0:
-            dt = equivariant_dt(EquivariantFlowState(m, cfg.n, rho.copy(), cls, t),
-                                *radii(t), cfg.cfl)
+            dt = ref_equivariant_dt(EquivariantFlowState(m, cfg.n, rho.copy(), cls, t),
+                                    *radii(t), cfg.cfl)
             refresh = 16
         refresh -= 1
         step = min(dt, t_end - t, max(next_record - t, 1e-15))
         dp, ddp = flow._rho_derivatives(rho, cls, h)
-        k1 = flow._eq_rhs(rho[1:-1], dp[1:-1], ddp[1:-1], sin_th, sincos_th, m, *radii(t))
+        k1 = flow._eq_rhs(rho[1:-1], dp[1:-1], ddp[1:-1], sin2_th, sincos_th, m, *radii(t))
         mid = rho.copy()
         mid[1:-1] += step * k1
         dp, ddp = flow._rho_derivatives(mid, cls, h)
-        k2 = flow._eq_rhs(mid[1:-1], dp[1:-1], ddp[1:-1], sin_th, sincos_th, m,
+        k2 = flow._eq_rhs(mid[1:-1], dp[1:-1], ddp[1:-1], sin2_th, sincos_th, m,
                           *radii(t + step))
         rho[1:-1] += 0.5 * step * (k1 + k2)
         t += step
@@ -617,6 +628,72 @@ class TestEquivariantStep:
         with pytest.raises(ValueError):
             EquivariantFlowState(4, 3, np.zeros(65), 0)
 
+    @pytest.mark.parametrize("preset", ["sine", "identity_sine"])
+    @pytest.mark.parametrize("amp", [100.0, -100.0])
+    def test_large_amplitudes_keep_the_pinned_poles(self, preset, amp):
+        # amp * sin(pi) is about amp * 1.2e-16, past the 1e-14 pole check
+        cfg = FlowConfig(case="equivariant", grid=16, preset=preset, amplitude=amp)
+        st = flow._equivariant_initial(cfg)
+        assert st.rho[0] == 0.0 and st.rho[-1] == st.boundary_class * math.pi
+        assert run(cfg).abort_reason.startswith("lambda_max")
+
+
+class TestEquivariantRecords:
+    """A run takes its CFL steps from its field and builds a state only for a
+    row, and both give what the public functions give on a fresh state."""
+
+    @pytest.mark.parametrize("kind", [STATIC, COUPLED, dict(STATIC, m=2, n=3, radius_n=1.5),
+                                      dict(STATIC, m=4, n=5)],
+                             ids=["static", "coupled", "m2", "m4"])
+    def test_steps_and_rows_match_the_public_functions(self, kind, monkeypatch):
+        cfg = FlowConfig(**dict(kind, grid=24, monitor_every=5))
+        steps, rows = [], []
+        eq_field, monitor = flow._eq_field, flow.equivariant_monitor
+
+        def field(*a):
+            rhs = eq_field(*a)
+            cfl_dt = rhs.cfl_dt
+            rhs.cfl_dt = lambda y, t: steps.append((y.copy(), t, cfl_dt(y, t))) or steps[-1][2]
+            return rhs
+
+        monkeypatch.setattr(flow, "_eq_field", field)
+        monkeypatch.setattr(flow, "equivariant_monitor",
+                            lambda st, *r: rows.append((st.rho.copy(), st.t)) or monitor(st, *r))
+        series = run(cfg)
+        monkeypatch.undo()
+        assert series.abort_reason is None and len(rows) == len(series.times) == 6
+        assert len(steps) == series.meta["cfl_refreshes"] == series.meta["steps"]
+        paths = flow._paths(cfg)
+        cls = flow._equivariant_initial(cfg).boundary_class
+
+        def fresh(rho, t):
+            radii = [p.base.scale * math.sqrt(p.metric_factor(t)) for p in paths]
+            return EquivariantFlowState(cfg.m, cfg.n, rho, cls, t), radii
+
+        for rho, t, dt in steps:
+            st, radii = fresh(rho, t)
+            assert dt == equivariant_dt(st, *radii, cfg.cfl)
+            # the field groups (m-1) sin th cos th as (m-1) (sin th cos th)
+            ref = ref_equivariant_dt(st, *radii, cfg.cfl)
+            exact = (cfg.m - 1) & (cfg.m - 2) == 0  # m - 1 a power of two
+            assert dt == ref if exact else abs(dt - ref) <= math.ulp(ref)
+        for i, (rho, t) in enumerate(rows):
+            st, radii = fresh(rho, t)
+            assert t == series.times[i]
+            assert (series.m_of_t[i], series.lambda_max[i],
+                    series.max_product[i]) == equivariant_monitor(st, *radii)
+            assert series.residual[i] == abs(equivariant_rhs(st, *radii)).max()
+
+    @pytest.mark.parametrize("kind", [STATIC, COUPLED], ids=["static", "coupled"])
+    def test_states_only_for_rows(self, kind, monkeypatch):
+        built = []
+        init = EquivariantFlowState.__post_init__
+        monkeypatch.setattr(EquivariantFlowState, "__post_init__",
+                            lambda st: built.append(1) or init(st))
+        series = run(FlowConfig(**dict(kind, grid=24, monitor_every=5)))
+        # the initial state, then one per row
+        assert len(built) <= len(series.times) + 1
+
 
 class TestRuns:
     def test_s3_contraction_short(self):
@@ -662,6 +739,20 @@ class TestRuns:
             FlowConfig(case="torus", preset="identity")
         with pytest.raises(ValueError):
             FlowConfig.from_dict({"case": "torus", "bogus": 1})
+
+    @pytest.mark.parametrize("key", ["background_m", "background_n"])
+    @pytest.mark.parametrize("value", ["Ricci", "shrinking", ""])
+    def test_unknown_background_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            FlowConfig(case="equivariant", **{key: value})
+
+    @pytest.mark.parametrize("case", ["torus", "equivariant"])
+    @pytest.mark.parametrize("t_end", [0.0, -0.3, math.nan])
+    def test_extinction_fraction_needs_a_shrinking_background(self, case, t_end):
+        # neither a torus nor a static pair of spheres shrinks, so t_end counts
+        with pytest.raises(ValueError, match="shrinking background"):
+            FlowConfig(case=case, grid=8, t_end=t_end, t_end_frac_of_extinction=0.5,
+                       monitor_every=4)
 
     @pytest.mark.parametrize("case", ["equivariant", "torus"])
     @pytest.mark.parametrize("cfl", [0.0, -0.4, math.nan, math.inf])
@@ -756,7 +847,7 @@ class TestRuns:
 
     @pytest.mark.parametrize("key,value", [
         ("cfl", "0.4"), ("t_end", None), ("amplitude", [0.1]), ("grid", 64.0),
-        ("m", True), ("seed", "0"), ("preset", 3), ("t_end_frac_of_extinction", "0.9"),
+        ("m", True), ("monitor_every", "4"), ("preset", 3), ("t_end_frac_of_extinction", "0.9"),
         ("winding", 5), ("winding", [[1, None]]),
     ])
     def test_wrong_field_types_rejected(self, key, value):
@@ -773,7 +864,7 @@ BAD_VALUES = {"cfl": NONPOSITIVE, "period": NONPOSITIVE, "radius_m": NONPOSITIVE
 @hs.composite
 def flow_configs(draw):
     """Small valid runs of either case, half of them with one field replaced
-    by a value the config must reject."""
+    by a value the config must reject; returns (config, whether replaced)."""
     case = draw(hs.sampled_from(["torus", "equivariant"]))
     preset = draw(hs.sampled_from(flow.TORUS_PRESETS if case == "torus"
                                   else flow.EQUIVARIANT_PRESETS))
@@ -785,24 +876,26 @@ def flow_configs(draw):
     if case == "torus":
         d.update(m=2, n=draw(hs.integers(1, 3)))
     else:
-        d.update(m=draw(hs.integers(2, 3)), n=3,
-                 boundary_class=int(preset.startswith("identity")))
+        d.update(m=draw(hs.integers(2, 3)), n=3)
         if draw(hs.booleans()):
             d.update(background_m="ricci", background_n="ricci",
                      t_end_frac_of_extinction=draw(hs.floats(0.05, 0.95)))
-    if draw(hs.booleans()):
+    replaced = draw(hs.booleans())
+    if replaced:
         bad = draw(hs.sampled_from(sorted(BAD_VALUES)))
         d[bad] = draw(hs.sampled_from(BAD_VALUES[bad]))
-    return d
+    return d, replaced
 
 
 class TestConfigFuzz:
     @settings(max_examples=100, deadline=5000, derandomize=True)
     @given(flow_configs())
-    def test_config_fails_cleanly_or_runs_finite(self, d):
+    def test_config_fails_cleanly_or_runs_finite(self, drawn):
+        d, replaced = drawn
         try:
             series = run(FlowConfig.from_dict(d))
         except ValueError:
+            assert replaced, d
             return
         assert len(series.times) >= 1
         if series.abort_reason is None:
