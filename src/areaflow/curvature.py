@@ -7,16 +7,18 @@ R[i,j,j,i] (positive on round spheres).
 
 Extremal quantities over non-coordinate frames (sectional range, the partial
 Ricci minimum over 3-frames, the isotropic-curvature shift chi_ic1) are
-computed by multi-start frame optimization: random orthonormal starts from QR
-of Gaussian matrices, then Riemannian gradient descent on the Stiefel
-manifold, whose backtracking line search tries a ladder of halved steps per
-start in two batched calls and takes each start's first sufficient decrease,
-the step that halving one trial at a time would accept.  Every objective is
-a sum of contractions R(a,b,c,d) of its frame vectors, evaluated by one
-batched kernel on the (dim^2, dim^2) matrix of the tensor, and its analytic
-Euclidean gradient comes from the partial R(., b, c, d) of the same kernel;
-the optimizer requires that gradient (``gradient=``) and projects it onto
-the tangent space of the frame.
+computed by multi-start frame optimization: random orthonormal starts from
+Gram-Schmidt on Gaussian matrices, then Riemannian gradient descent on the
+Stiefel manifold with the Gram-Schmidt (positive-diagonal QR) retraction,
+whose backtracking line search tries a ladder of halved steps per start in
+two batched calls and takes each start's first sufficient decrease, the step
+that halving one trial at a time would accept.  A start whose whole ladder
+fails drops out, and a run stops once its best value has stalled over 10
+descent steps.  Every objective is a sum of contractions R(a,b,c,d) of its
+frame vectors, evaluated by one batched kernel on the (dim^2, dim^2) matrix
+of the tensor, and its analytic Euclidean gradient comes from the partial
+R(., b, c, d) of the same kernel; the optimizer requires that gradient
+(``gradient=``) and projects it onto the tangent space of the frame.
 Results are deterministic under a fixed seed and exact in practice on the
 homogeneous model spaces this library targets.
 """
@@ -383,11 +385,21 @@ def _pic1_ratio_grad(m, x):
 
 
 def _qr_frames(mats: np.ndarray) -> np.ndarray:
-    """Orthonormalize a batch of (dim, k) matrices, sign-fixed for continuity."""
-    q, r = np.linalg.qr(mats)
-    d = np.sign(np.einsum("...ii->...i", r))
-    d = np.where(d == 0, 1.0, d)
-    return q * d[..., None, :]
+    """Orthonormalize a batch of full-rank (dim, k) matrices by Gram-Schmidt.
+
+    Each column loses its projections onto the earlier unit columns, then is
+    normalized: the Q of the unique QR factorization with a positive diagonal
+    in R, which varies continuously with the matrix.  Every frame the
+    optimizer retracts has full rank: Gaussian starts, orthonormal structured
+    frames, and trial frames X - tZ, whose Gram matrix is I + t^2 Z^T Z
+    because X^T Z is skew.
+    """
+    q = np.moveaxis(np.asarray(mats, dtype=float), -1, 0).copy()  # (k, ..., dim)
+    for j, v in enumerate(q):
+        for u in q[:j]:
+            v -= np.einsum("...i,...i->...", u, v)[..., None] * u
+        v /= np.sqrt(np.einsum("...i,...i->...", v, v))[..., None]
+    return np.moveaxis(q, 0, -1)
 
 
 def _stiefel_gradient(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -405,6 +417,10 @@ def _stiefel_gradient(x: np.ndarray, g: np.ndarray) -> np.ndarray:
 # step 1.5x, so one halving returns below its last accepted step and rungs 0-1
 # serve almost every improving start; rungs 2-24 run only for the rest.
 _LADDER = (2, 23)
+# A run stops once its best value has moved by at most ``tol`` (relative) over
+# this many descent steps: starts stuck in worse local minima may still be
+# improving, but no longer on the best value.
+_STALL = 10
 
 
 def minimize_over_frames(
@@ -427,12 +443,14 @@ def minimize_over_frames(
     Descent runs all random starts in lockstep: the gradient projected onto
     the Stiefel tangent space (one batched gradient call), then a backtracking
     line search on a halving ladder.  Each start's trial steps lr, lr/2, ...
-    (25 rungs) are stacked, QR-retracted and evaluated as one batch, in two
-    calls: rungs 0-1 for every start, rungs 2-24 only for starts still
-    without a sufficient decrease.  A start takes its first passing rung,
-    which is the step sequential halving would accept, with the same step
-    values; a start whose whole ladder fails has converged and drops out of
-    the batch.
+    (25 rungs) are stacked, retracted by Gram-Schmidt and evaluated as one
+    batch, in two calls: rungs 0-1 for every start, rungs 2-24 only for
+    starts still without a sufficient decrease.  A start takes its first
+    passing rung, which is the step sequential halving would accept, with the
+    same step values; a start whose whole ladder fails has converged and
+    drops out of the batch.  The run ends when every start has dropped out,
+    after ``max_iter`` descent steps, or once the best value over all starts
+    has moved by at most ``tol * max(1, |best|)`` over the last 10 steps.
     ``structured`` frames are evaluated but not descended (they are exact
     candidates such as coordinate frames).  Deterministic under ``seed``;
     ties resolve to the lowest start index.
@@ -453,8 +471,9 @@ def minimize_over_frames(
 
     lr = np.full(n_starts, 0.1)
     active = np.ones(n_starts, dtype=bool)
+    best = [fx.min()]  # best value after each descent step
 
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -483,6 +502,9 @@ def minimize_over_frames(
             lra[todo[~ok]] = steps[-1, ~ok] * 0.5  # the next chunk's first rung
         lr[idx] = lra * 1.5
         active[idx] = improved
+        best.append(fx.min())
+        if it >= _STALL and best[-1 - _STALL] - best[-1] <= tol * max(1.0, abs(best[-1])):
+            break
     i = int(np.argmin(fx))
     out = (float(fx[i]), x[i])
     if best_struct is not None and best_struct[0] <= out[0]:

@@ -630,6 +630,8 @@ TORUS_PRESETS = ("zero", "sine", "linear_sine")
 EQUIVARIANT_PRESETS = ("zero", "sine", "identity", "identity_sine")
 _FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real,
                 "float | None": numbers.Real}  # annotation -> accepted values
+_UNREAD = {"torus": ("radius_m", "radius_n", "background_m", "background_n"),
+           "equivariant": ("period", "winding")}  # fields each case ignores
 
 
 @dataclass
@@ -661,6 +663,11 @@ class FlowConfig:
                 raise ValueError(f"{f.name} must be {f.type}, got {v!r}")
         if self.case not in ("torus", "equivariant"):
             raise ValueError("case must be 'torus' or 'equivariant'")
+        for f in fields(self):  # a field the case never reads keeps its default
+            # (``or ()``: JSON writes the empty default winding as [])
+            if f.name in _UNREAD[self.case] and (getattr(self, f.name) or ()) != f.default:
+                raise ValueError(f"{f.name} is not read by {self.case} flows; "
+                                 f"leave it at {f.default!r}")
         presets = TORUS_PRESETS if self.case == "torus" else EQUIVARIANT_PRESETS
         if self.preset not in presets:
             raise ValueError(f"unknown preset {self.preset!r} for {self.case}")

@@ -230,7 +230,10 @@ class TestFlowCommand:
         assert not list(tmp_path.glob("flow_*"))
 
     @pytest.mark.parametrize("case,key,value", [
-        ("torus", "period", 0), ("torus", "n", 0), ("equivariant", "monitor_every", -5)])
+        ("torus", "period", 0), ("torus", "n", 0), ("equivariant", "monitor_every", -5),
+        # fields the case never reads
+        ("torus", "background_m", "ricci"), ("torus", "radius_m", 5.0),
+        ("equivariant", "winding", [[1, 0], [0, 1]]), ("equivariant", "period", 3.0)])
     def test_bad_field_exits_1_with_json_error(self, case, key, value, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"case": case, "m": 2, "n": 2, "grid": 8, key: value}))

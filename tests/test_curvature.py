@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from areaflow import curvature
 from areaflow.curvature import (
     _contract,
     _pair_matrix,
@@ -117,11 +118,28 @@ class TestKernel:
             assert abs(xn - np.swapaxes(xn, 1, 2)).max() <= 1e-12
             assert abs(g - step - x @ xn).max() <= 1e-12
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [4, 5, 6, 7, 8])
+    def test_gram_schmidt_matches_sign_fixed_lapack_qr(self, dim, k):
+        rng = np.random.default_rng(10 * dim + k)
+        x = _qr_frames(rng.normal(size=(200, dim, k)))
+        mats = [rng.normal(size=x.shape), x]
+        for t in (1e-3, 1.0, 10.0, 100.0, 1e3):  # trial frames X - tZ
+            mats.append(x - t * _stiefel_gradient(x, rng.normal(size=x.shape)))
+        for a in mats:
+            q, r = np.linalg.qr(a)
+            ref = q * np.sign(np.einsum("...ii->...i", r))[..., None, :]
+            # both are backward stable, so they differ by O(eps) times the
+            # condition number of the matrix; an orthonormal frame has cond 1
+            err = abs(_qr_frames(a) - ref).max(axis=(1, 2))
+            assert (err <= 1e-14 * np.linalg.cond(a)).all()
+
 
 def sequential_minimize(objective, dim, k, *, gradient, n_starts=64, seed=0,
                         structured=None, max_iter=120, tol=1e-13):
     """The optimizer with one retraction and one objective call per halving,
-    as it was before the batched ladder: the reference."""
+    as it was before the batched ladder, under the same stall stop: the
+    reference."""
     rng = np.random.default_rng(seed)
     x = _qr_frames(rng.standard_normal((n_starts, dim, k)))
     fx = objective(x)
@@ -133,7 +151,8 @@ def sequential_minimize(objective, dim, k, *, gradient, n_starts=64, seed=0,
         best_struct = (float(fs[j]), s[j])
     lr = np.full(n_starts, 0.1)
     active = np.ones(n_starts, dtype=bool)
-    for _ in range(max_iter):
+    best = [fx.min()]
+    for it in range(1, max_iter + 1):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -156,6 +175,9 @@ def sequential_minimize(objective, dim, k, *, gradient, n_starts=64, seed=0,
             lra[todo[~better]] *= 0.5
         lr[idx] = np.where(improved, lra * 1.5, lra)
         active[idx] = improved  # all 25 halvings failed: converged
+        best.append(fx.min())  # stop once the best value moved <= tol in 10 steps
+        if it >= 10 and best[-11] - best[-1] <= tol * max(1.0, abs(best[-1])):
+            break
     i = int(np.argmin(fx))
     out = (float(fx[i]), x[i])
     if best_struct is not None and best_struct[0] <= out[0]:
@@ -220,6 +242,48 @@ class TestLineSearch:
         assert calls["gradient"] >= 10
         # two initial evaluations: the random starts and the structured frames
         assert calls["objective"] <= 2 * calls["gradient"] + 2
+
+
+def benchmark_tensor():
+    """The dim-4 tensor of the benchmark's ``extremes`` job (its fixed seed):
+    unit curvature plus three Kulkarni-Nomizu products of rotated pairs."""
+    rng = np.random.default_rng(231210940)
+
+    def sym():
+        a = rng.normal(0.0, 0.15, (4, 4))
+        return 0.5 * (a + a.T)
+
+    pairs = [(sym(), sym()) for _ in range(3)]
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)))
+    rot = q * np.sign(np.diag(r))
+    comp = constant_curvature_tensor(4, 1.0).comp.copy()
+    for a, b in pairs:
+        comp += kulkarni_nomizu(SymBilinear(rot @ a @ rot.T),
+                                SymBilinear(rot @ b @ rot.T)).comp
+    return CurvatureTensor(comp)
+
+
+class TestStallStop:
+    @pytest.mark.parametrize("fn, grad", [(ric3_min, "_ric3_grad"),
+                                          (chi_ic1, "_pic1_ratio_grad")])
+    def test_settled_runs_stop_early(self, fn, grad, monkeypatch):
+        # both settle their best value by about step 40 of 120
+        calls = []
+        inner = getattr(curvature, grad)
+        monkeypatch.setattr(curvature, grad, lambda m, x: calls.append(1) or inner(m, x))
+        fn(benchmark_tensor())
+        assert 10 <= len(calls) < 60
+
+    def test_bounds_match_full_length_runs(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        tensors = [random_tensor(dim, rng) for dim in (4, 5, 6) * 3]
+        got = [bounds_of(r, n_starts=32) for r in tensors]
+        monkeypatch.setattr(curvature, "_STALL", 10**6)  # every run takes 120 steps
+        for r, b in zip(tensors, got):
+            ref = bounds_of(r, n_starts=32)
+            for name in ("kappa", "tau", "ric3_min", "chi_ic1"):
+                v, w = getattr(b, name), getattr(ref, name)
+                assert abs(v - w) <= 1e-12 * max(1.0, abs(w)), (name, v, w)
 
 
 class TestKulkarniNomizu:

@@ -747,6 +747,11 @@ class TestRuns:
             FlowConfig(case="equivariant", **{key: value})
 
     @pytest.mark.parametrize("case", ["torus", "equivariant"])
+    def test_other_case_fields_at_their_defaults_accepted(self, case):
+        defaults = FlowConfig(case=case).to_dict()  # winding written as []
+        assert FlowConfig.from_dict(defaults).to_dict() == defaults
+
+    @pytest.mark.parametrize("case", ["torus", "equivariant"])
     @pytest.mark.parametrize("t_end", [0.0, -0.3, math.nan])
     def test_extinction_fraction_needs_a_shrinking_background(self, case, t_end):
         # neither a torus nor a static pair of spheres shrinks, so t_end counts
@@ -790,6 +795,10 @@ class TestRuns:
         ("equivariant", "radius_m", math.nan), ("equivariant", "radius_n", math.inf),
         ("equivariant", "radius_m", 0.0), ("torus", "period", 0.0), ("torus", "period", -2.0),
         ("torus", "period", math.nan), ("equivariant", "monitor_every", -5), ("torus", "n", 0),
+        # valid values of a field the case never reads
+        ("torus", "background_m", "ricci"), ("torus", "background_n", "ricci"),
+        ("torus", "radius_m", 5.0), ("torus", "radius_n", 0.5),
+        ("equivariant", "winding", ((1, 0), (0, 1))), ("equivariant", "period", 3.0),
     ])
     def test_unchecked_fields_rejected(self, case, key, value):
         with pytest.raises(ValueError, match=key):
@@ -859,6 +868,10 @@ NONPOSITIVE = [math.nan, math.inf, -math.inf, 0.0, -1.0]
 BAD_VALUES = {"cfl": NONPOSITIVE, "period": NONPOSITIVE, "radius_m": NONPOSITIVE,
               "radius_n": NONPOSITIVE, "amplitude": [math.nan, math.inf, -math.inf],
               "monitor_every": [-1, -5], "n": [0, -1]}
+OTHER_CASE_VALUES = {  # valid values of the fields the other case reads
+    "torus": {"radius_m": [0.5, 2.0], "radius_n": [1.5], "background_m": ["ricci"],
+              "background_n": ["ricci"]},
+    "equivariant": {"period": [3.0, 10.0], "winding": [[[1, 0], [0, 1]]]}}
 
 
 @hs.composite
@@ -870,20 +883,20 @@ def flow_configs(draw):
                                   else flow.EQUIVARIANT_PRESETS))
     d = {"case": case, "preset": preset, "grid": draw(hs.integers(3, 16)),
          "t_end": draw(hs.floats(1e-3, 0.05)), "cfl": draw(hs.floats(0.05, 1.0)),
-         "amplitude": draw(hs.floats(-1.0, 1.0)), "period": draw(hs.floats(1.0, 10.0)),
-         "radius_m": draw(hs.floats(0.5, 2.0)), "radius_n": draw(hs.floats(0.5, 2.0)),
-         "monitor_every": draw(hs.integers(0, 12))}
+         "amplitude": draw(hs.floats(-1.0, 1.0)), "monitor_every": draw(hs.integers(0, 12))}
     if case == "torus":
-        d.update(m=2, n=draw(hs.integers(1, 3)))
+        d.update(m=2, n=draw(hs.integers(1, 3)), period=draw(hs.floats(1.0, 10.0)))
     else:
-        d.update(m=draw(hs.integers(2, 3)), n=3)
+        d.update(m=draw(hs.integers(2, 3)), n=3, radius_m=draw(hs.floats(0.5, 2.0)),
+                 radius_n=draw(hs.floats(0.5, 2.0)))
         if draw(hs.booleans()):
             d.update(background_m="ricci", background_n="ricci",
                      t_end_frac_of_extinction=draw(hs.floats(0.05, 0.95)))
     replaced = draw(hs.booleans())
-    if replaced:
-        bad = draw(hs.sampled_from(sorted(BAD_VALUES)))
-        d[bad] = draw(hs.sampled_from(BAD_VALUES[bad]))
+    if replaced:  # a bad value, or a field the case never reads
+        bad_values = {**BAD_VALUES, **OTHER_CASE_VALUES[case]}
+        bad = draw(hs.sampled_from(sorted(bad_values)))
+        d[bad] = draw(hs.sampled_from(bad_values[bad]))
     return d, replaced
 
 
