@@ -6,16 +6,19 @@ itself evolves:
 
 * periodic flat tori: d/dt f^a = eta^{ij} d_i d_j f^a with
   eta = I + df^T df assembled pointwise (all background Christoffel terms
-  vanish on flat factors).  df, eta^{-1} and the Hessian of the map come
-  from one centered stencil over all components, written into arrays whose
-  owner the caller picks.  A state owns its geometry: it builds it once,
-  into arrays of its own, and the right-hand side, the monitor, tr_eta S,
-  its eta^{ij} Laplacian and term I all read that one copy.  The stages of
-  a run are not states: they write into one workspace of the run, so a
-  stage allocates only the right-hand side it returns.  A run's rows read
-  the right-hand side the march evaluated at their time and the geometry
-  that evaluation wrote into the stage workspace, and their residual writes
-  its scratch into a second workspace of the run;
+  vanish on flat factors).  One centered stencil over all components gives
+  undivided differences on a periodic ring around the grid, each one
+  contiguous pass, into arrays whose owner the caller picks; the scales
+  1/(2h) and 1/h^2 are applied where a result is read.  A right-hand side is
+  adj(eta)_ij d_i d_j f^a / det eta for m <= 3, so it never forms eta^{-1};
+  m >= 4 contracts LAPACK's eta^{-1}.  The stages of a run write into one
+  workspace of the run, so a stage allocates only the right-hand side it
+  returns.  A state owns its geometry (df, eta^{-1} and the Hessian), built
+  once into arrays of its own, and the monitor, tr_eta S, its eta^{ij}
+  Laplacian and term I read that one copy.  A run's rows read the
+  right-hand side the march evaluated at their time, and their state's
+  geometry is formed from the stencil that evaluation wrote, in a second
+  workspace of the run where their residual writes its scratch too;
 
 * equivariant sphere suspensions f(theta, xi) = (rho(theta), xi) between
   round spheres of radii r_M, r_N:
@@ -26,7 +29,8 @@ itself evolves:
 
   where the radii may shrink homothetically (r(t) = r(0) sqrt(1 - L t)).
   One field per run holds the theta trig and serves the right-hand side and
-  the CFL step alike, so a run builds a state only for a row's monitor.
+  the CFL step alike, so a run builds a state only for a row's monitor,
+  and that state reads the field's sin theta.
 
 Monitors record the area monitor (infimum of the smallest Theta eigenvalue),
 the largest stretch, the largest pairwise stretch product, background scale
@@ -115,20 +119,24 @@ class TorusGeometry(NamedTuple):
 
 
 def _fresh(name: str, shape: tuple) -> np.ndarray:
-    """Buffer owner of a state's geometry: a new array at every request."""
-    return np.empty(shape)
+    """Buffer owner of a state's geometry: a new zeroed array at every request
+    (zeroed for the reason ``_Workspace`` gives)."""
+    return np.zeros(shape)
 
 
 class _Workspace(dict):
     """Buffer owner of one run's stages: one array per (name, shape), made at
     the first request and handed out again, to be overwritten, at every later
     one.  Grid-96 fields are larger than glibc's mmap threshold, so fresh ones
-    would map and fault in new pages at every stage."""
+    would map and fault in new pages at every stage.  Arrays start zeroed, so
+    the few cells of a ringed array that no difference writes (``_stencil``)
+    never hold uninitialized memory, which could be a NaN or a denormal that
+    every pass over the whole array would then carry."""
 
     def __call__(self, name: str, shape: tuple) -> np.ndarray:
         buf = self.get((name, shape))
         if buf is None:
-            buf = self[name, shape] = np.empty(shape)
+            buf = self[name, shape] = np.zeros(shape)
         return buf
 
 
@@ -168,95 +176,238 @@ class TorusFlowState:
 
     @cached_property
     def geometry(self) -> TorusGeometry:
-        return _torus_geometry(self.u, self.lin, self.h)
+        return _torus_geometry(*_torus_df(self.u, self.lin, self.h), self.h)
 
 
-_CELLS = {-1: slice(None, -2), 0: slice(1, -1), 1: slice(2, None), None: slice(None)}
+def _inner(m: int) -> tuple:
+    """Index of the interior of an array ringed on its m trailing axes."""
+    return (Ellipsis,) + (slice(1, -1),) * m
 
 
-def _cells(ringed, m, moves, rest=0):
-    """Cells of an array ringed on its m trailing axes: axis d read one cell back,
-    on or ahead as ``moves.get(d, rest)`` is -1, 0 or 1 (None: the whole axis)."""
-    return ringed[(Ellipsis,) + tuple(_CELLS[moves.get(d, rest)] for d in range(m))]
-
-
-def _stencil(a, m: int, h: float, buf=_fresh):
-    """Centered gradient (lead, m, grid) and Hessian (lead, m, m, grid) of ``a``
-    over its m trailing periodic axes, every leading component at once; each
-    off-diagonal d_j d_i (i < j) is differenced once and mirrored.  ``buf``
-    owns the arrays written, the results included."""
-    k = a.ndim - m
-    ring = buf("ring", a.shape[:k] + tuple(s + 2 for s in a.shape[k:]))
-    ring[(Ellipsis,) + (slice(1, -1),) * m] = a
-    for d in range(m):  # one periodic cell on each side, axis by axis
+@lru_cache(maxsize=None)
+def _stencil_plan(grid: tuple):
+    """What ``_stencil`` indexes on a grid of this shape, built once per shape:
+    the ringed shape and its size, the interior, the pairs (edge cells, the
+    periodic cells they copy) that fill the ring axis by axis, and per axis
+    the flat windows (on, ahead, back) of a difference along it."""
+    m = len(grid)
+    ringed = tuple(s + 2 for s in grid)
+    size = math.prod(ringed)
+    fill = []
+    for d in range(m):
         lead, rest = (Ellipsis,) + (slice(None),) * d, (slice(1, -1),) * (m - d - 1)
-        ring[lead + (0,) + rest] = ring[lead + (-2,) + rest]
-        ring[lead + (-1,) + rest] = ring[lead + (1,) + rest]
-    grad, hess = buf("grad", (m,) + a.shape), buf("hess", (m, m) + a.shape)
-    for i in range(m):
-        # d_i on the ring of every other axis, so d_j d_i needs no second ring
-        ahead, back = _cells(ring, m, {i: 1}, None), _cells(ring, m, {i: -1}, None)
-        gi = np.subtract(ahead, back, out=buf("gi", ahead.shape))
-        gi /= 2.0 * h
-        grad[i] = _cells(gi, m, {i: None})
-        np.multiply(a, -2.0, out=hess[i, i])
-        hess[i, i] += _cells(ring, m, {i: 1})
-        hess[i, i] += _cells(ring, m, {i: -1})
-        hess[i, i] /= h**2
-        for j in range(i + 1, m):
-            np.subtract(_cells(gi, m, {i: None, j: 1}), _cells(gi, m, {i: None, j: -1}),
-                        out=hess[i, j])
-            hess[i, j] /= 2.0 * h
-            hess[j, i] = hess[i, j]
-    return np.moveaxis(grad, 0, k), np.moveaxis(hess, (0, 1), (k, k + 1))
+        fill += [(lead + (0,) + rest, lead + (-2,) + rest),
+                 (lead + (-1,) + rest, lead + (1,) + rest)]
+    shifts = []
+    for d in range(m):
+        s = math.prod(ringed[d + 1:])  # one cell along axis d, in the flat order
+        shifts.append(((Ellipsis, slice(s, size - s)), (Ellipsis, slice(2 * s, None)),
+                       (Ellipsis, slice(None, size - 2 * s))))
+    return ringed, size, _inner(m), fill, shifts
+
+
+def _stencil(a, m: int, buf=_fresh, grad=True, hess=True):
+    """Undivided centered differences of ``a`` over its m trailing periodic axes,
+    every leading component at once, axis indices leading: the gradient
+    (m, lead, grid) holds 2h d_i a, and the Hessian (m, m, lead, grid) holds
+    h^2 d_i^2 a on its diagonal and 4h^2 d_i d_j a above it (i < j; nothing is
+    written below it).  A part not asked for is None.
+
+    Both come ringed: each grid axis carries one more cell on either side, and
+    only the interior (``_inner(m)``) holds differences.  ``a`` is copied into
+    a periodic ring once, and each difference is then a shift of the ring's
+    flat cells, one contiguous pass: the cells it writes outside the interior
+    hold values of no meaning, the few it does not write keep what the buffer
+    held.  Pointwise work on the results may run over whole ringed arrays and
+    read the interior at the end.  The scales are left to the readers, which
+    fold them into what they compute anyway.  ``buf`` owns the arrays written,
+    the results included.
+    """
+    k = a.ndim - m
+    lead = a.shape[:k]
+    ringed, size, inner, fill, shifts = _stencil_plan(a.shape[k:])
+    ring = buf("ring", lead + ringed)
+    ring[inner] = a
+    for edge, cells in fill:  # one periodic cell on each side, axis by axis
+        ring[edge] = ring[cells]
+    flat = ring.reshape(lead + (size,))
+    # d_i a, the gradient or, when only the Hessian is asked for, the scratch
+    # that d_j d_i (j > i) differences along j
+    g = buf("grad", (m,) + lead + ringed)
+    gf = g.reshape((m,) + lead + (size,))
+    hs = buf("hess", (m, m) + lead + ringed) if hess else None
+    if hess:
+        hf = hs.reshape((m, m) + lead + (size,))
+        minus2 = np.multiply(flat, -2.0, out=buf("minus2", lead + (size,)))
+    for i, (on, ahead, back) in enumerate(shifts):
+        if grad or i < m - 1:
+            np.subtract(flat[ahead], flat[back], out=gf[i][on])
+        if hess:
+            for j in range(i + 1, m):
+                on_j, ahead_j, back_j = shifts[j]
+                np.subtract(gf[i][ahead_j], gf[i][back_j], out=hf[i, j][on_j])
+            # h^2 d_i^2 a = (-2a + a ahead) + a back
+            np.add(minus2[on], flat[ahead], out=hf[i, i][on])
+            hf[i, i][on] += flat[back]
+    return (g if grad else None), hs
 
 
 def _torus_df(u: np.ndarray, lin: np.ndarray, h: float, buf=_fresh):
-    """Differential (n, m, grid) and Hessian (n, m, m, grid) of the map x -> lin @ x
-    + u(x), from one stencil of u."""
+    """Differential (n, m, grid) of the map x -> lin @ x + u(x) and the
+    undivided Hessian (m, m, n, grid) of u, both ringed (see ``_stencil``),
+    from one stencil of u."""
     m = lin.shape[1]
-    grad, hess = _stencil(u, m, h, buf)
-    return np.add(lin.reshape(lin.shape + (1,) * m), grad, out=buf("df", grad.shape)), hess
+    grad, hess = _stencil(u, m, buf)
+    df = buf("df", u.shape[:1] + (m,) + grad.shape[2:])
+    np.multiply(grad, 0.5 / h, out=df.swapaxes(0, 1))
+    df += lin.reshape(lin.shape + (1,) * m)
+    return df, hess
+
+
+def _torus_eta(df: np.ndarray, m: int, buf=_fresh) -> np.ndarray:
+    """Upper triangle of the induced metric eta = I + df^T df, each entry a dot
+    product over the n components; nothing is written below the diagonal."""
+    grid = df.shape[2:]
+    eta = buf("eta", (m, m) + grid)
+    for i in range(m):
+        for j in range(i, m):
+            e = np.multiply(df[0, i], df[0, j], out=eta[i, j])
+            for a in range(1, len(df)):
+                e += np.multiply(df[a, i], df[a, j], out=buf("product", grid))
+        eta[i, i] += 1.0
+    return eta
+
+
+def _torus_cofactors(df: np.ndarray, m: int, buf=_fresh):
+    """Upper triangle {(i, j): adj(eta)_ij} of the adjugate of eta and det eta,
+    for m <= 3, pointwise.
+
+    adj(eta)_ij = (-1)^(i+j) times the minor of eta without row j and column i,
+    a 1 x 1 or 2 x 2 determinant; eta is symmetric, so its entry (r, c) is read
+    from the upper triangle.  det eta = sum_j eta_0j adj(eta)_j0.
+    """
+    eta = _torus_eta(df, m, buf)
+    grid = df.shape[2:]
+
+    def e(r, c):
+        return eta[min(r, c), max(r, c)]
+
+    adj = {}
+    for i in range(m):
+        for j in range(i, m):
+            rows = [r for r in range(m) if r != j]
+            cols = [c for c in range(m) if c != i]
+            if m == 2:
+                minor = e(rows[0], cols[0])
+                adj[i, j] = np.negative(minor, out=buf("adj", grid)) if (i + j) % 2 else minor
+            else:
+                # the 2 x 2 minor, its two products swapped where the sign is odd
+                terms = [(e(rows[0], cols[0]), e(rows[1], cols[1])),
+                         (e(rows[0], cols[1]), e(rows[1], cols[0]))][::(-1) ** (i + j)]
+                adj[i, j] = np.multiply(*terms[0], out=buf(f"adj{i}{j}", grid))
+                adj[i, j] -= np.multiply(*terms[1], out=buf("product", grid))
+    det = np.multiply(eta[0, 0], adj[0, 0], out=buf("det", grid))
+    for j in range(1, m):
+        det += np.multiply(eta[0, j], adj[0, j], out=buf("product", grid))
+    return adj, det
+
+
+def _positive(det: np.ndarray) -> np.ndarray:
+    """det eta, unless the induced metric is not positive definite somewhere."""
+    if det.min() <= 0:
+        raise FlowAbort("induced metric lost positive definiteness")
+    return det
 
 
 def _torus_eta_inv(df: np.ndarray, m: int, buf=_fresh) -> np.ndarray:
-    """Inverse induced metric per grid point; aborts where det eta <= 0."""
+    """Inverse induced metric per grid point of an unringed df, adj(eta) / det eta
+    for m <= 3; aborts where det eta <= 0."""
     grid = df.shape[2:]
-    eta = np.einsum("ai...,aj...->ij...", df, df, out=buf("eta", (m, m) + grid))
-    eta += np.eye(m).reshape((m, m) + (1,) * len(grid))
-    if m == 2:
-        det = np.multiply(eta[0, 0], eta[1, 1], out=buf("det", grid))
-        det -= np.square(eta[0, 1], out=buf("square", grid))
-        if det.min() <= 0:
-            raise FlowAbort("induced metric lost positive definiteness")
-        # eta is symmetric: flip, then negate off the diagonal
-        inv = np.divide(eta[::-1, ::-1], det, out=buf("inv", (m, m) + grid))
-        inv[0, 1] *= -1.0
-        inv[1, 0] *= -1.0
-    else:
-        # the gufuncs behind np.linalg.det and np.linalg.inv, which take no out=
-        eta_p = np.moveaxis(eta, (0, 1), (-2, -1))
-        if _umath_linalg.det(eta_p, out=buf("det", grid)).min() <= 0:
-            raise FlowAbort("induced metric lost positive definiteness")
-        inv = np.moveaxis(_umath_linalg.inv(eta_p, out=buf("inv", grid + (m, m))),
-                          (-2, -1), (0, 1))
-    return inv
+    if m <= 3:
+        adj, det = _torus_cofactors(df, m, buf)
+        _positive(det)
+        inv = buf("inv", (m, m) + grid)
+        for i in range(m):
+            for j in range(i, m):
+                np.divide(adj[i, j], det, out=inv[i, j])
+                if j > i:
+                    inv[j, i] = inv[i, j]
+        return inv
+    eta = _torus_eta(df, m, buf)
+    for i in range(m):
+        for j in range(i + 1, m):
+            eta[j, i] = eta[i, j]
+    # the gufuncs behind np.linalg.det and np.linalg.inv, which take no out=
+    eta_p = np.moveaxis(eta, (0, 1), (-2, -1))
+    _positive(_umath_linalg.det(eta_p, out=buf("det", grid)))
+    return np.moveaxis(_umath_linalg.inv(eta_p, out=buf("inv", grid + (m, m))),
+                       (-2, -1), (0, 1))
 
 
-def _torus_geometry(u: np.ndarray, lin: np.ndarray, h: float, buf=_fresh) -> TorusGeometry:
-    """df, eta^{-1} and the Hessian of the map from one stencil of u, written
-    into arrays ``buf`` owns."""
-    df, hess = _torus_df(u, lin, h, buf)
-    return TorusGeometry(df, _torus_eta_inv(df, lin.shape[1], buf), hess)
+def _hessian_trace(coef, hess: np.ndarray, out: np.ndarray, buf) -> np.ndarray:
+    """h^2 coef^{ij} d_i d_j a into ``out``, from the upper triangle of a
+    symmetric coef and the undivided Hessian of a (``_stencil``): an entry
+    above the diagonal counts twice, at a quarter of its weight."""
+    m = hess.shape[0]
+    np.multiply(hess[0, 0], coef[0, 0], out=out)
+    for i in range(m):
+        for j in range(i, m):
+            if i or j:
+                c = coef[i, j] if i == j else np.multiply(coef[i, j], 0.5,
+                                                          out=buf("half", hess.shape[-m:]))
+                out += np.multiply(hess[i, j], c, out=buf("term", out.shape))
+    return out
 
 
-def _eta_laplacian(g: TorusGeometry) -> np.ndarray:
-    """eta^{ij} d_i d_j f^a, the right-hand side of the flow, as a new array."""
-    return np.einsum("ij...,aij...->a...", g.inv, g.hess)
+def _torus_velocity(df: np.ndarray, hess: np.ndarray, h: float, buf=_fresh) -> np.ndarray:
+    """u_t = eta^{ij} d_i d_j u, the right-hand side of the flow, as a new array,
+    from the ringed df and undivided Hessian of u (``_torus_df``); aborts where
+    det eta <= 0.  For m <= 3 it is adj(eta)_ij d_i d_j u / det eta, over the
+    whole ringed arrays, with h^2 folded into det eta, and eta^{-1} is never
+    formed; m >= 4 contracts the LAPACK inverse on the interior."""
+    m = df.shape[1]
+    inner = _inner(m)
+    if m > 3:
+        hess = hess[inner]
+        out = _hessian_trace(_torus_eta_inv(df[inner], m, buf), hess,
+                             np.empty(hess.shape[2:]), buf)
+        out /= h * h
+        return out
+    adj, det = _torus_cofactors(df, m, buf)
+    _positive(det[inner])
+    num = _hessian_trace(adj, hess, buf("num", hess.shape[2:]), buf)
+    return np.divide(num[inner], np.multiply(det, h * h, out=det)[inner])
+
+
+def _torus_hessian(hess: np.ndarray, h: float, buf=_fresh) -> np.ndarray:
+    """The Hessian (n, m, m, grid) of u, symmetric in (m, m), from its ringed
+    undivided differences (``_stencil``)."""
+    m = hess.shape[0]
+    inner = hess[_inner(m)]
+    full = buf("hessian", inner.shape[2:3] + (m, m) + inner.shape[3:])
+    for i in range(m):
+        np.multiply(inner[i, i], h**-2, out=full[:, i, i])
+        for j in range(i + 1, m):
+            np.multiply(inner[i, j], 0.25 * h**-2, out=full[:, i, j])
+            full[:, j, i] = full[:, i, j]
+    return full
+
+
+def _torus_geometry(df: np.ndarray, hess: np.ndarray, h: float, buf=_fresh) -> TorusGeometry:
+    """df, eta^{-1} and the Hessian of the map on the grid, from the ringed df
+    and undivided Hessian of one stencil of u, written into arrays ``buf``
+    owns."""
+    m = df.shape[1]
+    inner = df[_inner(m)]
+    grid_df = buf("grid_df", inner.shape)
+    grid_df[...] = inner
+    return TorusGeometry(grid_df, _torus_eta_inv(grid_df, m, buf), _torus_hessian(hess, h, buf))
 
 
 def torus_rhs(st: TorusFlowState) -> np.ndarray:
-    return _eta_laplacian(st.geometry)
+    """u_t of a state, by the formula a run's stages use, from a stencil of its
+    own (the state's ``geometry`` holds eta^{-1}, which a stage never forms)."""
+    return _torus_velocity(*_torus_df(st.u, st.lin, st.h), st.h)
 
 
 def torus_cfl_dt(st: TorusFlowState, cfl: float = 0.4) -> float:
@@ -266,28 +417,29 @@ def torus_cfl_dt(st: TorusFlowState, cfl: float = 0.4) -> float:
 
 def _torus_field(st: TorusFlowState):
     """Right-hand side (u, t) -> u_t of the run ``st`` starts.  Every stage
-    writes its geometry into one workspace of the run, so the returned u_t is
-    the only new array; the field's ``geometry`` is the last one it wrote,
-    valid until its next call."""
+    writes its stencil and cofactors into one workspace of the run, so the
+    returned u_t is the only new array; the field's ``stencil`` is the df and
+    undivided Hessian it wrote last, valid until its next call."""
     work = _Workspace()
 
     def rhs(u, t):
-        rhs.geometry = _torus_geometry(u, st.lin, st.h, work)
-        return _eta_laplacian(rhs.geometry)
+        rhs.stencil = _torus_df(u, st.lin, st.h, work)
+        return _torus_velocity(*rhs.stencil, st.h, work)
 
     return rhs
 
 
 def _torus_record(st: TorusFlowState, field):
     """Row function (u, t, f) -> row of the run ``st`` starts, called right after
-    ``field`` gave f = u_t at (u, t).  The row's state borrows the geometry that
-    call wrote, so no row builds one, and its residual writes its scratch into
-    a second workspace of the run."""
+    ``field`` gave f = u_t at (u, t).  The row's state takes its geometry from
+    the stencil that call wrote, with eta^{-1} and the Hessian formed in a
+    second workspace of the run, where its residual writes its scratch too."""
     rows = _Workspace()
 
     def record(u, t, f):
         now = TorusFlowState(st.m, st.n, st.period, st.lin, u, t)
-        vars(now)["geometry"] = field.geometry  # primes the cached_property
+        # primes the cached_property
+        vars(now)["geometry"] = _torus_geometry(*field.stencil, st.h, rows)
         return (*torus_monitor(now), torus_evolution_residual(now, f, rows), 1.0, 1.0)
 
     return record
@@ -317,10 +469,40 @@ def torus_lambdas(st: TorusFlowState) -> np.ndarray:
 
 
 def torus_monitor(st: TorusFlowState):
-    lam = torus_lambdas(st)
-    s = s_of(lam)
-    m_of = float((s[:, 0] + s[:, 1]).min())
-    return m_of, float(lam.max()), float((lam[:, 0] * lam[:, 1]).max())
+    """(min S_11 + S_22, max lambda, max lambda_1 lambda_2) over the grid.
+
+    m = 2 reads the invariants of g = df^T df, with det g taken from its
+    entries, not as a difference of roots: S_1 + S_2 = 2 (1 - det g) / det eta
+    with det eta = 1 + tr g + det g, lambda_max^2 the larger root of g and
+    lambda_1 lambda_2 = sqrt(det g).  m >= 3 sorts ``torus_lambdas``.
+    """
+    if st.m > 2:
+        lam = torus_lambdas(st)
+        s = s_of(lam)
+        return (float((s[:, 0] + s[:, 1]).min()), float(lam.max()),
+                float((lam[:, 0] * lam[:, 1]).max()))
+    df = st.geometry.df
+    g00, g11, g01 = (np.einsum("a...,a...->...", df[:, i], df[:, j])
+                     for i, j in ((0, 0), (1, 1), (0, 1)))
+    half_tr = np.add(g00, g11)
+    half_tr *= 0.5
+    top = np.subtract(g00, g11)
+    top *= 0.5
+    np.hypot(top, g01, out=top)
+    top += half_tr
+    lam_max = math.sqrt(max(float(top.max()), 0.0))
+    det = np.multiply(g00, g11, out=g00)
+    det -= np.square(g01, out=g01)
+    np.maximum(det, 0.0, out=det)  # g >= 0: a negative det g is rounding
+    prod = math.sqrt(float(det.max()))
+    # det eta = 1 + tr g + det g, as half_tr + half_tr + det + 1
+    eta_det = np.add(half_tr, half_tr, out=half_tr)
+    eta_det += det
+    eta_det += 1.0
+    np.subtract(1.0, det, out=det)
+    det *= 2.0
+    det /= eta_det
+    return float(det.min()), lam_max, prod
 
 
 def _torus_sigma(st: TorusFlowState, buf=_fresh) -> np.ndarray:
@@ -384,13 +566,16 @@ def torus_evolution_residual(st: TorusFlowState, f=None, buf=_fresh) -> float:
     g, m, h = st.geometry, st.m, st.h
     grid = st.u.shape[1:]
     f = torus_rhs(st) if f is None else f
-    df_t = _stencil(f, m, h, buf)[0]
-    inv_df = np.einsum("ij...,aj...->ai...", _square(g.inv, out=buf("inv2", g.inv.shape)),
-                       g.df, out=buf("inv_df", g.df.shape))
-    res = np.einsum("ai...,ai...->...", df_t, inv_df, out=buf("residual", grid))
-    res *= -4.0
-    hess = _stencil(_torus_sigma(st, buf), m, h, buf)[1]
-    res -= np.einsum("ij...,ij...->...", g.inv, hess, out=buf("lap", grid))
+    inner = _inner(m)
+    df_t = _stencil(f, m, buf, hess=False)[0][inner]  # 2h d(f), axis indices leading
+    inv_df = np.einsum("ij...,aj...->ia...", _square(g.inv, out=buf("inv2", g.inv.shape)),
+                       g.df, out=buf("inv_df", df_t.shape))
+    res = np.einsum("ia...,ia...->...", df_t, inv_df, out=buf("residual", grid))
+    res *= -2.0 / h
+    lap = _hessian_trace(g.inv, _stencil(_torus_sigma(st, buf), m, buf, grad=False)[1][inner],
+                         buf("lap", grid), buf)
+    lap *= h**-2
+    res -= lap
     res -= _torus_term_one(st, buf)
     return float(np.abs(res, out=res).max())
 
@@ -427,6 +612,11 @@ class EquivariantFlowState:
     def theta(self) -> np.ndarray:
         return np.linspace(0.0, math.pi, self.rho.size)
 
+    @cached_property
+    def sin_theta(self) -> np.ndarray:
+        """sin theta on the interior nodes."""
+        return np.sin(self.theta[1:-1])
+
     @property
     def h(self) -> float:
         return math.pi / (self.rho.size - 1)
@@ -434,8 +624,10 @@ class EquivariantFlowState:
 
 def _rho_derivatives(rho: np.ndarray, boundary_class: int, h: float):
     """Centered rho' and rho'' on all nodes; the poles read a ghost node from
-    odd reflection (class pi: odd about pi).  Only the monitor's pole values
-    need the ghosts."""
+    odd reflection (class pi: odd about pi).  No run calls it: the field and
+    ``equivariant_lambdas`` take the same differences from slices of rho, and
+    the pole slopes as scalars.  The tests keep it as their reference, and
+    ``perfbench/tracer.py`` still names it."""
     left = -rho[1]
     right = (2.0 * math.pi - rho[-2]) if boundary_class else -rho[-2]
     ext = np.concatenate([[left], rho, [right]])
@@ -464,7 +656,8 @@ def _eq_field(m: int, nodes: int, radii, cfl: float = 0.4):
     poles, radii(t) = (r_M, r_N); the interior derivatives are slices of y, so
     the poles need no ghosts.  Looks up ``_eq_rhs`` at each call.  The field's
     ``cfl_dt(y, t)`` is the explicit step cfl / rate the state allows, from
-    the same theta trig and coefficients."""
+    the same theta trig and coefficients, and its ``sin_theta`` is the sin theta
+    of the interior nodes it reads, for a row's state to share."""
     h = math.pi / (nodes - 1)
     th = np.linspace(0.0, math.pi, nodes)[1:-1]
     sin_th = np.sin(th)
@@ -485,7 +678,7 @@ def _eq_field(m: int, nodes: int, radii, cfl: float = 0.4):
         rate = 2.0 / diff.min() / h**2 + abs((m - 1) * sincos_th / denom).max() / h
         return cfl / rate
 
-    rhs.cfl_dt = cfl_dt
+    rhs.cfl_dt, rhs.sin_theta = cfl_dt, sin_th
     return rhs
 
 
@@ -564,17 +757,28 @@ def _rkc_coefficients(s: int):
 
 def _rkc_step(y: np.ndarray, t: float, dt: float, s: int, rhs, y_t=None) -> np.ndarray:
     """One s-stage RKC2 step of a whole array; ``rhs(y, t)`` returns y_t, zero
-    on pinned entries, and ``y_t``, if given, is rhs(y, t) already evaluated.
+    on pinned entries, as a new array that the step may overwrite, and
+    ``y_t``, if given, is rhs(y, t) already evaluated.
 
     The recursion runs on the increments d_j = Y_j - y (d_0 = 0) and adds y
-    once at the end, so a stationary state does not drift by rounding.
+    once at the end, so a stationary state does not drift by rounding.  Each
+    stage sums mu d_{j-1} + nu d_{j-2} + mut f + gam f0 left to right, scaling
+    d_{j-2} and the stage's fresh f in place: an in-place pass over a large
+    array costs about half of one that writes a new array.
     """
     mu, nu, mut, gam, c = _rkc_coefficients(s)
     f0 = dt * (rhs(y, t) if y_t is None else y_t)
     d_prev, d = 0.0, mut[1] * f0
     for j in range(2, s + 1):
-        f = dt * rhs(y + d, t + c[j - 1] * dt)
-        d, d_prev = mu[j] * d + nu[j] * d_prev + mut[j] * f + gam[j] * f0, d
+        f = rhs(y + d, t + c[j - 1] * dt)
+        f *= dt
+        d_new = mu[j] * d
+        d_prev *= nu[j]
+        d_new += d_prev
+        f *= mut[j]
+        d_new += f
+        d_new += gam[j] * f0
+        d, d_prev = d_new, d
     return y + d
 
 
@@ -597,16 +801,22 @@ def equivariant_step(st: EquivariantFlowState, dt: float, r_of_t) -> Equivariant
 def equivariant_lambdas(st: EquivariantFlowState, r_m: float, r_n: float):
     """(lambda_radial, lambda_spherical) at every node.
 
-    The radial stretch is (r_N/r_M)|rho'|; the m-1 spherical stretches equal
-    r_N sin(rho) / (r_M sin(theta)) with the pole values filled by the limit
-    rho'(pole) * cos(rho(pole)) (L'Hopital).
+    The radial stretch is (r_N/r_M)|rho'|, with centered slopes; the two pole
+    slopes read a ghost node from odd reflection (class pi: odd about pi), as
+    scalars.  The m-1 spherical stretches equal r_N sin(rho) / (r_M sin(theta))
+    with the pole values filled by the limit rho'(pole) * cos(rho(pole))
+    (L'Hopital).
     """
-    th = st.theta
-    dp, _ = _rho_derivatives(st.rho, st.boundary_class, st.h)
+    rho, h = st.rho, st.h
+    dp = np.empty_like(rho)
+    dp[1:-1] = (rho[2:] - rho[:-2]) / (2.0 * h)
+    left = -rho[1]
+    right = (2.0 * math.pi - rho[-2]) if st.boundary_class else -rho[-2]
+    dp[0], dp[-1] = (rho[1] - left) / (2.0 * h), (right - rho[-2]) / (2.0 * h)
     lam_r = (r_n / r_m) * np.abs(dp)
     lam_s = np.empty_like(lam_r)
     i = slice(1, -1)
-    lam_s[i] = r_n * np.abs(np.sin(st.rho[i])) / (r_m * np.sin(th[i]))
+    lam_s[i] = r_n * np.abs(np.sin(rho[i])) / (r_m * st.sin_theta)
     lam_s[0] = (r_n / r_m) * abs(dp[0] * math.cos(st.rho[0]))
     lam_s[-1] = (r_n / r_m) * abs(dp[-1] * math.cos(st.rho[-1]))
     return lam_r, lam_s
@@ -869,9 +1079,11 @@ def _run_equivariant(cfg: FlowConfig) -> FlowSeries:
         return cfg.radius_m * math.sqrt(f_m(t)), cfg.radius_n * math.sqrt(f_n(t))
 
     st = _equivariant_initial(cfg)
+    field = _eq_field(st.m, st.rho.size, radii, cfg.cfl)
 
     def record(rho, t, f):
         now = EquivariantFlowState(cfg.m, cfg.n, rho, st.boundary_class, t)
+        vars(now)["sin_theta"] = field.sin_theta  # primes the cached_property
         return (*equivariant_monitor(now, *radii(t)), float(abs(f).max()), f_m(t), f_n(t))
 
     series = FlowSeries(meta={
@@ -879,7 +1091,6 @@ def _run_equivariant(cfg: FlowConfig) -> FlowSeries:
         "config": cfg.to_dict(),
         "a_used": _coupling_constant(cfg, pm, pn, t_end) if math.isfinite(t_cap) else None,
     })
-    field = _eq_field(st.m, st.rho.size, radii, cfg.cfl)
     _march(series, st.rho, field, field.cfl_dt, record, cfg.monitor_every or 120)
     if series.meta["a_used"] is not None:
         series.meta["a_min_observed"] = smallest_monotone_rate(series)

@@ -136,6 +136,20 @@ def ref_heun_step(st, dt):
                           st.u + 0.5 * dt * (k1 + ref_rhs(mid)), st.t + dt)
 
 
+def ref_chain_residual(st):
+    """The residual of one state as ``torus_evolution_residual`` defines it, with
+    d_t sigma = -4 tr(eta^{-2} df^T d(f)) by the chain rule, from the np.roll
+    stencils and the references above."""
+    f = TorusFlowState(st.m, st.n, st.period, st.lin, ref_rhs(st), st.t)
+    d_f = ref_df(f) - f.lin.reshape(f.lin.shape + (1,) * st.m)
+    df = ref_df(st)
+    _, inv = ref_eta_inv(df, st.m)
+    inv2 = np.einsum("ij...,jk...->ik...", inv, inv)
+    dt_sigma = -4.0 * np.einsum("ij...,aj...,ai...->...", inv2, df, d_f)
+    lap = np.einsum("ij...,ij...->...", inv, ref_hessian(ref_sigma(st), st.m, st.h))
+    return float(abs(dt_sigma - lap - ref_term_one(st)).max())
+
+
 def ref_residual(prev, mid, nxt, dt):
     sig_m = ref_sigma(mid)
     _, inv = ref_eta_inv(ref_df(mid), mid.m)
@@ -153,7 +167,7 @@ def assert_close(got, ref):
 def wound_state(m, n, seed=0, grid=None):
     """A smooth random map with a nonzero winding, on a small grid by default."""
     rng = np.random.default_rng([seed, m, n])
-    grid = grid or (12 if m == 2 else 8)
+    grid = grid or {2: 12, 3: 8}.get(m, 5)
     x = np.arange(grid) * (2 * math.pi / grid)
     mesh = np.meshgrid(*([x] * m), indexing="ij")
     u = np.zeros((n,) + (grid,) * m)
@@ -166,25 +180,44 @@ def wound_state(m, n, seed=0, grid=None):
     return torus_state(grid=grid, lin=lin, u=u, m=m, n=n)
 
 
-SHAPES = [(2, 2), (3, 2), (2, 3)]
+SHAPES = [(2, 2), (3, 2), (2, 3), (3, 3)]
+# m >= 4 takes eta^{-1} from LAPACK, not from the adjugate
+REFERENCE_SHAPES = SHAPES + [(4, 2)]
 
 
 class TestTorusReference:
     @pytest.mark.parametrize("m,n", SHAPES)
     def test_stencil(self, m, n):
+        # undivided differences, axis indices leading and ringed by one cell per
+        # side: 2h d_i, h^2 d_i^2 on the diagonal and 4h^2 d_i d_j above it, on
+        # the interior; either part alone is the same
         st = wound_state(m, n)
-        grad, hess = _stencil(st.u, m, st.h)
-        assert_close(grad, np.stack([np.stack([ref_d1(st.u[a], ax, st.h) for ax in range(m)])
-                                     for a in range(n)]))
-        assert_close(hess, np.stack([ref_hessian(st.u[a], m, st.h) for a in range(n)]))
+        h, inner = st.h, (Ellipsis,) + (slice(1, -1),) * m
+        ref_grad = np.stack([np.stack([ref_d1(st.u[a], ax, h) for ax in range(m)])
+                             for a in range(n)])
+        ref_hess = np.stack([ref_hessian(st.u[a], m, h) for a in range(n)])
+        grad, hess = (part[inner] for part in _stencil(st.u, m))
+        assert_close(np.moveaxis(grad, 0, 1) / (2 * h), ref_grad)
+        for i in range(m):
+            for j in range(i, m):
+                assert_close(hess[i, j] / (h * h if i == j else 4 * h * h), ref_hess[:, i, j])
+        only_grad, none = _stencil(st.u, m, hess=False)
+        none_, only_hess = _stencil(st.u, m, grad=False)
+        assert none is None and none_ is None
+        assert np.array_equal(only_grad[inner], grad)
+        assert all(np.array_equal(only_hess[inner][i, j], hess[i, j])
+                   for i in range(m) for j in range(i, m))
         assert_close(st.geometry.df, ref_df(st))
+        assert_close(st.geometry.hess, ref_hess)
 
-    @pytest.mark.parametrize("m,n", SHAPES)
+    @pytest.mark.parametrize("m,n", REFERENCE_SHAPES)
     def test_rhs_sigma_term_one(self, m, n):
         st = wound_state(m, n)
         assert_close(torus_rhs(st), ref_rhs(st))
+        assert_close(flow._torus_field(st)(st.u, 0.0), ref_rhs(st))
         assert_close(_torus_sigma(st), ref_sigma(st))
         assert_close(_torus_term_one(st), ref_term_one(st))
+        assert_close(torus_evolution_residual(st), ref_chain_residual(st))
 
     @pytest.mark.parametrize("m,n", SHAPES)
     def test_evolution_residual(self, m, n):
@@ -302,9 +335,10 @@ class TestTorusRecords:
         # the last row's right-hand side is the only one no step takes as a stage
         assert len(calls) == series.meta["rhs_evals"] + 1
 
-    # the record's stencils, zeta^{-1} and term I write into a workspace of the
-    # run; what is left is the monitor's pointwise arrays (the 2 x 2 pullback
-    # metric, its roots and their S values), about five states' worth
+    # the record's stencils, geometry, zeta^{-1} and term I write into a
+    # workspace of the run; what is left is the monitor's pointwise arrays (the
+    # three entries of the 2 x 2 pullback metric, half its trace and its larger
+    # root), five grid fields, 2.5 states' worth at n = 2
     def test_record_allocates_bounded_memory(self):
         st = wound_state(2, 2, grid=96)
         field = flow._torus_field(st)
@@ -317,7 +351,7 @@ class TestTorusRecords:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * st.u.nbytes
+        assert peak <= 3 * st.u.nbytes
 
 
 class TestTorusLambdas:
