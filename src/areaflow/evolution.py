@@ -23,7 +23,8 @@ admissible states can confirm the stated sign.
 ``States`` stacks point states of one shape (m, n) on a leading row axis.
 Every oracle is written once on it and returns one value per row; a
 validated ``PointState`` runs as a batch of one and gets a float.  Draws
-reject rows by masks and refill until every row is admissible.
+reject rows by masks and refill until every row is admissible; the
+positivity draws reject on the singular values alone.
 """
 
 from __future__ import annotations
@@ -36,7 +37,13 @@ from .profile import SingularProfile, c_of, graph_frames, s_of, theta_wedge_matr
 
 GAP_TOL = -1e-10  # sweeps treat gaps above this as nonnegative
 _BATCH = 4096  # rows per sweep batch; bounds the dense tensors of the term-II oracle
-_ROUNDS = 2000  # refill rounds of a draw; the scarcest rows a sweep draws are ~3% admissible
+# A draw redraws rows failing ``_margin`` for at most _ROUNDS rounds.  Positivity
+# draws (~3% admissible at alpha = 0, m = n = 4) reject on lambda alone: each
+# round draws about 1/(acceptance so far) candidates per missing row (at least
+# one each, else at most _ROUND_CAP in all), and the draw gives up after
+# _ROUNDS candidates per requested row, the worst case of one row's refills.
+_ROUNDS = 2000
+_ROUND_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -247,6 +254,8 @@ def positivity_gap(st, alpha):
     if b.m < 2:
         raise ValueError("needs m >= 2")
     alpha = np.asarray(alpha, dtype=float)
+    if not np.isfinite(alpha).all():
+        raise ValueError("alpha must be finite")
     if (alpha < 0).any():
         raise ValueError("alpha must be nonnegative")
     theta = b.theta
@@ -420,11 +429,49 @@ def _sym_tables(rng, rows, d, lo, hi):
     return t
 
 
-def _candidates(rng, condition, m, n, rows) -> States:
-    """Random states for a condition, admissible by construction where possible."""
+def _lambdas(rng, m: int, n: int, rows: int, alpha=None) -> np.ndarray:
+    """Singular values (rows, m): l = min(m, n) uniform in [0, 3], sorted
+    descending, then zeros.
+
+    With ``alpha`` (one per row) each row has the conditional law given
+    Theta_1221 + alpha > 1e-6, by rejection on lambda alone.  A round draws
+    about 1/(acceptance so far) = (drawn + 1)/(passed + 1) candidates for
+    every missing row, one each but at most ``_ROUND_CAP`` in all, and a row
+    keeps the first admissible one drawn for it.  The draw gives up once the
+    next round would pass ``_ROUNDS`` candidates per requested row.
+    """
     ell = min(m, n)
-    lam = np.zeros((rows, m))
-    lam[:, :ell] = np.sort(rng.uniform(0.0, 3.0, size=(rows, ell)), axis=1)[:, ::-1]
+
+    def draw(count):
+        lam = np.zeros((count, m))
+        lam[:, :ell] = np.sort(rng.uniform(0.0, 3.0, size=(count, ell)), axis=1)[:, ::-1]
+        return lam
+
+    if alpha is None:
+        return draw(rows)
+    alpha = np.asarray(alpha, dtype=float)
+    if not np.isfinite(alpha).all():
+        raise ValueError("alpha must be finite")
+    out, missing = np.zeros((rows, m)), np.arange(rows)
+    drawn = passed = 0
+    while missing.size:
+        per_row = min(-(-(drawn + 1) // (passed + 1)), max(1, _ROUND_CAP // missing.size),
+                      (_ROUNDS * rows - drawn) // missing.size)
+        if per_row < 1:
+            raise RuntimeError(f"could not draw admissible states in {_ROUNDS} candidates per row")
+        cand = draw(missing.size * per_row).reshape(missing.size, per_row, m)
+        ok = s_of(cand[..., :2]).sum(axis=2) + alpha[missing, None] > 1e-6
+        hit = ok.any(axis=1)
+        out[missing[hit]] = cand[hit, ok[hit].argmax(axis=1)]
+        drawn, passed, missing = drawn + ok.size, passed + int(ok.sum()), missing[~hit]
+    return out
+
+
+def _candidates(rng, condition, n: int, lam: np.ndarray) -> States:
+    """Random states on the singular values ``lam`` for a condition,
+    admissible by construction where possible."""
+    rows, m = lam.shape
+    ell = min(m, n)
     a2 = rng.normal(0.0, 1.0, size=(rows, n, m, m))
     a2 = 0.5 * (a2 + a2.transpose(0, 1, 3, 2))
     dtg, dth = np.zeros((rows, m)), np.zeros((rows, ell))
@@ -469,21 +516,22 @@ def draw_states(rng, condition: str | None, m: int, n: int, rows: int, *,
                 alpha=None) -> States:
     """``rows`` random states of dims (m, n), admissible for the condition.
 
-    Admissible by construction where possible, else rows failing ``_margin``
-    are redrawn; with ``alpha`` (one per row) also Theta_1221 + alpha > 0.
+    The singular values come from ``_lambdas``, so with ``alpha`` (one per
+    row) Theta_1221 + alpha > 0 is met by rejection on lambda alone.  The
+    other fields are admissible by construction where possible, else rows
+    failing ``_margin`` are redrawn whole, up to ``_ROUNDS`` rounds.
     """
-    out = cand = _candidates(rng, condition, m, n, rows)
+    out = cand = _candidates(rng, condition, n, _lambdas(rng, m, n, rows, alpha))
     slots = np.arange(rows)
     for _ in range(_ROUNDS):
         ok = _margin(cand, condition) >= 0
-        if alpha is not None:
-            ok &= cand.theta + alpha[slots] > 1e-6
         for name, values in out.arrays().items():
             values[slots[ok]] = getattr(cand, name)[ok]
         slots = slots[~ok]
         if not slots.size:
             return out
-        cand = _candidates(rng, condition, m, n, slots.size)
+        lam = _lambdas(rng, m, n, slots.size, None if alpha is None else alpha[slots])
+        cand = _candidates(rng, condition, n, lam)
     raise RuntimeError(f"could not draw admissible states for {condition!r}")
 
 
@@ -510,8 +558,8 @@ def _require_samples(samples: int) -> None:
         raise ValueError(f"samples must be at least 1, got {samples}")
 
 
-def _sweep_states(samples: int, seed: int, condition: str | None = None, *, alpha=None):
-    """Batches of a sweep with their alpha per row, uniform in the range ``alpha``.
+def _sweep_shapes(samples: int, seed: int):
+    """The generator of a sweep with the dims (m, n) and row count of each batch.
 
     Each sample draws its dims (m, n) in {2, 3, 4}^2; samples of equal dims
     are drawn together, at most ``_BATCH`` at a time.
@@ -520,11 +568,15 @@ def _sweep_states(samples: int, seed: int, condition: str | None = None, *, alph
     rng = np.random.default_rng(seed)
     counts = np.bincount(rng.integers(0, 9, size=samples), minlength=9)
     for code, count in enumerate(counts.tolist()):
-        m, n = 2 + code // 3, 2 + code % 3
         for start in range(0, count, _BATCH):
-            rows = min(_BATCH, count - start)
-            a = None if alpha is None else rng.uniform(*alpha, rows)
-            yield draw_states(rng, condition, m, n, rows, alpha=a), a
+            yield rng, 2 + code // 3, 2 + code % 3, min(_BATCH, count - start)
+
+
+def _sweep_states(samples: int, seed: int, condition: str | None = None, *, alpha=None):
+    """Batches of a sweep with their alpha per row, uniform in the range ``alpha``."""
+    for rng, m, n, rows in _sweep_shapes(samples, seed):
+        a = None if alpha is None else rng.uniform(*alpha, rows)
+        yield draw_states(rng, condition, m, n, rows, alpha=a), a
 
 
 def sweep_positivity(samples: int, seed: int, *, alpha_positive: bool) -> dict:
@@ -554,9 +606,18 @@ def sweep_bound(condition: str, samples: int, seed: int, *, c0: float = 8.0) -> 
 
 
 def sweep_term_II(samples: int, seed: int) -> dict:
-    """Closed-form term II against the product-curvature contraction, every direction."""
-    worst = max(float(abs(_terms(b)[1] - _term_II_product(b)).max())
-                for b, _ in _sweep_states(samples, seed))
+    """Closed-form term II against the product-curvature contraction, every direction.
+
+    Term II reads lambda, K^g and K^h alone: a batch draws them as a
+    condition-None draw does and leaves a2, dt g and dt h zero.
+    """
+    worst = 0.0
+    for rng, m, n, rows in _sweep_shapes(samples, seed):
+        ell, lam = min(m, n), _lambdas(rng, m, n, rows)
+        b = States(m, n, lam, _sym_tables(rng, rows, m, -1.0, 1.0),
+                   _sym_tables(rng, rows, ell, -1.0, 1.0), np.zeros((rows, n, m, m)),
+                   np.zeros((rows, m)), np.zeros((rows, ell)))
+        worst = max(worst, float(abs(_terms(b)[1] - _term_II_product(b)).max()))
     return {"suite": "term_II_oracle", "samples": samples, "max_abs_diff": worst}
 
 

@@ -22,7 +22,7 @@ from areaflow.evolution import (
     terms_I_II_III,
     term_II_bruteforce,
 )
-from areaflow.profile import SingularProfile
+from areaflow.profile import SingularProfile, s_of
 
 
 def make_state(lam, kg=None, kh=None, a2=None, dtg=None, dth=None, n=None, **kw):
@@ -125,6 +125,11 @@ class TestPositivity:
         with pytest.raises(ValueError):
             positivity_gap(st, -0.1)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            positivity_gap(make_state([0.5, 0.25]), alpha)
+
     def test_sweeps_nonnegative(self):
         assert sweep_positivity(1500, 11, alpha_positive=True)["min_gap"] >= -1e-10
         assert sweep_positivity(1500, 12, alpha_positive=False)["min_gap"] >= -1e-10
@@ -192,6 +197,23 @@ class TestBounds:
         assert lemma_constant(st) == pytest.approx(8.0 * 2.0 * 4)
 
 
+class CountingRng:
+    """A generator that counts the values its ``uniform`` and ``normal`` draw."""
+
+    def __init__(self, seed):
+        self.rng, self.values = np.random.default_rng(seed), 0
+
+    def _count(self, out):
+        self.values += np.size(out)
+        return out
+
+    def uniform(self, *args, **kwargs):
+        return self._count(self.rng.uniform(*args, **kwargs))
+
+    def normal(self, *args, **kwargs):
+        return self._count(self.rng.normal(*args, **kwargs))
+
+
 class TestRandomStates:
     def test_validity(self):
         rng = np.random.default_rng(31)
@@ -201,8 +223,63 @@ class TestRandomStates:
             assert abs(st.kg - st.kg.T).max() == 0.0
 
     def test_impossible_draw_raises_instead_of_spinning(self):
-        with pytest.raises(RuntimeError, match="admissible"):
-            random_positive_state(np.random.default_rng(33), -5.0)
+        # Theta_1221 > -2, so alpha = -5 admits no candidate; the draw must stop
+        # within its budget of _ROUNDS candidates per requested row
+        for rows in (1, 40):
+            rng = CountingRng(33)
+            with pytest.raises(RuntimeError, match="admissible"):
+                if rows == 1:
+                    random_positive_state(rng, -5.0, dims=(3, 2))
+                else:
+                    draw_states(rng, None, 3, 2, rows, alpha=np.full(rows, -5.0))
+            assert 0 < rng.values / 2 <= evolution._ROUNDS * rows  # two lambdas a candidate
+
+    def test_non_finite_alpha_fails_at_once(self):
+        rng = CountingRng(34)
+        with pytest.raises(ValueError, match="alpha"):
+            random_positive_state(rng, float("nan"), dims=(2, 2))
+        assert rng.values == 0
+
+    def test_alpha_every_candidate_passes_is_the_plain_draw(self):
+        for m, n in ((2, 2), (3, 4), (4, 2)):  # Theta_1221 > -2 passes alpha = 2.5
+            plain = draw_states(np.random.default_rng(9), None, m, n, 50)
+            kept = draw_states(np.random.default_rng(9), None, m, n, 50, alpha=np.full(50, 2.5))
+            for name, values in plain.arrays().items():
+                assert np.array_equal(getattr(kept, name), values), (m, n, name)
+
+    def test_positivity_draw_keeps_the_rejection_law(self):
+        rows = 20000
+        got = draw_states(np.random.default_rng(5), None, 4, 4, rows, alpha=np.zeros(rows)).lam
+        # reference: candidates one at a time, each kept when admissible
+        rng, kept = np.random.default_rng(6), []
+        while sum(map(len, kept)) < rows:
+            cand = np.sort(rng.uniform(0.0, 3.0, size=(100_000, 4)), axis=1)[:, ::-1]
+            kept.append(cand[s_of(cand[:, :2]).sum(axis=1) > 1e-6])
+        ref = np.concatenate(kept)[:rows]
+
+        def quartile(x, p):
+            # the p-quantile and its standard error from the order statistics
+            # one binomial standard deviation of rank either side
+            x = np.sort(x)
+            half = np.sqrt(len(x) * p * (1 - p))
+            lo, hi = x[int(len(x) * p - half)], x[int(len(x) * p + half)]
+            return np.quantile(x, p), 0.5 * (hi - lo)
+
+        for k in (0, 1):
+            for p in (0.25, 0.5, 0.75):
+                (q_got, se_got), (q_ref, se_ref) = quartile(got[:, k], p), quartile(ref[:, k], p)
+                assert abs(q_got - q_ref) <= 3 * np.hypot(se_got, se_ref), (k, p)
+
+    def test_empty_draw(self):
+        for alpha in (None, np.zeros(0)):
+            b = draw_states(np.random.default_rng(10), None, 4, 4, 0, alpha=alpha)
+            assert len(b) == 0 and b.a2.shape == (0, 4, 4, 4)
+
+    def test_per_row_alpha_is_met_row_by_row(self):
+        rng = np.random.default_rng(11)
+        alpha = rng.uniform(0.0, 2.0, 3000)
+        b = draw_states(rng, None, 4, 3, 3000, alpha=alpha)
+        assert (b.theta + alpha > 1e-6).all()
 
     def test_positive_state_has_positive_theta(self):
         rng = np.random.default_rng(32)
