@@ -14,10 +14,11 @@ whose backtracking line search tries a ladder of halved steps per start in
 two batched calls and takes each start's first sufficient decrease, the step
 that halving one trial at a time would accept.  A start whose whole ladder
 fails drops out, and a run stops once its best value has stalled over 10
-descent steps.  Every objective is a sum of contractions R(a,b,c,d) of its
-frame vectors, evaluated by one batched kernel on the (dim^2, dim^2) matrix
-of the tensor, and its analytic Euclidean gradient comes from the partial
-R(., b, c, d) of the same kernel; the optimizer requires that gradient
+descent steps.  Every objective is a table of sums of terms R(x_a, x_b,
+x_c, x_d), one column tuple per term, evaluated by one batched kernel on the
+(dim^2, dim^2) matrix of the tensor; its analytic Euclidean gradient comes
+from partials R(., p, q, r) of the same kernel, which the symmetries of R
+derive from the tuples.  The optimizer requires that gradient
 (``gradient=``) and projects it onto the tangent space of the frame.
 Results are deterministic under a fixed seed and exact in practice on the
 homogeneous model spaces this library targets.
@@ -254,16 +255,16 @@ def pic1_defect(r: CurvatureTensor, frame4: np.ndarray, mu: float) -> float:
         raise ValueError("frame4 is not orthonormal (tol 1e-10)")
     if not 0.0 <= mu <= 1.0:
         raise ValueError("mu must lie in [0, 1]")
-    p, q, rr = _pic1_terms(_pair_matrix(r.comp), f.T[None])
+    p, q, rr = _PIC1.values(_pair_matrix(r.comp), f.T[None])
     return float(p[0] + mu**2 * q[0] - 2 * mu * rr[0])
 
 
 # ---------------------------------------------------------------------------
 # contraction kernel and frame objectives
 # ---------------------------------------------------------------------------
-# Objectives take column frames x of shape (B, dim, k) and return (B,)
-# values; their ``*_grad`` partners return the Euclidean gradient in x,
-# shaped like x.  All of them go through the two kernels below.
+# Frames are column frames x of shape (B, dim, k).  An objective is a table
+# of curvature terms R(x_a, x_b, x_c, x_d) of the frame's columns; ``_Terms``
+# evaluates every table through the two kernels below.
 
 
 def _pair_matrix(comp: np.ndarray) -> np.ndarray:
@@ -285,50 +286,73 @@ def _contract(m, a, b, c, d):
 def _partial(m, b, c, d):
     """The covector R(., b, c, d), batched over (..., dim).
 
-    By the tensor's symmetries this gives every partial an objective needs:
-    d/da R(a,b,b,a) = 2 R(.,b,b,a) and d/df1 R(f1,f2,f3,f4) = R(.,f2,f3,f4).
+    By the symmetries of R, the derivative of a term R(a, b, c, d) in each
+    of its slots is +-R(., ., ., .) of the other three vectors (``_Terms``).
     """
     dim = b.shape[-1]
     t = (_outer(c, d) @ m.T).reshape(*b.shape[:-1], dim, dim)
     return (t @ b[..., :, None])[..., 0]
 
 
-def _k_grad(m, a, b):
-    """(dK/da, dK/db) for K(a, b) = R(a, b, b, a)."""
-    g = 2.0 * _partial(m, np.stack([b, a]), np.stack([b, a]), np.stack([a, b]))
-    return g[0], g[1]
+class _Terms:
+    """Sums of curvature terms R(x_a, x_b, x_c, x_d) of a frame's columns.
 
-
-def _sectional_value(m, x):
-    """K(x_1, x_2)."""
-    a, b = x[..., 0], x[..., 1]
-    return _contract(m, a, b, b, a)
-
-
-def _sectional_grad(m, x):
-    return np.stack(_k_grad(m, x[..., 0], x[..., 1]), axis=-1)
-
-
-def _ric3_value(m, x):
-    """K(u, v) + K(u, w) for x = (u, v, w)."""
-    uu, vw = np.stack([x[..., 0]] * 2), np.moveaxis(x[..., 1:], -1, 0)
-    return _contract(m, uu, vw, vw, uu).sum(axis=0)
-
-
-def _ric3_grad(m, x):
-    gu, gvw = _k_grad(m, np.stack([x[..., 0]] * 2), np.moveaxis(x[..., 1:], -1, 0))
-    return np.stack([gu.sum(axis=0), gvw[0], gvw[1]], axis=-1)
-
-
-def _pic1_terms(m, x):
-    """(p, q, r) with PIC1 defect p + q mu^2 - 2 r mu on frames x = (f1..f4).
-
-    p = K13 + K23, q = K14 + K24, r = R_1234.
+    Each sum is a list of column tuples (a, b, c, d), one per term; ``values``
+    contracts every term of every sum in one kernel call, and ``gradient``
+    takes every partial R(., p, q, r) of the terms in one kernel call.
     """
-    f1, f2, f3, f4 = np.moveaxis(x, -1, 0)
-    k = _contract(m, np.stack([f1, f2, f1, f2, f1]), np.stack([f3, f3, f4, f4, f2]),
-                  np.stack([f3, f3, f4, f4, f3]), np.stack([f1, f2, f1, f2, f4]))
-    return k[0] + k[1], k[2] + k[3], k[4]
+
+    # The derivative of R(a, b, c, d) in slot 1 is R(., b, c, d), in slot 2
+    # -R(., a, c, d), in slot 3 R(., d, a, b) and in slot 4 -R(., c, a, b):
+    # (slot, sign, slots of the three vectors).  A partial is stored with
+    # q <= r, its sign changed where they swap (R is antisymmetric in its last
+    # pair); equal (column, sum, partial) entries merge and those that cancel
+    # drop, so a sectional term R(a, b, b, a) costs two partials.
+    _SLOTS = ((0, 1, (1, 2, 3)), (1, -1, (0, 2, 3)), (2, 1, (3, 0, 1)), (3, -1, (2, 0, 1)))
+
+    def __init__(self, *sums):
+        terms = [t for s in sums for t in s]
+        k = 1 + max(max(t) for t in terms)
+        self._terms = np.array(terms).T  # (4, terms)
+        self._starts = np.cumsum([0] + [len(s) for s in sums[:-1]])
+        coef = {}
+        for i, s in enumerate(sums):
+            for t in s:
+                for slot, sign, rest in self._SLOTS:
+                    p, q, r = (t[j] for j in rest)
+                    key = (t[slot], i, p, min(q, r), max(q, r))
+                    coef[key] = coef.get(key, 0) + (sign if q < r else -sign)
+        keys = [key for key, c in coef.items() if c]
+        self._coef = np.array([coef[key] for key in keys], dtype=float)
+        self._sum = np.array([key[1] for key in keys])
+        self._partials = np.array([key[2:] for key in keys]).T  # (3, partials)
+        self._cols = np.eye(k)[[key[0] for key in keys]]  # (partials, k)
+
+    def values(self, m, x):
+        """The sums at frames x of shape (B, dim, k), shaped (sums, B)."""
+        v = _contract(m, *np.moveaxis(x, -1, 0)[self._terms])
+        return np.add.reduceat(v, self._starts)
+
+    def value(self, m, x):
+        """The total of the sums at frames x."""
+        return self.values(m, x).sum(axis=0)
+
+    def gradient(self, m, x, weights=None):
+        """Euclidean gradient in x of the sums weighted by ``weights``, shaped
+        like x; ``weights`` is shaped like ``values`` (None: every sum weighs 1).
+        """
+        coef = self._coef[:, None]
+        if weights is not None:
+            coef = coef * np.asarray(weights)[self._sum]
+        g = _partial(m, *np.moveaxis(x, -1, 0)[self._partials]) * coef[..., None]
+        return np.tensordot(g, self._cols, axes=(0, 0))
+
+
+_SECTIONAL = _Terms([(0, 1, 1, 0)])  # K(x_1, x_2)
+_RIC3 = _Terms([(0, 1, 1, 0), (0, 2, 2, 0)])  # K(u, v) + K(u, w) for x = (u, v, w)
+# the PIC1 defect p + q mu^2 - 2 r mu on x = (f1..f4): p = K13 + K23,
+# q = K14 + K24, r = R_1234
+_PIC1 = _Terms([(0, 2, 2, 0), (1, 2, 2, 1)], [(0, 3, 3, 0), (1, 3, 3, 1)], [(0, 1, 2, 3)])
 
 
 def _pic1_ratio(m, x):
@@ -337,7 +361,7 @@ def _pic1_ratio(m, x):
     For fixed frame the defect is p + q mu^2 - 2 r mu; the normalized ratio
     has interior critical points at the roots of r mu^2 + (q-p) mu - r = 0.
     """
-    p, q, r = _pic1_terms(m, x)
+    p, q, r = _PIC1.values(m, x)
 
     def ratio(mu):
         return (p + q * mu**2 - 2.0 * r * mu) / (2.0 * (1.0 + mu**2))
@@ -365,18 +389,8 @@ def _pic1_ratio_grad(m, x):
     minimiser (Danskin): (dp + mu^2 dq - 2 mu dr) / (2(1+mu^2)).
     """
     _, mu = _pic1_ratio(m, x)
-    f1, f2, f3, f4 = np.moveaxis(x, -1, 0)
-    ga, gb = _k_grad(m, np.stack([f1, f2, f1, f2]), np.stack([f3, f3, f4, f4]))
-    w = np.stack([np.ones_like(mu), np.ones_like(mu), mu**2, mu**2])[..., None]
-    ga, gb = w * ga, w * gb
-    # R(., f2,f3,f4) = dr/df1, -R(., f1,f3,f4) = dr/df2, R(., f4,f1,f2) = dr/df3,
-    # -R(., f3,f1,f2) = dr/df4
-    dr = 2.0 * mu[..., None] * _partial(m, np.stack([f2, f1, f4, f3]),
-                                        np.stack([f3, f3, f1, f1]),
-                                        np.stack([f4, f4, f2, f2]))
-    g = np.stack([ga[0] + ga[2] - dr[0], ga[1] + ga[3] + dr[1],
-                  gb[0] + gb[1] - dr[2], gb[2] + gb[3] + dr[3]], axis=-1)
-    return g / (2.0 * (1.0 + mu**2))[..., None, None]
+    return _PIC1.gradient(m, x, np.array([np.ones_like(mu), mu**2, -2.0 * mu])
+                          / (2.0 * (1.0 + mu**2)))
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +427,15 @@ def _stiefel_gradient(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - x @ (0.5 * (xtg + np.swapaxes(xtg, -1, -2)))
 
 
+# Descent steps per run at most, and the relative decrease a trial step must
+# make (also the stall threshold below).
+_MAX_ITER = 120
+_TOL = 1e-13
 # Halving rungs per objective call: a start that improved last step grew its
 # step 1.5x, so one halving returns below its last accepted step and rungs 0-1
 # serve almost every improving start; rungs 2-24 run only for the rest.
 _LADDER = (2, 23)
-# A run stops once its best value has moved by at most ``tol`` (relative) over
+# A run stops once its best value has moved by at most ``_TOL`` (relative) over
 # this many descent steps: starts stuck in worse local minima may still be
 # improving, but no longer on the best value.
 _STALL = 10
@@ -432,8 +450,6 @@ def minimize_over_frames(
     n_starts: int = 64,
     seed: int = 0,
     structured=None,
-    max_iter: int = 120,
-    tol: float = 1e-13,
 ):
     """Minimize a batched objective over orthonormal k-frames in dim space.
 
@@ -449,8 +465,8 @@ def minimize_over_frames(
     passing rung, which is the step sequential halving would accept, with the
     same step values; a start whose whole ladder fails has converged and
     drops out of the batch.  The run ends when every start has dropped out,
-    after ``max_iter`` descent steps, or once the best value over all starts
-    has moved by at most ``tol * max(1, |best|)`` over the last 10 steps.
+    after ``_MAX_ITER`` descent steps, or once the best value over all starts
+    has moved by at most ``_TOL * max(1, |best|)`` over the last ``_STALL``.
     ``structured`` frames are evaluated but not descended (they are exact
     candidates such as coordinate frames).  Deterministic under ``seed``;
     ties resolve to the lowest start index.
@@ -473,7 +489,7 @@ def minimize_over_frames(
     active = np.ones(n_starts, dtype=bool)
     best = [fx.min()]  # best value after each descent step
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -491,7 +507,7 @@ def minimize_over_frames(
             trial = _qr_frames(x[idx[todo]] - steps[:, :, None, None] * step[todo])
             ft = objective(trial.reshape(-1, dim, k)).reshape(rungs, todo.size)
             ref = fx[idx[todo]]
-            better = ft < ref - tol * np.maximum(1.0, np.abs(ref))
+            better = ft < ref - _TOL * np.maximum(1.0, np.abs(ref))
             ok = better.any(axis=0)
             rung = better.argmax(axis=0)[ok]  # first passing rung of each start
             hit = idx[todo[ok]]
@@ -503,7 +519,7 @@ def minimize_over_frames(
         lr[idx] = lra * 1.5
         active[idx] = improved
         best.append(fx.min())
-        if it >= _STALL and best[-1 - _STALL] - best[-1] <= tol * max(1.0, abs(best[-1])):
+        if it >= _STALL and best[-1 - _STALL] - best[-1] <= _TOL * max(1.0, abs(best[-1])):
             break
     i = int(np.argmin(fx))
     out = (float(fx[i]), x[i])
@@ -531,8 +547,8 @@ def sectional_range(r: CurvatureTensor, *, n_starts: int = 64, seed: int = 0):
 
     def lowest(comp, seed):
         m = _pair_matrix(comp)
-        val, _ = minimize_over_frames(partial(_sectional_value, m), r.dim, 2,
-                                      gradient=partial(_sectional_grad, m),
+        val, _ = minimize_over_frames(partial(_SECTIONAL.value, m), r.dim, 2,
+                                      gradient=partial(_SECTIONAL.gradient, m),
                                       n_starts=n_starts, seed=seed, structured=structured)
         return val
 
@@ -551,8 +567,8 @@ def ric3_min(r: CurvatureTensor, *, n_starts: int = 64, seed: int = 0) -> float:
     if r.dim < 3:
         raise ValueError("ric3_min needs dim >= 3")
     m = _pair_matrix(r.comp)
-    val, _ = minimize_over_frames(partial(_ric3_value, m), r.dim, 3,
-                                  gradient=partial(_ric3_grad, m), n_starts=n_starts,
+    val, _ = minimize_over_frames(partial(_RIC3.value, m), r.dim, 3,
+                                  gradient=partial(_RIC3.gradient, m), n_starts=n_starts,
                                   seed=seed, structured=_axis_frames(r.dim, 3))
     return val
 
@@ -620,7 +636,6 @@ def bounds_of(
     *,
     n_starts: int = 64,
     seed: int = 0,
-    einstein_const: float | None = None,
 ) -> CurvatureBounds:
     """Aggregate curvature extremes of a frame tensor.
 
@@ -651,5 +666,4 @@ def bounds_of(
         scal_max=scal,
         ric3_min=r3,
         chi_ic1=chi,
-        einstein_const=einstein_const,
     )

@@ -453,18 +453,9 @@ def torus_step(st: TorusFlowState, dt: float) -> TorusFlowState:
 
 def torus_lambdas(st: TorusFlowState) -> np.ndarray:
     """Descending singular values per grid point, shape (points, m): the square
-    roots of the eigenvalues of g = df^T df, in closed form for m = 2."""
-    df = st.geometry.df.reshape(st.n, st.m, -1)
-    if st.m > 2:
-        pts = df.transpose(2, 0, 1)
-        w = np.linalg.eigvalsh(np.einsum("pai,paj->pij", pts, pts))[:, ::-1]
-    else:
-        (g00, g01), (_, g11) = np.einsum("aip,ajp->ijp", df, df)
-        w = np.zeros((2, df.shape[-1]))
-        w[0] = 0.5 * (g00 + g11) + np.hypot(0.5 * (g00 - g11), g01)
-        # the small root as det g / w_1, where tr/2 - sqrt(...) would cancel
-        np.divide(g00 * g11 - g01**2, w[0], out=w[1], where=w[0] > 0)
-        w = w.T
+    roots of the eigenvalues of g = df^T df."""
+    pts = st.geometry.df.reshape(st.n, st.m, -1).transpose(2, 0, 1)
+    w = np.linalg.eigvalsh(np.einsum("pai,paj->pij", pts, pts))[:, ::-1]
     return np.sqrt(np.clip(w, 0.0, None))
 
 
@@ -624,10 +615,8 @@ class EquivariantFlowState:
 
 def _rho_derivatives(rho: np.ndarray, boundary_class: int, h: float):
     """Centered rho' and rho'' on all nodes; the poles read a ghost node from
-    odd reflection (class pi: odd about pi).  No run calls it: the field and
-    ``equivariant_lambdas`` take the same differences from slices of rho, and
-    the pole slopes as scalars.  The tests keep it as their reference, and
-    ``perfbench/tracer.py`` still names it."""
+    odd reflection (class pi: odd about pi).  ``equivariant_lambdas`` reads the
+    slopes; the field takes its interior differences from slices of rho."""
     left = -rho[1]
     right = (2.0 * math.pi - rho[-2]) if boundary_class else -rho[-2]
     ext = np.concatenate([[left], rho, [right]])
@@ -801,18 +790,13 @@ def equivariant_step(st: EquivariantFlowState, dt: float, r_of_t) -> Equivariant
 def equivariant_lambdas(st: EquivariantFlowState, r_m: float, r_n: float):
     """(lambda_radial, lambda_spherical) at every node.
 
-    The radial stretch is (r_N/r_M)|rho'|, with centered slopes; the two pole
-    slopes read a ghost node from odd reflection (class pi: odd about pi), as
-    scalars.  The m-1 spherical stretches equal r_N sin(rho) / (r_M sin(theta))
-    with the pole values filled by the limit rho'(pole) * cos(rho(pole))
-    (L'Hopital).
+    The radial stretch is (r_N/r_M)|rho'|, with the centered slopes of
+    ``_rho_derivatives``.  The m-1 spherical stretches equal
+    r_N sin(rho) / (r_M sin(theta)) with the pole values filled by the limit
+    rho'(pole) * cos(rho(pole)) (L'Hopital).
     """
-    rho, h = st.rho, st.h
-    dp = np.empty_like(rho)
-    dp[1:-1] = (rho[2:] - rho[:-2]) / (2.0 * h)
-    left = -rho[1]
-    right = (2.0 * math.pi - rho[-2]) if st.boundary_class else -rho[-2]
-    dp[0], dp[-1] = (rho[1] - left) / (2.0 * h), (right - rho[-2]) / (2.0 * h)
+    rho = st.rho
+    dp = _rho_derivatives(rho, st.boundary_class, st.h)[0]
     lam_r = (r_n / r_m) * np.abs(dp)
     lam_s = np.empty_like(lam_r)
     i = slice(1, -1)
@@ -978,19 +962,19 @@ def _paths(cfg: FlowConfig):
 
 
 def _coupling_constant(cfg: FlowConfig, pm: BackgroundPath, pn: BackgroundPath,
-                       t_end: float, c0: float = 8.0) -> float:
+                       t_end: float) -> float:
     """Explicit monotonicity rate for shrinking-background runs.
 
     Evaluates the curvature-bound aggregate at the worst time of the run
     (curvature 1/r^2 scaled by 1/(1-Lt), metric speed = Einstein constant of
-    the evolving metric), mirroring the sweep constant convention.
+    the evolving metric), times the sweeps' starting constant c0 = 8.
     """
     f_m, f_n = pm.metric_factor(t_end), pn.metric_factor(t_end)
     k_m = 1.0 / (cfg.radius_m**2 * f_m)
     k_n = 1.0 / (cfg.radius_n**2 * f_n)
     dt_m = pm.einstein_rate / f_m
     dt_n = pn.einstein_rate / f_n
-    return c0 * (k_m + k_n + dt_m + dt_n) * (cfg.m + cfg.n)
+    return 8.0 * (k_m + k_n + dt_m + dt_n) * (cfg.m + cfg.n)
 
 
 def run(cfg: FlowConfig) -> FlowSeries:

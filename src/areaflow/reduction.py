@@ -25,6 +25,11 @@ import numpy as np
 
 from .flow import EquivariantFlowState, equivariant_rhs
 
+# Stencil width of the full operator in grid steps, and the distance from the
+# poles (radians) inside which the coordinate coefficients degenerate.
+_STRIDE = 2
+_MARGIN = 0.3
+
 
 def sphere_metric_diag(angles: np.ndarray, radius: float) -> np.ndarray:
     """Diagonal metric components of a round sphere in suspension angles."""
@@ -92,15 +97,14 @@ def _suspension_operator(theta1, rho0, rho_m, rho_p, spacing, base, m, n,
 
 
 def reduction_residual(st: EquivariantFlowState, r_m: float = 1.0,
-                       r_n: float = 1.0, *, stride: int = 2,
-                       margin: float = 0.3, base_angles=None) -> float:
+                       r_n: float = 1.0, *, base_angles=None) -> float:
     """Worst defect of the reduced right-hand side against the full operator.
 
-    The full operator uses stride-widened stencils on the state's grid, so a
-    correct reduction leaves an O(h^2) discrepancy; the components along the
-    fixed sphere directions must vanish outright and count toward the
-    residual.  Evaluation stays ``margin`` away from the poles, where the
-    coordinate coefficients degenerate.
+    The full operator uses stencils ``_STRIDE`` steps wide on the state's
+    grid, so a correct reduction leaves an O(h^2) discrepancy; the components
+    along the fixed sphere directions must vanish outright and count toward
+    the residual.  Evaluation stays ``_MARGIN`` away from the poles, where
+    the coordinate coefficients degenerate.
     """
     theta = st.theta
     h = st.h
@@ -110,12 +114,12 @@ def reduction_residual(st: EquivariantFlowState, r_m: float = 1.0,
     if base.size < st.m - 1:
         raise ValueError("need m-1 base angles")
     reduced = equivariant_rhs(st, r_m, r_n)
-    lo = np.searchsorted(theta, margin)
-    hi = np.searchsorted(theta, math.pi - margin, side="right")
+    lo = np.searchsorted(theta, _MARGIN)
+    hi = np.searchsorted(theta, math.pi - _MARGIN, side="right")
     worst = 0.0
-    for k in range(max(lo, stride), min(hi, theta.size - stride)):
+    for k in range(max(lo, _STRIDE), min(hi, theta.size - _STRIDE)):
         op = _suspension_operator(
-            theta[k], st.rho[k], st.rho[k - stride], st.rho[k + stride],
-            stride * h, base, st.m, st.n, r_m, r_n)
+            theta[k], st.rho[k], st.rho[k - _STRIDE], st.rho[k + _STRIDE],
+            _STRIDE * h, base, st.m, st.n, r_m, r_n)
         worst = max(worst, abs(op[0] - reduced[k]), float(abs(op[1:]).max()))
     return worst

@@ -11,12 +11,12 @@ from areaflow.curvature import (
     _partial,
     _pic1_ratio,
     _pic1_ratio_grad,
+    _PIC1,
     _qr_frames,
-    _ric3_grad,
-    _ric3_value,
-    _sectional_grad,
-    _sectional_value,
+    _RIC3,
+    _SECTIONAL,
     _stiefel_gradient,
+    _Terms,
     CurvatureTensor,
     SymBilinear,
     bounds_of,
@@ -53,10 +53,13 @@ def random_tensor(dim, rng, terms=3):
     return CurvatureTensor(comp)
 
 
-OBJECTIVES = [  # (value, gradient, frame size k)
-    (_sectional_value, _sectional_grad, 2),
-    (_ric3_value, _ric3_grad, 3),
-    (lambda m, x: _pic1_ratio(m, x)[0], _pic1_ratio_grad, 4),
+# (value, gradient, frame size k); the ids keep the test names the suite reports
+OBJECTIVES = [
+    pytest.param(_SECTIONAL.value, _SECTIONAL.gradient, 2,
+                 id="_sectional_value-_sectional_grad-2"),
+    pytest.param(_RIC3.value, _RIC3.gradient, 3, id="_ric3_value-_ric3_grad-3"),
+    pytest.param(lambda m, x: _pic1_ratio(m, x)[0], _pic1_ratio_grad, 4,
+                 id="<lambda>-_pic1_ratio_grad-4"),
 ]
 
 
@@ -89,6 +92,37 @@ class TestKernel:
                 fd[:, i, j] = (value(m, x + e) - value(m, x - e)) / (2 * eps)
         scale = np.maximum(1.0, abs(g).max(axis=(1, 2)))[:, None, None]
         assert (abs(g - fd) <= 1e-6 * scale).all()
+
+    def test_weighted_table_gradient_matches_central_differences(self):
+        # two sums of mixed terms, one weight per sum and frame: the derivation
+        # itself, beyond the three objective tables
+        sums = ([(0, 1, 1, 0), (0, 2, 1, 3), (2, 3, 3, 2)], [(1, 2, 0, 3), (3, 0, 0, 1)])
+        table = _Terms(*sums)
+        rng = np.random.default_rng(33)
+        dim = 5
+        r = random_tensor(dim, rng)
+        m = _pair_matrix(r.comp)
+        x = rng.normal(size=(16, dim, 4))
+        w = rng.normal(size=(2, 16))
+        g = table.gradient(m, x, w)
+        eps = 1e-5
+        fd = np.zeros_like(x)
+        for i in range(dim):
+            for j in range(4):
+                e = np.zeros((dim, 4))
+                e[i, j] = eps
+                diff = table.values(m, x + e) - table.values(m, x - e)
+                fd[:, i, j] = (w * diff).sum(axis=0) / (2 * eps)
+        scale = np.maximum(1.0, abs(g).max(axis=(1, 2)))[:, None, None]
+        assert (abs(g - fd) <= 1e-6 * scale).all()
+        # each sum adds up its terms' contractions
+        for v, terms in zip(table.values(m, x), sums):
+            ref = sum(einsum_contract(r.comp, *(x[:, :, c] for c in t)) for t in terms)
+            assert (abs(v - ref) <= 1e-12 * np.maximum(1.0, abs(ref))).all()
+
+    def test_partials_per_frame(self):
+        # R(a, b, b, a) costs two partials; R_1234 four
+        assert [t._coef.size for t in (_SECTIONAL, _RIC3, _PIC1)] == [2, 4, 12]
 
     def test_pic1_gradient_at_interior_mu(self):
         rng = np.random.default_rng(21)
@@ -236,8 +270,8 @@ class TestLineSearch:
                 return fn(m, x)
             return wrapped
 
-        minimize_over_frames(counted("objective", _ric3_value), 5, 3,
-                             gradient=counted("gradient", _ric3_grad),
+        minimize_over_frames(counted("objective", _RIC3.value), 5, 3,
+                             gradient=counted("gradient", _RIC3.gradient),
                              structured=np.eye(5)[None, :, :3])
         assert calls["gradient"] >= 10
         # two initial evaluations: the random starts and the structured frames
@@ -264,13 +298,14 @@ def benchmark_tensor():
 
 
 class TestStallStop:
-    @pytest.mark.parametrize("fn, grad", [(ric3_min, "_ric3_grad"),
-                                          (chi_ic1, "_pic1_ratio_grad")])
-    def test_settled_runs_stop_early(self, fn, grad, monkeypatch):
+    @pytest.mark.parametrize("fn, owner, grad", [(ric3_min, _RIC3, "gradient"),
+                                                 (chi_ic1, curvature, "_pic1_ratio_grad")],
+                             ids=["ric3_min-_ric3_grad", "chi_ic1-_pic1_ratio_grad"])
+    def test_settled_runs_stop_early(self, fn, owner, grad, monkeypatch):
         # both settle their best value by about step 40 of 120
         calls = []
-        inner = getattr(curvature, grad)
-        monkeypatch.setattr(curvature, grad, lambda m, x: calls.append(1) or inner(m, x))
+        inner = getattr(owner, grad)
+        monkeypatch.setattr(owner, grad, lambda m, x: calls.append(1) or inner(m, x))
         fn(benchmark_tensor())
         assert 10 <= len(calls) < 60
 

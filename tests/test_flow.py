@@ -355,7 +355,8 @@ class TestTorusRecords:
 
 
 class TestTorusLambdas:
-    """m = 2 takes the eigenvalues of the 2 x 2 pullback metric in closed form."""
+    """Singular values at m = 2 against the SVD reference, and the m = 2
+    monitor, which reads the invariants of the pullback metric."""
 
     @staticmethod
     def assert_squares_close(st):
