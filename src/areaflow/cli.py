@@ -261,7 +261,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
+        # a flow config past the size cap fails as a ValueError before it
+        # allocates; a MemoryError is only the backstop
         print(to_json({"error": str(err)}), file=sys.stderr)
         return 1
 

@@ -26,7 +26,7 @@ homogeneous model spaces this library targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -143,38 +143,20 @@ class CurvatureBounds:
             raise ValueError("scal_min must not exceed scal_max")
         if self.dim >= 3 and self.ric3_min < 2.0 * self.kappa - 1e-9 * max(1.0, abs(self.kappa)):
             raise ValueError("ric3_min below 2*kappa is inconsistent")
+        e = self.einstein_const
+        if e is not None and any(abs(e - r) > 1e-12 * max(abs(e), abs(r))
+                                 for r in (self.ric_min, self.ric_max)):
+            raise ValueError(f"einstein_const {e} needs Ric = einstein_const g, so "
+                             f"ric_min = ric_max = {e}; got {self.ric_min}, {self.ric_max}")
 
     def scaled(self, factor: float) -> "CurvatureBounds":
         """Bounds after scaling the metric by 1/factor (curvature x factor)."""
-        e = None if self.einstein_const is None else self.einstein_const * factor
-        return CurvatureBounds(
-            dim=self.dim,
-            kappa=self.kappa * factor,
-            tau=self.tau * factor,
-            ric_min=self.ric_min * factor,
-            ric_max=self.ric_max * factor,
-            scal_min=self.scal_min * factor,
-            scal_max=self.scal_max * factor,
-            ric3_min=self.ric3_min * factor,
-            chi_ic1=self.chi_ic1 * factor,
-            einstein_const=e,
-        )
+        return replace(self, **{k: v * factor for k, v in self.to_dict().items() if k != "dim"})
 
     def to_dict(self) -> dict:
-        d = {
-            "dim": self.dim,
-            "kappa": self.kappa,
-            "tau": self.tau,
-            "ric_min": self.ric_min,
-            "ric_max": self.ric_max,
-            "scal_min": self.scal_min,
-            "scal_max": self.scal_max,
-            "ric3_min": self.ric3_min,
-            "chi_ic1": self.chi_ic1,
-        }
-        if self.einstein_const is not None:
-            d["einstein_const"] = self.einstein_const
-        return d
+        """Every field but an undefined Einstein constant."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +205,6 @@ def sectional(r: CurvatureTensor, i: int, j: int) -> float:
 def ricci_matrix(r: CurvatureTensor) -> np.ndarray:
     """Ricci tensor as a symmetric matrix: Ric[i,j] = sum_k R[i,k,k,j]."""
     return np.einsum("ikkj->ij", r.comp)
-
-
-def scalar_curvature(r: CurvatureTensor) -> float:
-    return float(np.trace(ricci_matrix(r)))
 
 
 def product_curvature(rg: CurvatureTensor, rh: CurvatureTensor) -> CurvatureTensor:

@@ -36,6 +36,7 @@ import numpy as np
 from .profile import SingularProfile, c_of, graph_frames, s_of, theta_wedge_matrices
 
 GAP_TOL = -1e-10  # sweeps treat gaps above this as nonnegative
+C0 = 8.0  # starting factor c0 of ``lemma_constant``; coupled sweeps double it on a counterexample
 _BATCH = 4096  # rows per sweep batch; bounds the dense tensors of the term-II oracle
 # A draw redraws rows failing ``_margin`` for at most _ROUNDS rounds.  Positivity
 # draws (~3% admissible at alpha = 0, m = n = 4) reject on lambda alone: each
@@ -347,7 +348,7 @@ def bound_B(st):
     return _out(st, two + three - bound)
 
 
-def lemma_constant(st, c0: float = 8.0):
+def lemma_constant(st, c0: float = C0):
     """Explicit stand-in for the unnamed curvature-bound constant.
 
     c0 * (max|K^g| + max|K^h| + max|dt g| + max|dt h|) * (m+n); sweeps verify
@@ -359,7 +360,7 @@ def lemma_constant(st, c0: float = 8.0):
     return _out(st, c0 * size * (b.m + b.n))
 
 
-def bound_C(st, c0: float = 8.0):
+def bound_C(st, c0: float = C0):
     """Gap of the coupled lower bound under condition (C).
 
     Both metrics move by -Ric: dt g_ii must equal -sum_p K^g_ip, and the
@@ -386,7 +387,7 @@ def bound_C(st, c0: float = 8.0):
     return _out(st, two + three - bound)
 
 
-def bound_D(st, c0: float = 8.0):
+def bound_D(st, c0: float = C0):
     """Gap of the coupled lower bound under condition (D).
 
     M moves by -Ric, N is static with tau_N <= 0; the bound replaces the
@@ -587,13 +588,14 @@ def sweep_positivity(samples: int, seed: int, *, alpha_positive: bool) -> dict:
     return {"suite": suite, "samples": samples, "min_gap": worst}
 
 
-def sweep_bound(condition: str, samples: int, seed: int, *, c0: float = 8.0) -> dict:
+def sweep_bound(condition: str, samples: int, seed: int) -> dict:
     """Minimum lower-bound gap over admissible states for one condition.
 
-    For the coupled conditions the explicit constant starts at c0 and doubles
-    until the sweep passes, recording the value actually used.
+    For the coupled conditions the explicit constant starts at ``C0`` and
+    doubles until the sweep passes, recording the value actually used.
     """
     fn = {"A": bound_A, "B": bound_B, "C": bound_C, "D": bound_D}[condition]
+    c0 = C0
     while True:
         worst = min(float((fn(b, c0) if condition in ("C", "D") else fn(b)).min())
                     for b, _ in _sweep_states(samples, seed, condition))
@@ -627,15 +629,12 @@ def sweep_algebra(samples: int, seed: int) -> dict:
     Checks S^2 + C^2 = 1, the keystone 2 Theta_ijji S_ii = Theta^2 + C_jj^2
     - C_ii^2, the weighted identity C_11^2 S_22 + C_22^2 S_11 = 2(l1^2+l2^2)
     Theta/((1+l1^2)(1+l2^2)), and the equality of the pair-sum eigenvalues
-    with the spectrum of the wedge form of Theta.
+    with the spectrum of the wedge form of Theta.  A batch of the sweep's
+    shape (m, n) draws m singular values per row.
     """
-    _require_samples(samples)
-    rng = np.random.default_rng(seed)
     worst = {"pythagoras": 0.0, "keystone": 0.0, "weighted": 0.0, "wedge": 0.0}
-    for done in range(0, samples, 20000):
-        b = min(20000, samples - done)
-        m = int(rng.integers(2, 5))
-        lam = np.sort(rng.uniform(0, 5, size=(b, m)), axis=1)[:, ::-1]
+    for rng, m, _, rows in _sweep_shapes(samples, seed):
+        lam = np.sort(rng.uniform(0, 5, size=(rows, m)), axis=1)[:, ::-1]
         s, c = s_of(lam), c_of(lam)
         worst["pythagoras"] = max(worst["pythagoras"], float(abs(s**2 + c**2 - 1).max()))
 

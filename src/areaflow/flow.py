@@ -48,8 +48,9 @@ keeps its meaning as the fraction of the stability interval used.  The
 right-hand side the march evaluates at a row's time serves the row and is the
 next step's first stage.  ``MAX_STEPS`` caps the right-hand-side evaluations
 of a run: a run planned beyond it is refused, one that outgrows it is
-aborted.  Every row, the one at t = 0 included, aborts a run whose largest
-stretch passes ``LAMBDA_ABORT``.
+aborted.  ``MAX_ENTRIES`` caps the size of a run's largest array, and a
+config past it is refused.  Every row, the one at t = 0 included, aborts a
+run whose largest stretch passes ``LAMBDA_ABORT``.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from .evolution import C0
 from .profile import s_of
 from .spaces import BackgroundPath, ModelSpace
 
@@ -70,6 +72,11 @@ LAMBDA_ABORT = 50.0
 # Most right-hand-side evaluations of one run, either reduction (criterion 7
 # takes about 2.4e4).
 MAX_STEPS = 10**7
+# Most entries of a run's largest array, checked on the config: a torus's ringed
+# Hessian, m * m * n * (grid + 2)^m entries (criterion 6's grid-128 torus has
+# 1.4e5), or an equivariant run's grid + 1 nodes.  A torus run's memory peak
+# measured at most 21 arrays of that size (8 bytes an entry) for m = 2 to 9.
+MAX_ENTRIES = 2**22
 
 
 class FlowAbort(RuntimeError):
@@ -613,12 +620,16 @@ class EquivariantFlowState:
         return math.pi / (self.rho.size - 1)
 
 
+def _pole_ghosts(rho: np.ndarray, boundary_class: int):
+    """The nodes beyond the two poles, by odd reflection (class pi: odd about pi)."""
+    return -rho[1], (2.0 * math.pi - rho[-2]) if boundary_class else -rho[-2]
+
+
 def _rho_derivatives(rho: np.ndarray, boundary_class: int, h: float):
-    """Centered rho' and rho'' on all nodes; the poles read a ghost node from
-    odd reflection (class pi: odd about pi).  ``equivariant_lambdas`` reads the
-    slopes; the field takes its interior differences from slices of rho."""
-    left = -rho[1]
-    right = (2.0 * math.pi - rho[-2]) if boundary_class else -rho[-2]
+    """Centered rho' and rho'' on all nodes; the poles read the ghost nodes of
+    ``_pole_ghosts``.  The field and the monitor take their differences from
+    slices of rho; this is the reference path of the tests."""
+    left, right = _pole_ghosts(rho, boundary_class)
     ext = np.concatenate([[left], rho, [right]])
     dp = (ext[2:] - ext[:-2]) / (2.0 * h)
     ddp = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / h**2
@@ -790,13 +801,17 @@ def equivariant_step(st: EquivariantFlowState, dt: float, r_of_t) -> Equivariant
 def equivariant_lambdas(st: EquivariantFlowState, r_m: float, r_n: float):
     """(lambda_radial, lambda_spherical) at every node.
 
-    The radial stretch is (r_N/r_M)|rho'|, with the centered slopes of
-    ``_rho_derivatives``.  The m-1 spherical stretches equal
+    The radial stretch is (r_N/r_M)|rho'|, with centered slopes that read
+    the ``_pole_ghosts`` at the poles.  The m-1 spherical stretches equal
     r_N sin(rho) / (r_M sin(theta)) with the pole values filled by the limit
     rho'(pole) * cos(rho(pole)) (L'Hopital).
     """
     rho = st.rho
-    dp = _rho_derivatives(rho, st.boundary_class, st.h)[0]
+    left, right = _pole_ghosts(rho, st.boundary_class)
+    dp = np.empty_like(rho)
+    dp[1:-1] = rho[2:] - rho[:-2]
+    dp[0], dp[-1] = rho[1] - left, right - rho[-2]
+    dp /= 2.0 * st.h
     lam_r = (r_n / r_m) * np.abs(dp)
     lam_s = np.empty_like(lam_r)
     i = slice(1, -1)
@@ -897,6 +912,14 @@ class FlowConfig:
                              f"got {self.grid}")
         if self.grid == 0:
             self.grid = 64 if self.case == "torus" else 512
+        if self.case == "equivariant" and self.grid + 1 > MAX_ENTRIES:
+            raise ValueError(f"grid {self.grid} gives more than {MAX_ENTRIES} nodes, the cap")
+        # grid + 2 >= 5, so an exponent past 32 alone passes the cap
+        if self.case == "torus" and (self.m**2 * self.n * (self.grid + 2) ** min(self.m, 32)
+                                     > MAX_ENTRIES):
+            raise ValueError(f"grid {self.grid}, m {self.m} and n {self.n} give a Hessian of "
+                             f"m * m * n * (grid + 2)^m entries, more than {MAX_ENTRIES}, "
+                             "the cap")
 
     @staticmethod
     def from_dict(d: dict) -> "FlowConfig":
@@ -967,14 +990,14 @@ def _coupling_constant(cfg: FlowConfig, pm: BackgroundPath, pn: BackgroundPath,
 
     Evaluates the curvature-bound aggregate at the worst time of the run
     (curvature 1/r^2 scaled by 1/(1-Lt), metric speed = Einstein constant of
-    the evolving metric), times the sweeps' starting constant c0 = 8.
+    the evolving metric), times the sweeps' starting constant ``C0``.
     """
     f_m, f_n = pm.metric_factor(t_end), pn.metric_factor(t_end)
     k_m = 1.0 / (cfg.radius_m**2 * f_m)
     k_n = 1.0 / (cfg.radius_n**2 * f_n)
     dt_m = pm.einstein_rate / f_m
     dt_n = pn.einstein_rate / f_n
-    return 8.0 * (k_m + k_n + dt_m + dt_n) * (cfg.m + cfg.n)
+    return C0 * (k_m + k_n + dt_m + dt_n) * (cfg.m + cfg.n)
 
 
 def run(cfg: FlowConfig) -> FlowSeries:

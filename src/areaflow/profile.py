@@ -256,8 +256,7 @@ def hopf_profile(n: int) -> SingularProfile:
     return SingularProfile.from_lambdas(lam, m=2 * n + 1, n=2 * n)
 
 
-def theta_wedge_matrix(p: SingularProfile,
-                       eta: SymBilinear | None = None) -> np.ndarray:
+def theta_wedge_matrix(p: SingularProfile) -> np.ndarray:
     """Theta = S o eta as a symmetric matrix on the wedge basis {e_i ^ e_j}.
 
     In the singular frame eta is the identity and S is diagonal; the matrix
@@ -268,13 +267,13 @@ def theta_wedge_matrix(p: SingularProfile,
     """
     if p.m < 2:
         raise ValueError("wedge form needs m >= 2")
-    return theta_wedge_matrices(p.s_diag[None], eta)[0]
+    return theta_wedge_matrices(p.s_diag[None])[0]
 
 
-def theta_wedge_matrices(s: np.ndarray, eta: SymBilinear | None = None) -> np.ndarray:
-    """Wedge matrices of Theta = diag(S) o eta, one per row of S values (B, m)."""
+def theta_wedge_matrices(s: np.ndarray) -> np.ndarray:
+    """Wedge matrices of Theta = diag(S) o eta with eta = I, one per row of S
+    values (B, m)."""
     m = s.shape[1]
-    eta = np.eye(m) if eta is None else eta.comp
-    theta = kulkarni_nomizu_comp(s[:, :, None] * np.eye(m), eta)
+    theta = kulkarni_nomizu_comp(s[:, :, None] * np.eye(m), np.eye(m))
     iu, ju = np.triu_indices(m, k=1)
     return theta[:, iu[:, None], ju[:, None], ju[None, :], iu[None, :]]

@@ -9,10 +9,11 @@ A ModelSpace is one of:
     constant  constant sectional curvature ``curvature`` (may be negative)
     custom    user-supplied CurvatureBounds only (no tensor)
 
-``bounds`` returns every kind's curvature extremes as closed forms (custom
-spaces echo their override), so audits never build a tensor or run the
-frame optimizer; ``curvature_at`` builds the explicit tensor for tests and
-direct use.
+A space evaluates its curvature extremes once, on construction, every kind
+in closed form (custom spaces echo their override); ``bounds`` and the
+Einstein constant read that object, so audits never build a tensor or run
+the frame optimizer.  ``curvature_at`` builds the explicit tensor for tests
+and direct use.
 
 Einstein backgrounds shrink self-similarly under the Ricci-type evolution
 d/dt g = -Ric: with Ric(g0) = L g0 the metric is g(t) = (1 - L t) g0, alive
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,12 +42,15 @@ KINDS = ("sphere", "fubini", "torus", "constant", "custom")
 
 @dataclass(frozen=True)
 class ModelSpace:
+    """A model space.  Construction evaluates its closed-form
+    ``CurvatureBounds`` once; ``bounds``, ``einstein_const``, ``describe`` and
+    ``BackgroundPath`` read that object."""
+
     kind: str
     dim: int
     scale: float = 1.0
     curvature: float | None = None
     bounds_override: CurvatureBounds | None = None
-    einstein_const: float | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -56,7 +61,7 @@ class ModelSpace:
             float(self.dim)
         except OverflowError:
             raise ValueError("dim is out of the float range") from None
-        for name in ("scale", "curvature", "einstein_const"):
+        for name in ("scale", "curvature"):
             v = getattr(self, name)
             if v is not None and not np.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -68,36 +73,12 @@ class ModelSpace:
             raise ValueError("constant-curvature space needs a curvature value")
         if self.kind == "custom" and self.bounds_override is None:
             raise ValueError("custom space needs bounds_override")
-        if self.einstein_const is not None:
-            if self.kind != "custom":
-                raise ValueError(f"einstein_const of a {self.kind} space follows from its "
-                                 "curvature; only custom spaces take an explicit one")
-            return
-        try:
-            einstein = self._auto_einstein()
-        except (OverflowError, ZeroDivisionError):  # scale**2 left the float range
-            einstein = math.inf
-        if einstein is not None and not math.isfinite(einstein):
-            name = "curvature" if self.kind == "constant" else "scale"
-            raise ValueError(f"{name} {getattr(self, name)} puts the curvature of a "
-                             f"{self.kind} space out of the float range")
-        object.__setattr__(self, "einstein_const", einstein)
-        try:
-            bounds(self)
-        except (OverflowError, ValueError):  # d(d-1)c and the like left the float range
-            raise ValueError(f"dim {self.dim} puts the closed-form bounds of a "
-                             f"{self.kind} space out of the float range") from None
+        object.__setattr__(self, "_bounds", _closed_form(self))
 
-    def _auto_einstein(self) -> float | None:
-        if self.kind == "sphere":
-            return (self.dim - 1) / self.scale**2
-        if self.kind == "fubini":
-            return (self.scale / 4.0) * (self.dim + 2)
-        if self.kind == "torus":
-            return 0.0
-        if self.kind == "constant":
-            return (self.dim - 1) * self.curvature
-        return self.bounds_override.einstein_const
+    @property
+    def einstein_const(self) -> float | None:
+        """L with Ric = L g: the Ricci constant, or a custom override's value."""
+        return self._bounds.einstein_const
 
     def describe(self) -> dict:
         d = {"kind": self.kind, "dim": self.dim, "scale": self.scale}
@@ -153,7 +134,7 @@ def _fubini_tensor(dim: int, scale: float) -> CurvatureTensor:
     return CurvatureTensor((scale / 4.0) * (kn + wpart))
 
 
-def bounds(space: ModelSpace) -> CurvatureBounds:
+def _closed_form(space: ModelSpace) -> CurvatureBounds:
     """Curvature extremes of a model space, every kind in closed form.
 
     Constant curvature c (spheres, tori, ``constant``, and ``fubini`` of dim
@@ -161,36 +142,52 @@ def bounds(space: ModelSpace) -> CurvatureBounds:
     partial-Ricci minimum 2c (undefined on surfaces), isotropic shift c
     (dim >= 4; the minimal Ricci eigenvalue below).  Projective space with c
     the maximal holomorphic sectional curvature: sectional in [c/4, c],
-    Einstein constant (c/4)(dim+2), partial-Ricci minimum c/2, isotropic
-    shift 0 (the weak boundary of the cone).  Custom spaces echo their
-    override.  No tensor is built and no frame is optimized; the test suite
-    checks the projective formulas against the optimizer on the tensor.
+    Ricci (c/4)(dim+2), partial-Ricci minimum c/2, isotropic shift 0 (the
+    weak boundary of the cone).  Every such space is Einstein with its Ricci
+    constant.  Custom spaces echo their override.  No tensor is built and no
+    frame is optimized; the test suite checks the projective formulas against
+    the optimizer on the tensor.
     """
     if space.kind == "custom":
         return space.bounds_override
-    d = space.dim
-    if space.kind == "fubini" and d >= 4:
-        c = space.scale
-        ric = (c / 4.0) * (d + 2)
-        kappa, tau, scal, ric3, chi = c / 4.0, c, d * ric, c / 2.0, 0.0
-    else:
-        if space.kind == "fubini":
-            c = space.scale
-        elif space.kind == "sphere":
+    d, kind = space.dim, space.kind
+    projective = kind == "fubini" and d >= 4
+    try:
+        if kind == "sphere":
             c = 1.0 / space.scale**2
-        elif space.kind == "torus":
+        elif kind == "torus":
             c = 0.0
-        else:
+        elif kind == "constant":
             c = space.curvature
-        ric = (d - 1) * c
-        kappa, tau, scal = c, c, d * (d - 1) * c
-        ric3 = 2.0 * c if d >= 3 else float("nan")
-        chi = c if d >= 4 else ric
-    return CurvatureBounds(
-        dim=d, kappa=kappa, tau=tau, ric_min=ric, ric_max=ric, scal_min=scal,
-        scal_max=scal, ric3_min=ric3, chi_ic1=chi,
-        einstein_const=space.einstein_const,
-    )
+        else:
+            c = space.scale
+        ric = (c / 4.0) * (d + 2) if projective else (d - 1) * c
+    except (OverflowError, ZeroDivisionError):  # scale**2 left the float range
+        ric = math.inf
+    if not math.isfinite(ric):
+        name = "curvature" if kind == "constant" else "scale"
+        raise ValueError(f"{name} {getattr(space, name)} puts the curvature of a "
+                         f"{kind} space out of the float range")
+    try:
+        if projective:
+            kappa, tau, scal, ric3, chi = c / 4.0, c, d * ric, c / 2.0, 0.0
+        else:
+            kappa, tau, scal = c, c, d * (d - 1) * c
+            ric3 = 2.0 * c if d >= 3 else float("nan")
+            chi = c if d >= 4 else ric
+        return CurvatureBounds(
+            dim=d, kappa=kappa, tau=tau, ric_min=ric, ric_max=ric, scal_min=scal,
+            scal_max=scal, ric3_min=ric3, chi_ic1=chi, einstein_const=ric,
+        )
+    except (OverflowError, ValueError):  # d(d-1)c and the like left the float range
+        raise ValueError(f"dim {d} puts the closed-form bounds of a "
+                         f"{kind} space out of the float range") from None
+
+
+def bounds(space: ModelSpace) -> CurvatureBounds:
+    """Curvature extremes of a model space (see ``_closed_form``), the one
+    object its construction evaluated."""
+    return space._bounds
 
 
 def scalar_slack(bm: CurvatureBounds, bn: CurvatureBounds, m: int, n: int) -> float:
@@ -215,11 +212,11 @@ class BackgroundPath:
         if self.mode == "ricci" and self.base.einstein_const is None:
             raise ValueError("ricci homothety needs an Einstein constant")
 
-    @property
+    @cached_property
     def einstein_rate(self) -> float:
         return 0.0 if self.mode == "static" else float(self.base.einstein_const)
 
-    @property
+    @cached_property
     def t_max(self) -> float:
         rate = self.einstein_rate
         return 1.0 / rate if rate > 0 else float("inf")

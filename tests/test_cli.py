@@ -5,17 +5,25 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as hs
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as hs
 
 import areaflow
+from areaflow import cli, flow
 from areaflow.cli import _CUSTOM_KEYS, _DEMO_AUDITS, _suite_pass, main, parse_space
 from areaflow.conditions import CONDITIONS, audit_conditions
 from areaflow.evolution import GAP_TOL
 from areaflow.persist import to_json
 from areaflow.spaces import ModelSpace, bounds
+
+
+# Configs whose arrays would take 7.3 TiB to 71 PiB
+OVERSIZED = [{"case": "torus", "grid": 100000000}, {"case": "torus", "m": 30, "grid": 3},
+             {"case": "torus", "n": 100000000000, "grid": 3},
+             {"case": "equivariant", "grid": 1000000000000}]
 
 
 def invoke(args, capsys):
@@ -111,6 +119,12 @@ class TestAuditCommand:
     def test_dim_that_overflows_the_bounds_exits_1_with_json_error(self, spec, capsys):
         assert main(["pic1", "--space", spec]) == 1
         assert "dim" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_einstein_off_the_ricci_constant_exits_1_with_json_error(self, capsys):
+        # parsed before, yet the ricci path died at 1/7 while the bounds read Ricci 6
+        assert main(["pic1", "--space", "custom:4:kappa=1,tau=4,ric_min=6,ric_max=6,"
+                     "scal_min=24,scal_max=24,ric3=2,chi=0,einstein=7"]) == 1
+        assert "einstein_const" in json.loads(capsys.readouterr().err)["error"]
 
     def test_missing_custom_keys_named_as_the_parser_reads_them(self, capsys):
         assert main(["pic1", "--space", "custom:4:kappa=1,tau=4"]) == 1
@@ -242,6 +256,29 @@ class TestFlowCommand:
         assert code == 1
         assert key in json.loads(capsys.readouterr().err)["error"]
         assert not list(tmp_path.glob("flow_*"))
+
+    @pytest.mark.parametrize("config", OVERSIZED)
+    def test_oversized_config_exits_1_with_json_error(self, config, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        code = main(["flow", "--case", config["case"], "--config", str(cfgfile),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert all(key in err for key in config if key != "case")
+        assert not list(tmp_path.glob("flow_*"))
+
+    def test_memory_error_exits_1_with_json_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 7.3 TiB")
+
+        monkeypatch.setattr(cli, "run", exhausted)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"case": "torus", "grid": 8}))
+        code = main(["flow", "--case", "torus", "--config", str(cfgfile),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "7.3 TiB" in json.loads(capsys.readouterr().err)["error"]
 
     def test_outdir_env_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("AREAFLOW_OUTDIR", str(tmp_path / "envout"))
@@ -402,6 +439,44 @@ class TestSpecFuzz:
                 assert isinstance(payload["error"], str)
             else:
                 assert_finite(payload)
+
+
+@hs.composite
+def flow_sizes(draw):
+    """Flow configs over the whole size range (grid up to 1e12, m up to 40, n up
+    to 1e11), mostly small or far past the size cap."""
+    return {"case": draw(hs.sampled_from(["torus", "equivariant"])),
+            "grid": draw(hs.integers(0, 12) | hs.integers(0, 10**12)),
+            "m": draw(hs.integers(1, 4) | hs.integers(0, 40)),
+            "n": draw(hs.integers(1, 4) | hs.integers(0, 10**11)),
+            "t_end": 1e-3, "monitor_every": 2}
+
+
+def largest_array(d):
+    """Entries of a drawn config's largest array as the size cap counts them:
+    a torus's ringed Hessian, an equivariant run's nodes."""
+    grid = d["grid"] or (64 if d["case"] == "torus" else 512)
+    if d["case"] == "equivariant":
+        return grid + 1
+    return d["m"] ** 2 * d["n"] * (grid + 2) ** min(d["m"], 32)
+
+
+class TestFlowFuzz:
+    @settings(max_examples=100, deadline=5000, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(flow_sizes())
+    def test_flow_exits_cleanly(self, d):
+        size = largest_array(d)
+        assume(size <= 20000 or size > flow.MAX_ENTRIES)  # runs only small configs
+        with tempfile.TemporaryDirectory() as tmp:
+            cfgfile = Path(tmp) / "cfg.json"
+            cfgfile.write_text(json.dumps(d))
+            code, payload = run_cli(["flow", "--case", d["case"], "--config", str(cfgfile),
+                                     "--out", tmp])
+        if code == 1:
+            assert isinstance(payload["error"], str)
+        else:
+            assert size <= flow.MAX_ENTRIES and payload["records"] >= 1
 
 
 class TestVerifyFuzz:

@@ -291,6 +291,21 @@ class TestRandomStates:
         assert max(out["pythagoras"], out["keystone"], out["weighted"],
                    out["wedge"]) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 41, 77])
+    def test_algebra_sweep_covers_every_m(self, seed, monkeypatch):
+        # a sweep of a few samples must check the wedge oracle at m = 2, 3 and 4,
+        # not at one m the seed picks
+        seen = []
+
+        def recording(s):
+            seen.append(s.shape[1])
+            return wedge(s)
+
+        wedge = evolution.theta_wedge_matrices
+        monkeypatch.setattr(evolution, "theta_wedge_matrices", recording)
+        assert sweep_algebra(30, seed)["wedge"] <= 1e-12
+        assert sorted(set(seen)) == [2, 3, 4]
+
 
 class TestBatchOfOne:
     """Every oracle on a batch agrees with its scalar call on each row."""

@@ -935,6 +935,49 @@ def flow_configs(draw):
     return d, replaced
 
 
+# Configs whose arrays would take 7.3 TiB to 71 PiB; the tests only build them
+OVERSIZED = [{"case": "torus", "grid": 100000000}, {"case": "torus", "m": 30, "grid": 3},
+             {"case": "torus", "n": 100000000000, "grid": 3},
+             {"case": "equivariant", "grid": 1000000000000}]
+
+
+class TestSizeCap:
+    @pytest.mark.parametrize("config", OVERSIZED)
+    def test_oversized_config_refused_without_allocating(self, config):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                FlowConfig.from_dict(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert all(key in str(err.value) for key in config if key != "case")
+
+    @pytest.mark.parametrize("m,grid", [(40, 10**12), (10**18, 3), (9, 3)])
+    def test_exponents_past_the_cap_refused(self, m, grid):
+        with pytest.raises(ValueError, match="the cap"):
+            FlowConfig(case="torus", m=m, n=1, grid=grid)
+
+    def test_cap_edges(self):
+        # m * m * n * (grid + 2)^m = 4 * 1024^2 = MAX_ENTRIES at grid 1022, m = 2, n = 1
+        assert FlowConfig(case="torus", n=1, grid=1022).grid == 1022
+        with pytest.raises(ValueError, match="the cap"):
+            FlowConfig(case="torus", n=1, grid=1023)
+        nodes = FlowConfig(case="equivariant", grid=flow.MAX_ENTRIES - 1).grid + 1
+        assert nodes == flow.MAX_ENTRIES
+        with pytest.raises(ValueError, match="the cap"):
+            FlowConfig(case="equivariant", grid=flow.MAX_ENTRIES)
+
+    @pytest.mark.parametrize("kw", [
+        {"case": "torus", "grid": 128},  # criterion 6's fine grid
+        {"case": "torus", "m": 3, "n": 3, "grid": 24},
+        {"case": "equivariant", "m": 3, "n": 3, "grid": 512},  # criteria 7 and 8
+    ])
+    def test_acceptance_sizes_admitted(self, kw):
+        assert FlowConfig(**kw).grid == kw["grid"]
+
+
 class TestConfigFuzz:
     @settings(max_examples=100, deadline=5000, derandomize=True)
     @given(flow_configs())

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -149,14 +150,19 @@ class TestValidation:
 
     @pytest.mark.parametrize("kind", ["sphere", "fubini", "torus", "constant"])
     def test_explicit_einstein_only_for_custom(self, kind):
-        # an explicit constant would contradict the curvature: sphere:3 with 5.0
-        # made the ricci path die at 0.2 instead of 1/2
+        # an explicit constant would contradict the curvature (sphere:3 with 5.0
+        # once made the ricci path die at 0.2 instead of 1/2), so a space takes
+        # none: its Einstein constant is its Ricci constant, or its override's
         kw = {"curvature": 1.0} if kind == "constant" else {}
-        with pytest.raises(ValueError, match="einstein_const"):
+        with pytest.raises(TypeError, match="einstein_const"):
             ModelSpace(kind, 4, einstein_const=5.0, **kw)
+        space = ModelSpace(kind, 4, **kw)
+        b = bounds(space)
+        assert space.einstein_const == b.einstein_const == b.ric_min == b.ric_max
         assert BackgroundPath(ModelSpace("sphere", 3), "ricci").t_max == 0.5
-        cb = CurvatureBounds(3, 0, 1, 0, 2, 0, 6, 0.0, 0.0)
-        custom = ModelSpace("custom", 3, bounds_override=cb, einstein_const=2.0)
+        cb = CurvatureBounds(3, 0, 1, 2, 2, 0, 6, 0.0, 0.0, einstein_const=2.0)
+        custom = ModelSpace("custom", 3, bounds_override=cb)
+        assert custom.einstein_const == 2.0
         assert BackgroundPath(custom, "ricci").t_max == 0.5
 
     @pytest.mark.parametrize("kind,key", [("sphere", "scale"), ("fubini", "scale"),
@@ -166,7 +172,32 @@ class TestValidation:
     def test_nonfinite_space_fields_rejected(self, kind, key, value):
         kw = {"curvature": 1.0} if kind == "constant" else {}
         with pytest.raises(ValueError, match=f"{key} must be finite"):
-            ModelSpace(kind, 4, **dict(kw, **{key: value}))
+            if key == "einstein_const":  # only an override carries one: the sphere's
+                ModelSpace("custom", 4, bounds_override=replace(
+                    bounds(ModelSpace(kind, 4)), einstein_const=value))
+            else:
+                ModelSpace(kind, 4, **dict(kw, **{key: value}))
+
+    @pytest.mark.parametrize("ric,einstein", [((2, 2), 7.0), ((0, 2), 2.0), ((2, 2), 0.0),
+                                              ((2, 2), 2.0 * (1 + 1e-11))])
+    def test_einstein_const_off_the_ricci_constant_refused(self, ric, einstein):
+        # Ric = L g makes ric_min = ric_max = L; a custom 7.0 on Ricci 2 made the
+        # ricci path die at 1/7 while its bounds read Ricci 2
+        with pytest.raises(ValueError, match="einstein_const"):
+            CurvatureBounds(3, 0, 1, *ric, 0, 6, 0.0, 0.0, einstein_const=einstein)
+        within = CurvatureBounds(3, 0, 1, 2, 2, 0, 6, 0.0, 0.0, einstein_const=2.0 * (1 + 1e-13))
+        assert within.scaled(3.0).einstein_const == within.einstein_const * 3.0
+
+    @pytest.mark.parametrize("space", [
+        ModelSpace("sphere", 3, scale=2.0), ModelSpace("fubini", 4), ModelSpace("torus", 2),
+        ModelSpace("constant", 3, curvature=-1.0),
+        ModelSpace("custom", 4, bounds_override=CurvatureBounds(
+            4, 1, 4, 6, 6, 24, 24, 2.0, 0.0, einstein_const=6.0))])
+    def test_bounds_evaluated_once(self, space):
+        assert bounds(space) is bounds(space)
+        assert space.einstein_const == bounds(space).einstein_const
+        assert space.describe()["einstein_const"] == bounds(space).ric_max
+        assert len(fields(ModelSpace)) == 5
 
     @pytest.mark.parametrize("index", range(8))
     @pytest.mark.parametrize("value", [math.nan, math.inf])
