@@ -70,6 +70,8 @@ def parse_space(spec: str) -> ModelSpace:
             key, _, num = item.partition("=")
             if key not in _CUSTOM_KEYS:
                 raise ValueError(f"unknown custom bound key {key!r}")
+            if key in fields:
+                raise ValueError(f"custom bound key {key!r} given twice")
             fields[key] = float(num)
         missing = set(_CUSTOM_KEYS) - {"einstein"} - set(fields)
         if missing:

@@ -5,8 +5,16 @@ array R[i,j,k,l] with the symmetries of a Riemann tensor, and the sectional
 curvature of the plane spanned by an orthonormal pair (e_i, e_j) is
 R[i,j,j,i] (positive on round spheres).
 
-Extremal quantities over non-coordinate frames (sectional range, the partial
-Ricci minimum over 3-frames, the isotropic-curvature shift chi_ic1) are
+In dim <= 4 the sectional range is read off the curvature operator on
+2-vectors: below dim 4 every unit 2-vector is a plane, so its extreme
+eigenvalues are the extremes; in dim 4 the planes are the unit 2-vectors w
+with w ^ w = 0, and the minimum is the exact dual max_mu lambda_min(R + mu *)
+(Thorpe 1969; Finsler's lemma), the maximum its mirror.  Each extreme is the
+sectional curvature of a witness plane that the dual bound certifies.
+
+The other extremal quantities over non-coordinate frames (the partial Ricci
+minimum over 3-frames, the isotropic-curvature shift chi_ic1), and the
+sectional range in dim >= 5 or when a witness is not certified, are
 computed by multi-start frame optimization: random orthonormal starts from
 Gram-Schmidt on Gaussian matrices, then Riemannian gradient descent on the
 Stiefel manifold with the Gram-Schmidt (positive-diagonal QR) retraction,
@@ -360,13 +368,13 @@ def _pic1_ratio(m, x):
     return best, mu_best
 
 
-def _pic1_ratio_grad(m, x):
+def _pic1_ratio_grad(m, x, mu):
     """Gradient of the ratio in the frame, taken at the minimising mu.
 
     The minimum over mu in the fixed interval [0,1] is differentiated at its
-    minimiser (Danskin): (dp + mu^2 dq - 2 mu dr) / (2(1+mu^2)).
+    minimiser (Danskin): (dp + mu^2 dq - 2 mu dr) / (2(1+mu^2)).  ``mu`` is
+    the minimiser ``_pic1_ratio`` returned at the same frames.
     """
-    _, mu = _pic1_ratio(m, x)
     return _PIC1.gradient(m, x, np.array([np.ones_like(mu), mu**2, -2.0 * mu])
                           / (2.0 * (1.0 + mu**2)))
 
@@ -434,6 +442,10 @@ def minimize_over_frames(
     ``objective`` maps a (B, dim, k) batch of column-orthonormal frames to a
     (B,) array, and the required ``gradient`` maps the same batch to the
     objective's Euclidean gradient in the matrix entries, shaped (B, dim, k).
+    An objective may instead return a pair (values, aux), aux with a leading
+    B axis: what it found at each frame and its gradient needs again (chi_ic1's
+    minimising mu).  Each start's aux is then kept with its value, and the
+    gradient is called as ``gradient(frames, aux)``.
     Descent runs all random starts in lockstep: the gradient projected onto
     the Stiefel tangent space (one batched gradient call), then a backtracking
     line search on a halving ladder.  Each start's trial steps lr, lr/2, ...
@@ -453,13 +465,18 @@ def minimize_over_frames(
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
+
+    def evaluate(frames):
+        out = objective(frames)
+        return out if isinstance(out, tuple) else (out, None)
+
     rng = np.random.default_rng(seed)
     x = _qr_frames(rng.standard_normal((n_starts, dim, k)))
-    fx = objective(x)
+    fx, aux = evaluate(x)
     best_struct = None
     if structured is not None and len(structured):
         s = _qr_frames(np.asarray(structured, dtype=float))
-        fs = objective(s)
+        fs, _ = evaluate(s)
         j = int(np.argmin(fs))
         best_struct = (float(fs[j]), s[j])
 
@@ -472,7 +489,7 @@ def minimize_over_frames(
         if idx.size == 0:
             break
         xa = x[idx]
-        step = _stiefel_gradient(xa, gradient(xa))
+        step = _stiefel_gradient(xa, gradient(xa) if aux is None else gradient(xa, aux[idx]))
         improved = np.zeros(idx.size, dtype=bool)
         lra = lr[idx].copy()
         for rungs in _LADDER:
@@ -483,7 +500,8 @@ def minimize_over_frames(
             steps = np.cumprod(np.concatenate(
                 [lra[todo][None], np.full((rungs - 1, todo.size), 0.5)]), axis=0)
             trial = _qr_frames(x[idx[todo]] - steps[:, :, None, None] * step[todo])
-            ft = objective(trial.reshape(-1, dim, k)).reshape(rungs, todo.size)
+            ft, at = evaluate(trial.reshape(-1, dim, k))
+            ft = ft.reshape(rungs, todo.size)
             ref = fx[idx[todo]]
             better = ft < ref - _TOL * np.maximum(1.0, np.abs(ref))
             ok = better.any(axis=0)
@@ -491,6 +509,8 @@ def minimize_over_frames(
             hit = idx[todo[ok]]
             x[hit] = trial[rung, ok]
             fx[hit] = ft[rung, ok]
+            if aux is not None:
+                aux[hit] = at.reshape(rungs, todo.size, *at.shape[1:])[rung, ok]
             improved[todo[ok]] = True
             lra[todo[ok]] = steps[rung, ok]
             lra[todo[~ok]] = steps[-1, ~ok] * 0.5  # the next chunk's first rung
@@ -519,15 +539,111 @@ def _axis_frames(dim: int, k: int, max_frames: int = 240) -> np.ndarray:
     return np.array(out)
 
 
+# ---------------------------------------------------------------------------
+# sectional extremes from the curvature operator (dim <= 4)
+# ---------------------------------------------------------------------------
+# A unit 2-vector w in the basis e_i ^ e_j (i < j) is a plane x ^ y exactly
+# when w^T * w = 0 (the Pluecker relation w ^ w = 0), * the Hodge star in dim 4
+# and zero below it, and w^T Op w is then the sectional curvature K(x, y).  So
+# lambda_min(Op + mu *) <= K on every plane, and by Finsler's lemma the
+# maximum over mu is the minimum sectional curvature (Thorpe 1969; Bettiol &
+# Mendes, arXiv:1708.09033).  lambda_min(Op + mu *) is concave in mu, with
+# one-sided slopes the extreme eigenvalues of * on its eigenspace; its
+# maximiser has |mu| <= lambda_max(Op) - lambda_min(Op), since lambda_min(Op
+# + mu *) <= lambda_max(Op) - |mu| and it is lambda_min(Op) at mu = 0.
+
+_DUAL_ITER = 100  # mu steps before the optimizer takes over
+_TIE = 1e-14  # eigenvalues within this of lambda_min (relative) form its eigenspace
+_FLAT = 1e-9  # slopes within this of 0 count as a maximum of the dual
+
+
+def _curvature_operator(comp: np.ndarray) -> np.ndarray:
+    """Op[(ij), (kl)] = R(e_i, e_j, e_l, e_k) over pairs i < j, k < l."""
+    iu, ju = np.triu_indices(comp.shape[0], k=1)
+    return comp[iu[:, None], ju[:, None], ju[None, :], iu[None, :]]
+
+
+def _star(dim: int) -> np.ndarray:
+    """The form w^T * w = 2(w01 w23 - w02 w13 + w03 w12) of w ^ w in dim 4;
+    zero below dim 4, where every 2-vector is a plane."""
+    star = np.zeros((dim * (dim - 1) // 2,) * 2)
+    if dim == 4:
+        star[[0, 5, 1, 4, 2, 3], [5, 0, 4, 1, 3, 2]] = [1, 1, -1, -1, 1, 1]
+    return star
+
+
+def _plane_minimum(comp: np.ndarray) -> float | None:
+    """Minimum sectional curvature in dim <= 4 from the dual, or None.
+
+    Maximizes lambda_min(Op + mu *) over mu by Newton steps on its slope
+    v^T * v (v the eigenvector), safeguarded by a bisection bracket; where
+    lambda_min is repeated and its slopes keep one sign, the step goes to
+    where the tangent lines at the bracket's ends meet.  At the maximum the
+    eigenspace holds a *-isotropic unit 2-vector, and the witness is the plane
+    nearest it (its two leading singular vectors).  Returns the witness's
+    sectional curvature if it is within ALG_TOL * max(1, |value|) of the dual
+    bound lambda_min, else None.
+    """
+    dim = comp.shape[0]
+    op, star = _curvature_operator(comp), _star(dim)
+    w, v = np.linalg.eigh(op)
+    lo, hi = -(w[-1] - w[0]), w[-1] - w[0]
+    tie = _TIE * max(1.0, abs(w).max())
+    cuts = {}  # side -> (mu, lambda_min, slope) at that end of the bracket
+    mu = 0.0
+    for _ in range(_DUAL_ITER):
+        low = v[:, w <= w[0] + tie]
+        s, c = np.linalg.eigh(low.T @ star @ low)  # slopes right (s[0]), left (s[-1])
+        if s[0] <= _FLAT and s[-1] >= -_FLAT:
+            break
+        rising = s[0] > 0.0
+        lo, hi = (mu, hi) if rising else (lo, mu)
+        cuts[rising] = (mu, w[0], s[0] if rising else s[-1])
+        nxt = np.nan
+        if low.shape[1] == 1:
+            sv = v[:, 1:].T @ (star @ v[:, 0])
+            bend = 2.0 * np.sum(sv**2 / (w[0] - w[1:]))  # d/dmu of the slope
+            if bend < 0.0:
+                nxt = mu - s[0] / bend
+        elif len(cuts) == 2:
+            (m0, f0, g0), (m1, f1, g1) = cuts[True], cuts[False]
+            nxt = (f1 - f0 + g0 * m0 - g1 * m1) / (g0 - g1)
+        mu = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        w, v = np.linalg.eigh(op + mu * star)
+    else:
+        return None
+    if s[0] < 0.0 < s[-1]:  # a unit combination with w^T * w = 0
+        span = s[-1] - s[0]
+        coef = np.sqrt(s[-1] / span) * c[:, 0] + np.sqrt(-s[0] / span) * c[:, -1]
+    else:
+        coef = c[:, np.argmin(abs(s))]
+    iu, ju = np.triu_indices(dim, k=1)
+    bivector = np.zeros((dim, dim))
+    bivector[iu, ju] = low @ coef
+    plane = np.linalg.svd(bivector - bivector.T)[0][:, :2]
+    value = float(_SECTIONAL.value(_pair_matrix(comp), plane[None])[0])
+    return value if value - w[0] <= ALG_TOL * max(1.0, abs(value)) else None
+
+
 def sectional_range(r: CurvatureTensor, *, n_starts: int = 64, seed: int = 0):
-    """(min, max) sectional curvature over all 2-planes, by frame optimization."""
-    structured = _axis_frames(r.dim, 2)
+    """(min, max) sectional curvature over all 2-planes.
+
+    In dim <= 4 each is the sectional curvature of a witness plane read off
+    the curvature operator and certified by the dual bound
+    (``_plane_minimum``).  In dim >= 5, or where a witness is not certified,
+    it comes from frame optimization, and only there do ``n_starts`` and
+    ``seed`` matter.
+    """
 
     def lowest(comp, seed):
+        val = _plane_minimum(comp) if r.dim <= 4 else None
+        if val is not None:
+            return val
         m = _pair_matrix(comp)
         val, _ = minimize_over_frames(partial(_SECTIONAL.value, m), r.dim, 2,
                                       gradient=partial(_SECTIONAL.gradient, m),
-                                      n_starts=n_starts, seed=seed, structured=structured)
+                                      n_starts=n_starts, seed=seed,
+                                      structured=_axis_frames(r.dim, 2))
         return val
 
     # the maximum of K is minus the minimum of K for the tensor -R
@@ -575,18 +691,14 @@ def chi_ic1(
     if r.dim < 4:
         raise ValueError("chi_ic1 needs dim >= 4")
     m = _pair_matrix(_orthonormalize_tensor(r, g))
-
-    def f(frames):
-        return _pic1_ratio(m, frames)[0]
-
     # axis frames plus their single-sign flips: catches Kaehler-type equality
     # frames such as (e1, Je1, e2, -Je2) on symmetric model spaces
     axes = _axis_frames(r.dim, 4, max_frames=120)
     flips = axes.copy()
     flips[:, :, 3] *= -1.0
     val, _ = minimize_over_frames(
-        f, r.dim, 4, gradient=partial(_pic1_ratio_grad, m), n_starts=n_starts,
-        seed=seed, structured=np.concatenate([axes, flips]),
+        partial(_pic1_ratio, m), r.dim, 4, gradient=partial(_pic1_ratio_grad, m),
+        n_starts=n_starts, seed=seed, structured=np.concatenate([axes, flips]),
     )
     return val
 
@@ -617,9 +729,12 @@ def bounds_of(
 ) -> CurvatureBounds:
     """Aggregate curvature extremes of a frame tensor.
 
-    Ricci and scalar data are exact (eigenvalues of the contracted tensor);
-    sectional, ric3 and chi extremes come from seeded frame optimization and
-    are reported to the accuracy the optimizer achieved.
+    Ricci and scalar data are exact (eigenvalues of the contracted tensor).
+    In dim <= 4 the sectional extremes come from the curvature operator and
+    its dual, certified to ALG_TOL (``sectional_range``); ric3 and chi
+    extremes, and the sectional ones in dim >= 5, come from seeded frame
+    optimization and are reported to the accuracy the optimizer achieved.
+    ``n_starts`` and ``seed`` matter only to the optimizer runs.
     """
     comp = _orthonormalize_tensor(r, g)
     rr = CurvatureTensor(comp)

@@ -126,6 +126,18 @@ class TestAuditCommand:
                      "scal_min=24,scal_max=24,ric3=2,chi=0,einstein=7"]) == 1
         assert "einstein_const" in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.mark.parametrize("spec", [
+        "custom:4:kappa=2,kappa=1,tau=4,ric_min=6,ric_max=6,scal_min=24,scal_max=24,"
+        "ric3=2,chi=0",
+        "custom:4:kappa=1,tau=4,ric_min=6,ric_max=6,scal_min=24,scal_max=24,ric3=2,"
+        "chi=0,einstein=6,einstein=6",
+    ])
+    def test_repeated_custom_key_exits_1_with_json_error(self, spec, capsys):
+        # the last value used to win silently, with exit 0
+        assert main(["pic1", "--space", spec]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert "given twice" in err and ("'kappa'" in err or "'einstein'" in err)
+
     def test_missing_custom_keys_named_as_the_parser_reads_them(self, capsys):
         assert main(["pic1", "--space", "custom:4:kappa=1,tau=4"]) == 1
         err = json.loads(capsys.readouterr().err)["error"]

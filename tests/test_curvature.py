@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from areaflow import curvature
 from areaflow.curvature import (
     _contract,
+    _curvature_operator,
     _pair_matrix,
     _partial,
     _pic1_ratio,
@@ -29,6 +30,7 @@ from areaflow.curvature import (
     ric3_min,
     ricci_matrix,
     sectional,
+    sectional_range,
 )
 from areaflow.spaces import ModelSpace, curvature_at
 
@@ -58,7 +60,8 @@ OBJECTIVES = [
     pytest.param(_SECTIONAL.value, _SECTIONAL.gradient, 2,
                  id="_sectional_value-_sectional_grad-2"),
     pytest.param(_RIC3.value, _RIC3.gradient, 3, id="_ric3_value-_ric3_grad-3"),
-    pytest.param(lambda m, x: _pic1_ratio(m, x)[0], _pic1_ratio_grad, 4,
+    pytest.param(lambda m, x: _pic1_ratio(m, x)[0],
+                 lambda m, x: _pic1_ratio_grad(m, x, _pic1_ratio(m, x)[1]), 4,
                  id="<lambda>-_pic1_ratio_grad-4"),
 ]
 
@@ -131,7 +134,7 @@ class TestKernel:
         _, mu = _pic1_ratio(m, x)
         x = x[(mu > 0.05) & (mu < 0.95)]
         assert len(x) >= 20
-        g = _pic1_ratio_grad(m, x)
+        g = _pic1_ratio_grad(m, x, _pic1_ratio(m, x)[1])
         eps = 1e-5
         for _ in range(10):
             e = eps * rng.normal(size=x.shape[1:])
@@ -260,6 +263,28 @@ class TestLineSearch:
         assert got == ref
         assert np.array_equal(frame, ref_frame)
 
+    @pytest.mark.parametrize("dim, seed", [(4, 0), (5, 7)])
+    def test_aux_travels_with_its_frame(self, dim, seed):
+        # chi_ic1's objective returns its minimising mu with the values; the
+        # gradient at a frame gets the mu found there, which is what
+        # recomputing it at that frame gives
+        m = _pair_matrix(random_tensor(dim, np.random.default_rng(200 + seed)).comp)
+
+        def each_alone(x):
+            out = [_pic1_ratio(m, f[None]) for f in x]
+            return np.array([v[0] for v, _ in out]), np.array([mu[0] for _, mu in out])
+
+        def recomputed(x):
+            return _pic1_ratio_grad(m, x, each_alone(x)[1])
+
+        kw = dict(n_starts=16, seed=seed)
+        got, frame = minimize_over_frames(each_alone, dim, 4,
+                                          gradient=partial(_pic1_ratio_grad, m), **kw)
+        ref, ref_frame = minimize_over_frames(lambda x: each_alone(x)[0], dim, 4,
+                                              gradient=recomputed, **kw)
+        assert got == ref
+        assert np.array_equal(frame, ref_frame)
+
     def test_at_most_two_objective_calls_per_descent_step(self):
         m = _pair_matrix(random_tensor(5, np.random.default_rng(3)).comp)
         calls = {"objective": 0, "gradient": 0}
@@ -305,7 +330,8 @@ class TestStallStop:
         # both settle their best value by about step 40 of 120
         calls = []
         inner = getattr(owner, grad)
-        monkeypatch.setattr(owner, grad, lambda m, x: calls.append(1) or inner(m, x))
+        monkeypatch.setattr(owner, grad,
+                            lambda m, x, *aux: calls.append(1) or inner(m, x, *aux))
         fn(benchmark_tensor())
         assert 10 <= len(calls) < 60
 
@@ -319,6 +345,97 @@ class TestStallStop:
             for name in ("kappa", "tau", "ric3_min", "chi_ic1"):
                 v, w = getattr(b, name), getattr(ref, name)
                 assert abs(v - w) <= 1e-12 * max(1.0, abs(w)), (name, v, w)
+
+
+def plane_dual(comp, iters=200):
+    """max over mu of lambda_min(Op + mu *) by golden-section search on
+    |mu| <= lambda_max(Op) - lambda_min(Op): the dual bound, from the Hodge
+    star written out on the basis (01, 02, 03, 12, 13, 23)."""
+    op = _curvature_operator(comp)
+    star = np.zeros((6, 6))
+    for a, b, sign in ((0, 5, 1), (1, 4, -1), (2, 3, 1)):
+        star[a, b] = star[b, a] = sign
+    w = np.linalg.eigvalsh(op)
+    lo, hi = -(w[-1] - w[0]), w[-1] - w[0]
+
+    def f(mu):
+        return np.linalg.eigvalsh(op + mu * star)[0]
+
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(iters):
+        a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        lo, hi = (a, hi) if f(a) < f(b) else (lo, b)
+    return max(f(lo), f(hi), f(0.0))
+
+
+def refuse_optimizer(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the frame optimizer ran")
+
+    monkeypatch.setattr(curvature, "minimize_over_frames", refuse)
+
+
+class TestSectionalDual:
+    def test_random_dim4_matches_optimizer_and_dual(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        tensors = [random_tensor(4, rng) for _ in range(30)] + [benchmark_tensor()]
+        with monkeypatch.context() as mp:
+            refuse_optimizer(mp)  # no witness falls back
+            got = [sectional_range(r) for r in tensors]
+        monkeypatch.setattr(curvature, "_plane_minimum", lambda comp: None)
+        for r, (kappa, tau) in zip(tensors, got):
+            ref_kappa, ref_tau = sectional_range(r)
+            assert abs(kappa - ref_kappa) <= 1e-12 * max(1.0, abs(ref_kappa))
+            assert abs(tau - ref_tau) <= 1e-12 * max(1.0, abs(ref_tau))
+            # each witness is a plane, so it is never below the dual bound and
+            # the bound certifies it; both sides round by a few ulps of the
+            # operator's norm (at most 9 over 600 such extremes)
+            norm = abs(np.linalg.eigvalsh(_curvature_operator(r.comp))).max()
+            ulps = 16 * np.finfo(float).eps * norm
+            for value, bound in ((kappa, plane_dual(r.comp)), (-tau, plane_dual(-r.comp))):
+                assert bound - ulps <= value <= bound + 1e-12 * max(1.0, abs(value))
+
+    def test_model_spaces_through_the_eigenspace_witness(self, monkeypatch):
+        # the optimal eigenvalue is repeated on all of them; in a rotated
+        # frame its copies differ by rounding
+        refuse_optimizer(monkeypatch)
+        cp2, g = curvature_at(ModelSpace("fubini", 4, scale=4.0))
+        s2 = constant_curvature_tensor(2, 1.0)
+        cases = ((constant_curvature_tensor(4, 1.0).comp, (1.0, 1.0)),
+                 (np.zeros((4,) * 4), (0.0, 0.0)),
+                 (curvature._orthonormalize_tensor(cp2, g), (1.0, 4.0)),
+                 (product_curvature(s2, s2).comp, (0.0, 1.0)))
+        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))
+        for comp, expect in cases:
+            for c in (comp, np.einsum("ijkl,ia,jb,kc,ld->abcd", comp, q, q, q, q)):
+                got = sectional_range(CurvatureTensor(c))
+                assert abs(np.subtract(got, expect)).max() <= 1e-14, (got, expect)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_low_dims_give_the_operator_eigenvalue_range(self, dim, monkeypatch):
+        # every 2-vector is a plane below dim 4
+        refuse_optimizer(monkeypatch)
+        rng = np.random.default_rng(dim)
+        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        for _ in range(10):
+            r = random_tensor(dim, rng)
+            op = np.array([[r.comp[i, j, l, k] for k, l in pairs] for i, j in pairs])
+            w = np.linalg.eigvalsh(op)
+            kappa, tau = sectional_range(r)
+            tol = 1e-13 * max(1.0, abs(w).max())
+            assert abs(kappa - w[0]) <= tol and abs(tau - w[-1]) <= tol
+
+    def test_uncertified_witness_falls_back_to_the_optimizer(self, monkeypatch):
+        r = benchmark_tensor()
+        exact = sectional_range(r)
+        monkeypatch.setattr(curvature, "_DUAL_ITER", 0)  # no dual step converges
+        runs = []
+        inner = curvature.minimize_over_frames
+        monkeypatch.setattr(curvature, "minimize_over_frames",
+                            lambda *a, **kw: runs.append(1) or inner(*a, **kw))
+        got = sectional_range(r)
+        assert len(runs) == 2
+        assert abs(np.subtract(got, exact)).max() <= 1e-12
 
 
 class TestKulkarniNomizu:

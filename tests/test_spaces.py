@@ -40,7 +40,9 @@ class TestCurvatureAt:
         for name in ("kappa", "tau", "ric_min", "ric_max", "scal_min",
                      "scal_max", "ric3_min", "chi_ic1"):
             a, b = getattr(closed, name), getattr(measured, name)
-            assert abs(a - b) <= 1e-6 * max(1.0, abs(a)), (name, a, b)
+            # dim 4 reads the sectional range off the curvature operator
+            tol = 1e-12 if dim == 4 and name in ("kappa", "tau") else 1e-6
+            assert abs(a - b) <= tol * max(1.0, abs(a)), (name, a, b)
 
     def test_custom_has_no_tensor(self):
         cb = CurvatureBounds(3, 1, 4, 2, 2, 6, 6, 2.0, 2.0)
