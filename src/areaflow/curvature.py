@@ -577,8 +577,7 @@ def _plane_minimum(comp: np.ndarray) -> float | None:
 
     Maximizes lambda_min(Op + mu *) over mu by Newton steps on its slope
     v^T * v (v the eigenvector), safeguarded by a bisection bracket; where
-    lambda_min is repeated and its slopes keep one sign, the step goes to
-    where the tangent lines at the bracket's ends meet.  At the maximum the
+    lambda_min is repeated the step bisects.  At the maximum the
     eigenspace holds a *-isotropic unit 2-vector, and the witness is the plane
     nearest it (its two leading singular vectors).  Returns the witness's
     sectional curvature if it is within ALG_TOL * max(1, |value|) of the dual
@@ -589,25 +588,19 @@ def _plane_minimum(comp: np.ndarray) -> float | None:
     w, v = np.linalg.eigh(op)
     lo, hi = -(w[-1] - w[0]), w[-1] - w[0]
     tie = _TIE * max(1.0, abs(w).max())
-    cuts = {}  # side -> (mu, lambda_min, slope) at that end of the bracket
     mu = 0.0
     for _ in range(_DUAL_ITER):
         low = v[:, w <= w[0] + tie]
         s, c = np.linalg.eigh(low.T @ star @ low)  # slopes right (s[0]), left (s[-1])
         if s[0] <= _FLAT and s[-1] >= -_FLAT:
             break
-        rising = s[0] > 0.0
-        lo, hi = (mu, hi) if rising else (lo, mu)
-        cuts[rising] = (mu, w[0], s[0] if rising else s[-1])
+        lo, hi = (mu, hi) if s[0] > 0.0 else (lo, mu)
         nxt = np.nan
         if low.shape[1] == 1:
             sv = v[:, 1:].T @ (star @ v[:, 0])
             bend = 2.0 * np.sum(sv**2 / (w[0] - w[1:]))  # d/dmu of the slope
             if bend < 0.0:
                 nxt = mu - s[0] / bend
-        elif len(cuts) == 2:
-            (m0, f0, g0), (m1, f1, g1) = cuts[True], cuts[False]
-            nxt = (f1 - f0 + g0 * m0 - g1 * m1) / (g0 - g1)
         mu = nxt if lo < nxt < hi else 0.5 * (lo + hi)
         w, v = np.linalg.eigh(op + mu * star)
     else:
@@ -634,6 +627,9 @@ def sectional_range(r: CurvatureTensor, *, n_starts: int = 64, seed: int = 0):
     it comes from frame optimization, and only there do ``n_starts`` and
     ``seed`` matter.
     """
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
+    structured = _axis_frames(r.dim, 2)
 
     def lowest(comp, seed):
         val = _plane_minimum(comp) if r.dim <= 4 else None
@@ -642,8 +638,7 @@ def sectional_range(r: CurvatureTensor, *, n_starts: int = 64, seed: int = 0):
         m = _pair_matrix(comp)
         val, _ = minimize_over_frames(partial(_SECTIONAL.value, m), r.dim, 2,
                                       gradient=partial(_SECTIONAL.gradient, m),
-                                      n_starts=n_starts, seed=seed,
-                                      structured=_axis_frames(r.dim, 2))
+                                      n_starts=n_starts, seed=seed, structured=structured)
         return val
 
     # the maximum of K is minus the minimum of K for the tensor -R

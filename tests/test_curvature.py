@@ -425,6 +425,13 @@ class TestSectionalDual:
             tol = 1e-13 * max(1.0, abs(w).max())
             assert abs(kappa - w[0]) <= tol and abs(tau - w[-1]) <= tol
 
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    @pytest.mark.parametrize("n_starts", [0, -1])
+    def test_bad_n_starts_refused_in_every_dim(self, dim, n_starts):
+        r = constant_curvature_tensor(dim, 1.0)
+        with pytest.raises(ValueError, match="n_starts must be at least 1"):
+            sectional_range(r, n_starts=n_starts)
+
     def test_uncertified_witness_falls_back_to_the_optimizer(self, monkeypatch):
         r = benchmark_tensor()
         exact = sectional_range(r)
