@@ -30,7 +30,10 @@ itself evolves:
   where the radii may shrink homothetically (r(t) = r(0) sqrt(1 - L t)).
   One field per run holds the theta trig and serves the right-hand side and
   the CFL step alike, so a run builds a state only for a row's monitor,
-  and that state reads the field's sin theta.
+  and that state reads the field's sin theta.  The field owns the
+  right-hand side's work arrays and its constants, with the scales of the
+  undivided differences folded in, so a stage allocates only the rho_t it
+  returns.
 
 Monitors record the area monitor (infimum of the smallest Theta eigenvalue),
 the largest stretch, the largest pairwise stretch product, background scale
@@ -636,44 +639,72 @@ def _rho_derivatives(rho: np.ndarray, boundary_class: int, h: float):
     return dp, ddp
 
 
-def _eq_coefficients(dp, sr, sin2_th, r_m, r_n):
-    """Diffusion and rotation denominators r_M^2 + r_N^2 rho'^2 and
-    r_M^2 sin^2 th + r_N^2 sin^2 rho from rho', sin rho and sin^2 th."""
-    return r_m**2 + r_n**2 * dp**2, r_m**2 * sin2_th + r_n**2 * sr**2
+def _eq_rhs(y, r_m, r_n, work):
+    """rho_t of the whole profile y, zero at the pinned poles, as a new array.
 
+    ``work`` is what ``_eq_field`` owns: the constants h^2, sin th cos th /
+    (2h) and sin^2 th of the interior nodes, m - 1, and six work arrays of
+    the interior, all overwritten here.  The differences stay undivided,
+    D1 = 2h rho' and D2 = h^2 rho'', and the scales they drop are folded
+    into the constants and the call's radii scalars:
 
-def _eq_rhs(rho, dp, ddp, sin2_th, sincos_th, m, r_m, r_n):
-    """Right-hand side from rho, rho', rho'' and the theta trig, all on the
-    interior nodes."""
-    sr = np.sin(rho)
-    diff, denom = _eq_coefficients(dp, sr, sin2_th, r_m, r_n)
-    rot = (m - 1) * (sincos_th * dp - sr * np.cos(rho)) / denom
-    return ddp / diff + rot
+        rho_t = D2 / (r_M^2 h^2 + r_N^2 D1^2 / 4)
+              + (m-1) / r_M^2 (sin th cos th D1 / (2h) - sin rho cos rho)
+                              / (sin^2 th + (r_N / r_M)^2 sin^2 rho).
+    """
+    h2, sc_2h, sin2_th, k, d1, d2, sr, cr, diff, rot = work
+    rho = y[1:-1]
+    np.subtract(y[2:], y[:-2], out=d1)
+    np.add(rho, rho, out=d2)
+    np.subtract(y[2:], d2, out=d2)
+    d2 += y[:-2]
+    np.sin(rho, out=sr)
+    np.cos(rho, out=cr)
+    np.multiply(d1, d1, out=diff)
+    diff *= 0.25 * r_n * r_n
+    diff += r_m * r_m * h2
+    d2 /= diff  # the diffusion term
+    cr *= sr
+    np.multiply(sr, sr, out=rot)
+    rot *= (r_n / r_m) ** 2
+    rot += sin2_th
+    d1 *= sc_2h
+    d1 -= cr
+    d1 /= rot
+    d1 *= k / (r_m * r_m)  # the rotation term
+    y_t = np.zeros(y.shape)
+    np.add(d2, d1, out=y_t[1:-1])
+    return y_t
 
 
 def _eq_field(m: int, nodes: int, radii, cfl: float = 0.4):
     """Right-hand side (y, t) -> rho_t on ``nodes`` nodes, zero at the pinned
-    poles, radii(t) = (r_M, r_N); the interior derivatives are slices of y, so
-    the poles need no ghosts.  Looks up ``_eq_rhs`` at each call.  The field's
-    ``cfl_dt(y, t)`` is the explicit step cfl / rate the state allows, from
-    the same theta trig and coefficients, and its ``sin_theta`` is the sin theta
+    poles, radii(t) = (r_M, r_N); the interior differences are slices of y,
+    so the poles need no ghosts.
+
+    The field owns the work of ``_eq_rhs``: it computes the constants once
+    and allocates the six work arrays of the interior (D1, D2, sin rho,
+    cos rho, the diffusion and the rotation coefficients) once, and every
+    stage overwrites them, so a stage allocates only the y_t it returns.  A
+    field is therefore not reentrant.  It looks up ``_eq_rhs`` at each call.
+    The field's ``cfl_dt(y, t)`` is the explicit step cfl / rate the state
+    allows, from the same theta trig, and its ``sin_theta`` is the sin theta
     of the interior nodes it reads, for a row's state to share."""
     h = math.pi / (nodes - 1)
     th = np.linspace(0.0, math.pi, nodes)[1:-1]
     sin_th = np.sin(th)
     sin2_th, sincos_th = sin_th**2, sin_th * np.cos(th)
-
-    def slope(y):
-        return (y[2:] - y[:-2]) / (2.0 * h)
+    work = (h * h, sincos_th / (2.0 * h), sin2_th, m - 1,
+            *(np.empty(nodes - 2) for _ in range(6)))
 
     def rhs(y, t):
-        out = np.zeros_like(y)
-        out[1:-1] = _eq_rhs(y[1:-1], slope(y), (y[2:] - 2.0 * y[1:-1] + y[:-2]) / h**2,
-                            sin2_th, sincos_th, m, *radii(t))
-        return out
+        return _eq_rhs(y, *radii(t), work)
 
     def cfl_dt(y, t):
-        diff, denom = _eq_coefficients(slope(y), np.sin(y[1:-1]), sin2_th, *radii(t))
+        r_m, r_n = radii(t)
+        dp = (y[2:] - y[:-2]) / (2.0 * h)
+        diff = r_m**2 + r_n**2 * dp**2
+        denom = r_m**2 * sin2_th + r_n**2 * np.sin(y[1:-1]) ** 2
         # diffusion 1 / diff and drift (m-1) sin th cos th / denom
         rate = 2.0 / diff.min() / h**2 + abs((m - 1) * sincos_th / denom).max() / h
         return cfl / rate
@@ -843,6 +874,14 @@ _UNREAD = {"torus": ("radius_m", "radius_n", "background_m", "background_n"),
            "equivariant": ("period", "winding")}  # fields each case ignores
 
 
+def _integral(x) -> int:
+    """x as an int if it is an integral number; a bool or a string is not."""
+    if isinstance(x, bool) or not (isinstance(x, numbers.Integral)
+                                   or isinstance(x, float) and x.is_integer()):
+        raise ValueError(f"winding entries must be integers, got {x!r}")
+    return int(x)
+
+
 @dataclass
 class FlowConfig:
     """Configuration of one flow experiment (deterministic; no clock state)."""
@@ -877,6 +916,10 @@ class FlowConfig:
             if f.name in _UNREAD[self.case] and (getattr(self, f.name) or ()) != f.default:
                 raise ValueError(f"{f.name} is not read by {self.case} flows; "
                                  f"leave it at {f.default!r}")
+        try:  # an integer matrix: int() would truncate 0.5 to 0
+            self.winding = tuple(tuple(map(_integral, row)) for row in self.winding)
+        except TypeError:
+            raise ValueError(f"winding needs integer rows, got {self.winding!r}") from None
         presets = TORUS_PRESETS if self.case == "torus" else EQUIVARIANT_PRESETS
         if self.preset not in presets:
             raise ValueError(f"unknown preset {self.preset!r} for {self.case}")
@@ -927,17 +970,11 @@ class FlowConfig:
         unknown = set(d) - keys
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = FlowConfig(**d)
-        if cfg.winding:
-            try:
-                cfg.winding = tuple(tuple(int(x) for x in row) for row in cfg.winding)
-            except (TypeError, ValueError):
-                raise ValueError(f"winding needs integer rows, got {cfg.winding!r}") from None
-        return cfg
+        return FlowConfig(**d)
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["winding"] = [list(r) for r in self.winding] if self.winding else []
+        d["winding"] = [list(r) for r in self.winding]
         return d
 
 

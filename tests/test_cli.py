@@ -269,6 +269,18 @@ class TestFlowCommand:
         assert key in json.loads(capsys.readouterr().err)["error"]
         assert not list(tmp_path.glob("flow_*"))
 
+    @pytest.mark.parametrize("entry", [0.5, True, "1"])
+    def test_non_integral_winding_exits_1_with_json_error(self, entry, tmp_path, capsys):
+        # int() used to truncate 0.5 to 0 and run, and record, the winding [[0, 0], [0, 1]]
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"case": "torus", "grid": 8, "t_end": 0.001,
+                                       "winding": [[entry, 0], [0, 1]]}))
+        code = main(["flow", "--case", "torus", "--config", str(cfgfile),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "winding" in json.loads(capsys.readouterr().err)["error"]
+        assert not list(tmp_path.glob("flow_*"))
+
     @pytest.mark.parametrize("config", OVERSIZED)
     def test_oversized_config_exits_1_with_json_error(self, config, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hs
+from hypothesis import example, given, settings, strategies as hs
 
 from areaflow import flow
 from areaflow.flow import (
@@ -466,10 +466,25 @@ class TestTorusStep:
         series = run(cfg)
         assert series.abort_reason is None
 
+    def test_integral_float_winding_entries_become_ints(self):
+        cfg = FlowConfig.from_dict({"case": "torus", "winding": [[1.0, 0], [-2.0, 1]]})
+        assert cfg.winding == ((1, 0), (-2, 1))
+        assert all(type(x) is int for row in cfg.winding for x in row)
+
 
 # The explicit Heun loop the RKC2 stepper replaced, inlined as it was in
-# ``_run_equivariant``, and the CFL step as ``equivariant_dt`` computed it
-# before the run's field took it over: the references for the equivariant path.
+# ``_run_equivariant``, the CFL step as ``equivariant_dt`` computed it before
+# the run's field took it over, and the right-hand side as the reduced
+# equation reads, with divided differences: the references for the
+# equivariant path.
+
+
+def ref_eq_rhs(rho, dp, ddp, th, m, r_m, r_n):
+    """rho_t on the interior nodes from rho, rho', rho'' and theta there."""
+    diff = r_m**2 + r_n**2 * dp**2
+    denom = r_m**2 * np.sin(th) ** 2 + r_n**2 * np.sin(rho) ** 2
+    return ddp / diff + (m - 1) * (np.sin(th) * np.cos(th) * dp
+                                   - np.sin(rho) * np.cos(rho)) / denom
 
 
 def ref_equivariant_dt(st, r_m, r_n, cfl=0.4):
@@ -499,8 +514,6 @@ def ref_heun_m_series(cfg):
     next_record = record_dt = t_end / (cfg.monitor_every or 120)
     h, cls, m = st.h, st.boundary_class, st.m
     th = st.theta[1:-1]
-    sin_th = np.sin(th)
-    sin2_th, sincos_th = sin_th**2, sin_th * np.cos(th)
     rho, t = st.rho.copy(), 0.0
     dt = ref_equivariant_dt(st, *radii(0.0), cfg.cfl)
     refresh = 16
@@ -512,12 +525,11 @@ def ref_heun_m_series(cfg):
         refresh -= 1
         step = min(dt, t_end - t, max(next_record - t, 1e-15))
         dp, ddp = flow._rho_derivatives(rho, cls, h)
-        k1 = flow._eq_rhs(rho[1:-1], dp[1:-1], ddp[1:-1], sin2_th, sincos_th, m, *radii(t))
+        k1 = ref_eq_rhs(rho[1:-1], dp[1:-1], ddp[1:-1], th, m, *radii(t))
         mid = rho.copy()
         mid[1:-1] += step * k1
         dp, ddp = flow._rho_derivatives(mid, cls, h)
-        k2 = flow._eq_rhs(mid[1:-1], dp[1:-1], ddp[1:-1], sin2_th, sincos_th, m,
-                          *radii(t + step))
+        k2 = ref_eq_rhs(mid[1:-1], dp[1:-1], ddp[1:-1], th, m, *radii(t + step))
         rho[1:-1] += 0.5 * step * (k1 + k2)
         t += step
         if t >= next_record - 1e-14 or t >= t_end - 1e-14:
@@ -609,6 +621,48 @@ class TestEquivariantRKC:
         fine = march(st, 0.04, 128, r_of_t).rho
         errs = [abs(march(st, 0.04, n, r_of_t).rho - fine).max() for n in (1, 2, 4, 8)]
         assert all(a >= 3 * b for a, b in zip(errs, errs[1:]))
+
+
+def random_profile(rng, nodes, cls):
+    """A smooth random profile of boundary class cls: cls theta plus six
+    random sine modes, with the pole values pinned."""
+    th = np.linspace(0.0, math.pi, nodes)
+    rho = cls * th + rng.normal(0.0, 0.3, 6) @ np.sin(np.outer(np.arange(1, 7), th))
+    rho[0], rho[-1] = 0.0, cls * math.pi
+    return rho
+
+
+class TestEquivariantKernel:
+    """The buffered kernel with its folded scales against the reduced
+    equation written out with divided differences."""
+
+    @pytest.mark.parametrize("radii", [(1.0, 1.0), (0.7, 0.45)], ids=["unit", "shrunk"])
+    @pytest.mark.parametrize("cls", [0, 1])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_matches_the_formula(self, m, cls, radii):
+        rng = np.random.default_rng([m, cls])
+        for nodes in (33, 129, 513):
+            rho = random_profile(rng, nodes, cls)
+            st = EquivariantFlowState(m, 4, rho, cls)
+            h, th = st.h, st.theta[1:-1]
+            dp = (rho[2:] - rho[:-2]) / (2.0 * h)
+            ddp = (rho[2:] - 2.0 * rho[1:-1] + rho[:-2]) / h**2
+            ref = ref_eq_rhs(rho[1:-1], dp, ddp, th, m, *radii)
+            got = equivariant_rhs(st, *radii)
+            assert got[0] == got[-1] == 0.0
+            assert abs(got[1:-1] - ref).max() <= 1e-13 * abs(ref).max()
+
+    def test_stages_reuse_the_fields_arrays(self):
+        # the field's work arrays are overwritten by every call, so a returned
+        # y_t must not be one of them, and two calls must not share theirs
+        field = flow._eq_field(3, 65, lambda t: (1.0, 1.0))
+        rng = np.random.default_rng(3)
+        a, b = (random_profile(rng, 65, 0) for _ in range(2))
+        fa = field(a, 0.0)
+        fa_copy = fa.copy()
+        fb = field(b, 0.0)
+        assert fb is not fa and np.array_equal(fa, fa_copy)
+        assert np.array_equal(field(a, 0.0), fa)
 
 
 class TestEquivariantStep:
@@ -880,6 +934,20 @@ class TestRuns:
         # step's first stage, so only the last row's is not counted as one
         assert len(calls) == meta["rhs_evals"] + 1
 
+    # The two runs of the benchmark's equivariant workload at its seed 1: a
+    # faster kernel must keep their stage schedule (the RKC2 stages per step
+    # follow the CFL step of each state).
+    @pytest.mark.parametrize("config,rhs_evals", [
+        ({"case": "equivariant", "m": 3, "n": 3, "grid": 128, "t_end": 2.0,
+          "preset": "sine", "amplitude": 0.8004728649880103, "monitor_every": 120}, 3527),
+        ({"case": "equivariant", "m": 3, "n": 3, "grid": 128, "t_end": 0.0,
+          "preset": "sine", "amplitude": 0.8004728649880103, "background_m": "ricci",
+          "background_n": "ricci", "t_end_frac_of_extinction": 0.9,
+          "monitor_every": 120}, 2476)], ids=["static", "coupled"])
+    def test_benchmark_runs_keep_their_stage_schedule(self, config, rhs_evals):
+        meta = run(FlowConfig.from_dict(config)).meta
+        assert (meta["steps"], meta["rhs_evals"], meta["cfl_refreshes"]) == (120, rhs_evals, 120)
+
     # lambda_max at t = 0: 58.5 on the torus, 59.9 on the sphere
     @pytest.mark.parametrize("case,grid", [("torus", 16), ("equivariant", 32)])
     def test_first_row_hits_the_guard(self, case, grid):
@@ -902,7 +970,10 @@ class TestRuns:
 NONPOSITIVE = [math.nan, math.inf, -math.inf, 0.0, -1.0]
 BAD_VALUES = {"cfl": NONPOSITIVE, "period": NONPOSITIVE, "radius_m": NONPOSITIVE,
               "radius_n": NONPOSITIVE, "amplitude": [math.nan, math.inf, -math.inf],
-              "monitor_every": [-1, -5], "n": [0, -1]}
+              "monitor_every": [-1, -5], "n": [0, -1],
+              # entries that are not integers; int() would truncate the first
+              "winding": [[[0.5, 0], [0, 1]], [[1, 0], [True, 1]], [["1", 0], [0, 1]],
+                          [[math.inf, 0], [0, 1]], [[math.nan]]]}
 OTHER_CASE_VALUES = {  # valid values of the fields the other case reads
     "torus": {"radius_m": [0.5, 2.0], "radius_n": [1.5], "background_m": ["ricci"],
               "background_n": ["ricci"]},
@@ -978,8 +1049,14 @@ class TestSizeCap:
         assert FlowConfig(**kw).grid == kw["grid"]
 
 
+WOUND = {"case": "torus", "preset": "sine", "grid": 8, "t_end": 0.001, "m": 2, "n": 2}
+
+
 class TestConfigFuzz:
     @settings(max_examples=100, deadline=5000, derandomize=True)
+    @example((dict(WOUND, winding=[[0, 1], [1, 0]]), False))
+    @example((dict(WOUND, winding=[[0.5, 0], [0, 1]]), True))
+    @example((dict(WOUND, winding=[[1, 0], [0, True]]), True))
     @given(flow_configs())
     def test_config_fails_cleanly_or_runs_finite(self, drawn):
         d, replaced = drawn
@@ -988,6 +1065,7 @@ class TestConfigFuzz:
         except ValueError:
             assert replaced, d
             return
+        assert not replaced, d  # every replacement is a value the config refuses
         assert len(series.times) >= 1
         if series.abort_reason is None:
             for values in (series.times, series.m_of_t, series.lambda_max,
