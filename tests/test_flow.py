@@ -652,18 +652,6 @@ class TestEquivariantKernel:
             assert got[0] == got[-1] == 0.0
             assert abs(got[1:-1] - ref).max() <= 1e-13 * abs(ref).max()
 
-    def test_stages_reuse_the_fields_arrays(self):
-        # the field's work arrays are overwritten by every call, so a returned
-        # y_t must not be one of them, and two calls must not share theirs
-        field = flow._eq_field(3, 65, lambda t: (1.0, 1.0))
-        rng = np.random.default_rng(3)
-        a, b = (random_profile(rng, 65, 0) for _ in range(2))
-        fa = field(a, 0.0)
-        fa_copy = fa.copy()
-        fb = field(b, 0.0)
-        assert fb is not fa and np.array_equal(fa, fa_copy)
-        assert np.array_equal(field(a, 0.0), fa)
-
 
 class TestEquivariantStep:
     def test_identity_stationary(self):
