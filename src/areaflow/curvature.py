@@ -29,7 +29,8 @@ from partials R(., p, q, r) of the same kernel, which the symmetries of R
 derive from the tuples.  The optimizer requires that gradient
 (``gradient=``) and projects it onto the tangent space of the frame.
 Results are deterministic under a fixed seed and exact in practice on the
-homogeneous model spaces this library targets.
+homogeneous model spaces this library targets.  Every optimizer run of
+the extremes takes ``_STARTS`` random starts.
 """
 
 from __future__ import annotations
@@ -425,6 +426,8 @@ _LADDER = (2, 23)
 # this many descent steps: starts stuck in worse local minima may still be
 # improving, but no longer on the best value.
 _STALL = 10
+# Random starts of a frame optimizer run, the number every extreme uses.
+_STARTS = 64
 
 
 def minimize_over_frames(
@@ -433,7 +436,7 @@ def minimize_over_frames(
     k: int,
     *,
     gradient,
-    n_starts: int = 64,
+    n_starts: int = _STARTS,
     seed: int = 0,
     structured=None,
 ):
@@ -558,9 +561,10 @@ _FLAT = 1e-9  # slopes within this of 0 count as a maximum of the dual
 
 
 def _curvature_operator(comp: np.ndarray) -> np.ndarray:
-    """Op[(ij), (kl)] = R(e_i, e_j, e_l, e_k) over pairs i < j, k < l."""
-    iu, ju = np.triu_indices(comp.shape[0], k=1)
-    return comp[iu[:, None], ju[:, None], ju[None, :], iu[None, :]]
+    """Op[..., (ij), (kl)] = R(e_i, e_j, e_l, e_k) over pairs i < j, k < l,
+    for tensors on the last four axes of ``comp``."""
+    iu, ju = np.triu_indices(comp.shape[-1], k=1)
+    return comp[..., iu[:, None], ju[:, None], ju[None, :], iu[None, :]]
 
 
 def _star(dim: int) -> np.ndarray:
@@ -618,17 +622,14 @@ def _plane_minimum(comp: np.ndarray) -> float | None:
     return value if value - w[0] <= ALG_TOL * max(1.0, abs(value)) else None
 
 
-def sectional_range(r: CurvatureTensor, *, n_starts: int = 64, seed: int = 0):
+def sectional_range(r: CurvatureTensor, *, seed: int = 0):
     """(min, max) sectional curvature over all 2-planes.
 
     In dim <= 4 each is the sectional curvature of a witness plane read off
     the curvature operator and certified by the dual bound
     (``_plane_minimum``).  In dim >= 5, or where a witness is not certified,
-    it comes from frame optimization, and only there do ``n_starts`` and
-    ``seed`` matter.
+    it comes from frame optimization, and only there does ``seed`` matter.
     """
-    if n_starts < 1:
-        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     structured = _axis_frames(r.dim, 2)
 
     def lowest(comp, seed):
@@ -638,14 +639,14 @@ def sectional_range(r: CurvatureTensor, *, n_starts: int = 64, seed: int = 0):
         m = _pair_matrix(comp)
         val, _ = minimize_over_frames(partial(_SECTIONAL.value, m), r.dim, 2,
                                       gradient=partial(_SECTIONAL.gradient, m),
-                                      n_starts=n_starts, seed=seed, structured=structured)
+                                      seed=seed, structured=structured)
         return val
 
     # the maximum of K is minus the minimum of K for the tensor -R
     return lowest(r.comp, seed), -lowest(-r.comp, seed + 1)
 
 
-def ric3_min(r: CurvatureTensor, *, n_starts: int = 64, seed: int = 0) -> float:
+def ric3_min(r: CurvatureTensor, *, seed: int = 0) -> float:
     """Minimum over orthonormal triples {u,v,w} of K(u,v) + K(u,w).
 
     This is the smallest partial Ricci value over 3-dimensional subspaces:
@@ -657,19 +658,14 @@ def ric3_min(r: CurvatureTensor, *, n_starts: int = 64, seed: int = 0) -> float:
         raise ValueError("ric3_min needs dim >= 3")
     m = _pair_matrix(r.comp)
     val, _ = minimize_over_frames(partial(_RIC3.value, m), r.dim, 3,
-                                  gradient=partial(_RIC3.gradient, m), n_starts=n_starts,
-                                  seed=seed, structured=_axis_frames(r.dim, 3))
+                                  gradient=partial(_RIC3.gradient, m), seed=seed,
+                                  structured=_axis_frames(r.dim, 3))
     return val
 
 
-def chi_ic1(
-    r: CurvatureTensor,
-    g: SymBilinear | None = None,
-    *,
-    n_starts: int = 64,
-    seed: int = 0,
-) -> float:
-    """Largest s with R - s * (1/2) g o g weakly inside the PIC1 cone.
+def chi_ic1(r: CurvatureTensor, *, seed: int = 0) -> float:
+    """Largest s with R - s * (1/2) g o g weakly inside the PIC1 cone, for
+    the components of R in an orthonormal frame.
 
     Because the defect is linear in the tensor and the defect of (1/2) g o g
     equals 2(1+mu^2) on every orthonormal frame, this supremum is the infimum
@@ -685,7 +681,7 @@ def chi_ic1(
                          "eigenvalue (Ricci-positivity convention)")
     if r.dim < 4:
         raise ValueError("chi_ic1 needs dim >= 4")
-    m = _pair_matrix(_orthonormalize_tensor(r, g))
+    m = _pair_matrix(r.comp)
     # axis frames plus their single-sign flips: catches Kaehler-type equality
     # frames such as (e1, Je1, e2, -Je2) on symmetric model spaces
     axes = _axis_frames(r.dim, 4, max_frames=120)
@@ -693,35 +689,27 @@ def chi_ic1(
     flips[:, :, 3] *= -1.0
     val, _ = minimize_over_frames(
         partial(_pic1_ratio, m), r.dim, 4, gradient=partial(_pic1_ratio_grad, m),
-        n_starts=n_starts, seed=seed, structured=np.concatenate([axes, flips]),
+        seed=seed, structured=np.concatenate([axes, flips]),
     )
     return val
 
 
 def _orthonormalize_tensor(r: CurvatureTensor, g: SymBilinear | None) -> np.ndarray:
-    """Components of r in a g-orthonormal frame (identity g: no-op)."""
+    """Components of r in a g-orthonormal frame (no g: r's own)."""
     if g is None:
         return r.comp
     if g.dim != r.dim:
         raise ValueError("metric dimension mismatch")
-    gm = g.comp
-    if np.allclose(gm, np.eye(r.dim), atol=1e-14):
-        return r.comp
     if not g.is_metric():
         raise ValueError("g must be positive definite")
     # columns of L^{-T} (g = L L^T) form a g-orthonormal frame
-    basis = np.linalg.inv(np.linalg.cholesky(gm)).T
+    basis = np.linalg.inv(np.linalg.cholesky(g.comp)).T
     return np.einsum("ijkl,ia,jb,kc,ld->abcd", r.comp, basis, basis, basis, basis,
                      optimize=True)
 
 
-def bounds_of(
-    r: CurvatureTensor,
-    g: SymBilinear | None = None,
-    *,
-    n_starts: int = 64,
-    seed: int = 0,
-) -> CurvatureBounds:
+def bounds_of(r: CurvatureTensor, g: SymBilinear | None = None, *,
+              seed: int = 0) -> CurvatureBounds:
     """Aggregate curvature extremes of a frame tensor.
 
     Ricci and scalar data are exact (eigenvalues of the contracted tensor).
@@ -729,19 +717,19 @@ def bounds_of(
     its dual, certified to ALG_TOL (``sectional_range``); ric3 and chi
     extremes, and the sectional ones in dim >= 5, come from seeded frame
     optimization and are reported to the accuracy the optimizer achieved.
-    ``n_starts`` and ``seed`` matter only to the optimizer runs.
+    ``seed`` matters only to the optimizer runs.
     """
     comp = _orthonormalize_tensor(r, g)
     rr = CurvatureTensor(comp)
-    kappa, tau = sectional_range(rr, n_starts=n_starts, seed=seed)
+    kappa, tau = sectional_range(rr, seed=seed)
     ric_eigs = np.linalg.eigvalsh(ricci_matrix(rr))
     scal = float(ric_eigs.sum())
     if rr.dim >= 3:
-        r3 = ric3_min(rr, n_starts=n_starts, seed=seed + 2)
+        r3 = ric3_min(rr, seed=seed + 2)
     else:
         r3 = float("nan")
     if rr.dim >= 4:
-        chi = chi_ic1(rr, n_starts=n_starts, seed=seed + 3)
+        chi = chi_ic1(rr, seed=seed + 3)
     else:
         chi = float(ric_eigs.min())  # low-dimensional Ricci convention
     return CurvatureBounds(

@@ -46,10 +46,10 @@ defect).
 Both reductions march with one second-order Runge-Kutta-Chebyshev stepper
 (RKC2) on whole arrays: each record interval is split into equal steps of at
 most h, so the time error is O(h^2) like the spatial one, and each step takes
-the fewest stages whose stability interval covers the CFL bound, so ``cfl``
-keeps its meaning as the fraction of the stability interval used.  The
-right-hand side the march evaluates at a row's time serves the row and is the
-next step's first stage.  ``MAX_STEPS`` caps the right-hand-side evaluations
+the fewest stages whose stability interval covers the CFL bound at the fixed
+fraction ``CFL`` of that interval, a margin of the method, not of the problem.
+The right-hand side the march evaluates at a row's time serves the row and is
+the next step's first stage.  ``MAX_STEPS`` caps the right-hand-side evaluations
 of a run: a run planned beyond it is refused, one that outgrows it is
 aborted.  ``MAX_ENTRIES`` caps the size of a run's largest array, and a
 config past it is refused.  Every row, the one at t = 0 included, aborts a
@@ -72,6 +72,8 @@ from .profile import s_of
 from .spaces import BackgroundPath, ModelSpace
 
 LAMBDA_ABORT = 50.0
+# Fraction of RKC2's stability interval a step uses: past 1 a step leaves it.
+CFL = 0.4
 # Most right-hand-side evaluations of one run, either reduction (criterion 7
 # takes about 2.4e4).
 MAX_STEPS = 10**7
@@ -420,9 +422,9 @@ def torus_rhs(st: TorusFlowState) -> np.ndarray:
     return _torus_velocity(*_torus_df(st.u, st.lin, st.h), st.h)
 
 
-def torus_cfl_dt(st: TorusFlowState, cfl: float = 0.4) -> float:
+def torus_cfl_dt(st: TorusFlowState) -> float:
     """Explicit-step limit: eta^{-1} <= 1 so the diffusion scale is h^2/(2m)."""
-    return cfl * st.h**2 / (2.0 * st.m)
+    return CFL * st.h**2 / (2.0 * st.m)
 
 
 def _torus_field(st: TorusFlowState):
@@ -456,7 +458,7 @@ def _torus_record(st: TorusFlowState, field):
 
 
 def torus_step(st: TorusFlowState, dt: float) -> TorusFlowState:
-    """One RKC2 step of size dt, stages from the CFL bound at cfl 0.4."""
+    """One RKC2 step of size dt, stages from the CFL bound."""
     u = _rkc_single(st.u, st.t, dt, torus_cfl_dt(st), _torus_field(st))
     return TorusFlowState(st.m, st.n, st.period, st.lin, u, st.t + dt)
 
@@ -677,7 +679,7 @@ def _eq_rhs(y, r_m, r_n, work):
     return y_t
 
 
-def _eq_field(m: int, nodes: int, radii, cfl: float = 0.4):
+def _eq_field(m: int, nodes: int, radii):
     """Right-hand side (y, t) -> rho_t on ``nodes`` nodes, zero at the pinned
     poles, radii(t) = (r_M, r_N); the interior differences are slices of y,
     so the poles need no ghosts.
@@ -687,7 +689,7 @@ def _eq_field(m: int, nodes: int, radii, cfl: float = 0.4):
     cos rho, the diffusion and the rotation coefficients) once, and every
     stage overwrites them, so a stage allocates only the y_t it returns.  A
     field is therefore not reentrant.  It looks up ``_eq_rhs`` at each call.
-    The field's ``cfl_dt(y, t)`` is the explicit step cfl / rate the state
+    The field's ``cfl_dt(y, t)`` is the explicit step CFL / rate the state
     allows, from the same theta trig, and its ``sin_theta`` is the sin theta
     of the interior nodes it reads, for a row's state to share."""
     h = math.pi / (nodes - 1)
@@ -707,7 +709,7 @@ def _eq_field(m: int, nodes: int, radii, cfl: float = 0.4):
         denom = r_m**2 * sin2_th + r_n**2 * np.sin(y[1:-1]) ** 2
         # diffusion 1 / diff and drift (m-1) sin th cos th / denom
         rate = 2.0 / diff.min() / h**2 + abs((m - 1) * sincos_th / denom).max() / h
-        return cfl / rate
+        return CFL / rate
 
     rhs.cfl_dt, rhs.sin_theta = cfl_dt, sin_th
     return rhs
@@ -718,10 +720,9 @@ def equivariant_rhs(st: EquivariantFlowState, r_m: float, r_n: float) -> np.ndar
     return _eq_field(st.m, st.rho.size, lambda t: (r_m, r_n))(st.rho, st.t)
 
 
-def equivariant_dt(st: EquivariantFlowState, r_m: float, r_n: float,
-                   cfl: float = 0.4) -> float:
+def equivariant_dt(st: EquivariantFlowState, r_m: float, r_n: float) -> float:
     """CFL-limited step from the diffusion and drift coefficients."""
-    return _eq_field(st.m, st.rho.size, lambda t: (r_m, r_n), cfl).cfl_dt(st.rho, st.t)
+    return _eq_field(st.m, st.rho.size, lambda t: (r_m, r_n)).cfl_dt(st.rho, st.t)
 
 
 # Second-order Runge-Kutta-Chebyshev (RKC2; Sommeijer, Shampine & Verwer,
@@ -747,8 +748,8 @@ def _rkc_stages(step: float, dt_cfl: float, most: int) -> int | None:
     """Fewest stages s >= 2 with beta(s) >= 2 step / dt_cfl, or None past ``most``.
 
     ``dt_cfl`` is the explicit step ``torus_cfl_dt`` or ``equivariant_dt``
-    allows, cfl / rate, where 2 rate bounds the spectrum of the discrete
-    operator (eta^{-1} <= I on the torus, Gershgorin on the sphere), so cfl is
+    allows, CFL / rate, where 2 rate bounds the spectrum of the discrete
+    operator (eta^{-1} <= I on the torus, Gershgorin on the sphere), so CFL is
     the fraction of the stability interval used, as it was of the [-2, 0] of a
     two-stage explicit step.
     """
@@ -822,8 +823,8 @@ def _rkc_single(y: np.ndarray, t: float, dt: float, dt_cfl: float, rhs) -> np.nd
 
 
 def equivariant_step(st: EquivariantFlowState, dt: float, r_of_t) -> EquivariantFlowState:
-    """One RKC2 step of size dt, stages from the CFL bound at cfl 0.4;
-    ``r_of_t`` maps time to the radius pair (r_M, r_N)."""
+    """One RKC2 step of size dt, stages from the CFL bound; ``r_of_t`` maps
+    time to the radius pair (r_M, r_N)."""
     field = _eq_field(st.m, st.rho.size, r_of_t)
     rho = _rkc_single(st.rho, st.t, dt, field.cfl_dt(st.rho, st.t), field)
     return EquivariantFlowState(st.m, st.n, rho, st.boundary_class, st.t + dt)
@@ -890,7 +891,6 @@ class FlowConfig:
     m: int = 2
     n: int = 2
     grid: int = 0  # 0: per-case default (torus 64 per axis, equivariant 512)
-    cfl: float = 0.4
     t_end: float = 0.5
     preset: str = "sine"
     amplitude: float = 0.1
@@ -923,7 +923,7 @@ class FlowConfig:
         presets = TORUS_PRESETS if self.case == "torus" else EQUIVARIANT_PRESETS
         if self.preset not in presets:
             raise ValueError(f"unknown preset {self.preset!r} for {self.case}")
-        for name in ("cfl", "period", "radius_m", "radius_n"):
+        for name in ("period", "radius_m", "radius_n"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
@@ -933,10 +933,17 @@ class FlowConfig:
                                  f"got {getattr(self, name)!r}")
         if not math.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude}")
-        if self.case == "torus" and self.m < 2:
-            raise ValueError(f"torus flows need m >= 2, got m={self.m}")
+        if self.m < 2:
+            raise ValueError(f"{self.case} flows need m >= 2, got m={self.m}")
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got n={self.n}")
+        if self.case == "equivariant" and self.m > self.n:
+            raise ValueError("equivariant flows (the suspension ansatz) need m <= n, "
+                             f"got m={self.m}, n={self.n}")
+        if self.winding and (len(self.winding) != self.n
+                             or any(len(row) != self.m for row in self.winding)):
+            raise ValueError(f"winding must be an n x m matrix, {self.n} x {self.m}, "
+                             f"got {[list(r) for r in self.winding]}")
         if self.monitor_every < 0:
             raise ValueError("monitor_every must be 0 (120 records) or positive, "
                              f"got {self.monitor_every}")
@@ -991,8 +998,6 @@ def _torus_initial(cfg: FlowConfig) -> TorusFlowState:
             u[1] = amp * np.sin(q * mesh[1])
     if cfg.winding:
         lin = np.asarray(cfg.winding, dtype=float)
-        if lin.shape != (n, m):
-            raise ValueError("winding matrix must be n x m")
     elif cfg.preset == "linear_sine":
         lin = np.zeros((n, m))
         lin[0, 0] = 1.0  # one winding direction: area-decreasing, not distance-
@@ -1064,8 +1069,7 @@ def _march(series: FlowSeries, y: np.ndarray, rhs, cfl_dt, record,
     dt = cfl_dt(y, 0.0)
     if _rkc_stages(step, dt, MAX_STEPS // n_steps) is None:
         raise ValueError(f"{series.meta['case']} run of {n_steps} steps needs more than "
-                         f"{MAX_STEPS} right-hand-side evaluations, the cap; raise cfl "
-                         "or lower t_end")
+                         f"{MAX_STEPS} right-hand-side evaluations, the cap; lower t_end")
 
     def row(y, t):
         f = rhs(y, t)
@@ -1099,7 +1103,7 @@ def _march(series: FlowSeries, y: np.ndarray, rhs, cfl_dt, record,
 
 def _run_torus(cfg: FlowConfig) -> FlowSeries:
     st = _torus_initial(cfg)
-    dt = torus_cfl_dt(st, cfg.cfl)  # eta^{-1} <= I: the same bound at every state
+    dt = torus_cfl_dt(st)  # eta^{-1} <= I: the same bound at every state
     field = _torus_field(st)
     series = FlowSeries(meta={"case": "torus", "h": st.h, "t_end": cfg.t_end,
                               "config": cfg.to_dict(), "a_used": None})
@@ -1123,7 +1127,7 @@ def _run_equivariant(cfg: FlowConfig) -> FlowSeries:
         return cfg.radius_m * math.sqrt(f_m(t)), cfg.radius_n * math.sqrt(f_n(t))
 
     st = _equivariant_initial(cfg)
-    field = _eq_field(st.m, st.rho.size, radii, cfg.cfl)
+    field = _eq_field(st.m, st.rho.size, radii)
 
     def record(rho, t, f):
         now = EquivariantFlowState(cfg.m, cfg.n, rho, st.boundary_class, t)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curvature import SymBilinear, kulkarni_nomizu_comp
+from .curvature import SymBilinear, _curvature_operator, kulkarni_nomizu_comp
 
 EIG_CLIP = 1e-12  # pullback eigenvalues in [-EIG_CLIP, 0] clip to zero
 
@@ -274,6 +274,4 @@ def theta_wedge_matrices(s: np.ndarray) -> np.ndarray:
     """Wedge matrices of Theta = diag(S) o eta with eta = I, one per row of S
     values (B, m)."""
     m = s.shape[1]
-    theta = kulkarni_nomizu_comp(s[:, :, None] * np.eye(m), np.eye(m))
-    iu, ju = np.triu_indices(m, k=1)
-    return theta[:, iu[:, None], ju[:, None], ju[None, :], iu[None, :]]
+    return _curvature_operator(kulkarni_nomizu_comp(s[:, :, None] * np.eye(m), np.eye(m)))

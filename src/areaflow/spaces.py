@@ -67,7 +67,7 @@ class ModelSpace:
                 raise ValueError(f"{name} must be finite, got {v}")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        if self.kind == "fubini" and (self.dim % 2 or self.dim < 2):
+        if self.kind == "fubini" and self.dim % 2:
             raise ValueError("fubini needs even dim >= 2")
         if self.kind == "constant" and self.curvature is None:
             raise ValueError("constant-curvature space needs a curvature value")

@@ -224,18 +224,19 @@ class TestFlowCommand:
         assert disc["cfl_refreshes"] == disc["steps"]
         assert disc["rhs_evals"] >= 2 * disc["steps"]
 
-    def test_zero_cfl_exits_1_with_json_error(self, tmp_path, capsys):
+    def test_cfl_key_exits_1_with_json_error(self, tmp_path, capsys):
+        # the CFL fraction is a constant of the stepper, not a config key
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({
             "case": "equivariant", "m": 3, "n": 3, "grid": 24, "t_end": 0.05,
-            "cfl": 0,
+            "cfl": 0.4,
         }))
         code = main(["flow", "--case", "equivariant", "--config", str(cfgfile),
                      "--out", str(tmp_path)])
         assert code == 1
         assert "cfl" in json.loads(capsys.readouterr().err)["error"]
 
-    @pytest.mark.parametrize("config", [{"cfl": "0.4"}, {"grid": 24.5}, ["torus"]])
+    @pytest.mark.parametrize("config", [{"t_end": "0.4"}, {"grid": 24.5}, ["torus"]])
     def test_bad_config_types_exit_1_with_json_error(self, config, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(config))
@@ -259,7 +260,9 @@ class TestFlowCommand:
         ("torus", "period", 0), ("torus", "n", 0), ("equivariant", "monitor_every", -5),
         # fields the case never reads
         ("torus", "background_m", "ricci"), ("torus", "radius_m", 5.0),
-        ("equivariant", "winding", [[1, 0], [0, 1]]), ("equivariant", "period", 3.0)])
+        ("equivariant", "winding", [[1, 0], [0, 1]]), ("equivariant", "period", 3.0),
+        # shapes a run would refuse only once it started
+        ("equivariant", "m", 1), ("equivariant", "m", 3), ("torus", "winding", [[1, 0, 0]])])
     def test_bad_field_exits_1_with_json_error(self, case, key, value, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"case": case, "m": 2, "n": 2, "grid": 8, key: value}))

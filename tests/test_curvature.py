@@ -338,10 +338,10 @@ class TestStallStop:
     def test_bounds_match_full_length_runs(self, monkeypatch):
         rng = np.random.default_rng(2024)
         tensors = [random_tensor(dim, rng) for dim in (4, 5, 6) * 3]
-        got = [bounds_of(r, n_starts=32) for r in tensors]
+        got = [bounds_of(r) for r in tensors]
         monkeypatch.setattr(curvature, "_STALL", 10**6)  # every run takes 120 steps
         for r, b in zip(tensors, got):
-            ref = bounds_of(r, n_starts=32)
+            ref = bounds_of(r)
             for name in ("kappa", "tau", "ric3_min", "chi_ic1"):
                 v, w = getattr(b, name), getattr(ref, name)
                 assert abs(v - w) <= 1e-12 * max(1.0, abs(w)), (name, v, w)
@@ -428,9 +428,10 @@ class TestSectionalDual:
     @pytest.mark.parametrize("dim", [3, 4, 5])
     @pytest.mark.parametrize("n_starts", [0, -1])
     def test_bad_n_starts_refused_in_every_dim(self, dim, n_starts):
-        r = constant_curvature_tensor(dim, 1.0)
+        m = _pair_matrix(constant_curvature_tensor(dim, 1.0).comp)
         with pytest.raises(ValueError, match="n_starts must be at least 1"):
-            sectional_range(r, n_starts=n_starts)
+            minimize_over_frames(partial(_SECTIONAL.value, m), dim, 2,
+                                 gradient=partial(_SECTIONAL.gradient, m), n_starts=n_starts)
 
     def test_uncertified_witness_falls_back_to_the_optimizer(self, monkeypatch):
         r = benchmark_tensor()
@@ -578,7 +579,7 @@ class TestChiIC1:
     @given(st.floats(-2.0, 2.0, allow_nan=False))
     def test_matches_constant_curvature_scale(self, c):
         r = constant_curvature_tensor(4, c)
-        assert chi_ic1(r, seed=1, n_starts=16) == pytest.approx(c, abs=2e-3)
+        assert chi_ic1(r, seed=1) == pytest.approx(c, abs=2e-3)
 
 
 class TestRic3:
@@ -597,7 +598,7 @@ class TestRic3:
         for _ in range(5):
             a = rng.normal(size=(4, 4))
             r = kulkarni_nomizu(SymBilinear(0.5 * (a + a.T)), SymBilinear.identity(4))
-            b = bounds_of(r, n_starts=24, seed=3)
+            b = bounds_of(r, seed=3)
             assert b.ric3_min >= 2 * b.kappa - 1e-6
 
     def test_nonneg_chi_implies_nonneg_ric3(self):
@@ -607,10 +608,10 @@ class TestRic3:
             a = rng.normal(size=(4, 4))
             r = kulkarni_nomizu(SymBilinear(np.eye(4) + 0.2 * (a + a.T)),
                                 SymBilinear.identity(4))
-            chi = chi_ic1(r, seed=4, n_starts=24)
+            chi = chi_ic1(r, seed=4)
             if chi >= 0:
                 tried += 1
-                assert ric3_min(r, seed=4, n_starts=24) >= -1e-6
+                assert ric3_min(r, seed=4) >= -1e-6
         assert tried > 0
 
 
@@ -647,7 +648,7 @@ class TestBoundsOf:
         basis = np.linalg.cholesky(g.comp).T  # columns with Gram matrix g
         r0 = constant_curvature_tensor(4, 1.0)
         comp = np.einsum("ijkl,ia,jb,kc,ld->abcd", r0.comp, basis, basis, basis, basis)
-        b = bounds_of(CurvatureTensor(comp), g, seed=1, n_starts=24)
+        b = bounds_of(CurvatureTensor(comp), g, seed=1)
         assert b.kappa == pytest.approx(1.0, rel=1e-3)
         assert b.tau == pytest.approx(1.0, rel=1e-3)
 

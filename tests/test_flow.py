@@ -487,14 +487,14 @@ def ref_eq_rhs(rho, dp, ddp, th, m, r_m, r_n):
                                    - np.sin(rho) * np.cos(rho)) / denom
 
 
-def ref_equivariant_dt(st, r_m, r_n, cfl=0.4):
+def ref_equivariant_dt(st, r_m, r_n):
     th = st.theta[1:-1]
     dp, _ = flow._rho_derivatives(st.rho, st.boundary_class, st.h)
     diff = 1.0 / (r_m**2 + r_n**2 * dp[1:-1] ** 2)
     denom = r_m**2 * np.sin(th) ** 2 + r_n**2 * np.sin(st.rho[1:-1]) ** 2
     drift = abs((st.m - 1) * np.sin(th) * np.cos(th) / denom)
     rate = 2.0 * diff.max() / st.h**2 + drift.max() / st.h
-    return cfl / rate
+    return flow.CFL / rate
 
 
 def ref_heun_m_series(cfg):
@@ -515,12 +515,12 @@ def ref_heun_m_series(cfg):
     h, cls, m = st.h, st.boundary_class, st.m
     th = st.theta[1:-1]
     rho, t = st.rho.copy(), 0.0
-    dt = ref_equivariant_dt(st, *radii(0.0), cfg.cfl)
+    dt = ref_equivariant_dt(st, *radii(0.0))
     refresh = 16
     while t < t_end - 1e-14:
         if refresh == 0:
             dt = ref_equivariant_dt(EquivariantFlowState(m, cfg.n, rho.copy(), cls, t),
-                                    *radii(t), cfg.cfl)
+                                    *radii(t))
             refresh = 16
         refresh -= 1
         step = min(dt, t_end - t, max(next_record - t, 1e-15))
@@ -749,9 +749,9 @@ class TestEquivariantRecords:
 
         for rho, t, dt in steps:
             st, radii = fresh(rho, t)
-            assert dt == equivariant_dt(st, *radii, cfg.cfl)
+            assert dt == equivariant_dt(st, *radii)
             # the field groups (m-1) sin th cos th as (m-1) (sin th cos th)
-            ref = ref_equivariant_dt(st, *radii, cfg.cfl)
+            ref = ref_equivariant_dt(st, *radii)
             exact = (cfg.m - 1) & (cfg.m - 2) == 0  # m - 1 a power of two
             assert dt == ref if exact else abs(dt - ref) <= math.ulp(ref)
         for i, (rho, t) in enumerate(rows):
@@ -840,7 +840,13 @@ class TestRuns:
     @pytest.mark.parametrize("cfl", [0.0, -0.4, math.nan, math.inf])
     def test_nonpositive_or_nonfinite_cfl_rejected(self, case, cfl):
         with pytest.raises(ValueError, match="cfl"):
-            FlowConfig(case=case, cfl=cfl)
+            FlowConfig.from_dict({"case": case, "cfl": cfl})
+
+    @pytest.mark.parametrize("case", ["equivariant", "torus"])
+    def test_cfl_is_not_a_config_key(self, case):
+        # RKC2 steps at the fixed fraction flow.CFL of their stability interval
+        with pytest.raises(ValueError, match="unknown config keys: \\['cfl'\\]"):
+            FlowConfig.from_dict({"case": case, "cfl": flow.CFL})
 
     @pytest.mark.parametrize("amp", [math.nan, math.inf])
     def test_nonfinite_amplitude_rejected(self, amp):
@@ -876,6 +882,9 @@ class TestRuns:
         ("torus", "background_m", "ricci"), ("torus", "background_n", "ricci"),
         ("torus", "radius_m", 5.0), ("torus", "radius_n", 0.5),
         ("equivariant", "winding", ((1, 0), (0, 1))), ("equivariant", "period", 3.0),
+        # shapes a run would refuse only once it started
+        ("equivariant", "m", 1), ("equivariant", "m", 4), ("torus", "winding", ((1, 0, 0),)),
+        ("torus", "winding", ((1, 0), (0,))),
     ])
     def test_unchecked_fields_rejected(self, case, key, value):
         with pytest.raises(ValueError, match=key):
@@ -886,9 +895,19 @@ class TestRuns:
         assert series.abort_reason is None
 
     @pytest.mark.parametrize("case,grid", [("torus", 8), ("equivariant", 16)])
-    def test_step_cap_refuses_a_tiny_cfl(self, case, grid):
-        with pytest.raises(ValueError, match="cap"):
-            run(FlowConfig(case=case, m=3, n=3, grid=grid, cfl=1e-12))
+    def test_step_cap_refuses_a_run_planned_past_it(self, case, grid, monkeypatch):
+        # the plan: every step takes the stages of the CFL step at t = 0
+        cfg = FlowConfig(case=case, m=3, n=3, grid=grid, t_end=0.05, monitor_every=10)
+        meta = run(cfg).meta
+        dt_cfl = (torus_cfl_dt(flow._torus_initial(cfg)) if case == "torus"
+                  else equivariant_dt(flow._equivariant_initial(cfg), 1.0, 1.0))
+        planned = meta["steps"] * flow._rkc_stages(meta["dt_min"], dt_cfl, 10**7)
+        monkeypatch.setattr(flow, "MAX_STEPS", planned)
+        run(cfg)
+        monkeypatch.setattr(flow, "MAX_STEPS", planned - 1)
+        with pytest.raises(ValueError, match=f"more than {planned - 1} right-hand-side "
+                                             "evaluations, the cap"):
+            run(cfg)
 
     def test_step_cap_aborts_a_run_that_outgrows_it(self, monkeypatch):
         # shrinking radii raise the stiffness, so the stages per step grow past
@@ -898,7 +917,7 @@ class TestRuns:
                          t_end_frac_of_extinction=0.9, monitor_every=10)
         meta = run(cfg).meta
         evals = meta["rhs_evals"]
-        dt_cfl = equivariant_dt(flow._equivariant_initial(cfg), 1.0, 1.0, cfg.cfl)
+        dt_cfl = equivariant_dt(flow._equivariant_initial(cfg), 1.0, 1.0)
         planned = meta["steps"] * flow._rkc_stages(meta["dt_min"], dt_cfl, 10**7)
         assert planned < evals - 1
         monkeypatch.setattr(flow, "MAX_STEPS", evals - 1)
@@ -946,7 +965,7 @@ class TestRuns:
         assert series.meta["steps"] == series.meta["rhs_evals"] == 0
 
     @pytest.mark.parametrize("key,value", [
-        ("cfl", "0.4"), ("t_end", None), ("amplitude", [0.1]), ("grid", 64.0),
+        ("period", "6.28"), ("t_end", None), ("amplitude", [0.1]), ("grid", 64.0),
         ("m", True), ("monitor_every", "4"), ("preset", 3), ("t_end_frac_of_extinction", "0.9"),
         ("winding", 5), ("winding", [[1, None]]),
     ])
@@ -956,12 +975,14 @@ class TestRuns:
 
 
 NONPOSITIVE = [math.nan, math.inf, -math.inf, 0.0, -1.0]
-BAD_VALUES = {"cfl": NONPOSITIVE, "period": NONPOSITIVE, "radius_m": NONPOSITIVE,
+BAD_VALUES = {"period": NONPOSITIVE, "radius_m": NONPOSITIVE,
               "radius_n": NONPOSITIVE, "amplitude": [math.nan, math.inf, -math.inf],
-              "monitor_every": [-1, -5], "n": [0, -1],
+              "monitor_every": [-1, -5], "n": [0, -1], "m": [1, 0],
               # entries that are not integers; int() would truncate the first
               "winding": [[[0.5, 0], [0, 1]], [[1, 0], [True, 1]], [["1", 0], [0, 1]],
-                          [[math.inf, 0], [0, 1]], [[math.nan]]]}
+                          [[math.inf, 0], [0, 1]], [[math.nan]],
+                          # shapes no n x 2 matrix has
+                          [[1, 0, 0]], [[1, 0], [0]], [[]]]}
 OTHER_CASE_VALUES = {  # valid values of the fields the other case reads
     "torus": {"radius_m": [0.5, 2.0], "radius_n": [1.5], "background_m": ["ricci"],
               "background_n": ["ricci"]},
@@ -976,8 +997,8 @@ def flow_configs(draw):
     preset = draw(hs.sampled_from(flow.TORUS_PRESETS if case == "torus"
                                   else flow.EQUIVARIANT_PRESETS))
     d = {"case": case, "preset": preset, "grid": draw(hs.integers(3, 16)),
-         "t_end": draw(hs.floats(1e-3, 0.05)), "cfl": draw(hs.floats(0.05, 1.0)),
-         "amplitude": draw(hs.floats(-1.0, 1.0)), "monitor_every": draw(hs.integers(0, 12))}
+         "t_end": draw(hs.floats(1e-3, 0.05)), "amplitude": draw(hs.floats(-1.0, 1.0)),
+         "monitor_every": draw(hs.integers(0, 12))}
     if case == "torus":
         d.update(m=2, n=draw(hs.integers(1, 3)), period=draw(hs.floats(1.0, 10.0)))
     else:

@@ -1,6 +1,8 @@
-"""Tooling around the package: the benchmark tracer's targets and the README's commands."""
+"""Tooling around the package: the benchmark tracer's targets, and the README's
+commands and config keys."""
 
 import importlib.util
+import re
 import shlex
 from pathlib import Path
 
@@ -34,3 +36,16 @@ def test_readme_audit_and_pic1_commands_run():
     assert len(lines) >= 3
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
+
+
+def test_readme_config_keys_are_the_config_fields():
+    from dataclasses import fields
+
+    from areaflow.flow import FlowConfig
+
+    para = README.read_text().split("Flow configs are JSON objects with keys", 1)[1]
+    listing = para.split(":", 1)[1].split("\n\n", 1)[0]
+    while "(" in listing:  # the parenthesised defaults, innermost first
+        listing = re.sub(r"\([^()]*\)", "", listing)
+    keys = re.findall(r"`([^`]+)`", listing.split(".", 1)[0])
+    assert sorted(keys) == sorted(f.name for f in fields(FlowConfig))
