@@ -9,16 +9,16 @@ itself evolves:
   vanish on flat factors).  One centered stencil over all components gives
   undivided differences on a periodic ring around the grid, each one
   contiguous pass, into arrays whose owner the caller picks; the scales
-  1/(2h) and 1/h^2 are applied where a result is read.  A right-hand side is
-  adj(eta)_ij d_i d_j f^a / det eta for m <= 3, so it never forms eta^{-1};
-  m >= 4 contracts LAPACK's eta^{-1}.  The stages of a run write into one
-  workspace of the run, so a stage allocates only the right-hand side it
-  returns.  A state owns its geometry (df, eta^{-1} and the Hessian), built
-  once into arrays of its own, and the monitor, tr_eta S, its eta^{ij}
-  Laplacian and term I read that one copy.  A run's rows read the
-  right-hand side the march evaluated at their time, and their state's
-  geometry is formed from the stencil that evaluation wrote, in a second
-  workspace of the run where their residual writes its scratch too;
+  1/(2h) and 1/h^2 are applied where a result is read.  One function forms
+  eta^{-1} = c / d for every m (c = adj eta, d = det eta for m <= 3; NumPy's
+  inverse and 1 for m >= 4), and a right-hand side is c_ij d_i d_j f^a / d.
+  The stages of a run write into one workspace of the run, so a stage
+  allocates only the right-hand side it returns.  A state's geometry (df,
+  eta^{-1} and the Hessian) is read once from what one stage at the state
+  leaves, into arrays of its own, and the monitor, tr_eta S, its eta^{ij}
+  Laplacian and term I read that one copy.  A run's rows read the stage the
+  march evaluated at their time, in a second workspace of the run where
+  their residual writes its scratch too;
 
 * equivariant sphere suspensions f(theta, xi) = (rho(theta), xi) between
   round spheres of radii r_M, r_N:
@@ -53,19 +53,19 @@ the next step's first stage.  ``MAX_STEPS`` caps the right-hand-side evaluations
 of a run: a run planned beyond it is refused, one that outgrows it is
 aborted.  ``MAX_ENTRIES`` caps the size of a run's largest array, and a
 config past it is refused.  Every row, the one at t = 0 included, aborts a
-run whose largest stretch passes ``LAMBDA_ABORT``.
+run whose largest stretch passes ``LAMBDA_ABORT`` or is NaN.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .evolution import C0
 from .profile import s_of
@@ -162,8 +162,8 @@ class TorusFlowState:
     periodic, so centered stencils never see the winding jump.
 
     A state is a value: ``u`` is read-only after construction, so its
-    ``geometry`` is built once, on first use, into arrays of its own, and
-    shared by every reader.
+    ``geometry`` is built once, on first use, from one stage of its own, into
+    arrays of its own, and shared by every reader.
     """
 
     m: int
@@ -188,7 +188,9 @@ class TorusFlowState:
 
     @cached_property
     def geometry(self) -> TorusGeometry:
-        return _torus_geometry(*_torus_df(self.u, self.lin, self.h), self.h)
+        stage = _torus_field(self)
+        stage(self.u, self.t)
+        return _torus_geometry(*stage.stencil, self.h)
 
 
 def _inner(m: int) -> tuple:
@@ -291,15 +293,25 @@ def _torus_eta(df: np.ndarray, m: int, buf=_fresh) -> np.ndarray:
 
 
 def _torus_cofactors(df: np.ndarray, m: int, buf=_fresh):
-    """Upper triangle {(i, j): adj(eta)_ij} of the adjugate of eta and det eta,
-    for m <= 3, pointwise.
-
-    adj(eta)_ij = (-1)^(i+j) times the minor of eta without row j and column i,
-    a 1 x 1 or 2 x 2 determinant; eta is symmetric, so its entry (r, c) is read
-    from the upper triangle.  det eta = sum_j eta_0j adj(eta)_j0.
+    """Upper triangle c = {(i, j): c_ij} and d with eta^{-1} = c / d, over the
+    whole ringed df; aborts unless det eta > 0 on the interior.  For m <= 3,
+    c = adj(eta) and d = det eta: adj(eta)_ij = (-1)^(i+j) times the minor of
+    eta without row j and column i, with eta's entry (r, c) read from its upper
+    triangle, and det eta = sum_j eta_0j adj(eta)_j0.  For m >= 4, c is NumPy's
+    inverse of eta on the interior only (a ring cell's eta, from a difference
+    across the wrap, can be singular in floating point) and d = 1.
     """
     eta = _torus_eta(df, m, buf)
-    grid = df.shape[2:]
+    grid, inner = df.shape[2:], _inner(m)
+    if m > 3:
+        for i in range(m):
+            for j in range(i + 1, m):
+                eta[j, i] = eta[i, j]
+        eta_p = np.moveaxis(eta[inner], (0, 1), (-2, -1))
+        _positive(np.linalg.det(eta_p))
+        inv = buf("eta_inv", eta.shape)
+        inv[inner] = np.moveaxis(np.linalg.inv(eta_p), (-2, -1), (0, 1))
+        return inv, np.ones(grid)
 
     def e(r, c):
         return eta[min(r, c), max(r, c)]
@@ -321,39 +333,29 @@ def _torus_cofactors(df: np.ndarray, m: int, buf=_fresh):
     det = np.multiply(eta[0, 0], adj[0, 0], out=buf("det", grid))
     for j in range(1, m):
         det += np.multiply(eta[0, j], adj[0, j], out=buf("product", grid))
+    _positive(det[inner])
     return adj, det
 
 
-def _positive(det: np.ndarray) -> np.ndarray:
-    """det eta, unless the induced metric is not positive definite somewhere."""
-    if det.min() <= 0:
-        raise FlowAbort("induced metric lost positive definiteness")
-    return det
+def _positive(det: np.ndarray) -> None:
+    """Aborts unless det eta > 0 everywhere, a NaN (an overflowed map) included."""
+    low = det.min()
+    if not low > 0:
+        raise FlowAbort("induced metric is NaN: the map left the float range" if math.isnan(low)
+                        else "induced metric lost positive definiteness")
 
 
-def _torus_eta_inv(df: np.ndarray, m: int, buf=_fresh) -> np.ndarray:
-    """Inverse induced metric per grid point of an unringed df, adj(eta) / det eta
-    for m <= 3; aborts where det eta <= 0."""
-    grid = df.shape[2:]
-    if m <= 3:
-        adj, det = _torus_cofactors(df, m, buf)
-        _positive(det)
-        inv = buf("inv", (m, m) + grid)
-        for i in range(m):
-            for j in range(i, m):
-                np.divide(adj[i, j], det, out=inv[i, j])
-                if j > i:
-                    inv[j, i] = inv[i, j]
-        return inv
-    eta = _torus_eta(df, m, buf)
+def _torus_eta_inv(adj, det: np.ndarray, m: int, buf=_fresh) -> np.ndarray:
+    """eta^{-1} = adj / det (``_torus_cofactors``) on the interior of the grid."""
+    inner = _inner(m)
+    det = det[inner]
+    inv = buf("inv", (m, m) + det.shape)
     for i in range(m):
-        for j in range(i + 1, m):
-            eta[j, i] = eta[i, j]
-    # the gufuncs behind np.linalg.det and np.linalg.inv, which take no out=
-    eta_p = np.moveaxis(eta, (0, 1), (-2, -1))
-    _positive(_umath_linalg.det(eta_p, out=buf("det", grid)))
-    return np.moveaxis(_umath_linalg.inv(eta_p, out=buf("inv", grid + (m, m))),
-                       (-2, -1), (0, 1))
+        for j in range(i, m):
+            np.divide(adj[i, j][inner], det, out=inv[i, j])
+            if j > i:
+                inv[j, i] = inv[i, j]
+    return inv
 
 
 def _hessian_trace(coef, hess: np.ndarray, out: np.ndarray, buf) -> np.ndarray:
@@ -371,26 +373,6 @@ def _hessian_trace(coef, hess: np.ndarray, out: np.ndarray, buf) -> np.ndarray:
     return out
 
 
-def _torus_velocity(df: np.ndarray, hess: np.ndarray, h: float, buf=_fresh) -> np.ndarray:
-    """u_t = eta^{ij} d_i d_j u, the right-hand side of the flow, as a new array,
-    from the ringed df and undivided Hessian of u (``_torus_df``); aborts where
-    det eta <= 0.  For m <= 3 it is adj(eta)_ij d_i d_j u / det eta, over the
-    whole ringed arrays, with h^2 folded into det eta, and eta^{-1} is never
-    formed; m >= 4 contracts the LAPACK inverse on the interior."""
-    m = df.shape[1]
-    inner = _inner(m)
-    if m > 3:
-        hess = hess[inner]
-        out = _hessian_trace(_torus_eta_inv(df[inner], m, buf), hess,
-                             np.empty(hess.shape[2:]), buf)
-        out /= h * h
-        return out
-    adj, det = _torus_cofactors(df, m, buf)
-    _positive(det[inner])
-    num = _hessian_trace(adj, hess, buf("num", hess.shape[2:]), buf)
-    return np.divide(num[inner], np.multiply(det, h * h, out=det)[inner])
-
-
 def _torus_hessian(hess: np.ndarray, h: float, buf=_fresh) -> np.ndarray:
     """The Hessian (n, m, m, grid) of u, symmetric in (m, m), from its ringed
     undivided differences (``_stencil``)."""
@@ -405,21 +387,21 @@ def _torus_hessian(hess: np.ndarray, h: float, buf=_fresh) -> np.ndarray:
     return full
 
 
-def _torus_geometry(df: np.ndarray, hess: np.ndarray, h: float, buf=_fresh) -> TorusGeometry:
-    """df, eta^{-1} and the Hessian of the map on the grid, from the ringed df
-    and undivided Hessian of one stencil of u, written into arrays ``buf``
-    owns."""
+def _torus_geometry(df: np.ndarray, hess: np.ndarray, adj, det: np.ndarray, h: float,
+                    buf=_fresh) -> TorusGeometry:
+    """df, eta^{-1} and the Hessian of the map on the grid, from what one stage
+    left (its ``stencil``: the ringed df and undivided Hessian of u, and the
+    cofactors of eta), written into arrays ``buf`` owns."""
     m = df.shape[1]
     inner = df[_inner(m)]
     grid_df = buf("grid_df", inner.shape)
     grid_df[...] = inner
-    return TorusGeometry(grid_df, _torus_eta_inv(grid_df, m, buf), _torus_hessian(hess, h, buf))
+    return TorusGeometry(grid_df, _torus_eta_inv(adj, det, m, buf), _torus_hessian(hess, h, buf))
 
 
 def torus_rhs(st: TorusFlowState) -> np.ndarray:
-    """u_t of a state, by the formula a run's stages use, from a stencil of its
-    own (the state's ``geometry`` holds eta^{-1}, which a stage never forms)."""
-    return _torus_velocity(*_torus_df(st.u, st.lin, st.h), st.h)
+    """u_t of a state: one stage of a field of its own."""
+    return _torus_field(st)(st.u, st.t)
 
 
 def torus_cfl_dt(st: TorusFlowState) -> float:
@@ -428,15 +410,21 @@ def torus_cfl_dt(st: TorusFlowState) -> float:
 
 
 def _torus_field(st: TorusFlowState):
-    """Right-hand side (u, t) -> u_t of the run ``st`` starts.  Every stage
-    writes its stencil and cofactors into one workspace of the run, so the
-    returned u_t is the only new array; the field's ``stencil`` is the df and
-    undivided Hessian it wrote last, valid until its next call."""
+    """Right-hand side (u, t) -> u_t = c_ij d_i d_j u / (d h^2) of the run ``st``
+    starts, c / d = eta^{-1} by ``_torus_cofactors``, over whole ringed arrays.
+    Every stage writes into one workspace of the run, so the returned u_t is
+    the only new array; the field's ``stencil`` (df, undivided Hessian, c, d)
+    is what it wrote last, valid until its next call."""
     work = _Workspace()
+    m, inner = st.m, _inner(st.m)
 
     def rhs(u, t):
-        rhs.stencil = _torus_df(u, st.lin, st.h, work)
-        return _torus_velocity(*rhs.stencil, st.h, work)
+        df, hess = _torus_df(u, st.lin, st.h, work)
+        adj, det = _torus_cofactors(df, m, work)
+        rhs.stencil = df, hess, adj, det
+        num = _hessian_trace(adj, hess, work("num", hess.shape[2:]), work)
+        scale = np.multiply(det, st.h * st.h, out=work("det_h2", det.shape))
+        return np.divide(num[inner], scale[inner])
 
     return rhs
 
@@ -444,8 +432,8 @@ def _torus_field(st: TorusFlowState):
 def _torus_record(st: TorusFlowState, field):
     """Row function (u, t, f) -> row of the run ``st`` starts, called right after
     ``field`` gave f = u_t at (u, t).  The row's state takes its geometry from
-    the stencil that call wrote, with eta^{-1} and the Hessian formed in a
-    second workspace of the run, where its residual writes its scratch too."""
+    the stencil that call left, formed in a second workspace of the run, where
+    its residual writes its scratch too."""
     rows = _Workspace()
 
     def record(u, t, f):
@@ -876,10 +864,13 @@ _UNREAD = {"torus": ("radius_m", "radius_n", "background_m", "background_n"),
 
 
 def _integral(x) -> int:
-    """x as an int if it is an integral number; a bool or a string is not."""
+    """x as an int if it is an integral number in the float range; a bool or a
+    string is not."""
     if isinstance(x, bool) or not (isinstance(x, numbers.Integral)
                                    or isinstance(x, float) and x.is_integer()):
         raise ValueError(f"winding entries must be integers, got {x!r}")
+    if abs(x) > sys.float_info.max:  # compared exactly, not converted
+        raise ValueError("winding entries must lie in the float range")
     return int(x)
 
 
@@ -962,6 +953,8 @@ class FlowConfig:
                              f"got {self.grid}")
         if self.grid == 0:
             self.grid = 64 if self.case == "torus" else 512
+        if self.case == "torus" and not math.isfinite((h := self.period / self.grid) * h):
+            raise ValueError(f"period {self.period} over grid {self.grid}: h^2 overflows")
         if self.case == "equivariant" and self.grid + 1 > MAX_ENTRIES:
             raise ValueError(f"grid {self.grid} gives more than {MAX_ENTRIES} nodes, the cap")
         # grid + 2 >= 5, so an exponent past 32 alone passes the cap
@@ -993,8 +986,8 @@ def _torus_initial(cfg: FlowConfig) -> TorusFlowState:
     u = np.zeros((n,) + (big,) * m)
     amp = cfg.amplitude
     if cfg.preset in ("sine", "linear_sine"):
-        u[0] = amp * np.sin(q * mesh[0]) * (np.cos(q * mesh[1]) if m >= 2 else 1.0)
-        if n >= 2 and m >= 2:
+        u[0] = amp * np.sin(q * mesh[0]) * np.cos(q * mesh[1])
+        if n >= 2:
             u[1] = amp * np.sin(q * mesh[1])
     if cfg.winding:
         lin = np.asarray(cfg.winding, dtype=float)
@@ -1059,8 +1052,8 @@ def _march(series: FlowSeries, y: np.ndarray, rhs, cfl_dt, record,
     ``cfl_dt(y, t)``, the explicit step the state allows.  At each row time
     the right-hand side f = rhs(y, t) is evaluated once: ``record(y, t, f)``
     gives the row's values after its time, and the next step takes f as its
-    first stage.  Every row, the first included, aborts the run past
-    ``LAMBDA_ABORT``.  Stage evaluations count against ``MAX_STEPS``.
+    first stage.  Every row, the first included, aborts the run at a stretch
+    past ``LAMBDA_ABORT`` or NaN.  Stage evaluations count against ``MAX_STEPS``.
     """
     t_end, h = series.meta["t_end"], series.meta["h"]
     per_record = max(1, math.ceil(t_end / records / h))
@@ -1075,7 +1068,7 @@ def _march(series: FlowSeries, y: np.ndarray, rhs, cfl_dt, record,
         f = rhs(y, t)
         values = record(y, t, f)
         series.append(t, *values)
-        if values[1] > LAMBDA_ABORT:
+        if not values[1] <= LAMBDA_ABORT:  # a NaN stretch too, as "lambda_max nan"
             raise FlowAbort(f"lambda_max {values[1]:.2f} beyond guard")
         return f
 

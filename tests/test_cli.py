@@ -8,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as hs
 
@@ -262,7 +263,9 @@ class TestFlowCommand:
         ("torus", "background_m", "ricci"), ("torus", "radius_m", 5.0),
         ("equivariant", "winding", [[1, 0], [0, 1]]), ("equivariant", "period", 3.0),
         # shapes a run would refuse only once it started
-        ("equivariant", "m", 1), ("equivariant", "m", 3), ("torus", "winding", [[1, 0, 0]])])
+        ("equivariant", "m", 1), ("equivariant", "m", 3), ("torus", "winding", [[1, 0, 0]]),
+        # values a run would meet only as an OverflowError
+        ("torus", "period", 1e300), ("torus", "winding", [[10**400, 0], [0, 1]])])
     def test_bad_field_exits_1_with_json_error(self, case, key, value, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"case": case, "m": 2, "n": 2, "grid": 8, key: value}))
@@ -271,6 +274,20 @@ class TestFlowCommand:
         assert code == 1
         assert key in json.loads(capsys.readouterr().err)["error"]
         assert not list(tmp_path.glob("flow_*"))
+
+    def test_nan_metric_exits_0_with_the_abort_reason(self, tmp_path, capsys):
+        # an overflowed map gives no rows, and the run says why
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"case": "torus", "grid": 8, "amplitude": 1e300}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out = invoke(["flow", "--case", "torus", "--config", str(cfgfile),
+                                "--out", str(tmp_path)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["records"] == 0
+        assert payload["abort_reason"] == "induced metric is NaN: the map left the float range"
+        man = json.loads((tmp_path / "flow_torus.manifest.json").read_text())
+        assert man["abort_reason"] == payload["abort_reason"]
 
     @pytest.mark.parametrize("entry", [0.5, True, "1"])
     def test_non_integral_winding_exits_1_with_json_error(self, entry, tmp_path, capsys):

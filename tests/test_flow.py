@@ -307,25 +307,40 @@ class TestTorusRecords:
     """A run's rows read the right-hand side of the march and the geometry its
     evaluation wrote, and give what the public functions give on a fresh state."""
 
-    @pytest.mark.parametrize("m,n", SHAPES)
-    def test_rows_match_the_public_functions(self, m, n, monkeypatch):
+    @staticmethod
+    def run_holding_rows(m, n, monkeypatch):
+        """A short run whose monitor keeps a fresh state of each row's u and t,
+        and a copy of the row's geometry (which the next row overwrites);
+        returns the series and the pairs (fresh state, geometry)."""
         cfg = FlowConfig(case="torus", m=m, n=n, grid=12 if m == 2 else 8, t_end=0.2,
                          preset="linear_sine", amplitude=0.15, monitor_every=4)
         held = []
         monitor = flow.torus_monitor
-        monkeypatch.setattr(flow, "torus_monitor",
-                            lambda st: held.append((st.u.copy(), st.t)) or monitor(st))
+        monkeypatch.setattr(flow, "torus_monitor", lambda st: held.append((
+            TorusFlowState(m, n, st.period, st.lin, st.u.copy(), st.t),
+            [a.copy() for a in st.geometry])) or monitor(st))
         series = run(cfg)
         monkeypatch.undo()
         assert series.abort_reason is None and len(held) == len(series.times) == 5
-        lin = flow._torus_initial(cfg).lin
-        for i, (u, t) in enumerate(held):
-            fresh = TorusFlowState(m, n, cfg.period, lin, u, t)
-            assert t == series.times[i]
+        return series, held
+
+    # rows and fresh states form their geometry by one path, so the numbers are
+    # the same to the bit
+    @pytest.mark.parametrize("m,n", REFERENCE_SHAPES)
+    def test_rows_match_the_public_functions(self, m, n, monkeypatch):
+        series, held = self.run_holding_rows(m, n, monkeypatch)
+        for i, (fresh, _) in enumerate(held):
+            assert fresh.t == series.times[i]
             assert (series.m_of_t[i], series.lambda_max[i],
                     series.max_product[i]) == torus_monitor(fresh)
-            ref = torus_evolution_residual(fresh)
-            assert abs(series.residual[i] - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert series.residual[i] == torus_evolution_residual(fresh)
+
+    @pytest.mark.parametrize("m,n", REFERENCE_SHAPES)
+    def test_row_geometry_is_a_fresh_states(self, m, n, monkeypatch):
+        _, held = self.run_holding_rows(m, n, monkeypatch)
+        for fresh, geometry in held:
+            for name, got, ref in zip(flow.TorusGeometry._fields, geometry, fresh.geometry):
+                assert got.shape == ref.shape and np.array_equal(got, ref), name
 
     def test_geometry_built_once_per_evaluation(self, monkeypatch):
         calls = []
@@ -885,10 +900,29 @@ class TestRuns:
         # shapes a run would refuse only once it started
         ("equivariant", "m", 1), ("equivariant", "m", 4), ("torus", "winding", ((1, 0, 0),)),
         ("torus", "winding", ((1, 0), (0,))),
+        # values a run would meet only as an OverflowError
+        ("torus", "period", 1e300), ("torus", "winding", ((10**400, 0), (0, 1))),
     ])
     def test_unchecked_fields_rejected(self, case, key, value):
         with pytest.raises(ValueError, match=key):
             FlowConfig(case=case, **{key: value})
+
+    # eta = I + df^T df overflows, so det eta is NaN, which fails every
+    # comparison: only a test for NaN itself aborts the run
+    def test_nan_metric_aborts_the_run(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            series = run(FlowConfig(case="torus", grid=8, amplitude=1e300, monitor_every=4))
+        assert series.abort_reason == "induced metric is NaN: the map left the float range"
+        assert series.times == [] and series.meta["steps"] == 0
+
+    @pytest.mark.parametrize("case", ["torus", "equivariant"])
+    def test_nan_stretch_aborts_the_run(self, case, monkeypatch):
+        monitor = getattr(flow, f"{case}_monitor")
+        monkeypatch.setattr(flow, f"{case}_monitor",
+                            lambda *a: (monitor(*a)[0], math.nan, monitor(*a)[2]))
+        series = run(FlowConfig(case=case, m=2, n=2, grid=8, monitor_every=4))
+        assert series.abort_reason == "lambda_max nan beyond guard"
+        assert series.times == [0.0] and series.meta["steps"] == 0
 
     def test_smallest_grid_runs(self):
         series = run(FlowConfig(case="torus", grid=3, t_end=0.001, monitor_every=2))
@@ -975,12 +1009,12 @@ class TestRuns:
 
 
 NONPOSITIVE = [math.nan, math.inf, -math.inf, 0.0, -1.0]
-BAD_VALUES = {"period": NONPOSITIVE, "radius_m": NONPOSITIVE,
+BAD_VALUES = {"period": NONPOSITIVE + [1e300], "radius_m": NONPOSITIVE,
               "radius_n": NONPOSITIVE, "amplitude": [math.nan, math.inf, -math.inf],
               "monitor_every": [-1, -5], "n": [0, -1], "m": [1, 0],
               # entries that are not integers; int() would truncate the first
               "winding": [[[0.5, 0], [0, 1]], [[1, 0], [True, 1]], [["1", 0], [0, 1]],
-                          [[math.inf, 0], [0, 1]], [[math.nan]],
+                          [[math.inf, 0], [0, 1]], [[math.nan]], [[10**400, 0], [0, 1]],
                           # shapes no n x 2 matrix has
                           [[1, 0, 0]], [[1, 0], [0]], [[]]]}
 OTHER_CASE_VALUES = {  # valid values of the fields the other case reads
@@ -1066,6 +1100,8 @@ class TestConfigFuzz:
     @example((dict(WOUND, winding=[[0, 1], [1, 0]]), False))
     @example((dict(WOUND, winding=[[0.5, 0], [0, 1]]), True))
     @example((dict(WOUND, winding=[[1, 0], [0, True]]), True))
+    @example((dict(WOUND, period=1e300), True))
+    @example((dict(WOUND, winding=[[10**400, 0], [0, 1]]), True))
     @given(flow_configs())
     def test_config_fails_cleanly_or_runs_finite(self, drawn):
         d, replaced = drawn

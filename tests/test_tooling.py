@@ -1,6 +1,7 @@
-"""Tooling around the package: the benchmark tracer's targets, and the README's
-commands and config keys."""
+"""Tooling around the package: the benchmark tracer's targets, the README's
+commands and config keys, and the package's NumPy imports."""
 
+import ast
 import importlib.util
 import re
 import shlex
@@ -49,3 +50,24 @@ def test_readme_config_keys_are_the_config_fields():
         listing = re.sub(r"\([^()]*\)", "", listing)
     keys = re.findall(r"`([^`]+)`", listing.split(".", 1)[0])
     assert sorted(keys) == sorted(f.name for f in fields(FlowConfig))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "areaflow"
+
+
+def test_no_module_imports_a_private_numpy_module():
+    # a private module (numpy.linalg._umath_linalg, numpy._core, ...) may change
+    # or go in any NumPy release
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            private += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] == "numpy"
+                        and any(part.startswith("_") for part in name.split("."))]
+    assert not private, private
