@@ -8,17 +8,18 @@ itself evolves:
   eta = I + df^T df assembled pointwise (all background Christoffel terms
   vanish on flat factors).  One centered stencil over all components gives
   undivided differences on a periodic ring around the grid, each one
-  contiguous pass, into arrays whose owner the caller picks; the scales
-  1/(2h) and 1/h^2 are applied where a result is read.  One function forms
-  eta^{-1} = c / d for every m (c = adj eta, d = det eta for m <= 3; NumPy's
-  inverse and 1 for m >= 4), and a right-hand side is c_ij d_i d_j f^a / d.
-  The stages of a run write into one workspace of the run, so a stage
-  allocates only the right-hand side it returns.  A state's geometry (df,
-  eta^{-1} and the Hessian) is read once from what one stage at the state
-  leaves, into arrays of its own, and the monitor, tr_eta S, its eta^{ij}
-  Laplacian and term I read that one copy.  A run's rows read the stage the
-  march evaluated at their time, in a second workspace of the run where
-  their residual writes its scratch too;
+  contiguous pass; the scales 1/(2h) and 1/h^2 are applied where a result
+  is read.  One function forms eta^{-1} = c / d for every m (c = adj eta,
+  d = det eta for m <= 3; NumPy's inverse and 1 for m >= 4), and a
+  right-hand side is c_ij d_i d_j f^a / d.
+  A run builds its stage once, as a plan: every array the stage writes,
+  every view it reads or writes and the ordered list of its calls.  A stage
+  copies u into the ring, replays the plan and allocates only the right-hand
+  side it returns.  A state's geometry (df, eta^{-1} and the Hessian) is read
+  once from what one stage at the state leaves, into arrays of its own, and
+  the monitor, tr_eta S, its eta^{ij} Laplacian and term I read that one
+  copy.  A run's rows read the stage the march evaluated at their time by a
+  second plan of the run, and their residual replays a third;
 
 * equivariant sphere suspensions f(theta, xi) = (rho(theta), xi) between
   round spheres of radii r_M, r_N:
@@ -130,26 +131,27 @@ class TorusGeometry(NamedTuple):
     hess: np.ndarray  # (n, m, m, grid...): centered Hessian of u, symmetric in (m, m)
 
 
-def _fresh(name: str, shape: tuple) -> np.ndarray:
-    """Buffer owner of a state's geometry: a new zeroed array at every request
-    (zeroed for the reason ``_Workspace`` gives)."""
-    return np.zeros(shape)
-
-
-class _Workspace(dict):
-    """Buffer owner of one run's stages: one array per (name, shape), made at
-    the first request and handed out again, to be overwritten, at every later
-    one.  Grid-96 fields are larger than glibc's mmap threshold, so fresh ones
-    would map and fault in new pages at every stage.  Arrays start zeroed, so
-    the few cells of a ringed array that no difference writes (``_stencil``)
-    never hold uninitialized memory, which could be a NaN or a denormal that
+class _Plan(list):
+    """Ordered calls (function, arguments) that the functions below record by
+    calling the plan, which returns a call's last argument (a ufunc's ``out``),
+    and ``run`` replays.  The arrays they write are made once (grid-96 fields
+    pass glibc's mmap threshold, so fresh ones would fault in new pages at
+    every replay) and zeroed, so the few cells of a ringed array that no
+    difference writes (``_stencil``) never hold a NaN or a denormal that
     every pass over the whole array would then carry."""
 
-    def __call__(self, name: str, shape: tuple) -> np.ndarray:
-        buf = self.get((name, shape))
-        if buf is None:
-            buf = self[name, shape] = np.zeros(shape)
-        return buf
+    def __call__(self, fn, *args):
+        self.append((fn, args))
+        return args[-1]
+
+    def run(self) -> None:
+        for fn, args in self:
+            fn(*args)
+
+
+def _einsum(spec: str, *operands) -> None:
+    """np.einsum of all operands but the last, into the last."""
+    np.einsum(spec, *operands[:-1], out=operands[-1])
 
 
 @dataclass
@@ -163,7 +165,8 @@ class TorusFlowState:
 
     A state is a value: ``u`` is read-only after construction, so its
     ``geometry`` is built once, on first use, from one stage of its own, into
-    arrays of its own, and shared by every reader.
+    arrays of its own, and shared by every reader; the u_t of that stage is
+    kept for the residual.
     """
 
     m: int
@@ -188,9 +191,17 @@ class TorusFlowState:
 
     @cached_property
     def geometry(self) -> TorusGeometry:
-        stage = _torus_field(self)
-        stage(self.u, self.t)
-        return _torus_geometry(*stage.stencil, self.h)
+        return self._stage[0]
+
+    @cached_property
+    def _stage(self):
+        """The geometry and u_t of one stage of a field of the state's own."""
+        field = _torus_field(self)
+        u_t = field(self.u, self.t)
+        plan = _Plan()
+        geometry = _torus_geometry(plan, *field.stencil, self.h)
+        plan.run()
+        return geometry, u_t
 
 
 def _inner(m: int) -> tuple:
@@ -198,142 +209,129 @@ def _inner(m: int) -> tuple:
     return (Ellipsis,) + (slice(1, -1),) * m
 
 
-@lru_cache(maxsize=None)
-def _stencil_plan(grid: tuple):
-    """What ``_stencil`` indexes on a grid of this shape, built once per shape:
-    the ringed shape and its size, the interior, the pairs (edge cells, the
-    periodic cells they copy) that fill the ring axis by axis, and per axis
-    the flat windows (on, ahead, back) of a difference along it."""
-    m = len(grid)
-    ringed = tuple(s + 2 for s in grid)
+def _ringed(lead: tuple, grid: tuple) -> np.ndarray:
+    """A zeroed lead + grid array, each grid axis one cell longer on either side."""
+    return np.zeros(lead + tuple(s + 2 for s in grid))
+
+
+def _stencil(plan: _Plan, ring: np.ndarray, m: int, grad=True, hess=True):
+    """Records the undivided centered differences of what the interior of
+    ``ring`` (``_ringed``) holds when the plan runs (the caller writes it)
+    over its m trailing periodic axes, every leading component at once, axis
+    indices leading: the gradient (m, lead, grid) holds 2h d_i a, and the
+    Hessian (m, m, lead, grid) holds h^2 d_i^2 a on its diagonal and
+    4h^2 d_i d_j a above it (i < j; nothing is written below it).  A part not
+    asked for is None.
+
+    Both come ringed like ``ring``, and only the interior (``_inner(m)``)
+    holds differences.  The plan first copies one periodic cell on each side
+    into the ring, axis by axis; each difference is then a shift of the
+    ring's flat cells, one contiguous pass: the cells it writes outside the
+    interior hold values of no meaning, the few it does not write stay zero.
+    Pointwise work on the results may run over whole ringed arrays and read
+    the interior at the end.  The scales are left to the readers, which fold
+    them into what they compute anyway.
+    """
+    lead, ringed = ring.shape[:-m], ring.shape[-m:]
     size = math.prod(ringed)
-    fill = []
+    shifts = []  # per axis the flat windows (on, ahead, back) of a difference along it
     for d in range(m):
-        lead, rest = (Ellipsis,) + (slice(None),) * d, (slice(1, -1),) * (m - d - 1)
-        fill += [(lead + (0,) + rest, lead + (-2,) + rest),
-                 (lead + (-1,) + rest, lead + (1,) + rest)]
-    shifts = []
-    for d in range(m):
+        pre, rest = (Ellipsis,) + (slice(None),) * d, (slice(1, -1),) * (m - d - 1)
+        plan(np.copyto, ring[pre + (0,) + rest], ring[pre + (-2,) + rest])
+        plan(np.copyto, ring[pre + (-1,) + rest], ring[pre + (1,) + rest])
         s = math.prod(ringed[d + 1:])  # one cell along axis d, in the flat order
         shifts.append(((Ellipsis, slice(s, size - s)), (Ellipsis, slice(2 * s, None)),
                        (Ellipsis, slice(None, size - 2 * s))))
-    return ringed, size, _inner(m), fill, shifts
-
-
-def _stencil(a, m: int, buf=_fresh, grad=True, hess=True):
-    """Undivided centered differences of ``a`` over its m trailing periodic axes,
-    every leading component at once, axis indices leading: the gradient
-    (m, lead, grid) holds 2h d_i a, and the Hessian (m, m, lead, grid) holds
-    h^2 d_i^2 a on its diagonal and 4h^2 d_i d_j a above it (i < j; nothing is
-    written below it).  A part not asked for is None.
-
-    Both come ringed: each grid axis carries one more cell on either side, and
-    only the interior (``_inner(m)``) holds differences.  ``a`` is copied into
-    a periodic ring once, and each difference is then a shift of the ring's
-    flat cells, one contiguous pass: the cells it writes outside the interior
-    hold values of no meaning, the few it does not write keep what the buffer
-    held.  Pointwise work on the results may run over whole ringed arrays and
-    read the interior at the end.  The scales are left to the readers, which
-    fold them into what they compute anyway.  ``buf`` owns the arrays written,
-    the results included.
-    """
-    k = a.ndim - m
-    lead = a.shape[:k]
-    ringed, size, inner, fill, shifts = _stencil_plan(a.shape[k:])
-    ring = buf("ring", lead + ringed)
-    ring[inner] = a
-    for edge, cells in fill:  # one periodic cell on each side, axis by axis
-        ring[edge] = ring[cells]
     flat = ring.reshape(lead + (size,))
     # d_i a, the gradient or, when only the Hessian is asked for, the scratch
     # that d_j d_i (j > i) differences along j
-    g = buf("grad", (m,) + lead + ringed)
+    g = np.zeros((m,) + ring.shape)
     gf = g.reshape((m,) + lead + (size,))
-    hs = buf("hess", (m, m) + lead + ringed) if hess else None
+    hs = np.zeros((m, m) + ring.shape) if hess else None
     if hess:
         hf = hs.reshape((m, m) + lead + (size,))
-        minus2 = np.multiply(flat, -2.0, out=buf("minus2", lead + (size,)))
+        minus2 = plan(np.multiply, flat, -2.0, np.zeros(flat.shape))
     for i, (on, ahead, back) in enumerate(shifts):
         if grad or i < m - 1:
-            np.subtract(flat[ahead], flat[back], out=gf[i][on])
+            plan(np.subtract, flat[ahead], flat[back], gf[i][on])
         if hess:
             for j in range(i + 1, m):
                 on_j, ahead_j, back_j = shifts[j]
-                np.subtract(gf[i][ahead_j], gf[i][back_j], out=hf[i, j][on_j])
+                plan(np.subtract, gf[i][ahead_j], gf[i][back_j], hf[i, j][on_j])
             # h^2 d_i^2 a = (-2a + a ahead) + a back
-            np.add(minus2[on], flat[ahead], out=hf[i, i][on])
-            hf[i, i][on] += flat[back]
+            plan(np.add, minus2[on], flat[ahead], hf[i, i][on])
+            plan(np.add, hf[i, i][on], flat[back], hf[i, i][on])
     return (g if grad else None), hs
 
 
-def _torus_df(u: np.ndarray, lin: np.ndarray, h: float, buf=_fresh):
-    """Differential (n, m, grid) of the map x -> lin @ x + u(x) and the
-    undivided Hessian (m, m, n, grid) of u, both ringed (see ``_stencil``),
-    from one stencil of u."""
-    m = lin.shape[1]
-    grad, hess = _stencil(u, m, buf)
-    df = buf("df", u.shape[:1] + (m,) + grad.shape[2:])
-    np.multiply(grad, 0.5 / h, out=df.swapaxes(0, 1))
-    df += lin.reshape(lin.shape + (1,) * m)
-    return df, hess
+def _torus_df(plan: _Plan, grad: np.ndarray, lin: np.ndarray, h: float) -> np.ndarray:
+    """Records the differential (n, m, grid) of the map x -> lin @ x + u(x) from
+    the stencil gradient of u (``_stencil``), ringed like it: one contiguous
+    multiply into an axis-leading (m, n, grid) array, the winding added on its
+    nonzero blocks only; returns the (n, m) transposed view."""
+    df = plan(np.multiply, grad, 0.5 / h, np.zeros(grad.shape))
+    for (a, i), w in np.ndenumerate(lin):
+        if w:
+            plan(np.add, df[i, a], w, df[i, a])
+    return df.swapaxes(0, 1)
 
 
-def _torus_eta(df: np.ndarray, m: int, buf=_fresh) -> np.ndarray:
-    """Upper triangle of the induced metric eta = I + df^T df, each entry a dot
-    product over the n components; nothing is written below the diagonal."""
-    grid = df.shape[2:]
-    eta = buf("eta", (m, m) + grid)
+def _torus_eta(plan: _Plan, df: np.ndarray) -> np.ndarray:
+    """Records the upper triangle of the induced metric eta = I + df^T df, each
+    entry a dot product over the n components; nothing is written below the
+    diagonal."""
+    n, m, grid = df.shape[0], df.shape[1], df.shape[2:]
+    eta, product = np.zeros((m, m) + grid), np.zeros(grid)
     for i in range(m):
         for j in range(i, m):
-            e = np.multiply(df[0, i], df[0, j], out=eta[i, j])
-            for a in range(1, len(df)):
-                e += np.multiply(df[a, i], df[a, j], out=buf("product", grid))
-        eta[i, i] += 1.0
+            plan(np.multiply, df[0, i], df[0, j], eta[i, j])
+            for a in range(1, n):
+                plan(np.add, eta[i, j], plan(np.multiply, df[a, i], df[a, j], product), eta[i, j])
+        plan(np.add, eta[i, i], 1.0, eta[i, i])
     return eta
 
 
-def _torus_cofactors(df: np.ndarray, m: int, buf=_fresh):
-    """Upper triangle c = {(i, j): c_ij} and d with eta^{-1} = c / d, over the
-    whole ringed df; aborts unless det eta > 0 on the interior.  For m <= 3,
-    c = adj(eta) and d = det eta: adj(eta)_ij = (-1)^(i+j) times the minor of
-    eta without row j and column i, with eta's entry (r, c) read from its upper
-    triangle, and det eta = sum_j eta_0j adj(eta)_j0.  For m >= 4, c is NumPy's
-    inverse of eta on the interior only (a ring cell's eta, from a difference
-    across the wrap, can be singular in floating point) and d = 1.
+def _torus_cofactors(plan: _Plan, df: np.ndarray):
+    """Records the upper triangle c (indexed by (i, j)) and d with
+    eta^{-1} = c / d, over the whole ringed df; the plan aborts unless
+    det eta > 0 on the interior.  For m <= 3, c = adj(eta) and d = det eta:
+    adj(eta)_ij = (-1)^(i+j) times the minor of eta without row j and column
+    i, with eta's entry (r, c) read from its upper triangle, and
+    det eta = sum_j eta_0j adj(eta)_j0.  For m >= 4, c is NumPy's inverse of
+    eta on the interior only (``_inverse``; a ring cell's eta, from a
+    difference across the wrap, can be singular in floating point) and d = 1.
     """
-    eta = _torus_eta(df, m, buf)
-    grid, inner = df.shape[2:], _inner(m)
+    m, grid = df.shape[1], df.shape[2:]
+    eta, inner = _torus_eta(plan, df), _inner(m)
     if m > 3:
         for i in range(m):
             for j in range(i + 1, m):
-                eta[j, i] = eta[i, j]
-        eta_p = np.moveaxis(eta[inner], (0, 1), (-2, -1))
-        _positive(np.linalg.det(eta_p))
-        inv = buf("eta_inv", eta.shape)
-        inv[inner] = np.moveaxis(np.linalg.inv(eta_p), (-2, -1), (0, 1))
+                plan(np.copyto, eta[j, i], eta[i, j])
+        inv = np.zeros(eta.shape)
+        plan(_inverse, *(np.moveaxis(a[inner], (0, 1), (-2, -1)) for a in (eta, inv)))
         return inv, np.ones(grid)
 
     def e(r, c):
         return eta[min(r, c), max(r, c)]
 
-    adj = {}
+    adj, product = {}, np.zeros(grid)
     for i in range(m):
         for j in range(i, m):
             rows = [r for r in range(m) if r != j]
             cols = [c for c in range(m) if c != i]
             if m == 2:
                 minor = e(rows[0], cols[0])
-                adj[i, j] = np.negative(minor, out=buf("adj", grid)) if (i + j) % 2 else minor
+                adj[i, j] = plan(np.negative, minor, np.zeros(grid)) if (i + j) % 2 else minor
             else:
                 # the 2 x 2 minor, its two products swapped where the sign is odd
                 terms = [(e(rows[0], cols[0]), e(rows[1], cols[1])),
                          (e(rows[0], cols[1]), e(rows[1], cols[0]))][::(-1) ** (i + j)]
-                adj[i, j] = np.multiply(*terms[0], out=buf(f"adj{i}{j}", grid))
-                adj[i, j] -= np.multiply(*terms[1], out=buf("product", grid))
-    det = np.multiply(eta[0, 0], adj[0, 0], out=buf("det", grid))
+                adj[i, j] = plan(np.multiply, *terms[0], np.zeros(grid))
+                plan(np.subtract, adj[i, j], plan(np.multiply, *terms[1], product), adj[i, j])
+    det = plan(np.multiply, eta[0, 0], adj[0, 0], np.zeros(grid))
     for j in range(1, m):
-        det += np.multiply(eta[0, j], adj[0, j], out=buf("product", grid))
-    _positive(det[inner])
+        plan(np.add, det, plan(np.multiply, eta[0, j], adj[0, j], product), det)
+    plan(_positive, det[inner])
     return adj, det
 
 
@@ -345,58 +343,68 @@ def _positive(det: np.ndarray) -> None:
                         else "induced metric lost positive definiteness")
 
 
-def _torus_eta_inv(adj, det: np.ndarray, m: int, buf=_fresh) -> np.ndarray:
-    """eta^{-1} = adj / det (``_torus_cofactors``) on the interior of the grid."""
+def _inverse(eta: np.ndarray, out: np.ndarray) -> None:
+    """out = eta^{-1} for stacked m x m matrices (m >= 4) once ``_positive``
+    passes det eta.  An eta that overflowed to +inf without a NaN has det
+    +inf, which aborts as a NaN does."""
+    det = np.linalg.det(eta)
+    _positive(np.where(det < math.inf, det, math.nan))
+    out[...] = np.linalg.inv(eta)
+
+
+def _torus_eta_inv(plan: _Plan, adj, det: np.ndarray, m: int) -> np.ndarray:
+    """Records eta^{-1} = adj / det (``_torus_cofactors``) on the interior of
+    the grid."""
     inner = _inner(m)
     det = det[inner]
-    inv = buf("inv", (m, m) + det.shape)
+    inv = np.zeros((m, m) + det.shape)
     for i in range(m):
         for j in range(i, m):
-            np.divide(adj[i, j][inner], det, out=inv[i, j])
+            plan(np.divide, adj[i, j][inner], det, inv[i, j])
             if j > i:
-                inv[j, i] = inv[i, j]
+                plan(np.copyto, inv[j, i], inv[i, j])
     return inv
 
 
-def _hessian_trace(coef, hess: np.ndarray, out: np.ndarray, buf) -> np.ndarray:
-    """h^2 coef^{ij} d_i d_j a into ``out``, from the upper triangle of a
-    symmetric coef and the undivided Hessian of a (``_stencil``): an entry
-    above the diagonal counts twice, at a quarter of its weight."""
+def _hessian_trace(plan: _Plan, coef, hess: np.ndarray) -> np.ndarray:
+    """Records h^2 coef^{ij} d_i d_j a, from the upper triangle of a symmetric
+    coef and the undivided Hessian of a (``_stencil``): an entry above the
+    diagonal counts twice, at a quarter of its weight."""
     m = hess.shape[0]
-    np.multiply(hess[0, 0], coef[0, 0], out=out)
+    out = plan(np.multiply, hess[0, 0], coef[0, 0], np.zeros(hess.shape[2:]))
+    half, term = np.zeros(hess.shape[-m:]), np.zeros(out.shape)
     for i in range(m):
         for j in range(i, m):
             if i or j:
-                c = coef[i, j] if i == j else np.multiply(coef[i, j], 0.5,
-                                                          out=buf("half", hess.shape[-m:]))
-                out += np.multiply(hess[i, j], c, out=buf("term", out.shape))
+                c = coef[i, j] if i == j else plan(np.multiply, coef[i, j], 0.5, half)
+                plan(np.add, out, plan(np.multiply, hess[i, j], c, term), out)
     return out
 
 
-def _torus_hessian(hess: np.ndarray, h: float, buf=_fresh) -> np.ndarray:
-    """The Hessian (n, m, m, grid) of u, symmetric in (m, m), from its ringed
-    undivided differences (``_stencil``)."""
+def _torus_hessian(plan: _Plan, hess: np.ndarray, h: float) -> np.ndarray:
+    """Records the Hessian (n, m, m, grid) of u, symmetric in (m, m), from its
+    ringed undivided differences (``_stencil``)."""
     m = hess.shape[0]
     inner = hess[_inner(m)]
-    full = buf("hessian", inner.shape[2:3] + (m, m) + inner.shape[3:])
+    full = np.zeros(inner.shape[2:3] + (m, m) + inner.shape[3:])
     for i in range(m):
-        np.multiply(inner[i, i], h**-2, out=full[:, i, i])
+        plan(np.multiply, inner[i, i], h**-2, full[:, i, i])
         for j in range(i + 1, m):
-            np.multiply(inner[i, j], 0.25 * h**-2, out=full[:, i, j])
-            full[:, j, i] = full[:, i, j]
+            plan(np.multiply, inner[i, j], 0.25 * h**-2, full[:, i, j])
+            plan(np.copyto, full[:, j, i], full[:, i, j])
     return full
 
 
-def _torus_geometry(df: np.ndarray, hess: np.ndarray, adj, det: np.ndarray, h: float,
-                    buf=_fresh) -> TorusGeometry:
-    """df, eta^{-1} and the Hessian of the map on the grid, from what one stage
-    left (its ``stencil``: the ringed df and undivided Hessian of u, and the
-    cofactors of eta), written into arrays ``buf`` owns."""
+def _torus_geometry(plan: _Plan, df: np.ndarray, hess: np.ndarray, adj, det: np.ndarray,
+                    h: float) -> TorusGeometry:
+    """Records df, eta^{-1} and the Hessian of the map on the grid, from what
+    one stage leaves (its field's ``stencil``: the ringed df and undivided
+    Hessian of u, and the cofactors of eta), into arrays of the plan's own."""
     m = df.shape[1]
     inner = df[_inner(m)]
-    grid_df = buf("grid_df", inner.shape)
-    grid_df[...] = inner
-    return TorusGeometry(grid_df, _torus_eta_inv(adj, det, m, buf), _torus_hessian(hess, h, buf))
+    grid_df = np.zeros(inner.shape)
+    plan(np.copyto, grid_df, inner)
+    return TorusGeometry(grid_df, _torus_eta_inv(plan, adj, det, m), _torus_hessian(plan, hess, h))
 
 
 def torus_rhs(st: TorusFlowState) -> np.ndarray:
@@ -412,35 +420,42 @@ def torus_cfl_dt(st: TorusFlowState) -> float:
 def _torus_field(st: TorusFlowState):
     """Right-hand side (u, t) -> u_t = c_ij d_i d_j u / (d h^2) of the run ``st``
     starts, c / d = eta^{-1} by ``_torus_cofactors``, over whole ringed arrays.
-    Every stage writes into one workspace of the run, so the returned u_t is
-    the only new array; the field's ``stencil`` (df, undivided Hessian, c, d)
-    is what it wrote last, valid until its next call."""
-    work = _Workspace()
-    m, inner = st.m, _inner(st.m)
+    Built once per run as one ``_Plan``: a stage copies u into the ring,
+    replays the plan and divides into the u_t it returns, its only new array.
+    The field's ``stencil`` (df, undivided Hessian, c, d) is what it wrote
+    last, valid until its next call."""
+    plan, h, inner = _Plan(), st.h, _inner(st.m)
+    ring = _ringed(st.u.shape[:1], st.u.shape[1:])
+    grad, hess = _stencil(plan, ring, st.m)
+    df = _torus_df(plan, grad, st.lin, h)
+    adj, det = _torus_cofactors(plan, df)
+    num = _hessian_trace(plan, adj, hess)[inner]
+    scale = plan(np.multiply, det, h * h, np.zeros(det.shape))[inner]
+    u_in = ring[inner]
 
     def rhs(u, t):
-        df, hess = _torus_df(u, st.lin, st.h, work)
-        adj, det = _torus_cofactors(df, m, work)
-        rhs.stencil = df, hess, adj, det
-        num = _hessian_trace(adj, hess, work("num", hess.shape[2:]), work)
-        scale = np.multiply(det, st.h * st.h, out=work("det_h2", det.shape))
-        return np.divide(num[inner], scale[inner])
+        np.copyto(u_in, u)
+        plan.run()
+        return np.divide(num, scale)
 
+    rhs.stencil = df, hess, adj, det
     return rhs
 
 
 def _torus_record(st: TorusFlowState, field):
     """Row function (u, t, f) -> row of the run ``st`` starts, called right after
-    ``field`` gave f = u_t at (u, t).  The row's state takes its geometry from
-    the stencil that call left, formed in a second workspace of the run, where
-    its residual writes its scratch too."""
-    rows = _Workspace()
+    ``field`` gave f = u_t at (u, t).  Built once per run: the row's state
+    takes its geometry from the stencil that call left, by a plan into arrays
+    of the run's rows, and its residual replays a plan that reads them."""
+    plan = _Plan()
+    geometry = _torus_geometry(plan, *field.stencil, st.h)
+    residual = _torus_residual(geometry, st.h)
 
     def record(u, t, f):
+        plan.run()
         now = TorusFlowState(st.m, st.n, st.period, st.lin, u, t)
-        # primes the cached_property
-        vars(now)["geometry"] = _torus_geometry(*field.stencil, st.h, rows)
-        return (*torus_monitor(now), torus_evolution_residual(now, f, rows), 1.0, 1.0)
+        vars(now)["geometry"] = geometry  # primes the cached_property
+        return (*torus_monitor(now), torus_evolution_residual(now, f, residual), 1.0, 1.0)
 
     return record
 
@@ -496,21 +511,21 @@ def torus_monitor(st: TorusFlowState):
     return float(det.min()), lam_max, prod
 
 
-def _torus_sigma(st: TorusFlowState, buf=_fresh) -> np.ndarray:
-    """tr_eta S = 2 tr(eta^{-1}) - m, the scalar whose evolution is checked."""
-    sigma = np.einsum("ii...->...", st.geometry.inv, out=buf("sigma", st.u.shape[1:]))
-    sigma *= 2.0
-    sigma -= st.m
-    return sigma
+def _torus_sigma(plan: _Plan, inv: np.ndarray) -> np.ndarray:
+    """Records tr_eta S = 2 tr(eta^{-1}) - m, the scalar whose evolution is checked."""
+    sigma = plan(_einsum, "ii...->...", inv, np.zeros(inv.shape[2:]))
+    plan(np.multiply, sigma, 2.0, sigma)
+    return plan(np.subtract, sigma, inv.shape[0], sigma)
 
 
-def _square(a: np.ndarray, out=None) -> np.ndarray:
-    """Pointwise matrix square of a (k, k, grid...) field."""
-    return np.einsum("ij...,jk...->ik...", a, a, out=out)
+def _square(plan: _Plan, a: np.ndarray) -> np.ndarray:
+    """Records the pointwise matrix square of a (k, k, grid...) field."""
+    return plan(_einsum, "ij...,jk...->ik...", a, a, np.zeros(a.shape))
 
 
-def _torus_term_one(st: TorusFlowState, buf=_fresh) -> np.ndarray:
-    """sum_i term_I at every grid point: 2 (S_ii + S_aa) |A[a,i,l]|^2 summed.
+def _torus_term_one(plan: _Plan, g: TorusGeometry) -> np.ndarray:
+    """Records sum_i term_I at every grid point: 2 (S_ii + S_aa) |A[a,i,l]|^2
+    summed, from the geometry g of a state.
 
     In the adapted graph frame <A(e_i, e_l), nu_a> = hess[b,k,q] e_i^k e_l^q
     nu_a^b (the Christoffel part of A is tangential, so the normals annihilate
@@ -520,29 +535,53 @@ def _torus_term_one(st: TorusFlowState, buf=_fresh) -> np.ndarray:
     by Woodbury) and sum_a S_aa nu_a nu_a^T = 2 Z^2 - Z.  The zero singular
     values of a non-square df (S = 1) come out right on both sides.  With
     G_b = eta^{-1} hess_b, T_ab = tr(G_b G_a) and U_ab = tr(eta^{-1} G_b G_a)
-    the sum is 4 sum_ab [Z_ab U_ab + (Z^2 - Z)_ab T_ab].  ``buf`` owns the
-    arrays written, the result included.
+    the sum is 4 sum_ab [Z_ab U_ab + (Z^2 - Z)_ab T_ab].
     """
-    g, n = st.geometry, st.n
-    grid = st.u.shape[1:]
+    n, grid = g.df.shape[0], g.df.shape[2:]
     pair = (n, n) + grid
-    z = np.einsum("ai...,ij...,bj...->ab...", g.df, g.inv, g.df, out=buf("zeta_inv", pair))
-    np.negative(z, out=z)
+    z = plan(_einsum, "ai...,ij...,bj...->ab...", g.df, g.inv, g.df, np.zeros(pair))
+    plan(np.negative, z, z)
     for a in range(n):
-        z[a, a] += 1.0
-    gb = np.einsum("ij...,bjk...->bik...", g.inv, g.hess, out=buf("g_b", g.hess.shape))
-    k = np.einsum("ij...,bjk...->bik...", g.inv, gb, out=buf("k_b", g.hess.shape))
-    t = np.einsum("bij...,aji...->ab...", gb, gb, out=buf("t_ab", pair))
-    u = np.einsum("bij...,aji...->ab...", k, gb, out=buf("u_ab", pair))
-    zz = _square(z, out=buf("zz", pair))
-    zz -= z
-    term = np.einsum("ab...,ab...->...", z, u, out=buf("term_one", grid))
-    term += np.einsum("ab...,ab...->...", zz, t, out=buf("zz_t", grid))
-    term *= 4.0
-    return term
+        plan(np.add, z[a, a], 1.0, z[a, a])
+    gb = plan(_einsum, "ij...,bjk...->bik...", g.inv, g.hess, np.zeros(g.hess.shape))
+    k = plan(_einsum, "ij...,bjk...->bik...", g.inv, gb, np.zeros(g.hess.shape))
+    t = plan(_einsum, "bij...,aji...->ab...", gb, gb, np.zeros(pair))
+    u = plan(_einsum, "bij...,aji...->ab...", k, gb, np.zeros(pair))
+    zz = _square(plan, z)
+    plan(np.subtract, zz, z, zz)
+    term = plan(_einsum, "ab...,ab...->...", z, u, np.zeros(grid))
+    plan(np.add, term, plan(_einsum, "ab...,ab...->...", zz, t, np.zeros(grid)), term)
+    return plan(np.multiply, term, 4.0, term)
 
 
-def torus_evolution_residual(st: TorusFlowState, f=None, buf=_fresh) -> float:
+def _torus_residual(g: TorusGeometry, h: float):
+    """f -> ``torus_evolution_residual`` of a state with geometry g and
+    u_t = f: a plan over arrays of its own, which reads g in place."""
+    n, m, grid = g.df.shape[0], g.df.shape[1], g.df.shape[2:]
+    plan, inner = _Plan(), _inner(m)
+    ring, sigma_ring = _ringed((n,), grid), _ringed((), grid)
+    df_t = _stencil(plan, ring, m, hess=False)[0][inner]  # 2h d(f), axis indices leading
+    inv_df = plan(_einsum, "ij...,aj...->ia...", _square(plan, g.inv), g.df,
+                  np.zeros(df_t.shape))
+    res = plan(_einsum, "ia...,ia...->...", df_t, inv_df, np.zeros(grid))
+    plan(np.multiply, res, -2.0 / h, res)
+    plan(np.copyto, sigma_ring[inner], _torus_sigma(plan, g.inv))
+    lap = _hessian_trace(plan, g.inv, _stencil(plan, sigma_ring, m, grad=False)[1][inner])
+    plan(np.multiply, lap, h**-2, lap)
+    plan(np.subtract, res, lap, res)
+    plan(np.subtract, res, _torus_term_one(plan, g), res)
+    plan(np.abs, res, res)
+    f_in = ring[inner]
+
+    def residual(f):
+        np.copyto(f_in, f)
+        plan.run()
+        return float(res.max())
+
+    return residual
+
+
+def torus_evolution_residual(st: TorusFlowState, f=None, residual=None) -> float:
     """Max-norm defect of the scalar evolution identity on one state.
 
     d_t sigma - eta^{ij} d_i d_j sigma - sum_i term_I with sigma = tr_eta S,
@@ -550,25 +589,14 @@ def torus_evolution_residual(st: TorusFlowState, f=None, buf=_fresh) -> float:
     reparametrizing drift combines with the rough Laplacian into the plain
     eta^{ij} second-difference form.  The time derivative comes from the
     right-hand side f = ``torus_rhs`` (a run passes the one its march already
-    has) by the chain rule: d_t sigma = 2 tr d_t eta^{-1} =
-    -2 tr(eta^{-1} d_t eta eta^{-1}), d_t eta = d(f)^T df + df^T d(f), with
-    d(f) the stencil gradient of f.  ``buf`` owns the scratch arrays.
+    has; a fresh state's is the one its geometry's stage returned) by the
+    chain rule: d_t sigma = 2 tr d_t eta^{-1} = -2 tr(eta^{-1} d_t eta eta^{-1}),
+    d_t eta = d(f)^T df + df^T d(f), with d(f) the stencil gradient of f.
+    ``residual`` is ``_torus_residual`` of the state's geometry, which a
+    run's rows build once; without it one is built here.
     """
-    g, m, h = st.geometry, st.m, st.h
-    grid = st.u.shape[1:]
-    f = torus_rhs(st) if f is None else f
-    inner = _inner(m)
-    df_t = _stencil(f, m, buf, hess=False)[0][inner]  # 2h d(f), axis indices leading
-    inv_df = np.einsum("ij...,aj...->ia...", _square(g.inv, out=buf("inv2", g.inv.shape)),
-                       g.df, out=buf("inv_df", df_t.shape))
-    res = np.einsum("ia...,ia...->...", df_t, inv_df, out=buf("residual", grid))
-    res *= -2.0 / h
-    lap = _hessian_trace(g.inv, _stencil(_torus_sigma(st, buf), m, buf, grad=False)[1][inner],
-                         buf("lap", grid), buf)
-    lap *= h**-2
-    res -= lap
-    res -= _torus_term_one(st, buf)
-    return float(np.abs(res, out=res).max())
+    residual = residual or _torus_residual(st.geometry, st.h)
+    return residual(st._stage[1] if f is None else f)
 
 
 # ---------------------------------------------------------------------------
@@ -1036,10 +1064,12 @@ def _coupling_constant(cfg: FlowConfig, pm: BackgroundPath, pn: BackgroundPath,
 
 
 def run(cfg: FlowConfig) -> FlowSeries:
-    """Integrate a configured flow and collect its monitor series."""
-    if cfg.case == "torus":
-        return _run_torus(cfg)
-    return _run_equivariant(cfg)
+    """Integrate a configured flow and collect its monitor series.  A map that
+    overflows ends the run at a guard (a NaN det eta, or at m >= 4 an infinite
+    one; a NaN or too large stretch), with its reason; NumPy's floating-point
+    warnings on the way there are silenced, which changes no number."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _run_torus(cfg) if cfg.case == "torus" else _run_equivariant(cfg)
 
 
 def _march(series: FlowSeries, y: np.ndarray, rhs, cfl_dt, record,
@@ -1068,8 +1098,9 @@ def _march(series: FlowSeries, y: np.ndarray, rhs, cfl_dt, record,
         f = rhs(y, t)
         values = record(y, t, f)
         series.append(t, *values)
-        if not values[1] <= LAMBDA_ABORT:  # a NaN stretch too, as "lambda_max nan"
-            raise FlowAbort(f"lambda_max {values[1]:.2f} beyond guard")
+        lam = values[1]
+        if not lam <= LAMBDA_ABORT:  # a NaN stretch too, as "lambda_max nan"
+            raise FlowAbort(f"lambda_max {lam:{'.2f' if lam < 1e6 else '.3e'}} beyond guard")
         return f
 
     steps = evals = 0

@@ -27,6 +27,16 @@ OVERSIZED = [{"case": "torus", "grid": 100000000}, {"case": "torus", "m": 30, "g
              {"case": "equivariant", "grid": 1000000000000}]
 
 
+def child(args):
+    """The CLI run in a child interpreter that imports the same areaflow as
+    the tests, installed or not, with every warning shown."""
+    src = str(Path(areaflow.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-W", "always", "-m", "areaflow.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
 def invoke(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
@@ -74,14 +84,7 @@ class TestAuditCommand:
         assert reports[1]["slacks"][1]["value"] == -1.0
 
     def test_unknown_flag_exits_2(self):
-        # the child imports the same areaflow as the tests, installed or not
-        src = str(Path(areaflow.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "areaflow.cli", "audit", "--nope"],
-            capture_output=True, env=env)
-        assert proc.returncode == 2
+        assert child(["audit", "--nope"]).returncode == 2
 
     def test_bad_spec_exits_1(self, capsys):
         code = main(["audit", "--m", "sphere:3", "--n", "sphere:3:1"])
@@ -288,6 +291,24 @@ class TestFlowCommand:
         assert payload["abort_reason"] == "induced metric is NaN: the map left the float range"
         man = json.loads((tmp_path / "flow_torus.manifest.json").read_text())
         assert man["abort_reason"] == payload["abort_reason"]
+
+    # maps that leave the float range at once: stderr, where NumPy prints its
+    # warnings, stays empty
+    @pytest.mark.parametrize("config,reason", [
+        ({"case": "torus", "amplitude": 1e300},
+         "induced metric is NaN: the map left the float range"),
+        ({"case": "torus", "m": 4, "n": 2, "grid": 4, "amplitude": 1e160},
+         "induced metric is NaN: the map left the float range"),
+        ({"case": "equivariant", "preset": "sine", "amplitude": 1e300},
+         "lambda_max 1.000e+300 beyond guard"),
+    ], ids=["torus", "torus_m4", "equivariant"])
+    def test_overflowing_map_exits_0_with_empty_stderr(self, config, reason, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        proc = child(["flow", "--case", config["case"], "--config", str(cfgfile),
+                      "--out", str(tmp_path)])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["abort_reason"] == reason
 
     @pytest.mark.parametrize("entry", [0.5, True, "1"])
     def test_non_integral_winding_exits_1_with_json_error(self, entry, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,25 @@ def ref_residual(prev, mid, nxt, dt):
     return float(abs(res).max())
 
 
+def replayed(record, *args, **kw):
+    """What ``record(plan, *args)`` writes, recorded into a plan of its own
+    and run once."""
+    plan = flow._Plan()
+    out = record(plan, *args, **kw)
+    plan.run()
+    return out
+
+
+def stencil(a, m, **parts):
+    """``_stencil`` of a, over a ring of a's shape, run once."""
+    plan = flow._Plan()
+    ring = flow._ringed(a.shape[:-m], a.shape[-m:])
+    out = _stencil(plan, ring, m, **parts)
+    np.copyto(ring[flow._inner(m)], a)
+    plan.run()
+    return out
+
+
 def assert_close(got, ref):
     ref = np.asarray(ref)
     assert np.shape(got) == ref.shape
@@ -196,13 +216,13 @@ class TestTorusReference:
         ref_grad = np.stack([np.stack([ref_d1(st.u[a], ax, h) for ax in range(m)])
                              for a in range(n)])
         ref_hess = np.stack([ref_hessian(st.u[a], m, h) for a in range(n)])
-        grad, hess = (part[inner] for part in _stencil(st.u, m))
+        grad, hess = (part[inner] for part in stencil(st.u, m))
         assert_close(np.moveaxis(grad, 0, 1) / (2 * h), ref_grad)
         for i in range(m):
             for j in range(i, m):
                 assert_close(hess[i, j] / (h * h if i == j else 4 * h * h), ref_hess[:, i, j])
-        only_grad, none = _stencil(st.u, m, hess=False)
-        none_, only_hess = _stencil(st.u, m, grad=False)
+        only_grad, none = stencil(st.u, m, hess=False)
+        none_, only_hess = stencil(st.u, m, grad=False)
         assert none is None and none_ is None
         assert np.array_equal(only_grad[inner], grad)
         assert all(np.array_equal(only_hess[inner][i, j], hess[i, j])
@@ -215,8 +235,8 @@ class TestTorusReference:
         st = wound_state(m, n)
         assert_close(torus_rhs(st), ref_rhs(st))
         assert_close(flow._torus_field(st)(st.u, 0.0), ref_rhs(st))
-        assert_close(_torus_sigma(st), ref_sigma(st))
-        assert_close(_torus_term_one(st), ref_term_one(st))
+        assert_close(replayed(_torus_sigma, st.geometry.inv), ref_sigma(st))
+        assert_close(replayed(_torus_term_one, st.geometry), ref_term_one(st))
         assert_close(torus_evolution_residual(st), ref_chain_residual(st))
 
     @pytest.mark.parametrize("m,n", SHAPES)
@@ -268,7 +288,8 @@ def s_and_products(lam):
 
 
 class TestTorusWorkspace:
-    """A run's stages write their geometry into one workspace, not a new state's."""
+    """A run's stages write their geometry into the arrays of the run's plan,
+    not a new state's."""
 
     @pytest.mark.parametrize("m,n", SHAPES)
     def test_stage_is_the_rhs_of_a_fresh_state(self, m, n):
@@ -286,6 +307,30 @@ class TestTorusWorkspace:
         again = field(u1, 0.0)
         assert np.array_equal(first, kept) and np.array_equal(again, kept)
         assert not np.array_equal(second, kept)
+
+    def test_interleaved_fields_match_each_field_alone(self):
+        # two runs of other grids, shapes and windings, stage by stage
+        states = [wound_state(2, 2, seed=1, grid=12),
+                  TorusFlowState(2, 3, 2 * math.pi, [[2, 0], [1, -1], [0, 3]],
+                                 wound_state(2, 3, seed=2, grid=8).u)]
+
+        def stages(field, u):
+            for _ in range(3):
+                f = field(u, 0.0)
+                yield f
+                u = u + 1e-3 * f
+
+        alone = [[f.tobytes() for f in stages(flow._torus_field(st), st.u)] for st in states]
+        both = zip(*(stages(flow._torus_field(st), st.u) for st in states))
+        assert [[f.tobytes() for f in pair] for pair in both] == [list(p) for p in zip(*alone)]
+
+    def test_overwritten_result_changes_no_later_stage(self):
+        # _rkc_step scales the u_t a stage returns in place
+        st = wound_state(2, 2)
+        field = flow._torus_field(st)
+        ref = flow._torus_field(st)(st.u, 0.0).tobytes()
+        field(st.u, 0.0)[...] = math.nan
+        assert field(st.u, 0.0).tobytes() == ref
 
     # numpy's ufunc iterator buffers up to 8192 elements per operand at every
     # call; on these grids the state is large enough to dwarf them
@@ -342,16 +387,25 @@ class TestTorusRecords:
             for name, got, ref in zip(flow.TorusGeometry._fields, geometry, fresh.geometry):
                 assert got.shape == ref.shape and np.array_equal(got, ref), name
 
+    # every stage checks det eta once, so the checks count the stages
     def test_geometry_built_once_per_evaluation(self, monkeypatch):
         calls = []
-        torus_df = flow._torus_df
-        monkeypatch.setattr(flow, "_torus_df", lambda *a: calls.append(1) or torus_df(*a))
+        positive = flow._positive
+        monkeypatch.setattr(flow, "_positive", lambda *a: calls.append(1) or positive(*a))
         series = run(FlowConfig(case="torus", grid=12, t_end=0.2, monitor_every=4))
         # the last row's right-hand side is the only one no step takes as a stage
         assert len(calls) == series.meta["rhs_evals"] + 1
 
-    # the record's stencils, geometry, zeta^{-1} and term I write into a
-    # workspace of the run; what is left is the monitor's pointwise arrays (the
+    def test_fresh_residual_evaluates_one_stage(self, monkeypatch):
+        # the stage that forms the state's geometry gives the residual its u_t
+        calls = []
+        positive = flow._positive
+        monkeypatch.setattr(flow, "_positive", lambda *a: calls.append(1) or positive(*a))
+        torus_evolution_residual(wound_state(2, 2, grid=8))
+        assert len(calls) == 1
+
+    # the record's stencils, geometry, zeta^{-1} and term I write into
+    # arrays of the run's plans; what is left is the monitor's pointwise arrays (the
     # three entries of the 2 x 2 pullback metric, half its trace and its larger
     # root), five grid fields, 2.5 states' worth at n = 2
     def test_record_allocates_bounded_memory(self):
@@ -787,6 +841,14 @@ class TestEquivariantRecords:
         assert len(built) <= len(series.times) + 1
 
 
+# maps that leave the float range at once, so a run must end with a reason
+OVERFLOWING = {
+    "torus": {"case": "torus", "amplitude": 1e300},
+    "torus_m4": {"case": "torus", "m": 4, "n": 2, "grid": 4, "amplitude": 1e160},
+    "equivariant": {"case": "equivariant", "preset": "sine", "amplitude": 1e300},
+}
+
+
 class TestRuns:
     def test_s3_contraction_short(self):
         cfg = FlowConfig(case="equivariant", m=3, n=3, grid=96, t_end=0.5,
@@ -906,6 +968,18 @@ class TestRuns:
     def test_unchecked_fields_rejected(self, case, key, value):
         with pytest.raises(ValueError, match=key):
             FlowConfig(case=case, **{key: value})
+
+    # at m >= 4 eta can overflow to +inf without a NaN; LAPACK's det reads
+    # +inf, which used to pass, and eigvalsh then raised in the monitor
+    def test_infinite_metric_aborts_at_m4(self):
+        series = run(FlowConfig.from_dict(OVERFLOWING["torus_m4"]))
+        assert series.abort_reason == "induced metric is NaN: the map left the float range"
+        assert series.times == [] and series.meta["steps"] == 0
+
+    def test_huge_stretch_gives_a_short_reason(self):
+        series = run(FlowConfig.from_dict(OVERFLOWING["equivariant"]))
+        assert series.abort_reason == "lambda_max 1.000e+300 beyond guard"
+        assert len(series.abort_reason) < 40
 
     # eta = I + df^T df overflows, so det eta is NaN, which fails every
     # comparison: only a test for NaN itself aborts the run
@@ -1095,6 +1169,19 @@ class TestSizeCap:
 WOUND = {"case": "torus", "preset": "sine", "grid": 8, "t_end": 0.001, "m": 2, "n": 2}
 
 
+@hs.composite
+def sized_maps(draw):
+    """Short runs of either case whose map is 10^[0, 300] in size."""
+    amplitude = 10.0 ** draw(hs.integers(0, 300))
+    if draw(hs.booleans()):
+        return dict(case="torus", m=draw(hs.integers(2, 5)), n=draw(hs.integers(1, 3)),
+                    grid=draw(hs.integers(3, 6)), amplitude=amplitude, t_end=0.01,
+                    preset=draw(hs.sampled_from(["sine", "linear_sine"])), monitor_every=2)
+    return dict(case="equivariant", m=draw(hs.integers(2, 3)), n=3, grid=16,
+                amplitude=amplitude, t_end=0.01, monitor_every=2,
+                preset=draw(hs.sampled_from(["sine", "identity_sine"])))
+
+
 class TestConfigFuzz:
     @settings(max_examples=100, deadline=5000, derandomize=True)
     @example((dict(WOUND, winding=[[0, 1], [1, 0]]), False))
@@ -1116,3 +1203,17 @@ class TestConfigFuzz:
             for values in (series.times, series.m_of_t, series.lambda_max,
                            series.max_product, series.scale_m, series.scale_n):
                 assert np.isfinite(values).all()
+
+    # a map of any size ends its run in rows, with or without a short reason,
+    # and NumPy warns nothing on the way
+    @settings(max_examples=60, deadline=5000, derandomize=True)
+    @example(OVERFLOWING["torus"])
+    @example(OVERFLOWING["torus_m4"])
+    @example(OVERFLOWING["equivariant"])
+    @given(sized_maps())
+    def test_any_size_of_map_ends_in_rows_or_a_reason(self, d):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            series = run(FlowConfig.from_dict(d))
+        assert caught == [], d
+        assert series.abort_reason is None or len(series.abort_reason) < 60, d
