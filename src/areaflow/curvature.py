@@ -58,6 +58,8 @@ class SymBilinear:
         a = np.asarray(self.comp, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("SymBilinear needs a square 2-index array")
+        if not np.isfinite(a).all():
+            raise ValueError("SymBilinear components must be finite")
         if not np.allclose(a, a.T, atol=ALG_TOL * max(1.0, abs(a).max())):
             raise ValueError("SymBilinear components are not symmetric")
         object.__setattr__(self, "comp", 0.5 * (a + a.T))
@@ -91,6 +93,8 @@ class CurvatureTensor:
             raise ValueError("CurvatureTensor needs a 4-index hypercubic array")
         if a.shape[0] < 2:
             raise ValueError("CurvatureTensor needs dim >= 2")
+        if not np.isfinite(a).all():
+            raise ValueError("CurvatureTensor components must be finite")
         scale = max(1.0, abs(a).max())
         tol = 1e-12 * scale
         if abs(a + a.transpose(1, 0, 2, 3)).max() > tol:
@@ -185,17 +189,15 @@ def kulkarni_nomizu(s: SymBilinear, t: SymBilinear) -> CurvatureTensor:
     """
     if s.dim != t.dim:
         raise ValueError(f"dimension mismatch: {s.dim} vs {t.dim}")
-    return CurvatureTensor(kulkarni_nomizu_comp(s.comp, t.comp))
+    grid = np.ix_(*[np.arange(s.dim)] * 4)
+    return CurvatureTensor(kulkarni_nomizu_comp(s.comp, t.comp, *grid))
 
 
-def kulkarni_nomizu_comp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The Kulkarni-Nomizu product on component arrays; leading axes broadcast."""
-    return (
-        np.einsum("...il,...jk->...ijkl", a, b)
-        + np.einsum("...jk,...il->...ijkl", a, b)
-        - np.einsum("...ik,...jl->...ijkl", a, b)
-        - np.einsum("...jl,...ik->...ijkl", a, b)
-    )
+def kulkarni_nomizu_comp(a: np.ndarray, b: np.ndarray, i, j, k, l) -> np.ndarray:
+    """(a o b)[..., i, j, k, l] at broadcast index arrays; leading axes
+    broadcast, and the full index grid gives the dense product."""
+    return (a[..., i, l] * b[..., j, k] + a[..., j, k] * b[..., i, l]
+            - a[..., i, k] * b[..., j, l] - a[..., j, l] * b[..., i, k])
 
 
 def constant_curvature_tensor(dim: int, c: float) -> CurvatureTensor:
@@ -238,7 +240,7 @@ def pic1_defect(r: CurvatureTensor, frame4: np.ndarray, mu: float) -> float:
         raise ValueError("pic1_defect needs dim >= 4")
     if f.shape != (4, r.dim):
         raise ValueError("frame4 must be a (4, dim) array of row vectors")
-    if abs(f @ f.T - np.eye(4)).max() > 1e-10:
+    if not abs(f @ f.T - np.eye(4)).max() <= 1e-10:
         raise ValueError("frame4 is not orthonormal (tol 1e-10)")
     if not 0.0 <= mu <= 1.0:
         raise ValueError("mu must lie in [0, 1]")
@@ -560,11 +562,16 @@ _TIE = 1e-14  # eigenvalues within this of lambda_min (relative) form its eigens
 _FLAT = 1e-9  # slopes within this of 0 count as a maximum of the dual
 
 
+def _wedge_index(dim: int) -> tuple:
+    """Index arrays of R(e_i, e_j, e_l, e_k), pairs i < j by rows and k < l by columns."""
+    iu, ju = np.triu_indices(dim, k=1)
+    return iu[:, None], ju[:, None], ju, iu
+
+
 def _curvature_operator(comp: np.ndarray) -> np.ndarray:
     """Op[..., (ij), (kl)] = R(e_i, e_j, e_l, e_k) over pairs i < j, k < l,
     for tensors on the last four axes of ``comp``."""
-    iu, ju = np.triu_indices(comp.shape[-1], k=1)
-    return comp[..., iu[:, None], ju[:, None], ju[None, :], iu[None, :]]
+    return comp[(..., *_wedge_index(comp.shape[-1]))]
 
 
 def _star(dim: int) -> np.ndarray:

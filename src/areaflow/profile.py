@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curvature import SymBilinear, _curvature_operator, kulkarni_nomizu_comp
+from .curvature import SymBilinear, _wedge_index, kulkarni_nomizu_comp
 
 EIG_CLIP = 1e-12  # pullback eigenvalues in [-EIG_CLIP, 0] clip to zero
 
@@ -61,6 +61,8 @@ class SingularProfile:
             n = lam.size
         if lam.size != m:
             raise ValueError("need one singular value per domain dimension")
+        if not np.isfinite(lam).all():
+            raise ValueError("singular values must be finite")
         if (lam < 0).any():
             raise ValueError("singular values must be nonnegative")
         if (np.diff(lam) > 1e-12).any():
@@ -207,9 +209,9 @@ def graph_frame(p: SingularProfile, u, v,
     h = SymBilinear.identity(n) if h_n is None else h_n
     if u.shape != (m, m) or v.shape != (n, n):
         raise ValueError("basis shape mismatch")
-    if abs(u.T @ g.comp @ u - np.eye(m)).max() > 1e-8:
+    if not abs(u.T @ g.comp @ u - np.eye(m)).max() <= 1e-8:
         raise ValueError("u is not g-orthonormal")
-    if abs(v.T @ h.comp @ v - np.eye(n)).max() > 1e-8:
+    if not abs(v.T @ h.comp @ v - np.eye(n)).max() <= 1e-8:
         raise ValueError("v is not h-orthonormal")
 
     e, nu = graph_frames(p.lam[None], u, v)
@@ -263,7 +265,7 @@ def theta_wedge_matrix(p: SingularProfile) -> np.ndarray:
     entry for pairs (i<j), (k<l) is Theta(e_i, e_j, e_l, e_k), and the wedge
     basis is orthonormal for (1/2) eta o eta.  Its eigenvalues reproduce
     theta_eigs; this is the brute-force cross-check path, a batch of one of
-    ``theta_wedge_matrices``.
+    ``theta_wedge_matrices``, which computes only those pair entries.
     """
     if p.m < 2:
         raise ValueError("wedge form needs m >= 2")
@@ -272,6 +274,7 @@ def theta_wedge_matrix(p: SingularProfile) -> np.ndarray:
 
 def theta_wedge_matrices(s: np.ndarray) -> np.ndarray:
     """Wedge matrices of Theta = diag(S) o eta with eta = I, one per row of S
-    values (B, m)."""
+    values (B, m): the Kulkarni-Nomizu formula evaluated at the (i<j, k<l)
+    pair entries only, (B, m(m-1)/2, m(m-1)/2)."""
     m = s.shape[1]
-    return _curvature_operator(kulkarni_nomizu_comp(s[:, :, None] * np.eye(m), np.eye(m)))
+    return kulkarni_nomizu_comp(s[:, :, None] * np.eye(m), np.eye(m), *_wedge_index(m))

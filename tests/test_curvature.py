@@ -18,12 +18,14 @@ from areaflow.curvature import (
     _SECTIONAL,
     _stiefel_gradient,
     _Terms,
+    _wedge_index,
     CurvatureTensor,
     SymBilinear,
     bounds_of,
     chi_ic1,
     constant_curvature_tensor,
     kulkarni_nomizu,
+    kulkarni_nomizu_comp,
     minimize_over_frames,
     pic1_defect,
     product_curvature,
@@ -44,6 +46,12 @@ def sym_matrices(dim, lo=-2.0, hi=2.0):
 def einsum_contract(comp, a, b, c, d):
     """The five-operand einsum the batched kernel replaced: the reference."""
     return np.einsum("ijkl,bi,bj,bk,bl->b", comp, a, b, c, d, optimize=True)
+
+
+def einsum_kulkarni_nomizu(a, b):
+    """The four einsums the index-array formula replaced: the reference."""
+    return (np.einsum("...il,...jk->...ijkl", a, b) + np.einsum("...jk,...il->...ijkl", a, b)
+            - np.einsum("...ik,...jl->...ijkl", a, b) - np.einsum("...jl,...ik->...ijkl", a, b))
 
 
 def random_tensor(dim, rng, terms=3):
@@ -466,6 +474,16 @@ class TestKulkarniNomizu:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             kulkarni_nomizu(SymBilinear.identity(2), SymBilinear.identity(3))
+
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 2)])
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_one_formula_on_the_full_and_the_pair_grid(self, dim, lead):
+        a, b = np.random.default_rng(dim).normal(size=(2, *lead, dim, dim))
+        a, b = a + np.swapaxes(a, -1, -2), b + np.swapaxes(b, -1, -2)
+        dense = kulkarni_nomizu_comp(a, b, *np.ix_(*[np.arange(dim)] * 4))
+        assert np.array_equal(dense, einsum_kulkarni_nomizu(a, b))
+        pairs = kulkarni_nomizu_comp(a, b, *_wedge_index(dim))
+        assert np.array_equal(pairs, _curvature_operator(dense))
 
     @settings(max_examples=60, deadline=None)
     @given(sym_matrices(3), sym_matrices(3))

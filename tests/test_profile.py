@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,12 @@ from areaflow.profile import (
     singular_profile,
     theta_wedge_matrix,
 )
-from areaflow.curvature import SymBilinear
+from areaflow.curvature import (
+    CurvatureTensor,
+    SymBilinear,
+    constant_curvature_tensor,
+    pic1_defect,
+)
 
 
 def lambdas(m=4, hi=5.0):
@@ -158,6 +164,43 @@ class TestGraphFrame:
         fr = graph_frame(p, u, v)
         s_mat = np.diag([1.0, -1.0])
         assert fr.e[0] @ s_mat @ fr.nu[0] == pytest.approx(-0.8, abs=1e-14)
+
+
+def _with_entry(a, index, x):
+    a = np.array(a, dtype=float)
+    a[index] = x
+    return a
+
+
+def _graph_frame_with_entry(basis, x):
+    p, *uv = singular_bases(np.diag([2.0, 0.5]))
+    uv[basis] = _with_entry(uv[basis], (0, 0), x)
+    graph_frame(p, *uv)
+
+
+NONFINITE_CHECKS = [
+    pytest.param(lambda x: SymBilinear(_with_entry(np.eye(3), (1, 1), x)),
+                 "SymBilinear components must be finite", id="SymBilinear"),
+    pytest.param(lambda x: CurvatureTensor(x * constant_curvature_tensor(3, 1.0).comp),
+                 "CurvatureTensor components must be finite", id="CurvatureTensor"),
+    pytest.param(lambda x: pic1_defect(constant_curvature_tensor(4, 1.0),
+                                       _with_entry(np.eye(4), (0, 0), x), 0.5),
+                 "frame4 is not orthonormal", id="pic1_defect"),
+    pytest.param(partial(_graph_frame_with_entry, 0), "u is not g-orthonormal",
+                 id="graph_frame_u"),
+    pytest.param(partial(_graph_frame_with_entry, 1), "v is not h-orthonormal",
+                 id="graph_frame_v"),
+    pytest.param(lambda x: SingularProfile.from_lambdas([x, 1.0]),
+                 "singular values must be finite", id="from_lambdas"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+@pytest.mark.parametrize("build, message", NONFINITE_CHECKS)
+def test_nonfinite_input_refused(build, message, x):
+    with pytest.raises(ValueError, match=message):
+        build(x)
 
 
 class TestMonitor:
