@@ -13,12 +13,12 @@ itself evolves:
   d = det eta for m <= 3; NumPy's inverse and 1 for m >= 4), and a
   right-hand side is c_ij d_i d_j f^a / d.
   A run builds its stage once, as a plan: every array the stage writes,
-  every view it reads or writes and the ordered list of its calls.  A stage
-  copies u into the ring, replays the plan and allocates only the right-hand
-  side it returns.  A state's geometry (df, eta^{-1} and the Hessian) is read
-  once from what one stage at the state leaves, into arrays of its own, and
-  the monitor, tr_eta S, its eta^{ij} Laplacian and term I read that one
-  copy.  A run's rows read the stage the march evaluated at their time by a
+  every view it reads or writes and the ordered list of its calls, the
+  last of which divides into the field's u_t.  A stage replays the plan on
+  what the interior of the ring holds and allocates nothing.  A state's
+  geometry (df, eta^{-1} and the Hessian) is read once from what one stage
+  at the state leaves, into arrays of its own, and the monitor, tr_eta S,
+  its eta^{ij} Laplacian and term I read that one copy.  A run's rows read the stage the march evaluated at their time by a
   second plan of the run, and their residual replays a third;
 
 * equivariant sphere suspensions f(theta, xi) = (rho(theta), xi) between
@@ -31,10 +31,10 @@ itself evolves:
   where the radii may shrink homothetically (r(t) = r(0) sqrt(1 - L t)).
   One field per run holds the theta trig and serves the right-hand side and
   the CFL step alike, so a run builds a state only for a row's monitor,
-  and that state reads the field's sin theta.  The field owns the
-  right-hand side's work arrays and its constants, with the scales of the
-  undivided differences folded in, so a stage allocates only the rho_t it
-  returns.
+  and that state reads the field's sin theta.  The field owns a node
+  buffer, the rho_t it writes, the views of both that the right-hand side
+  reads, its work arrays and its constants, with the scales of the
+  undivided differences folded in, so a stage allocates nothing.
 
 Monitors record the area monitor (infimum of the smallest Theta eigenvalue),
 the largest stretch, the largest pairwise stretch product, background scale
@@ -49,10 +49,13 @@ Both reductions march with one second-order Runge-Kutta-Chebyshev stepper
 most h, so the time error is O(h^2) like the spatial one, and each step takes
 the fewest stages whose stability interval covers the CFL bound at the fixed
 fraction ``CFL`` of that interval, a margin of the method, not of the problem.
-The right-hand side the march evaluates at a row's time serves the row and is
-the next step's first stage.  ``MAX_STEPS`` caps the right-hand-side evaluations
-of a run: a run planned beyond it is refused, one that outgrows it is
-aborted.  ``MAX_ENTRIES`` caps the size of a run's largest array, and a
+A field is buffered: a stage reads the field's input array and writes the
+field's y_t, and the stepper adds y and the stage's increment straight into
+that input, so only a step allocates, a fixed handful of arrays.  Calling a
+field, f(y, t), copies y in and y_t out.  The right-hand side the march
+evaluates at a row's time serves the row and is the next step's first
+stage.  ``MAX_STEPS`` caps the right-hand-side evaluations of a run: a run
+planned beyond it is refused, one that outgrows it is aborted.  ``MAX_ENTRIES`` caps the size of a run's largest array, and a
 config past it is refused.  Every row, the one at t = 0 included, aborts a
 run whose largest stretch passes ``LAMBDA_ABORT`` or is NaN.
 """
@@ -419,11 +422,12 @@ def torus_cfl_dt(st: TorusFlowState) -> float:
 
 def _torus_field(st: TorusFlowState):
     """Right-hand side (u, t) -> u_t = c_ij d_i d_j u / (d h^2) of the run ``st``
-    starts, c / d = eta^{-1} by ``_torus_cofactors``, over whole ringed arrays.
-    Built once per run as one ``_Plan``: a stage copies u into the ring,
-    replays the plan and divides into the u_t it returns, its only new array.
-    The field's ``stencil`` (df, undivided Hessian, c, d) is what it wrote
-    last, valid until its next call."""
+    starts, c / d = eta^{-1} by ``_torus_cofactors``, over whole ringed arrays,
+    a buffered field (``_buffered``).  Built once per run as one ``_Plan``
+    that ends in the division into the field's u_t: a stage replays the plan
+    on what the interior of the ring holds and allocates nothing.  The
+    field's ``stencil`` (df, undivided Hessian, c, d) is what it wrote last,
+    valid until its next stage."""
     plan, h, inner = _Plan(), st.h, _inner(st.m)
     ring = _ringed(st.u.shape[:1], st.u.shape[1:])
     grad, hess = _stencil(plan, ring, st.m)
@@ -431,15 +435,10 @@ def _torus_field(st: TorusFlowState):
     adj, det = _torus_cofactors(plan, df)
     num = _hessian_trace(plan, adj, hess)[inner]
     scale = plan(np.multiply, det, h * h, np.zeros(det.shape))[inner]
-    u_in = ring[inner]
-
-    def rhs(u, t):
-        np.copyto(u_in, u)
-        plan.run()
-        return np.divide(num, scale)
-
-    rhs.stencil = df, hess, adj, det
-    return rhs
+    u_t = plan(np.divide, num, scale, np.zeros(st.u.shape))
+    field = _buffered(lambda t: plan.run(), ring[inner], u_t)
+    field.stencil = df, hess, adj, det
+    return field
 
 
 def _torus_record(st: TorusFlowState, field):
@@ -657,69 +656,95 @@ def _rho_derivatives(rho: np.ndarray, boundary_class: int, h: float):
     return dp, ddp
 
 
-def _eq_rhs(y, r_m, r_n, work):
-    """rho_t of the whole profile y, zero at the pinned poles, as a new array.
+def _eq_rhs(work):
+    """rho_t of the profile in the node buffer of ``_eq_field``, written into
+    the interior of its output; the poles of the output stay zero.
 
-    ``work`` is what ``_eq_field`` owns: the constants h^2, sin th cos th /
-    (2h) and sin^2 th of the interior nodes, m - 1, and six work arrays of
-    the interior, all overwritten here.  The differences stay undivided,
-    D1 = 2h rho' and D2 = h^2 rho'', and the scales they drop are folded
-    into the constants and the call's radii scalars:
+    ``work`` is what the field owns, built once: the views rho, rho ahead and
+    rho back (the interior nodes and their +1 and -1 shifts) of its node
+    buffer, the view D2 of its output's interior, the constants
+    sin th cos th / (2h) and sin^2 th of the interior nodes, the four radii
+    scalars r_N^2 / 4, r_M^2 h^2, (r_N / r_M)^2 and (m-1) / r_M^2 of the
+    stage (0-d arrays), and five work arrays of the interior, overwritten
+    here.  The differences stay undivided, D1 = 2h rho' and D2 = h^2 rho'',
+    and the scales they drop are folded into the constants and the radii
+    scalars:
 
         rho_t = D2 / (r_M^2 h^2 + r_N^2 D1^2 / 4)
               + (m-1) / r_M^2 (sin th cos th D1 / (2h) - sin rho cos rho)
                               / (sin^2 th + (r_N / r_M)^2 sin^2 rho).
+
+    Nineteen numpy calls, no allocation.
     """
-    h2, sc_2h, sin2_th, k, d1, d2, sr, cr, diff, rot = work
-    rho = y[1:-1]
-    np.subtract(y[2:], y[:-2], out=d1)
-    np.add(rho, rho, out=d2)
-    np.subtract(y[2:], d2, out=d2)
-    d2 += y[:-2]
-    np.sin(rho, out=sr)
-    np.cos(rho, out=cr)
-    np.multiply(d1, d1, out=diff)
-    diff *= 0.25 * r_n * r_n
-    diff += r_m * r_m * h2
+    rho, ahead, back, d2, sc_2h, sin2_th, quarter_n2, m2_h2, ratio2, k_m2, \
+        d1, sr, cr, diff, rot = work
+    np.subtract(ahead, back, d1)
+    np.add(rho, rho, d2)
+    np.subtract(ahead, d2, d2)
+    d2 += back
+    np.sin(rho, sr)
+    np.cos(rho, cr)
+    np.multiply(d1, d1, diff)
+    diff *= quarter_n2
+    diff += m2_h2
     d2 /= diff  # the diffusion term
     cr *= sr
-    np.multiply(sr, sr, out=rot)
-    rot *= (r_n / r_m) ** 2
+    np.multiply(sr, sr, rot)
+    rot *= ratio2
     rot += sin2_th
     d1 *= sc_2h
     d1 -= cr
     d1 /= rot
-    d1 *= k / (r_m * r_m)  # the rotation term
-    y_t = np.zeros(y.shape)
-    np.add(d2, d1, out=y_t[1:-1])
-    return y_t
+    d1 *= k_m2  # the rotation term
+    d2 += d1
 
 
 def _eq_field(m: int, nodes: int, radii):
     """Right-hand side (y, t) -> rho_t on ``nodes`` nodes, zero at the pinned
-    poles, radii(t) = (r_M, r_N); the interior differences are slices of y,
-    so the poles need no ghosts.
+    poles, a buffered field (``_buffered``).  ``radii`` is the pair
+    (r_M, r_N) of a fixed background or a function t -> (r_M, r_N); the
+    interior differences are views of the node buffer, so the poles need no
+    ghosts.
 
-    The field owns the work of ``_eq_rhs``: it computes the constants once
-    and allocates the six work arrays of the interior (D1, D2, sin rho,
-    cos rho, the diffusion and the rotation coefficients) once, and every
-    stage overwrites them, so a stage allocates only the y_t it returns.  A
-    field is therefore not reentrant.  It looks up ``_eq_rhs`` at each call.
-    The field's ``cfl_dt(y, t)`` is the explicit step CFL / rate the state
-    allows, from the same theta trig, and its ``sin_theta`` is the sin theta
-    of the interior nodes it reads, for a row's state to share."""
+    The field owns the work of ``_eq_rhs`` and builds it once: the constants,
+    its node buffer and output, the views of them a stage reads and writes,
+    the radii scalars and the five work arrays of the interior (D1, sin rho,
+    cos rho, the diffusion and the rotation coefficients).  Fixed radii set
+    the scalars once; a function of t sets them at every stage.  A stage
+    allocates nothing, so a field is not reentrant.  It looks up ``_eq_rhs``
+    at each stage.  The field's ``cfl_dt(y, t)`` is the explicit step
+    CFL / rate the state allows, from the same theta trig, and its
+    ``sin_theta`` is the sin theta of the interior nodes it reads, for a
+    row's state to share."""
     h = math.pi / (nodes - 1)
     th = np.linspace(0.0, math.pi, nodes)[1:-1]
     sin_th = np.sin(th)
     sin2_th, sincos_th = sin_th**2, sin_th * np.cos(th)
-    work = (h * h, sincos_th / (2.0 * h), sin2_th, m - 1,
-            *(np.empty(nodes - 2) for _ in range(6)))
+    y, y_t = np.zeros(nodes), np.zeros(nodes)
+    # 0-d arrays: a ufunc reads one without converting a Python float
+    scalars = tuple(np.zeros(()) for _ in range(4))
+    work = (y[1:-1], y[2:], y[:-2], y_t[1:-1], sincos_th / (2.0 * h), sin2_th, *scalars,
+            *(np.empty(nodes - 2) for _ in range(5)))
 
-    def rhs(y, t):
-        return _eq_rhs(y, *radii(t), work)
+    def hold(r_m, r_n):
+        quarter_n2, m2_h2, ratio2, k_m2 = scalars
+        quarter_n2[()] = 0.25 * r_n * r_n
+        m2_h2[()] = r_m * r_m * (h * h)
+        ratio2[()] = (r_n / r_m) ** 2
+        k_m2[()] = (m - 1) / (r_m * r_m)
+
+    if callable(radii):
+        at = radii
+
+        def stage(t):
+            hold(*radii(t))
+            _eq_rhs(work)
+    else:
+        hold(*radii)
+        at, stage = (lambda t: radii), (lambda t: _eq_rhs(work))
 
     def cfl_dt(y, t):
-        r_m, r_n = radii(t)
+        r_m, r_n = at(t)
         dp = (y[2:] - y[:-2]) / (2.0 * h)
         diff = r_m**2 + r_n**2 * dp**2
         denom = r_m**2 * sin2_th + r_n**2 * np.sin(y[1:-1]) ** 2
@@ -727,18 +752,19 @@ def _eq_field(m: int, nodes: int, radii):
         rate = 2.0 / diff.min() / h**2 + abs((m - 1) * sincos_th / denom).max() / h
         return CFL / rate
 
-    rhs.cfl_dt, rhs.sin_theta = cfl_dt, sin_th
-    return rhs
+    field = _buffered(stage, y, y_t)
+    field.cfl_dt, field.sin_theta = cfl_dt, sin_th
+    return field
 
 
 def equivariant_rhs(st: EquivariantFlowState, r_m: float, r_n: float) -> np.ndarray:
     """Right-hand side of the reduced flow; pinned poles contribute zero."""
-    return _eq_field(st.m, st.rho.size, lambda t: (r_m, r_n))(st.rho, st.t)
+    return _eq_field(st.m, st.rho.size, (r_m, r_n))(st.rho, st.t)
 
 
 def equivariant_dt(st: EquivariantFlowState, r_m: float, r_n: float) -> float:
     """CFL-limited step from the diffusion and drift coefficients."""
-    return _eq_field(st.m, st.rho.size, lambda t: (r_m, r_n)).cfl_dt(st.rho, st.t)
+    return _eq_field(st.m, st.rho.size, (r_m, r_n)).cfl_dt(st.rho, st.t)
 
 
 # Second-order Runge-Kutta-Chebyshev (RKC2; Sommeijer, Shampine & Verwer,
@@ -782,7 +808,9 @@ def _rkc_stages(step: float, dt_cfl: float, most: int) -> int | None:
 @lru_cache(maxsize=256)
 def _rkc_coefficients(s: int):
     """mu, nu, mu~, gamma~ (index j = 1..s; mu[1] = nu[1] = gamma~[1] = 0) and the
-    stage times c (j = 0..s, c[s] = 1) of s-stage RKC2."""
+    stage times c (j = 0..s, c[s] = 1) of s-stage RKC2.  The four weights
+    come as 0-d arrays, which a ufunc reads without converting a Python
+    float (about 0.4 us a call on 127 nodes); the times as floats."""
     w0 = 1.0 + RKC_EPS / s**2
     t, d1, d2 = [1.0, w0], [0.0, 1.0], [0.0, 0.0]  # T_j, T_j', T_j'' at w0
     for j in range(2, s + 1):
@@ -800,42 +828,68 @@ def _rkc_coefficients(s: int):
         mut[j] = 2.0 * b[j] * w1 / b[j - 1]
         gam[j] = -(1.0 - b[j - 1] * t[j - 1]) * mut[j]
         c[j] = mu[j] * c[j - 1] + nu[j] * c[j - 2] + mut[j] + gam[j]
-    return tuple(mu), tuple(nu), tuple(mut), tuple(gam), tuple(c)
+    return (*(tuple(map(np.array, x)) for x in (mu, nu, mut, gam)), tuple(c))
 
 
-def _rkc_step(y: np.ndarray, t: float, dt: float, s: int, rhs, y_t=None) -> np.ndarray:
-    """One s-stage RKC2 step of a whole array; ``rhs(y, t)`` returns y_t, zero
-    on pinned entries, as a new array that the step may overwrite, and
-    ``y_t``, if given, is rhs(y, t) already evaluated.
+def _buffered(stage, y_in: np.ndarray, y_t: np.ndarray):
+    """The field (y, t) -> y_t of a buffered stage, a copy: it copies y into
+    ``y_in`` and returns a copy of what ``stage(t)`` writes into ``y_t``.
+    ``_rkc_step`` drives the stage through the field's ``stage``, ``y_in``
+    and ``y_t`` without either copy."""
+
+    def field(y, t):
+        np.copyto(y_in, y)
+        stage(t)
+        return y_t.copy()
+
+    field.stage, field.y_in, field.y_t = stage, y_in, y_t
+    return field
+
+
+def _rkc_step(y: np.ndarray, t: float, dt: float, s: int, field, y_t=None) -> np.ndarray:
+    """One s-stage RKC2 step of a whole array by a buffered ``field``
+    (``_buffered``): ``field.stage(t)`` reads ``field.y_in`` and writes y_t,
+    zero on pinned entries, into ``field.y_t``, which the step may overwrite.
+    ``y_t``, if given, is field(y, t) already evaluated; it is not written.
 
     The recursion runs on the increments d_j = Y_j - y (d_0 = 0) and adds y
-    once at the end, so a stationary state does not drift by rounding.  Each
-    stage sums mu d_{j-1} + nu d_{j-2} + mut f + gam f0 left to right, scaling
-    d_{j-2} and the stage's fresh f in place: an in-place pass over a large
-    array costs about half of one that writes a new array.
+    once at the end, so a stationary state does not drift by rounding.  The
+    step allocates f0 = dt y_t, three rotating increments and a gam f0
+    scratch; a stage writes y + d_{j-1} straight into ``field.y_in`` and
+    allocates nothing.  Each stage sums mu d_{j-1} + nu d_{j-2} + mut f +
+    gam f0 left to right, scaling d_{j-2} and the stage's f in place.
     """
     mu, nu, mut, gam, c = _rkc_coefficients(s)
-    f0 = dt * (rhs(y, t) if y_t is None else y_t)
-    d_prev, d = 0.0, mut[1] * f0
+    stage, y_in, f = field.stage, field.y_in, field.y_t
+    if y_t is None:
+        np.copyto(y_in, y)
+        stage(t)
+        y_t = f
+    step = np.array(dt)  # 0-d, like the weights
+    f0 = np.multiply(step, y_t)
+    d = np.multiply(mut[1], f0)
+    d_prev, d_new, g = np.empty_like(d), np.empty_like(d), np.empty_like(d)
     for j in range(2, s + 1):
-        f = rhs(y + d, t + c[j - 1] * dt)
-        f *= dt
-        d_new = mu[j] * d
-        d_prev *= nu[j]
-        d_new += d_prev
+        np.add(y, d, y_in)
+        stage(t + c[j - 1] * dt)
+        f *= step
+        np.multiply(mu[j], d, d_new)
+        if j > 2:  # nu d_0 = 0 adds nothing, to the bit
+            d_prev *= nu[j]
+            d_new += d_prev
         f *= mut[j]
         d_new += f
-        d_new += gam[j] * f0
-        d, d_prev = d_new, d
+        d_new += np.multiply(gam[j], f0, g)
+        d_prev, d, d_new = d, d_new, d_prev
     return y + d
 
 
-def _rkc_single(y: np.ndarray, t: float, dt: float, dt_cfl: float, rhs) -> np.ndarray:
+def _rkc_single(y: np.ndarray, t: float, dt: float, dt_cfl: float, field) -> np.ndarray:
     """One RKC2 step of size dt with the fewest stages the CFL step allows."""
     s = _rkc_stages(dt, dt_cfl, MAX_STEPS)
     if s is None:
         raise ValueError(f"step {dt} needs more than {MAX_STEPS} stages")
-    return _rkc_step(y, t, dt, s, rhs)
+    return _rkc_step(y, t, dt, s, field)
 
 
 def equivariant_step(st: EquivariantFlowState, dt: float, r_of_t) -> EquivariantFlowState:
@@ -959,6 +1013,13 @@ class FlowConfig:
         if self.case == "equivariant" and self.m > self.n:
             raise ValueError("equivariant flows (the suspension ansatz) need m <= n, "
                              f"got m={self.m}, n={self.n}")
+        if self.case == "equivariant":  # the spheres a run builds (``_paths``)
+            for name, dim in (("radius_m", "m"), ("radius_n", "n")):
+                try:
+                    ModelSpace("sphere", getattr(self, dim), scale=getattr(self, name))
+                except ValueError as err:
+                    raise ValueError(f"{name} {getattr(self, name)} and {dim} give no "
+                                     f"sphere: {err}") from None
         if self.winding and (len(self.winding) != self.n
                              or any(len(row) != self.m for row in self.winding)):
             raise ValueError(f"winding must be an n x m matrix, {self.n} x {self.m}, "
@@ -1151,7 +1212,9 @@ def _run_equivariant(cfg: FlowConfig) -> FlowSeries:
         return cfg.radius_m * math.sqrt(f_m(t)), cfg.radius_n * math.sqrt(f_n(t))
 
     st = _equivariant_initial(cfg)
-    field = _eq_field(st.m, st.rho.size, radii)
+    # r sqrt(1.0) = r: a static run's field takes its radii once
+    static = pm.mode == pn.mode == "static"
+    field = _eq_field(st.m, st.rho.size, (cfg.radius_m, cfg.radius_n) if static else radii)
 
     def record(rho, t, f):
         now = EquivariantFlowState(cfg.m, cfg.n, rho, st.boundary_class, t)

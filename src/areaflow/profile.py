@@ -15,7 +15,7 @@ infimum over sample points of the smallest Theta eigenvalue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -25,16 +25,27 @@ from .curvature import SymBilinear, _wedge_index, kulkarni_nomizu_comp
 EIG_CLIP = 1e-12  # pullback eigenvalues in [-EIG_CLIP, 0] clip to zero
 
 
+# |lambda| past these caps reads as the cap.  In S: from lambda^2 = 2^54 on, S
+# is -1 to the bit, so no finite lambda^2 changes, and where lambda^2 would
+# overflow (|lambda| past about 1.3e154, or infinite) S takes its limit -1,
+# not inf / inf.  In C: lambda^2 overflows long before, so C is 0 (its limit)
+# there either way, and 2 lambda stays finite.
+S_LAMBDA_CAP = 1e150
+C_LAMBDA_CAP = 1e300
+
+
 def s_of(lam):
     """S value of a singular value: (1 - lam^2)/(1 + lam^2), vectorized."""
-    lam = np.asarray(lam, dtype=float)
-    return (1.0 - lam**2) / (1.0 + lam**2)
+    sq = np.minimum(np.abs(np.asarray(lam, dtype=float)), S_LAMBDA_CAP) ** 2
+    return (1.0 - sq) / (1.0 + sq)
 
 
 def c_of(lam):
-    """C value of a singular value: 2 lam/(1 + lam^2), vectorized."""
-    lam = np.asarray(lam, dtype=float)
-    return 2.0 * lam / (1.0 + lam**2)
+    """C value of a singular value: 2 lam/(1 + lam^2), vectorized; 0 where
+    lam^2 overflows, without a warning."""
+    lam = np.maximum(np.minimum(np.asarray(lam, dtype=float), C_LAMBDA_CAP), -C_LAMBDA_CAP)
+    with np.errstate(over="ignore"):
+        return 2.0 * lam / (1.0 + lam**2)
 
 
 @dataclass(frozen=True)
@@ -48,18 +59,13 @@ class SingularProfile:
     m: int
     n: int
     lam: np.ndarray
-    s_diag: np.ndarray
-    c_diag: np.ndarray
-    theta_eigs: np.ndarray
+    s_diag: np.ndarray = field(init=False)
+    c_diag: np.ndarray = field(init=False)
+    theta_eigs: np.ndarray = field(init=False)
 
-    @staticmethod
-    def from_lambdas(lam: Sequence[float], m: int | None = None, n: int | None = None):
-        lam = np.asarray(lam, dtype=float)
-        if m is None:
-            m = lam.size
-        if n is None:
-            n = lam.size
-        if lam.size != m:
+    def __post_init__(self):
+        lam = np.asarray(self.lam, dtype=float)
+        if lam.ndim != 1 or lam.size != self.m:
             raise ValueError("need one singular value per domain dimension")
         if not np.isfinite(lam).all():
             raise ValueError("singular values must be finite")
@@ -67,14 +73,20 @@ class SingularProfile:
             raise ValueError("singular values must be nonnegative")
         if (np.diff(lam) > 1e-12).any():
             raise ValueError("singular values must be nonincreasing")
-        ell = min(m, n)
-        if (lam[ell:] != 0).any():
-            raise ValueError(f"lambda_i must vanish for i > min(m,n) = {ell}")
+        if (lam[self.ell:] != 0).any():
+            raise ValueError(f"lambda_i must vanish for i > min(m,n) = {self.ell}")
         s = s_of(lam)
-        c = c_of(lam)
-        iu, ju = np.triu_indices(m, k=1)
-        return SingularProfile(m=m, n=n, lam=lam, s_diag=s, c_diag=c,
-                               theta_eigs=s[iu] + s[ju])
+        iu, ju = np.triu_indices(self.m, k=1)
+        for name, value in (("lam", lam), ("s_diag", s), ("c_diag", c_of(lam)),
+                            ("theta_eigs", s[iu] + s[ju])):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def from_lambdas(lam: Sequence[float], m: int | None = None, n: int | None = None):
+        """The profile of lam, with m and n defaulting to its length."""
+        lam = np.asarray(lam, dtype=float)
+        return SingularProfile(m=lam.size if m is None else m,
+                               n=lam.size if n is None else n, lam=lam)
 
     @property
     def ell(self) -> int:

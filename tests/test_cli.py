@@ -268,7 +268,9 @@ class TestFlowCommand:
         # shapes a run would refuse only once it started
         ("equivariant", "m", 1), ("equivariant", "m", 3), ("torus", "winding", [[1, 0, 0]]),
         # values a run would meet only as an OverflowError
-        ("torus", "period", 1e300), ("torus", "winding", [[10**400, 0], [0, 1]])])
+        ("torus", "period", 1e300), ("torus", "winding", [[10**400, 0], [0, 1]]),
+        # radii whose sphere has a curvature past the float range
+        ("equivariant", "radius_m", 1e-200), ("equivariant", "radius_n", 1e200)])
     def test_bad_field_exits_1_with_json_error(self, case, key, value, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"case": case, "m": 2, "n": 2, "grid": 8, key: value}))

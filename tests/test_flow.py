@@ -701,6 +701,117 @@ def random_profile(rng, nodes, cls):
     return rho
 
 
+# The RKC2 step as it was before its stages wrote into buffers: every stage
+# evaluates a fresh y + d through the copying field and allocates mu d and
+# gam f0, with the coefficients as floats.  The reference of the buffered one.
+def ref_rkc_step(y, t, dt, s, rhs, y_t=None):
+    mu, nu, mut, gam, c = ([float(x) for x in a] for a in flow._rkc_coefficients(s))
+    f0 = dt * (rhs(y, t) if y_t is None else y_t)
+    d_prev, d = 0.0, mut[1] * f0
+    for j in range(2, s + 1):
+        f = rhs(y + d, t + c[j - 1] * dt)
+        f *= dt
+        d_new = mu[j] * d
+        d_prev *= nu[j]
+        d_new += d_prev
+        f *= mut[j]
+        d_new += f
+        d_new += gam[j] * f0
+        d, d_prev = d_new, d
+    return y + d
+
+
+def shrinking(t):
+    return (math.sqrt(1.0 - 0.5 * t), 1.5 * math.sqrt(1.0 - 0.25 * t))
+
+
+def stepper_fields():
+    """(name, field, y, t, dt_cfl) of the two reductions: equivariant grid-24
+    fields with fixed and with shrinking radii, and torus fields of wound
+    states with m = 2 and m = 3."""
+    rng = np.random.default_rng(23)
+    out = []
+    for name, radii in (("static", (0.8, 1.2)), ("shrinking", shrinking)):
+        rho = random_profile(rng, 25, 1)
+        field = flow._eq_field(3, 25, radii)
+        out.append((name, field, rho, 0.1, field.cfl_dt(rho, 0.1)))
+    for m in (2, 3):
+        st = wound_state(m, m)
+        out.append((f"torus m{m}", flow._torus_field(st), st.u, 0.0, torus_cfl_dt(st)))
+    return out
+
+
+STEPPER_FIELDS = [pytest.param(*f[1:], id=f[0]) for f in stepper_fields()]
+# numpy's ufunc iterator buffers 8192 elements of 8 bytes per operand, three at most
+ITERATOR_BUFFERS = 3 * 8192 * 8
+
+
+class TestBufferedStepper:
+    """The RKC2 step whose stages write into the field's buffers gives the
+    allocating step's bytes, and allocates nothing per stage."""
+
+    @pytest.mark.parametrize("given", [False, True], ids=["fresh", "given"])
+    @pytest.mark.parametrize("s", [2, 3, 10, 31])
+    @pytest.mark.parametrize("field,y,t,dt_cfl", STEPPER_FIELDS)
+    def test_step_matches_the_allocating_step(self, field, y, t, dt_cfl, s, given):
+        dt = 0.45 * flow._rkc_beta(s) * dt_cfl  # inside the stability interval
+        y_t = field(y, t) if given else None
+        kept = None if y_t is None else y_t.copy()
+        got = flow._rkc_step(y, t, dt, s, field, y_t)
+        assert got.tobytes() == ref_rkc_step(y, t, dt, s, field, kept).tobytes()
+        assert not np.array_equal(got, y)
+        if given:  # the step reads a given y_t and leaves it as it was
+            assert y_t.tobytes() == kept.tobytes()
+
+    def test_interleaved_fields_match_each_field_alone(self):
+        (_, a, ya, ta, dta), (_, b, yb, tb, dtb) = stepper_fields()[:2]
+
+        def steps(field, y, t, dt_cfl):
+            for _ in range(4):
+                y = flow._rkc_step(y, t, dt_cfl, 5, field)
+                t += dt_cfl
+                yield y
+
+        alone = [[y.tobytes() for y in steps(*args)]
+                 for args in ((a, ya, ta, dta), (b, yb, tb, dtb))]
+        both = zip(steps(a, ya, ta, dta), steps(b, yb, tb, dtb))
+        assert [[y.tobytes() for y in pair] for pair in both] == [list(p) for p in zip(*alone)]
+
+    @staticmethod
+    def traced(fn, *args):
+        """(bytes still held, peak) of fn(*args) under tracemalloc, after a
+        first call that leaves every cache warm."""
+        fn(*args)
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    # the equivariant stage's peak is a few Python floats; the torus stage's is
+    # numpy's ufunc iterator buffers, which these states' grids outgrow
+    @pytest.mark.parametrize("field,y,peak", [
+        (flow._eq_field(3, 1025, (1.0, 1.0)), 0.8 * np.sin(np.linspace(0, math.pi, 1025)), 256),
+        (flow._eq_field(3, 1025, shrinking), 0.8 * np.sin(np.linspace(0, math.pi, 1025)), 256),
+        (flow._torus_field(wound_state(2, 2, grid=128)), wound_state(2, 2, grid=128).u,
+         ITERATOR_BUFFERS),
+        (flow._torus_field(wound_state(3, 3, grid=24)), wound_state(3, 3, grid=24).u,
+         ITERATOR_BUFFERS)],
+        ids=["static", "shrinking", "torus m2", "torus m3"])
+    def test_stage_allocates_nothing(self, field, y, peak):
+        np.copyto(field.y_in, y)
+        held, got = self.traced(field.stage, 0.1)
+        assert held == 0 and got <= peak < y.nbytes
+
+    # f0, three increments, the gam f0 scratch and the new state, whatever s is
+    @pytest.mark.parametrize("field,y,t,dt_cfl", STEPPER_FIELDS)
+    def test_step_memory_does_not_grow_with_the_stages(self, field, y, t, dt_cfl):
+        peaks = [self.traced(flow._rkc_step, y, t, 1e-3 * dt_cfl, s, field)[1] for s in (2, 31)]
+        assert peaks[1] <= peaks[0] + 1024
+        assert peaks[1] <= 6 * y.nbytes + ITERATOR_BUFFERS
+
+
 class TestEquivariantKernel:
     """The buffered kernel with its folded scales against the reduced
     equation written out with divided differences."""
@@ -1083,8 +1194,9 @@ class TestRuns:
 
 
 NONPOSITIVE = [math.nan, math.inf, -math.inf, 0.0, -1.0]
-BAD_VALUES = {"period": NONPOSITIVE + [1e300], "radius_m": NONPOSITIVE,
-              "radius_n": NONPOSITIVE, "amplitude": [math.nan, math.inf, -math.inf],
+# radii whose sphere has a curvature past the float range
+BAD_VALUES = {"period": NONPOSITIVE + [1e300], "radius_m": NONPOSITIVE + [1e-200, 1e200],
+              "radius_n": NONPOSITIVE + [1e-200, 1e200], "amplitude": [math.nan, math.inf, -math.inf],
               "monitor_every": [-1, -5], "n": [0, -1], "m": [1, 0],
               # entries that are not integers; int() would truncate the first
               "winding": [[[0.5, 0], [0, 1]], [[1, 0], [True, 1]], [["1", 0], [0, 1]],
@@ -1203,6 +1315,22 @@ class TestConfigFuzz:
             for values in (series.times, series.m_of_t, series.lambda_max,
                            series.max_product, series.scale_m, series.scale_n):
                 assert np.isfinite(values).all()
+
+    # a radius whose sphere has a curvature past the float range (1 / r^2
+    # overflows or r^2 does) is refused by the config, before any run
+    @settings(max_examples=30, deadline=5000, derandomize=True)
+    @example(("radius_m", 1e-200))
+    @example(("radius_m", 1e200))
+    @example(("radius_n", 1e-200))
+    @example(("radius_n", 1e200))
+    @given(hs.tuples(hs.sampled_from(["radius_m", "radius_n"]),
+                     hs.integers(155, 308).flatmap(
+                         lambda e: hs.sampled_from([10.0**e, 10.0**-e]))))
+    def test_radius_past_the_float_range_refused_by_the_config(self, drawn):
+        name, radius = drawn
+        d = dict(case="equivariant", m=3, n=3, grid=16, t_end=0.01, **{name: radius})
+        with pytest.raises(ValueError, match=f"^{name} "):
+            FlowConfig.from_dict(d)
 
     # a map of any size ends its run in rows, with or without a short reason,
     # and NumPy warns nothing on the way

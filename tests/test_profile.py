@@ -72,6 +72,60 @@ class TestSingularProfile:
         assert p.lam[1] == 0.0 and p.lam[2] == 0.0
 
 
+class TestHugeLambdas:
+    """S and C where lambda^2 overflows: their limits -1 and 0, with no
+    warning, and every finite lambda^2 as the formulas give it."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [1.4e154, 1e200, -1e200, 1.7e308, math.inf])
+    def test_limits(self, lam):
+        assert s_of(lam) == -1.0 and c_of(lam) == 0.0
+        assert s_of([lam, 0.5])[0] == -1.0 and c_of([lam, 0.5])[0] == 0.0
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 3.0, 1e8, 2.0**27, 1e100, 1e150,
+                                     1e151, 1.3e154])
+    def test_finite_squares_keep_their_bits(self, lam):
+        x = np.array([lam, -lam])
+        assert s_of(x).tobytes() == ((1.0 - x**2) / (1.0 + x**2)).tobytes()
+        assert c_of(x).tobytes() == (2.0 * x / (1.0 + x**2)).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_profile_of_a_huge_lambda(self):
+        p = SingularProfile.from_lambdas([1e200, 1.0])
+        assert p.s_diag.tolist() == [-1.0, 0.0] and p.c_diag.tolist() == [0.0, 1.0]
+        assert p.theta_eigs.tolist() == [-1.0] and p.theta_min() == -1.0
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(s_of(math.nan)) and math.isnan(c_of(math.nan))
+
+
+class TestConstructor:
+    """The constructor checks lambda and derives S, C and Theta from it, so a
+    profile cannot disagree with its singular values."""
+
+    def test_fields_derived_from_lam(self):
+        p = SingularProfile(3, 2, np.array([2.0, 0.5, 0.0]))
+        ref = SingularProfile.from_lambdas([2.0, 0.5, 0.0], n=2)
+        for name in ("lam", "s_diag", "c_diag", "theta_eigs"):
+            assert getattr(p, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert p.theta_eigs.tolist() == [s_of(2.0) + s_of(0.5), s_of(2.0) + 1.0,
+                                         s_of(0.5) + 1.0]
+
+    def test_derived_fields_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            SingularProfile(2, 2, np.array([1.0, 0.5]), np.zeros(2), np.zeros(2), np.zeros(1))
+
+    @pytest.mark.parametrize("m,n,lam,message", [
+        (2, 2, [math.nan, 1.0], "finite"),
+        (3, 3, [1.0, 0.5], "one singular value per domain dimension"),
+        (2, 2, [1.0, -0.5], "nonnegative"),
+        (2, 2, [0.5, 1.0], "nonincreasing"),
+        (3, 2, [1.0, 0.5, 0.25], "must vanish")])
+    def test_bad_lambdas_refused(self, m, n, lam, message):
+        with pytest.raises(ValueError, match=message):
+            SingularProfile(m, n, np.array(lam))
+
+
 class TestClassify:
     def test_area_decreasing_but_not_distance(self):
         flags = classify(SingularProfile.from_lambdas([2.0, 1.0 / 3.0]))
@@ -192,6 +246,8 @@ NONFINITE_CHECKS = [
                  id="graph_frame_v"),
     pytest.param(lambda x: SingularProfile.from_lambdas([x, 1.0]),
                  "singular values must be finite", id="from_lambdas"),
+    pytest.param(lambda x: SingularProfile(2, 2, np.array([x, 1.0])),
+                 "singular values must be finite", id="SingularProfile"),
 ]
 
 
