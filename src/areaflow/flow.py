@@ -18,8 +18,16 @@ itself evolves:
   what the interior of the ring holds and allocates nothing.  A state's
   geometry (df, eta^{-1} and the Hessian) is read once from what one stage
   at the state leaves, into arrays of its own, and the monitor, tr_eta S,
-  its eta^{ij} Laplacian and term I read that one copy.  A run's rows read the stage the march evaluated at their time by a
-  second plan of the run, and their residual replays a third;
+  its eta^{ij} Laplacian and term I read that one copy.  A run's rows read
+  the stage the march evaluated at their time by a second plan of the run,
+  and their residual replays a third.  The row geometry and the row's u_t
+  sit in one shared anonymous mapping, so a helper process that a run
+  forks replays the residual plan on them while the march takes the next
+  step; the run keeps the geometry plan, the monitor and the stretch guard,
+  and collects a residual before the next row overwrites what it reads.
+  Where ``os.fork`` is missing or a second Python thread runs, or once the
+  helper has died, the run replays the residual itself.  Either way every
+  number is the same to the bit;
 
 * equivariant sphere suspensions f(theta, xi) = (rho(theta), xi) between
   round spheres of radii r_M, r_N:
@@ -55,16 +63,27 @@ that input, so only a step allocates, a fixed handful of arrays.  Calling a
 field, f(y, t), copies y in and y_t out.  The right-hand side the march
 evaluates at a row's time serves the row and is the next step's first
 stage.  ``MAX_STEPS`` caps the right-hand-side evaluations of a run: a run
-planned beyond it is refused, one that outgrows it is aborted.  ``MAX_ENTRIES`` caps the size of a run's largest array, and a
-config past it is refused.  Every row, the one at t = 0 included, aborts a
-run whose largest stretch passes ``LAMBDA_ABORT`` or is NaN.
+planned beyond it is refused, one that outgrows it is aborted.  ``MAX_WORK``
+caps a run's planned work, its stages and rows over its grid points, and a
+run planned beyond it is refused before it starts (a torus before it builds
+its stage).
+``MAX_ENTRIES`` caps the size of a run's largest array, and a config past it
+is refused.  Every row, the one at t = 0 included, aborts a run whose
+largest stretch passes ``LAMBDA_ABORT`` or is NaN.
 """
 
 from __future__ import annotations
 
+import gc
+import itertools
 import math
+import mmap
 import numbers
+import os
+import signal
+import struct
 import sys
+import threading
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -86,6 +105,13 @@ MAX_STEPS = 10**7
 # 1.4e5), or an equivariant run's grid + 1 nodes.  A torus run's memory peak
 # measured at most 21 arrays of that size (8 bytes an entry) for m = 2 to 9.
 MAX_ENTRIES = 2**22
+# Most planned work of a run, in units of one stage's work on one grid point
+# and one entry of its m x m metric: a run plans (stage evaluations +
+# ROW_STAGES x rows) x points x m^2 units, an equivariant node counting 1, not
+# m^2.  A torus row measured 3.7 to 5.9 stages (m = 2 and 3, grids 4 to 96).
+# Criterion 6's grid-128 torus plans 4.5e7 units.
+MAX_WORK = 2**30
+ROW_STAGES = 4
 
 
 class FlowAbort(RuntimeError):
@@ -202,7 +228,9 @@ class TorusFlowState:
         field = _torus_field(self)
         u_t = field(self.u, self.t)
         plan = _Plan()
-        geometry = _torus_geometry(plan, *field.stencil, self.h)
+        shapes = _geometry_shapes(self.n, self.m, self.u.shape[1:])
+        geometry = _torus_geometry(plan, *field.stencil, self.h,
+                                   TorusGeometry(*map(np.zeros, shapes)))
         plan.run()
         return geometry, u_t
 
@@ -355,12 +383,12 @@ def _inverse(eta: np.ndarray, out: np.ndarray) -> None:
     out[...] = np.linalg.inv(eta)
 
 
-def _torus_eta_inv(plan: _Plan, adj, det: np.ndarray, m: int) -> np.ndarray:
+def _torus_eta_inv(plan: _Plan, adj, det: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Records eta^{-1} = adj / det (``_torus_cofactors``) on the interior of
-    the grid."""
+    the grid, into ``inv``."""
+    m = inv.shape[0]
     inner = _inner(m)
     det = det[inner]
-    inv = np.zeros((m, m) + det.shape)
     for i in range(m):
         for j in range(i, m):
             plan(np.divide, adj[i, j][inner], det, inv[i, j])
@@ -384,12 +412,11 @@ def _hessian_trace(plan: _Plan, coef, hess: np.ndarray) -> np.ndarray:
     return out
 
 
-def _torus_hessian(plan: _Plan, hess: np.ndarray, h: float) -> np.ndarray:
+def _torus_hessian(plan: _Plan, hess: np.ndarray, h: float, full: np.ndarray) -> np.ndarray:
     """Records the Hessian (n, m, m, grid) of u, symmetric in (m, m), from its
-    ringed undivided differences (``_stencil``)."""
+    ringed undivided differences (``_stencil``), into ``full``."""
     m = hess.shape[0]
     inner = hess[_inner(m)]
-    full = np.zeros(inner.shape[2:3] + (m, m) + inner.shape[3:])
     for i in range(m):
         plan(np.multiply, inner[i, i], h**-2, full[:, i, i])
         for j in range(i + 1, m):
@@ -398,16 +425,21 @@ def _torus_hessian(plan: _Plan, hess: np.ndarray, h: float) -> np.ndarray:
     return full
 
 
+def _geometry_shapes(n: int, m: int, grid: tuple) -> TorusGeometry:
+    """The shapes of a ``TorusGeometry`` on an n-component, m-axis grid."""
+    return TorusGeometry((n, m) + grid, (m, m) + grid, (n, m, m) + grid)
+
+
 def _torus_geometry(plan: _Plan, df: np.ndarray, hess: np.ndarray, adj, det: np.ndarray,
-                    h: float) -> TorusGeometry:
+                    h: float, out: TorusGeometry) -> TorusGeometry:
     """Records df, eta^{-1} and the Hessian of the map on the grid, from what
     one stage leaves (its field's ``stencil``: the ringed df and undivided
-    Hessian of u, and the cofactors of eta), into arrays of the plan's own."""
-    m = df.shape[1]
-    inner = df[_inner(m)]
-    grid_df = np.zeros(inner.shape)
-    plan(np.copyto, grid_df, inner)
-    return TorusGeometry(grid_df, _torus_eta_inv(plan, adj, det, m), _torus_hessian(plan, hess, h))
+    Hessian of u, and the cofactors of eta), into the arrays of ``out``
+    (``_geometry_shapes``)."""
+    plan(np.copyto, out.df, df[_inner(df.shape[1])])
+    _torus_eta_inv(plan, adj, det, out.inv)
+    _torus_hessian(plan, hess, h, out.hess)
+    return out
 
 
 def torus_rhs(st: TorusFlowState) -> np.ndarray:
@@ -441,22 +473,127 @@ def _torus_field(st: TorusFlowState):
     return field
 
 
-def _torus_record(st: TorusFlowState, field):
+def _shared_zeros(*shapes) -> list:
+    """Zeroed float arrays of the given shapes, packed into one anonymous
+    shared mapping of exactly their size: a process forked after they are
+    made and this one read and write the same memory through them."""
+    sizes = [math.prod(shape) for shape in shapes]
+    buf = mmap.mmap(-1, 8 * sum(sizes))  # anonymous, shared and zero-filled
+    return [np.frombuffer(buf, float, size, 8 * start).reshape(shape)
+            for shape, size, start in zip(shapes, sizes, itertools.accumulate([0] + sizes))]
+
+
+def _torus_record(st: TorusFlowState, field) -> _Rows:
     """Row function (u, t, f) -> row of the run ``st`` starts, called right after
-    ``field`` gave f = u_t at (u, t).  Built once per run: the row's state
-    takes its geometry from the stencil that call left, by a plan into arrays
-    of the run's rows, and its residual replays a plan that reads them."""
+    ``field`` gave f = u_t at (u, t) (``_Rows``).  Built once per run: the
+    row's state takes its geometry from the stencil that call left, by a plan
+    into arrays of the run's rows, and its residual replays a plan that reads
+    them and f.  Those arrays are shared (``_shared_zeros``), so a helper
+    process forked later replays the residual on the very bytes a row wrote."""
+    n, m, grid = st.n, st.m, st.u.shape[1:]
+    *arrays, ring = _shared_zeros(*_geometry_shapes(n, m, grid),
+                                  (n,) + tuple(k + 2 for k in grid))  # f, ringed (``_ringed``)
     plan = _Plan()
-    geometry = _torus_geometry(plan, *field.stencil, st.h)
-    residual = _torus_residual(geometry, st.h)
+    geometry = _torus_geometry(plan, *field.stencil, st.h, TorusGeometry(*arrays))
+    return _Rows(st, plan, geometry, _torus_residual(geometry, st.h, ring))
 
-    def record(u, t, f):
-        plan.run()
+
+class _Rows:
+    """The rows (u, t, f) -> row of a torus run, whose residuals are worked out
+    beside the march.
+
+    A row forms its state's geometry by ``plan`` and copies f into the
+    residual's input, both arrays shared with a process forked later, and
+    returns the monitor with NaN for its residual.  That residual stays in
+    flight: the next row, before its plan overwrites what the residual reads,
+    or ``settle()`` at the end of a run collects it into ``column``, so the
+    column fills in row order.  Inside ``with``, a helper process forked on
+    entry replays the residual (``_torus_residual``) while the march takes
+    the next step.  Without one (no ``os.fork``, or a second Python thread,
+    which a fork would not carry over), or from a row whose helper died, the
+    rows replay it here.  Either way the column holds the same bytes.  The
+    helper is reaped on leaving ``with``, whatever ends the run.
+    """
+
+    def __init__(self, st: TorusFlowState, plan: _Plan, geometry: TorusGeometry, residual):
+        self.st, self.plan, self.geometry, self.residual = st, plan, geometry, residual
+        self.column, self.pending = [], False
+        self.helper = None  # (pid, request fd, reply fd) of a live helper
+
+    def __call__(self, u, t, f):
+        self.settle()
+        self.plan.run()
+        np.copyto(self.residual.f_in, f)
+        self.pending = True
+        if self.helper:
+            try:
+                os.write(self.helper[1], b"r")  # row ready
+            except OSError:  # the helper died: this row is replayed here
+                self._reap()
+        st = self.st
         now = TorusFlowState(st.m, st.n, st.period, st.lin, u, t)
-        vars(now)["geometry"] = geometry  # primes the cached_property
-        return (*torus_monitor(now), torus_evolution_residual(now, f, residual), 1.0, 1.0)
+        vars(now)["geometry"] = self.geometry  # primes the cached_property
+        return (*torus_monitor(now), math.nan, 1.0, 1.0)
 
-    return record
+    def settle(self) -> list:
+        """The residual column of the rows so far, the one in flight collected."""
+        if self.pending:
+            self.pending = False
+            reply = os.read(self.helper[2], 8) if self.helper else b""
+            if len(reply) == 8:
+                self.column.append(struct.unpack("d", reply)[0])
+            else:  # no helper, or it died (EOF): the same replay, here
+                self._reap()
+                self.column.append(self.residual.evaluate())
+        return self.column
+
+    def __enter__(self) -> _Rows:
+        if hasattr(os, "fork") and threading.active_count() == 1:
+            request, reply = os.pipe(), os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the rows replay residuals here
+                pid = None
+            if pid == 0:
+                self._serve(request, reply)
+            os.close(request[0])
+            os.close(reply[1])
+            if pid is None:
+                os.close(request[1])
+                os.close(reply[0])
+            else:
+                self.helper = pid, request[1], reply[0]
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._reap()
+
+    def _reap(self) -> None:
+        """Closes the pipes, which a live helper reads as EOF and exits on, and
+        waits for it."""
+        if self.helper:
+            pid, request, reply = self.helper
+            self.helper = None
+            os.close(request)
+            os.close(reply)
+            os.waitpid(pid, 0)
+
+    def _serve(self, request, reply) -> None:
+        """The helper's life: one residual per byte read from ``request``, its
+        8 bytes written to ``reply``, until EOF.  It leaves only through
+        ``os._exit``, never into the caller's stack, stdio buffers or atexit
+        hooks."""
+        status = 1
+        try:
+            os.close(request[1])
+            os.close(reply[0])
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends it
+            gc.disable()  # a collection here could finalize the parent's objects
+            while os.read(request[0], 1):
+                os.write(reply[1], struct.pack("d", self.residual.evaluate()))
+            status = 0
+        finally:
+            os._exit(status)
 
 
 def torus_step(st: TorusFlowState, dt: float) -> TorusFlowState:
@@ -553,12 +690,16 @@ def _torus_term_one(plan: _Plan, g: TorusGeometry) -> np.ndarray:
     return plan(np.multiply, term, 4.0, term)
 
 
-def _torus_residual(g: TorusGeometry, h: float):
+def _torus_residual(g: TorusGeometry, h: float, ring=None):
     """f -> ``torus_evolution_residual`` of a state with geometry g and
-    u_t = f: a plan over arrays of its own, which reads g in place."""
+    u_t = f: a plan over arrays of its own, which reads g in place, and f
+    from the interior of ``ring`` (``_ringed`` (n,) + grid, made here if not
+    given).  The function's ``f_in`` is that interior and its ``evaluate()``
+    replays the plan on what ``f_in`` and g hold."""
     n, m, grid = g.df.shape[0], g.df.shape[1], g.df.shape[2:]
     plan, inner = _Plan(), _inner(m)
-    ring, sigma_ring = _ringed((n,), grid), _ringed((), grid)
+    ring = _ringed((n,), grid) if ring is None else ring
+    sigma_ring = _ringed((), grid)
     df_t = _stencil(plan, ring, m, hess=False)[0][inner]  # 2h d(f), axis indices leading
     inv_df = plan(_einsum, "ij...,aj...->ia...", _square(plan, g.inv), g.df,
                   np.zeros(df_t.shape))
@@ -572,30 +713,31 @@ def _torus_residual(g: TorusGeometry, h: float):
     plan(np.abs, res, res)
     f_in = ring[inner]
 
-    def residual(f):
-        np.copyto(f_in, f)
+    def evaluate():
         plan.run()
         return float(res.max())
 
+    def residual(f):
+        np.copyto(f_in, f)
+        return evaluate()
+
+    residual.f_in, residual.evaluate = f_in, evaluate
     return residual
 
 
-def torus_evolution_residual(st: TorusFlowState, f=None, residual=None) -> float:
+def torus_evolution_residual(st: TorusFlowState) -> float:
     """Max-norm defect of the scalar evolution identity on one state.
 
     d_t sigma - eta^{ij} d_i d_j sigma - sum_i term_I with sigma = tr_eta S,
     evaluated on the integrated (reparametrized) solution, where the
     reparametrizing drift combines with the rough Laplacian into the plain
     eta^{ij} second-difference form.  The time derivative comes from the
-    right-hand side f = ``torus_rhs`` (a run passes the one its march already
-    has; a fresh state's is the one its geometry's stage returned) by the
-    chain rule: d_t sigma = 2 tr d_t eta^{-1} = -2 tr(eta^{-1} d_t eta eta^{-1}),
+    right-hand side f = ``torus_rhs`` (a run's rows take the one the march
+    evaluated; a fresh state's is the one its geometry's stage returned) by
+    the chain rule: d_t sigma = 2 tr d_t eta^{-1} = -2 tr(eta^{-1} d_t eta eta^{-1}),
     d_t eta = d(f)^T df + df^T d(f), with d(f) the stencil gradient of f.
-    ``residual`` is ``_torus_residual`` of the state's geometry, which a
-    run's rows build once; without it one is built here.
     """
-    residual = residual or _torus_residual(st.geometry, st.h)
-    return residual(st._stage[1] if f is None else f)
+    return _torus_residual(st.geometry, st.h)(st._stage[1])
 
 
 # ---------------------------------------------------------------------------
@@ -1133,27 +1275,44 @@ def run(cfg: FlowConfig) -> FlowSeries:
         return _run_torus(cfg) if cfg.case == "torus" else _run_equivariant(cfg)
 
 
-def _march(series: FlowSeries, y: np.ndarray, rhs, cfl_dt, record,
-           records: int) -> FlowSeries:
-    """Integrate y from 0 to the series' ``t_end`` by RKC2 and append
-    ``records`` + 1 rows.
-
-    Each record interval of length gap is split into ceil(gap / h) equal steps
-    (time error O(h^2), like space); each step takes its stages from
-    ``cfl_dt(y, t)``, the explicit step the state allows.  At each row time
-    the right-hand side f = rhs(y, t) is evaluated once: ``record(y, t, f)``
-    gives the row's values after its time, and the next step takes f as its
-    first stage.  Every row, the first included, aborts the run at a stretch
-    past ``LAMBDA_ABORT`` or NaN.  Stage evaluations count against ``MAX_STEPS``.
-    """
-    t_end, h = series.meta["t_end"], series.meta["h"]
+def _schedule(case: str, t_end: float, h: float, records: int, dt: float, points: int,
+              per_point: int):
+    """(steps per record, steps, step, dt) of a run from 0 to t_end with
+    ``records`` + 1 rows: each record interval of length gap is split into
+    ceil(gap / h) equal steps (time error O(h^2), like space).  The plan takes
+    every step at the stages of ``dt``, the explicit step the state at t = 0
+    allows, on ``points`` grid points of ``per_point`` work units each.  A
+    plan past ``MAX_STEPS`` right-hand-side evaluations, or past ``MAX_WORK``
+    units with a row counted as ``ROW_STAGES`` stages, is refused."""
     per_record = max(1, math.ceil(t_end / records / h))
     n_steps = records * per_record
     step = t_end / n_steps
-    dt = cfl_dt(y, 0.0)
-    if _rkc_stages(step, dt, MAX_STEPS // n_steps) is None:
-        raise ValueError(f"{series.meta['case']} run of {n_steps} steps needs more than "
-                         f"{MAX_STEPS} right-hand-side evaluations, the cap; lower t_end")
+    s = _rkc_stages(step, dt, MAX_STEPS // n_steps)
+    if s is None:
+        raise ValueError(f"{case} run of {n_steps} steps needs more than {MAX_STEPS} "
+                         "right-hand-side evaluations, the cap; lower t_end")
+    work = (n_steps * s + (records + 1) * ROW_STAGES) * points * per_point
+    if work > MAX_WORK:
+        raise ValueError(f"{case} run plans {n_steps * s} evaluations and {records + 1} rows "
+                         f"on {points} points, {work:.2e} units of work, more than "
+                         f"{MAX_WORK}, the budget; lower t_end, grid, m or monitor_every")
+    return per_record, n_steps, step, dt
+
+
+def _march(series: FlowSeries, y: np.ndarray, rhs, cfl_dt, record, schedule) -> FlowSeries:
+    """Integrate y from 0 to the series' ``t_end`` by RKC2 on the steps of
+    ``schedule`` (``_schedule``) and append a row at t = 0 and after every
+    record interval.
+
+    Each step takes its stages from the explicit step the state allows: the
+    first from the schedule's dt, every later one from ``cfl_dt(y, t)``.  At
+    each row time the right-hand side f = rhs(y, t) is evaluated once:
+    ``record(y, t, f)`` gives the row's values after its time, and the next
+    step takes f as its first stage.  Every row, the first included, aborts
+    the run at a stretch past ``LAMBDA_ABORT`` or NaN.  Stage evaluations
+    count against ``MAX_STEPS``.
+    """
+    per_record, n_steps, step, dt = schedule
 
     def row(y, t):
         f = rhs(y, t)
@@ -1189,11 +1348,15 @@ def _march(series: FlowSeries, y: np.ndarray, rhs, cfl_dt, record,
 def _run_torus(cfg: FlowConfig) -> FlowSeries:
     st = _torus_initial(cfg)
     dt = torus_cfl_dt(st)  # eta^{-1} <= I: the same bound at every state
+    schedule = _schedule("torus", cfg.t_end, st.h, cfg.monitor_every or 120, dt,
+                         st.u[0].size, st.m**2)  # before the run's arrays are made
     field = _torus_field(st)
     series = FlowSeries(meta={"case": "torus", "h": st.h, "t_end": cfg.t_end,
                               "config": cfg.to_dict(), "a_used": None})
-    return _march(series, st.u, field, lambda u, t: dt, _torus_record(st, field),
-                  cfg.monitor_every or 120)
+    with _torus_record(st, field) as record:
+        _march(series, st.u, field, lambda u, t: dt, record, schedule)
+        series.residual = record.settle()
+    return series
 
 
 def _run_equivariant(cfg: FlowConfig) -> FlowSeries:
@@ -1204,12 +1367,14 @@ def _run_equivariant(cfg: FlowConfig) -> FlowSeries:
         t_end = cfg.t_end_frac_of_extinction * t_cap
     if t_end >= t_cap:
         raise ValueError(f"t_end {t_end} reaches background extinction {t_cap}")
-    # metric_factor is exactly 1.0 on a static path, yet costs ten times a
-    # constant, and the radii are read at every stage
-    f_m, f_n = (p.metric_factor if p.mode == "ricci" else (lambda t: 1.0) for p in (pm, pn))
+    # the metric factors 1 - L t (``BackgroundPath.metric_factor``, 1.0 on a
+    # static path, where L = 0) from the rates, read once: the radii are read
+    # at every stage, at times inside the paths' range
+    rate_m, rate_n = pm.einstein_rate, pn.einstein_rate
 
     def radii(t):
-        return cfg.radius_m * math.sqrt(f_m(t)), cfg.radius_n * math.sqrt(f_n(t))
+        return (cfg.radius_m * math.sqrt(1.0 - rate_m * t),
+                cfg.radius_n * math.sqrt(1.0 - rate_n * t))
 
     st = _equivariant_initial(cfg)
     # r sqrt(1.0) = r: a static run's field takes its radii once
@@ -1219,14 +1384,17 @@ def _run_equivariant(cfg: FlowConfig) -> FlowSeries:
     def record(rho, t, f):
         now = EquivariantFlowState(cfg.m, cfg.n, rho, st.boundary_class, t)
         vars(now)["sin_theta"] = field.sin_theta  # primes the cached_property
-        return (*equivariant_monitor(now, *radii(t)), float(abs(f).max()), f_m(t), f_n(t))
+        return (*equivariant_monitor(now, *radii(t)), float(abs(f).max()),
+                1.0 - rate_m * t, 1.0 - rate_n * t)
 
     series = FlowSeries(meta={
         "case": "equivariant", "h": st.h, "t_end": t_end,
         "config": cfg.to_dict(),
         "a_used": _coupling_constant(cfg, pm, pn, t_end) if math.isfinite(t_cap) else None,
     })
-    _march(series, st.rho, field, field.cfl_dt, record, cfg.monitor_every or 120)
+    schedule = _schedule("equivariant", t_end, st.h, cfg.monitor_every or 120,
+                         field.cfl_dt(st.rho, 0.0), st.rho.size - 2, 1)
+    _march(series, st.rho, field, field.cfl_dt, record, schedule)
     if series.meta["a_used"] is not None:
         series.meta["a_min_observed"] = smallest_monotone_rate(series)
     return series

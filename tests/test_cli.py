@@ -27,13 +27,14 @@ OVERSIZED = [{"case": "torus", "grid": 100000000}, {"case": "torus", "m": 30, "g
              {"case": "equivariant", "grid": 1000000000000}]
 
 
-def child(args):
-    """The CLI run in a child interpreter that imports the same areaflow as
-    the tests, installed or not, with every warning shown."""
+def child(args, module=("-m", "areaflow.cli")):
+    """The CLI (or the code of ``("-c", code)``) run in a child interpreter
+    that imports the same areaflow as the tests, installed or not, with every
+    warning shown."""
     src = str(Path(areaflow.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-W", "always", "-m", "areaflow.cli", *args],
+    return subprocess.run([sys.executable, "-W", "always", *module, *args],
                           capture_output=True, text=True, env=env)
 
 
@@ -322,6 +323,41 @@ class TestFlowCommand:
                      "--out", str(tmp_path)])
         assert code == 1
         assert "winding" in json.loads(capsys.readouterr().err)["error"]
+        assert not list(tmp_path.glob("flow_*"))
+
+    # a torus run's helper process writes nothing: its residuals go back over
+    # a pipe, and it leaves through os._exit
+    def test_torus_run_with_a_helper_keeps_stderr_empty(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"case": "torus", "grid": 16, "t_end": 0.1,
+                                       "monitor_every": 8}))
+        proc = child(["flow", "--case", "torus", "--config", str(cfgfile),
+                      "--out", str(tmp_path)])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["records"] == 9
+
+    # what the interpreter buffered before the fork, and its atexit hooks,
+    # come out once: the helper neither flushes the stdio it inherits nor
+    # runs the hooks
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper is forked")
+    def test_the_helper_flushes_no_inherited_stdio(self):
+        code = ("import atexit, sys\n"
+                "from areaflow.flow import FlowConfig, run\n"
+                "atexit.register(print, 'atexit')\n"
+                "sys.stdout.write('buffered ')\n"
+                "run(FlowConfig(case='torus', grid=8, t_end=0.05, monitor_every=4))\n")
+        proc = child([], module=("-c", code))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "buffered atexit\n", "")
+
+    @pytest.mark.parametrize("config", [{"case": "torus", "grid": 8, "t_end": 1e6},
+                                        {"case": "torus", "grid": 4, "monitor_every": 5000000}])
+    def test_overworked_config_exits_1_with_json_error(self, config, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        code = main(["flow", "--case", "torus", "--config", str(cfgfile), "--out", str(tmp_path)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert "units of work" in err and all(key in err for key in config if key != "case")
         assert not list(tmp_path.glob("flow_*"))
 
     @pytest.mark.parametrize("config", OVERSIZED)

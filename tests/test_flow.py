@@ -1,4 +1,11 @@
+import contextlib
+import io
+import json
 import math
+import os
+import signal
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -7,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as hs
 
 from areaflow import flow
+from areaflow.cli import main as cli_main
 from areaflow.flow import (
     EquivariantFlowState,
     FlowConfig,
@@ -28,6 +36,7 @@ from areaflow.flow import (
     torus_step,
 )
 from areaflow.profile import s_of
+from areaflow.spaces import BackgroundPath
 
 
 def torus_state(grid=24, lin=None, u=None, m=2, n=2):
@@ -1345,3 +1354,224 @@ class TestConfigFuzz:
             series = run(FlowConfig.from_dict(d))
         assert caught == [], d
         assert series.abort_reason is None or len(series.abort_reason) < 60, d
+
+
+# Torus runs whose rows the helper process serves: m = 2, 3 and 4, a wound
+# n = 3 map, many rows close together, and the abort configs (a first row past the guard, and two maps
+# whose first stage leaves the float range)
+HELPER_CONFIGS = {
+    "m2": {"case": "torus", "grid": 16, "t_end": 0.1, "preset": "linear_sine",
+           "amplitude": 0.1, "monitor_every": 8},
+    "m3": {"case": "torus", "m": 3, "n": 2, "grid": 8, "t_end": 0.05, "monitor_every": 5},
+    "m4": {"case": "torus", "m": 4, "n": 2, "grid": 5, "t_end": 0.05, "monitor_every": 5},
+    "wound_n3": {"case": "torus", "n": 3, "grid": 12, "t_end": 0.1, "amplitude": 0.05,
+                 "winding": [[1, 0], [0, 1], [1, 1]], "monitor_every": 6},
+    # rows one two-stage step apart, each asked for before the last is done
+    "many_rows": {"case": "torus", "grid": 8, "t_end": 0.2, "monitor_every": 200},
+    "amplitude_60": {"case": "torus", "grid": 16, "amplitude": 60.0},
+    "m4_amplitude_1e160": OVERFLOWING["torus_m4"],
+    "amplitude_1e300": OVERFLOWING["torus"],
+}
+
+
+def helpers_forked(monkeypatch) -> list:
+    """The pids of the helpers ``os.fork`` starts from here on."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def flow_bytes(config, tmp_path, name) -> tuple:
+    """CSV and manifest bytes of ``areaflow flow`` on a config."""
+    out = tmp_path / name
+    out.mkdir()
+    (out / "cfg.json").write_text(json.dumps(config))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["flow", "--case", "torus", "--config", str(out / "cfg.json"),
+                         "--out", str(out)]) == 0
+    return (out / "flow_torus.csv").read_bytes(), (out / "flow_torus.manifest.json").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper is forked")
+class TestRowHelper:
+    """A torus run's residuals, worked out in a forked helper, are the bytes
+    the rows would work out themselves, and no helper outlives its run."""
+
+    @pytest.mark.parametrize("name", sorted(HELPER_CONFIGS))
+    def test_helper_and_in_process_rows_write_the_same_bytes(self, name, tmp_path,
+                                                             monkeypatch):
+        pids = helpers_forked(monkeypatch)
+        served = flow_bytes(HELPER_CONFIGS[name], tmp_path, "helper")
+        assert len(pids) == 1
+        monkeypatch.delattr(os, "fork")
+        assert flow_bytes(HELPER_CONFIGS[name], tmp_path, "in_process") == served
+        assert_no_child_left()
+
+    def test_a_second_thread_keeps_the_rows_in_process(self, tmp_path, monkeypatch):
+        pids = helpers_forked(monkeypatch)
+        served = flow_bytes(HELPER_CONFIGS["m2"], tmp_path, "helper")
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert flow_bytes(HELPER_CONFIGS["m2"], tmp_path, "threaded") == served
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive() and len(pids) == 1
+
+    # killed right after a row asked for its residual, so the next row finds
+    # either the reply or EOF, and rows after it find the pipe closed
+    @pytest.mark.parametrize("row", [0, 1, 4])
+    def test_a_killed_helper_leaves_the_same_bytes(self, row, tmp_path, monkeypatch):
+        config = HELPER_CONFIGS["m2"]
+        served = flow_bytes(config, tmp_path, "helper")
+        pids, rows = helpers_forked(monkeypatch), []
+        monitor = flow.torus_monitor
+
+        def killing(st):
+            if len(rows) == row:
+                os.kill(pids[0], signal.SIGKILL)
+            rows.append(st.t)
+            return monitor(st)
+
+        monkeypatch.setattr(flow, "torus_monitor", killing)
+        assert flow_bytes(config, tmp_path, "killed") == served
+        assert len(rows) == config["monitor_every"] + 1
+        assert_no_child_left()
+
+    def test_no_helper_outlives_a_run_that_ends(self, monkeypatch):
+        pids = helpers_forked(monkeypatch)
+        assert run(FlowConfig.from_dict(HELPER_CONFIGS["m2"])).abort_reason is None
+        assert len(pids) == 1
+        assert_no_child_left()
+
+    def test_no_helper_outlives_an_aborted_run(self, monkeypatch):
+        pids = helpers_forked(monkeypatch)
+        series = run(FlowConfig.from_dict(HELPER_CONFIGS["amplitude_60"]))
+        assert series.abort_reason.startswith("lambda_max")
+        assert len(series.residual) == 1 and series.residual[0] > 0
+        assert len(pids) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_no_helper_outlives_an_error_mid_march(self, error, monkeypatch):
+        pids, steps = helpers_forked(monkeypatch), []
+        step = flow._rkc_step
+
+        def failing(*args):
+            steps.append(1)
+            if len(steps) == 3:
+                raise error("mid-march")
+            return step(*args)
+
+        monkeypatch.setattr(flow, "_rkc_step", failing)
+        with pytest.raises(error, match="mid-march"):
+            run(FlowConfig.from_dict(HELPER_CONFIGS["m2"]))
+        assert len(pids) == 1
+        assert_no_child_left()
+
+
+# The ``t_end`` 1e6 grid-8 torus plans 2.3e9 units of stage work (about 15
+# minutes), the m = 3 grid-70 one 1.9e9 and the largest m = 2 torus the size
+# cap admits 1.05e10; the grid-4 torus with 5e6 rows plans 6.4e8 units of
+# stages and 1.3e9 of rows, about 20 minutes and a 0.5 GB CSV.
+OVERWORKED = [{"case": "torus", "grid": 8, "t_end": 1e6},
+              {"case": "torus", "m": 3, "n": 1, "grid": 70},
+              {"case": "torus", "grid": 722},
+              {"case": "torus", "grid": 4, "monitor_every": 5000000}]
+
+
+class _Admitted(Exception):
+    """Raised where a run admitted by its plan would start marching."""
+
+
+class TestWorkBudget:
+    @pytest.mark.parametrize("config", OVERWORKED)
+    def test_overworked_run_refused_at_once(self, config, monkeypatch):
+        def built(st):
+            raise AssertionError("the run built its stage")
+
+        monkeypatch.setattr(flow, "_torus_field", built)  # so a run admitted fails fast
+        cfg = FlowConfig.from_dict(config)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="units of work") as err:
+            run(cfg)
+        assert time.perf_counter() - start < 1.0
+        assert all(key in str(err.value) for key in ("t_end", "grid", "m", "monitor_every"))
+
+    @pytest.mark.parametrize("config", [
+        # criteria 6 (grids 64 and 128), 7, 8 and 9
+        {"case": "torus", "grid": 64, "t_end": 0.5, "preset": "linear_sine", "monitor_every": 40},
+        {"case": "torus", "grid": 128, "t_end": 0.5, "preset": "linear_sine", "monitor_every": 40},
+        {"case": "equivariant", "m": 3, "n": 3, "grid": 512, "t_end": 2.0, "amplitude": 0.8,
+         "monitor_every": 120},
+        {"case": "equivariant", "m": 3, "n": 3, "grid": 512, "amplitude": 0.8,
+         "background_m": "ricci", "background_n": "ricci", "t_end_frac_of_extinction": 0.9,
+         "t_end": 0.0, "monitor_every": 120},
+        {"case": "equivariant", "m": 3, "n": 3, "grid": 64, "t_end": 0.2, "amplitude": 0.8,
+         "monitor_every": 20},
+        # the benchmark's jobs, at the ends of their amplitude ranges
+        {"case": "equivariant", "m": 3, "n": 3, "grid": 128, "t_end": 2.0, "amplitude": 0.82,
+         "monitor_every": 120},
+        {"case": "equivariant", "m": 3, "n": 3, "grid": 128, "amplitude": 0.78,
+         "background_m": "ricci", "background_n": "ricci", "t_end_frac_of_extinction": 0.9,
+         "t_end": 0.0, "monitor_every": 120},
+        {"case": "torus", "grid": 48, "t_end": 0.5, "preset": "linear_sine", "amplitude": 0.105,
+         "monitor_every": 40},
+        {"case": "torus", "grid": 96, "t_end": 0.5, "preset": "linear_sine", "amplitude": 0.095,
+         "monitor_every": 40},
+        # the m = 3 torus the roadmap's benchmark adds, and criterion 6 at grid 512
+        {"case": "torus", "m": 3, "n": 2, "grid": 24},
+        {"case": "equivariant", "m": 3, "n": 3, "grid": 512, "t_end": 2.0, "amplitude": 0.8},
+    ])
+    def test_acceptance_and_benchmark_runs_admitted(self, config, monkeypatch):
+        def reached(*args):
+            raise _Admitted
+
+        monkeypatch.setattr(flow, "_march", reached)
+        with pytest.raises(_Admitted):
+            run(FlowConfig.from_dict(config))
+
+    # a torus takes every step at the stages of the same CFL step, so its
+    # evaluations are the plan's
+    def test_budget_edge(self, monkeypatch):
+        cfg = FlowConfig(case="torus", grid=8, t_end=0.05, monitor_every=10)
+        meta = run(cfg).meta
+        planned = (meta["rhs_evals"] + 11 * flow.ROW_STAGES) * 8**2 * 2**2
+        monkeypatch.setattr(flow, "MAX_WORK", planned)
+        run(cfg)
+        monkeypatch.setattr(flow, "MAX_WORK", planned - 1)
+        with pytest.raises(ValueError, match=f"more than {planned - 1}, the budget"):
+            run(cfg)
+
+
+class TestShrinkingRadii:
+    # a stage reads its radii as float work on the paths' rates; the scale
+    # columns are the paths' metric factors to the bit
+    def test_radii_read_no_path_per_stage(self, monkeypatch):
+        calls = []
+        factor = BackgroundPath.metric_factor
+        monkeypatch.setattr(BackgroundPath, "metric_factor",
+                            lambda self, t: calls.append(t) or factor(self, t))
+        cfg = FlowConfig(case="equivariant", m=3, n=3, grid=32, preset="sine", amplitude=0.5,
+                         background_m="ricci", t_end_frac_of_extinction=0.5, t_end=0.0,
+                         monitor_every=10)
+        series = run(cfg)
+        assert series.meta["rhs_evals"] > 20 and len(calls) == 2  # the coupling constant's
+        monkeypatch.undo()
+        pm, pn = flow._paths(cfg)
+        for t, sm, sn in zip(series.times, series.scale_m, series.scale_n):
+            assert (sm, sn) == (pm.metric_factor(t), 1.0)
