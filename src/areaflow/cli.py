@@ -39,6 +39,7 @@ from .evolution import (
     sweep_positivity,
     sweep_term_II,
 )
+from .fanout import fan_out
 from .flow import FlowConfig, run
 from .persist import output_dir, persist_series, to_json, write_json
 from .spaces import ModelSpace, bounds as space_bounds
@@ -117,17 +118,17 @@ def _suite_pass(suite: dict) -> bool:
 def _cmd_verify(args) -> int:
     n = args.sweep
     seed = args.seed
-    suites = [
-        sweep_algebra(n, seed),
-        sweep_gradient_formula(min(n, 5000), seed + 1),
-        sweep_term_II(n, seed + 2),
-        sweep_positivity(min(n, 10000), seed + 3, alpha_positive=True),
-        sweep_positivity(min(n, 10000), seed + 4, alpha_positive=False),
-        sweep_bound("A", min(n, 10000), seed + 5),
-        sweep_bound("B", min(n, 10000), seed + 6),
-        sweep_bound("C", min(n, 10000), seed + 7),
-        sweep_bound("D", min(n, 10000), seed + 8),
-    ]
+    suites = fan_out([
+        lambda: sweep_algebra(n, seed),
+        lambda: sweep_gradient_formula(min(n, 5000), seed + 1),
+        lambda: sweep_term_II(n, seed + 2),
+        lambda: sweep_positivity(min(n, 10000), seed + 3, alpha_positive=True),
+        lambda: sweep_positivity(min(n, 10000), seed + 4, alpha_positive=False),
+        lambda: sweep_bound("A", min(n, 10000), seed + 5),
+        lambda: sweep_bound("B", min(n, 10000), seed + 6),
+        lambda: sweep_bound("C", min(n, 10000), seed + 7),
+        lambda: sweep_bound("D", min(n, 10000), seed + 8),
+    ])
     for s in suites:
         s["pass"] = _suite_pass(s)
     ok = all(s["pass"] for s in suites)
@@ -177,14 +178,18 @@ _DEMO_AUDITS = [
 
 
 def _cmd_report(args) -> int:
-    # the sweeps run first, so a bad sample count fails before a file is written
-    sweeps = [
-        sweep_algebra(args.sweep, args.seed),
-        sweep_term_II(args.sweep, args.seed + 1),
-        sweep_positivity(min(args.sweep, 2000), args.seed + 2, alpha_positive=True),
-        sweep_bound("A", min(args.sweep, 2000), args.seed + 3),
-        sweep_bound("C", min(args.sweep, 2000), args.seed + 4),
-    ]
+    # the sweeps and the flow run first, so a bad sample count fails before a
+    # file is written
+    cfg = FlowConfig(case="equivariant", m=3, n=3, grid=128, t_end=1.0,
+                     preset="sine", amplitude=0.8)
+    *sweeps, series = fan_out([
+        lambda: sweep_algebra(args.sweep, args.seed),
+        lambda: sweep_term_II(args.sweep, args.seed + 1),
+        lambda: sweep_positivity(min(args.sweep, 2000), args.seed + 2, alpha_positive=True),
+        lambda: sweep_bound("A", min(args.sweep, 2000), args.seed + 3),
+        lambda: sweep_bound("C", min(args.sweep, 2000), args.seed + 4),
+        lambda: run(cfg),
+    ])
     for s in sweeps:
         s["pass"] = _suite_pass(s)
     outdir = output_dir(args.out)
@@ -198,10 +203,6 @@ def _cmd_report(args) -> int:
         audit_payload.append(entry)
     write_json({"audits": audit_payload}, outdir / "report_audits.json")
     write_json({"suites": sweeps}, outdir / "report_sweeps.json")
-
-    cfg = FlowConfig(case="equivariant", m=3, n=3, grid=128, t_end=1.0,
-                     preset="sine", amplitude=0.8)
-    series = run(cfg)
     persist_series(series, outdir, "report_flow_s3", version=__version__)
     mono = bool((np.diff(series.m_of_t) >= -1e-8).all())
 

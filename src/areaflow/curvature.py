@@ -40,6 +40,8 @@ from functools import partial
 
 import numpy as np
 
+from .fanout import fan_out
+
 ALG_TOL = 1e-12  # tolerance for exact algebraic identities
 
 
@@ -724,20 +726,22 @@ def bounds_of(r: CurvatureTensor, g: SymBilinear | None = None, *,
     its dual, certified to ALG_TOL (``sectional_range``); ric3 and chi
     extremes, and the sectional ones in dim >= 5, come from seeded frame
     optimization and are reported to the accuracy the optimizer achieved.
-    ``seed`` matters only to the optimizer runs.
+    ``seed`` matters only to the optimizer runs.  In dim >= 4 the chi, ric3
+    and sectional runs are independent and are shared with a forked child
+    where a second core is free (``fanout.fan_out``), which changes no
+    number.
     """
     comp = _orthonormalize_tensor(r, g)
     rr = CurvatureTensor(comp)
-    kappa, tau = sectional_range(rr, seed=seed)
     ric_eigs = np.linalg.eigvalsh(ricci_matrix(rr))
     scal = float(ric_eigs.sum())
-    if rr.dim >= 3:
-        r3 = ric3_min(rr, seed=seed + 2)
+    if rr.dim >= 4:  # three independent runs, the largest first (``fan_out``)
+        chi, r3, (kappa, tau) = fan_out([lambda: chi_ic1(rr, seed=seed + 3),
+                                         lambda: ric3_min(rr, seed=seed + 2),
+                                         lambda: sectional_range(rr, seed=seed)])
     else:
-        r3 = float("nan")
-    if rr.dim >= 4:
-        chi = chi_ic1(rr, seed=seed + 3)
-    else:
+        kappa, tau = sectional_range(rr, seed=seed)
+        r3 = ric3_min(rr, seed=seed + 2) if rr.dim == 3 else float("nan")
         chi = float(ric_eigs.min())  # low-dimensional Ricci convention
     return CurvatureBounds(
         dim=rr.dim,

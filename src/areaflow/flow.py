@@ -25,9 +25,10 @@ itself evolves:
   forks replays the residual plan on them while the march takes the next
   step; the run keeps the geometry plan, the monitor and the stretch guard,
   and collects a residual before the next row overwrites what it reads.
-  Where ``os.fork`` is missing or a second Python thread runs, or once the
-  helper has died, the run replays the residual itself.  Either way every
-  number is the same to the bit;
+  Where ``os.fork`` is missing, a second Python thread runs or the process
+  may use only one CPU (``fanout.can_fork``), or once the helper has died,
+  the run replays the residual itself.  Either way every number is the
+  same to the bit;
 
 * equivariant sphere suspensions f(theta, xi) = (rho(theta), xi) between
   round spheres of radii r_M, r_N:
@@ -66,7 +67,8 @@ stage.  ``MAX_STEPS`` caps the right-hand-side evaluations of a run: a run
 planned beyond it is refused, one that outgrows it is aborted.  ``MAX_WORK``
 caps a run's planned work, its stages and rows over its grid points, and a
 run planned beyond it is refused before it starts (a torus before it builds
-its stage).
+its stage, an equivariant run whose least plan, two stages a step, passes
+either cap before it builds its profile and field).
 ``MAX_ENTRIES`` caps the size of a run's largest array, and a config past it
 is refused.  Every row, the one at t = 0 included, aborts a run whose
 largest stretch passes ``LAMBDA_ABORT`` or is NaN.
@@ -74,22 +76,20 @@ largest stretch passes ``LAMBDA_ABORT`` or is NaN.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import math
 import mmap
 import numbers
 import os
-import signal
 import struct
 import sys
-import threading
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
+from . import fanout
 from .evolution import C0
 from .profile import s_of
 from .spaces import BackgroundPath, ModelSpace
@@ -509,10 +509,11 @@ class _Rows:
     or ``settle()`` at the end of a run collects it into ``column``, so the
     column fills in row order.  Inside ``with``, a helper process forked on
     entry replays the residual (``_torus_residual``) while the march takes
-    the next step.  Without one (no ``os.fork``, or a second Python thread,
-    which a fork would not carry over), or from a row whose helper died, the
-    rows replay it here.  Either way the column holds the same bytes.  The
-    helper is reaped on leaving ``with``, whatever ends the run.
+    the next step.  Without one (where ``fanout.can_fork`` does not hold: no
+    ``os.fork``, a second Python thread, or a single CPU), or from a row
+    whose helper died, the rows replay it here.  Either way the column holds
+    the same bytes.  The helper is reaped on leaving ``with``, whatever ends
+    the run.
     """
 
     def __init__(self, st: TorusFlowState, plan: _Plan, geometry: TorusGeometry, residual):
@@ -548,17 +549,17 @@ class _Rows:
         return self.column
 
     def __enter__(self) -> _Rows:
-        if hasattr(os, "fork") and threading.active_count() == 1:
+        if fanout.can_fork():
             request, reply = os.pipe(), os.pipe()
             try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the rows replay residuals here
-                pid = None
-            if pid == 0:
-                self._serve(request, reply)
+                pid = fanout.fork(lambda: self._serve(request, reply))
+            except BaseException:  # an interrupt as the fork returned, its child reaped
+                for fd in (*request, *reply):
+                    os.close(fd)
+                raise
             os.close(request[0])
             os.close(reply[1])
-            if pid is None:
+            if pid is None:  # no process to spare: the rows replay residuals here
                 os.close(request[1])
                 os.close(reply[0])
             else:
@@ -576,24 +577,15 @@ class _Rows:
             self.helper = None
             os.close(request)
             os.close(reply)
-            os.waitpid(pid, 0)
+            fanout.reap(pid)
 
     def _serve(self, request, reply) -> None:
-        """The helper's life: one residual per byte read from ``request``, its
-        8 bytes written to ``reply``, until EOF.  It leaves only through
-        ``os._exit``, never into the caller's stack, stdio buffers or atexit
-        hooks."""
-        status = 1
-        try:
-            os.close(request[1])
-            os.close(reply[0])
-            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends it
-            gc.disable()  # a collection here could finalize the parent's objects
-            while os.read(request[0], 1):
-                os.write(reply[1], struct.pack("d", self.residual.evaluate()))
-            status = 0
-        finally:
-            os._exit(status)
+        """The helper's life (``fanout.fork``): one residual per byte read from
+        ``request``, its 8 bytes written to ``reply``, until EOF."""
+        os.close(request[1])
+        os.close(reply[0])
+        while os.read(request[0], 1):
+            os.write(reply[1], struct.pack("d", self.residual.evaluate()))
 
 
 def torus_step(st: TorusFlowState, dt: float) -> TorusFlowState:
@@ -1275,19 +1267,22 @@ def run(cfg: FlowConfig) -> FlowSeries:
         return _run_torus(cfg) if cfg.case == "torus" else _run_equivariant(cfg)
 
 
-def _schedule(case: str, t_end: float, h: float, records: int, dt: float, points: int,
+def _schedule(case: str, t_end: float, h: float, records: int, dt: float | None, points: int,
               per_point: int):
     """(steps per record, steps, step, dt) of a run from 0 to t_end with
     ``records`` + 1 rows: each record interval of length gap is split into
     ceil(gap / h) equal steps (time error O(h^2), like space).  The plan takes
     every step at the stages of ``dt``, the explicit step the state at t = 0
-    allows, on ``points`` grid points of ``per_point`` work units each.  A
-    plan past ``MAX_STEPS`` right-hand-side evaluations, or past ``MAX_WORK``
-    units with a row counted as ``ROW_STAGES`` stages, is refused."""
+    allows, on ``points`` grid points of ``per_point`` work units each; with
+    ``dt`` None, at the 2 stages every step takes at least, so a run can be
+    refused before its state is built.  A plan past ``MAX_STEPS``
+    right-hand-side evaluations, or past ``MAX_WORK`` units with a row
+    counted as ``ROW_STAGES`` stages, is refused."""
     per_record = max(1, math.ceil(t_end / records / h))
     n_steps = records * per_record
     step = t_end / n_steps
-    s = _rkc_stages(step, dt, MAX_STEPS // n_steps)
+    most = MAX_STEPS // n_steps
+    s = (2 if most >= 2 else None) if dt is None else _rkc_stages(step, dt, most)
     if s is None:
         raise ValueError(f"{case} run of {n_steps} steps needs more than {MAX_STEPS} "
                          "right-hand-side evaluations, the cap; lower t_end")
@@ -1376,6 +1371,9 @@ def _run_equivariant(cfg: FlowConfig) -> FlowSeries:
         return (cfg.radius_m * math.sqrt(1.0 - rate_m * t),
                 cfg.radius_n * math.sqrt(1.0 - rate_n * t))
 
+    records = cfg.monitor_every or 120
+    # the least plan first, before the profile and the field are made
+    _schedule("equivariant", t_end, math.pi / cfg.grid, records, None, cfg.grid - 1, 1)
     st = _equivariant_initial(cfg)
     # r sqrt(1.0) = r: a static run's field takes its radii once
     static = pm.mode == pn.mode == "static"
@@ -1392,8 +1390,8 @@ def _run_equivariant(cfg: FlowConfig) -> FlowSeries:
         "config": cfg.to_dict(),
         "a_used": _coupling_constant(cfg, pm, pn, t_end) if math.isfinite(t_cap) else None,
     })
-    schedule = _schedule("equivariant", t_end, st.h, cfg.monitor_every or 120,
-                         field.cfl_dt(st.rho, 0.0), st.rho.size - 2, 1)
+    schedule = _schedule("equivariant", t_end, st.h, records, field.cfl_dt(st.rho, 0.0),
+                         st.rho.size - 2, 1)
     _march(series, st.rho, field, field.cfl_dt, record, schedule)
     if series.meta["a_used"] is not None:
         series.meta["a_min_observed"] = smallest_monotone_rate(series)

@@ -1432,6 +1432,47 @@ class TestRowHelper:
             waiter.join(timeout=10)
         assert not waiter.is_alive() and len(pids) == 1
 
+    # a helper pays only with a second core to run on
+    def test_a_single_cpu_keeps_the_rows_in_process(self, tmp_path, monkeypatch):
+        pids = helpers_forked(monkeypatch)
+        served = flow_bytes(HELPER_CONFIGS["m2"], tmp_path, "helper")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert flow_bytes(HELPER_CONFIGS["m2"], tmp_path, "one_cpu") == served
+        assert len(pids) == 1
+        assert_no_child_left()
+
+    # no affinity mask (macOS): the CPU count decides, with the same bytes
+    def test_without_an_affinity_mask_the_cpu_count_decides(self, tmp_path, monkeypatch):
+        served = flow_bytes(HELPER_CONFIGS["m2"], tmp_path, "helper")
+        pids = helpers_forked(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        for cpus in (2, 1):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert flow_bytes(HELPER_CONFIGS["m2"], tmp_path, f"cpus_{cpus}") == served
+        assert len(pids) == 1
+        assert_no_child_left()
+
+    # an interrupt as the fork returns leaves no pipe of the helper open
+    def test_an_interrupted_fork_closes_the_pipes(self, monkeypatch):
+        made, pipe = [], os.pipe
+
+        def recorded():
+            fds = pipe()
+            made.extend(fds)
+            return fds
+
+        def interrupted(serve):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "pipe", recorded)
+        monkeypatch.setattr(flow.fanout, "fork", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(FlowConfig.from_dict(HELPER_CONFIGS["m2"]))
+        assert len(made) == 4
+        for fd in made:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
     # killed right after a row asked for its residual, so the next row finds
     # either the reply or EOF, and rows after it find the pipe closed
     @pytest.mark.parametrize("row", [0, 1, 4])
@@ -1544,6 +1585,26 @@ class TestWorkBudget:
         monkeypatch.setattr(flow, "_march", reached)
         with pytest.raises(_Admitted):
             run(FlowConfig.from_dict(config))
+
+    # the least plan (two stages a step) is refused before the profile and
+    # the field are made: this grid's field holds about a dozen arrays of
+    # 4e6 nodes, 512 MiB at its peak, and took 0.58 s to build
+    @pytest.mark.parametrize("config, cap", [
+        ({"case": "equivariant", "grid": flow.MAX_ENTRIES - 1}, "units of work"),
+        ({"case": "equivariant", "grid": 1000, "t_end": 1e5}, "right-hand-side evaluations"),
+    ])
+    def test_overworked_equivariant_run_refused_before_it_allocates(self, config, cap):
+        cfg = FlowConfig.from_dict(config)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=cap):
+                run(cfg)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 2**20
 
     # a torus takes every step at the stages of the same CFL step, so its
     # evaluations are the plan's

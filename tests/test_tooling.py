@@ -1,5 +1,5 @@
 """Tooling around the package: the benchmark tracer's targets, the README's
-commands and config keys, and the package's NumPy imports."""
+commands and config keys, the package's NumPy imports and its forks."""
 
 import ast
 import importlib.util
@@ -71,3 +71,24 @@ def test_no_module_imports_a_private_numpy_module():
                         if name.split(".")[0] == "numpy"
                         and any(part.startswith("_") for part in name.split("."))]
     assert not private, private
+
+
+def test_only_the_fanout_module_forks():
+    # a forked child must leave through ``os._exit`` with SIGINT ignored and
+    # the GC off; ``fanout.fork`` is the one place that sets that up
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "fanout.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [f"os.{node.value}"]  # hasattr(os, "fork") and the like
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name in ("os.fork", "os.forkpty", "os._exit")]
+    assert not found, found
