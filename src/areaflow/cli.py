@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -115,9 +116,15 @@ def _suite_pass(suite: dict) -> bool:
     return suite.get("min_gap", GAP_TOL) >= GAP_TOL and all(v <= 1e-12 for v in defects)
 
 
+def _require_seed(seed: int) -> None:
+    if seed < 0:  # NumPy's own refusal does not name the flag
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def _cmd_verify(args) -> int:
     n = args.sweep
     seed = args.seed
+    _require_seed(seed)
     suites = fan_out([
         lambda: sweep_algebra(n, seed),
         lambda: sweep_gradient_formula(min(n, 5000), seed + 1),
@@ -141,6 +148,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_flow(args) -> int:
+    stem = f"flow_{args.case}" if args.stem is None else args.stem
+    if stem in ("", ".", "..") or os.path.basename(stem) != stem:  # a file in --out
+        raise ValueError(f"stem must be a plain file name, got {stem!r}")
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
@@ -154,7 +164,6 @@ def _cmd_flow(args) -> int:
     cfg = FlowConfig.from_dict(raw)
     series = run(cfg)
     outdir = output_dir(args.out)
-    stem = args.stem or f"flow_{cfg.case}"
     csv_path, man_path = persist_series(series, outdir, stem, version=__version__)
     print(to_json({"csv": str(csv_path), "manifest": str(man_path),
                    "records": len(series.times),
@@ -180,6 +189,7 @@ _DEMO_AUDITS = [
 def _cmd_report(args) -> int:
     # the sweeps and the flow run first, so a bad sample count fails before a
     # file is written
+    _require_seed(args.seed)
     cfg = FlowConfig(case="equivariant", m=3, n=3, grid=128, t_end=1.0,
                      preset="sine", amplitude=0.8)
     *sweeps, series = fan_out([

@@ -215,6 +215,8 @@ def audit_conditions(space_m: ModelSpace, space_n: ModelSpace, conditions, *,
     ``seed`` is ignored: every bound is a closed form.  It stays accepted so
     that existing callers keep working.
     """
+    if not conditions:  # an audit of nothing would pass having checked nothing
+        raise ValueError(f"no condition to audit; choose from {CONDITIONS}")
     unknown = [c for c in conditions if c not in _CHECKS]
     if unknown:
         raise ValueError(f"unknown condition {unknown[0]!r}; choose from {CONDITIONS}")

@@ -1,4 +1,4 @@
-"""Independent work on a second core, and every ``os.fork`` of the package.
+"""Every child process of the package, its pipes and the memory it shares.
 
 ``fan_out(tasks)`` returns what ``[t() for t in tasks]`` returns.  Where a
 second process pays (``can_fork``), it forks one child: the parent runs
@@ -6,25 +6,30 @@ task 0 and the child task 1, and whichever is free claims the next index
 from a pipe that holds the rest.  The child sends each result back pickled.
 A task with no result, because it raised in either process or the child
 died, runs again in the parent, in task order, so the first failing task
-raises exactly as it would in sequence.  The child is reaped on every way
-out of ``fan_out``, after a SIGKILL if the parent is interrupted.
+raises exactly as it would in sequence.
 
-``fork`` starts such a child for any caller (a torus run's residual helper
-is the other one): it ignores SIGINT, keeps the GC off and leaves only
-through ``os._exit``.
+``Helper(value)`` works out ``value()`` in a child, once per request: a
+torus run's residuals, on arrays made by ``shared_zeros`` before the fork.
+Both children live by one lifecycle, ``_Child``'s.
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
+import math
+import mmap
 import os
 import pickle
 import signal
 import struct
 import threading
 
+import numpy as np
+
 _INDEX = struct.Struct("i")
 _HEADER = struct.Struct("iQ")  # task index, length of its pickled result
+_VALUE = struct.Struct("d")  # a helper's reply
 # The indices are written before the fork, so they must fit in the pipe's
 # buffer, which holds at least PIPE_BUF >= 512 bytes (POSIX); a longer list
 # runs in sequence.
@@ -44,44 +49,115 @@ def can_fork() -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-def fork(serve) -> int | None:
-    """The pid of a forked child that runs ``serve()``, or None where no
-    process can be spared.  The child ignores SIGINT (its parent ends it),
-    keeps the GC off (a collection could finalize objects the parent owns)
-    and leaves only through ``os._exit``, never into the caller's stack,
-    stdio buffers or atexit hooks: with 0 once ``serve`` returns, else 1.
-    SIGINT stays blocked across the fork, so the child cannot take it before
-    it ignores it; one that reached the parent meanwhile raises when the
-    mask is restored, after the child is killed and reaped."""
-    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        pid = os.fork()
-    except OSError:
-        pid = None
-    if pid == 0:
+def shared_zeros(*shapes) -> list:
+    """Zeroed float arrays of the given shapes, packed into one anonymous
+    shared mapping of exactly their size: a child forked after they are made
+    and this process read and write the same memory through them."""
+    sizes = [math.prod(shape) for shape in shapes]
+    buf = mmap.mmap(-1, 8 * sum(sizes))  # anonymous, shared and zero-filled
+    return [np.frombuffer(buf, float, size, 8 * start).reshape(shape)
+            for shape, size, start in zip(shapes, sizes, itertools.accumulate([0] + sizes))]
+
+
+class _Child:
+    """One forked child, which reads the pipe ``inbox`` and writes ``outbox``.
+
+    Entering ``with`` makes the pipes, writes ``queue`` (if given) into the
+    inbox and closes its write end, so the drained queue reads EOF, and
+    forks with SIGINT blocked.  The child ignores SIGINT, keeps the GC off
+    (a collection could finalize objects the parent owns), runs
+    ``serve(inbox, outbox)`` on its ends and leaves only through
+    ``os._exit``, never into the caller's stack, stdio buffers or atexit
+    hooks.  ``pid`` is None where no child pays (``can_fork``) or none could
+    be made.  Leaving ``with`` closes every end the parent holds, which a
+    live child reads as EOF, and reaps the child, after a SIGKILL if an
+    exception (a SIGINT taken during the fork included) is leaving.
+    """
+
+    def __init__(self, serve, queue: bytes | None = None):
+        self.serve, self.queue, self.held, self.pid = serve, queue, [], None
+
+    def __enter__(self):
+        if not can_fork():
+            return self
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            try:
+                self.held += os.pipe()
+                self.held += os.pipe()
+                self.inbox, self.outbox = self.held[:2], self.held[2:]
+                if self.queue is not None:
+                    os.write(self.inbox[1], self.queue)
+                    self._close(self.inbox[1])
+                self.pid = os.fork()
+                if self.pid == 0:
+                    self._run(blocked)
+                self._close(self.outbox[1])
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+        except OSError:  # no pipe or process to spare
+            self.close()
+        except BaseException:
+            self.close(kill=True)
+            raise
+        return self
+
+    def __exit__(self, kind, *_) -> None:
+        self.close(kill=kind is not None)
+
+    def close(self, kill: bool = False) -> None:
+        while self.held:
+            os.close(self.held.pop())
+        if self.pid:
+            pid, self.pid = self.pid, None
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    def _run(self, blocked) -> None:
         status = 1
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
             gc.disable()
-            serve()
+            for fd in set(self.held) - {self.inbox[0], self.outbox[1]}:
+                os.close(fd)
+            self.serve(self.inbox[0], self.outbox[1])
             status = 0
         finally:
             os._exit(status)
-    try:
-        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-    except BaseException:
-        if pid:
-            reap(pid, kill=True)
-        raise
-    return pid
+
+    def _close(self, fd: int) -> None:
+        self.held.remove(fd)
+        os.close(fd)
 
 
-def reap(pid: int, *, kill: bool = False) -> None:
-    """Waits for the child ``pid``, after a SIGKILL if ``kill``."""
-    if kill:
-        os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
+class Helper(_Child):
+    """``value()``, a float, worked out in a child forked on entering ``with``
+    where ``can_fork`` holds: ``ask()`` sends a request byte, ``answer()``
+    reads the value's 8 bytes.  A request cannot fail: the parent holds the
+    inbox's read end, so even a dead child's pipe raises no EPIPE, and the
+    death shows up as EOF, where ``answer()`` reaps the child.  ``answer()``
+    is None where no child serves; the caller works the value out itself.
+    """
+
+    def __init__(self, value):
+        super().__init__(self._serve)
+        self.value = value
+
+    def ask(self) -> None:
+        if self.pid:
+            os.write(self.inbox[1], b"r")
+
+    def answer(self) -> float | None:
+        if self.pid and len(reply := os.read(self.outbox[0], _VALUE.size)) == _VALUE.size:
+            return _VALUE.unpack(reply)[0]
+        self.close()
+        return None
+
+    def _serve(self, inbox: int, outbox: int) -> None:
+        while os.read(inbox, 1):
+            os.write(outbox, _VALUE.pack(self.value()))
 
 
 _MISSING = object()
@@ -94,7 +170,7 @@ def fan_out(tasks) -> list:
     memory, or writes to a buffer it does not flush, is lost with it."""
     tasks = list(tasks)
     results = [_MISSING] * len(tasks)
-    if 2 <= len(tasks) <= _MOST_TASKS and can_fork():
+    if 2 <= len(tasks) <= _MOST_TASKS:
         _share(tasks, results)
     return [t() if r is _MISSING else r for t, r in zip(tasks, results)]
 
@@ -102,48 +178,27 @@ def fan_out(tasks) -> list:
 def _share(tasks: list, results: list) -> None:
     """Fills ``results`` with what this process and one child computed; a task
     that raised, or that the child left undone, stays ``_MISSING``."""
-    queue, replies = os.pipe(), os.pipe()
-    unclosed = [*queue, *replies]
 
-    def close(fd):
-        unclosed.remove(fd)
-        os.close(fd)
-
-    def serve():
-        os.close(replies[0])
-        for i in _claims(queue[0], 1):
+    def serve(queue, replies):
+        for i in _claims(queue, 1):
             try:
                 data = pickle.dumps(tasks[i](), pickle.HIGHEST_PROTOCOL)
             except Exception:  # the parent runs it again
                 continue
             view = memoryview(_HEADER.pack(i, len(data)) + data)
             while view:
-                view = view[os.write(replies[1], view):]
+                view = view[os.write(replies, view):]
 
-    pid = None
-    try:
-        os.write(queue[1], b"".join(_INDEX.pack(i) for i in range(2, len(tasks))))
-        close(queue[1])  # the drained queue reads EOF
-        pid = fork(serve)
-        close(replies[1])  # the child's results read EOF once it exits
-        if pid is None:
+    rest = b"".join(_INDEX.pack(i) for i in range(2, len(tasks)))
+    with _Child(serve, rest) as child:
+        if child.pid is None:
             return
-        for i in _claims(queue[0], 0):
+        for i in _claims(child.inbox[0], 0):
             try:
                 results[i] = tasks[i]()
             except Exception:  # raised again, in order, by ``fan_out``
                 pass
-        _collect(replies[0], results)
-    except BaseException:
-        if pid:
-            reap(pid, kill=True)
-            pid = None
-        raise
-    finally:
-        for fd in list(unclosed):
-            close(fd)
-        if pid:
-            reap(pid)
+        _collect(child.outbox[0], results)
 
 
 def _claims(fd: int, first: int):

@@ -21,14 +21,12 @@ itself evolves:
   its eta^{ij} Laplacian and term I read that one copy.  A run's rows read
   the stage the march evaluated at their time by a second plan of the run,
   and their residual replays a third.  The row geometry and the row's u_t
-  sit in one shared anonymous mapping, so a helper process that a run
-  forks replays the residual plan on them while the march takes the next
-  step; the run keeps the geometry plan, the monitor and the stretch guard,
-  and collects a residual before the next row overwrites what it reads.
-  Where ``os.fork`` is missing, a second Python thread runs or the process
-  may use only one CPU (``fanout.can_fork``), or once the helper has died,
-  the run replays the residual itself.  Either way every number is the
-  same to the bit;
+  sit in memory shared with the run's ``fanout.Helper``, a child process
+  that replays the residual plan on them while the march takes the next
+  step (``fanout`` owns the child, its pipes and that memory); each row
+  collects the last residual before its plan overwrites what it reads.
+  Where the helper has no answer (no child, as ``fanout.can_fork`` decides,
+  or a dead one), the run replays the plan itself, to the same bit;
 
 * equivariant sphere suspensions f(theta, xi) = (rho(theta), xi) between
   round spheres of radii r_M, r_N:
@@ -76,12 +74,8 @@ largest stretch passes ``LAMBDA_ABORT`` or is NaN.
 
 from __future__ import annotations
 
-import itertools
 import math
-import mmap
 import numbers
-import os
-import struct
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, lru_cache
@@ -473,26 +467,15 @@ def _torus_field(st: TorusFlowState):
     return field
 
 
-def _shared_zeros(*shapes) -> list:
-    """Zeroed float arrays of the given shapes, packed into one anonymous
-    shared mapping of exactly their size: a process forked after they are
-    made and this one read and write the same memory through them."""
-    sizes = [math.prod(shape) for shape in shapes]
-    buf = mmap.mmap(-1, 8 * sum(sizes))  # anonymous, shared and zero-filled
-    return [np.frombuffer(buf, float, size, 8 * start).reshape(shape)
-            for shape, size, start in zip(shapes, sizes, itertools.accumulate([0] + sizes))]
-
-
 def _torus_record(st: TorusFlowState, field) -> _Rows:
     """Row function (u, t, f) -> row of the run ``st`` starts, called right after
     ``field`` gave f = u_t at (u, t) (``_Rows``).  Built once per run: the
     row's state takes its geometry from the stencil that call left, by a plan
     into arrays of the run's rows, and its residual replays a plan that reads
-    them and f.  Those arrays are shared (``_shared_zeros``), so a helper
-    process forked later replays the residual on the very bytes a row wrote."""
+    them and f, in memory shared with the run's helper (``fanout.shared_zeros``)."""
     n, m, grid = st.n, st.m, st.u.shape[1:]
-    *arrays, ring = _shared_zeros(*_geometry_shapes(n, m, grid),
-                                  (n,) + tuple(k + 2 for k in grid))  # f, ringed (``_ringed``)
+    *arrays, ring = fanout.shared_zeros(*_geometry_shapes(n, m, grid),
+                                        (n,) + tuple(k + 2 for k in grid))  # f, ringed
     plan = _Plan()
     geometry = _torus_geometry(plan, *field.stencil, st.h, TorusGeometry(*arrays))
     return _Rows(st, plan, geometry, _torus_residual(geometry, st.h, ring))
@@ -502,35 +485,26 @@ class _Rows:
     """The rows (u, t, f) -> row of a torus run, whose residuals are worked out
     beside the march.
 
-    A row forms its state's geometry by ``plan`` and copies f into the
-    residual's input, both arrays shared with a process forked later, and
-    returns the monitor with NaN for its residual.  That residual stays in
-    flight: the next row, before its plan overwrites what the residual reads,
-    or ``settle()`` at the end of a run collects it into ``column``, so the
-    column fills in row order.  Inside ``with``, a helper process forked on
-    entry replays the residual (``_torus_residual``) while the march takes
-    the next step.  Without one (where ``fanout.can_fork`` does not hold: no
-    ``os.fork``, a second Python thread, or a single CPU), or from a row
-    whose helper died, the rows replay it here.  Either way the column holds
-    the same bytes.  The helper is reaped on leaving ``with``, whatever ends
-    the run.
+    A row forms its state's geometry by ``plan``, copies f into the
+    residual's input (both arrays shared with ``helper``), asks ``helper``
+    for the residual and returns the monitor with NaN for it.  The next row,
+    before its plan overwrites what the residual reads, or ``settle()`` at
+    the end of a run collects the answer into ``column``, in row order; where
+    the helper has none (no child, or a dead one), the rows replay the
+    residual (``_torus_residual``) here, to the same bytes.
     """
 
     def __init__(self, st: TorusFlowState, plan: _Plan, geometry: TorusGeometry, residual):
         self.st, self.plan, self.geometry, self.residual = st, plan, geometry, residual
         self.column, self.pending = [], False
-        self.helper = None  # (pid, request fd, reply fd) of a live helper
+        self.helper = fanout.Helper(residual.evaluate)
 
     def __call__(self, u, t, f):
         self.settle()
         self.plan.run()
         np.copyto(self.residual.f_in, f)
         self.pending = True
-        if self.helper:
-            try:
-                os.write(self.helper[1], b"r")  # row ready
-            except OSError:  # the helper died: this row is replayed here
-                self._reap()
+        self.helper.ask()
         st = self.st
         now = TorusFlowState(st.m, st.n, st.period, st.lin, u, t)
         vars(now)["geometry"] = self.geometry  # primes the cached_property
@@ -540,52 +514,9 @@ class _Rows:
         """The residual column of the rows so far, the one in flight collected."""
         if self.pending:
             self.pending = False
-            reply = os.read(self.helper[2], 8) if self.helper else b""
-            if len(reply) == 8:
-                self.column.append(struct.unpack("d", reply)[0])
-            else:  # no helper, or it died (EOF): the same replay, here
-                self._reap()
-                self.column.append(self.residual.evaluate())
+            value = self.helper.answer()
+            self.column.append(self.residual.evaluate() if value is None else value)
         return self.column
-
-    def __enter__(self) -> _Rows:
-        if fanout.can_fork():
-            request, reply = os.pipe(), os.pipe()
-            try:
-                pid = fanout.fork(lambda: self._serve(request, reply))
-            except BaseException:  # an interrupt as the fork returned, its child reaped
-                for fd in (*request, *reply):
-                    os.close(fd)
-                raise
-            os.close(request[0])
-            os.close(reply[1])
-            if pid is None:  # no process to spare: the rows replay residuals here
-                os.close(request[1])
-                os.close(reply[0])
-            else:
-                self.helper = pid, request[1], reply[0]
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._reap()
-
-    def _reap(self) -> None:
-        """Closes the pipes, which a live helper reads as EOF and exits on, and
-        waits for it."""
-        if self.helper:
-            pid, request, reply = self.helper
-            self.helper = None
-            os.close(request)
-            os.close(reply)
-            fanout.reap(pid)
-
-    def _serve(self, request, reply) -> None:
-        """The helper's life (``fanout.fork``): one residual per byte read from
-        ``request``, its 8 bytes written to ``reply``, until EOF."""
-        os.close(request[1])
-        os.close(reply[0])
-        while os.read(request[0], 1):
-            os.write(reply[1], struct.pack("d", self.residual.evaluate()))
 
 
 def torus_step(st: TorusFlowState, dt: float) -> TorusFlowState:
@@ -1348,7 +1279,8 @@ def _run_torus(cfg: FlowConfig) -> FlowSeries:
     field = _torus_field(st)
     series = FlowSeries(meta={"case": "torus", "h": st.h, "t_end": cfg.t_end,
                               "config": cfg.to_dict(), "a_used": None})
-    with _torus_record(st, field) as record:
+    record = _torus_record(st, field)
+    with record.helper:
         _march(series, st.u, field, lambda u, t: dt, record, schedule)
         series.residual = record.settle()
     return series

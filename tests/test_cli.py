@@ -91,6 +91,13 @@ class TestAuditCommand:
         code = main(["audit", "--m", "sphere:3", "--n", "sphere:3:1"])
         assert code == 1
 
+    # an audit of no condition would "pass" having checked nothing
+    @pytest.mark.parametrize("conditions", ["", ",", " , "])
+    def test_no_condition_exits_1(self, conditions, capsys):
+        code = main(["audit", "--m", "sphere:3:1", "--n", "sphere:3:1",
+                     "--conditions", conditions])
+        assert code == 1 and capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("args,field", [
         (["pic1", "--space", "sphere:3:nan"], "scale"),
         (["pic1", "--space", "constant:3:inf"], "curvature"),
@@ -249,6 +256,21 @@ class TestFlowCommand:
                      "--out", str(tmp_path)])
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"]
+
+    # a stem is a file name inside --out, refused before the run starts
+    @pytest.mark.parametrize("stem", ["", ".", "..", "a/b", "../x", "/tmp/x"])
+    def test_stem_that_is_not_a_plain_file_name_exits_1(self, stem, tmp_path, monkeypatch,
+                                                        capsys):
+        def ran(cfg):
+            raise AssertionError("the flow ran")
+
+        monkeypatch.setattr(cli, "run", ran)
+        out = tmp_path / "out"
+        code = main(["flow", "--case", "torus", "--out", str(out), "--stem", stem])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"stem must be a plain file name, got {stem!r}"}
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("case", ["torus", "equivariant"])
     @pytest.mark.parametrize("grid", [-8, 2])
@@ -593,3 +615,17 @@ class TestVerifyFuzz:
             assert isinstance(payload["error"], str)
         else:
             assert payload["pass"] is True and payload["requested_sweep"] == sweep
+
+    # refused by name, before any sweep or file
+    @settings(max_examples=10, deadline=2000, derandomize=True)
+    @example(-1)
+    @given(hs.integers(-10**30, -1))
+    def test_negative_seeds_are_refused(self, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            for args in (["verify-identities", "--sweep", "1", "--out", str(out)],
+                         ["report", "--sweep", "1", "--out", str(out)]):
+                code, payload = run_cli([*args, "--seed", str(seed)])
+                assert code == 1
+                assert payload == {"error": f"seed must be a non-negative integer, got {seed}"}
+            assert not out.exists()

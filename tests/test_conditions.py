@@ -194,6 +194,11 @@ class TestAudit:
         with pytest.raises(ValueError):
             audit_conditions(s3, s3, ["Z"])
 
+    def test_no_condition_is_refused(self):
+        s3 = ModelSpace("sphere", 3, scale=1.0)
+        with pytest.raises(ValueError, match="no condition"):
+            audit_conditions(s3, s3, [])
+
     def test_report_roundtrip(self):
         s3 = ModelSpace("sphere", 3, scale=1.0)
         (rep,) = audit_conditions(s3, s3, ["A"])

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from areaflow import fanout
+from areaflow import fanout, flow
 from areaflow.cli import main
 from areaflow.curvature import (
     CurvatureTensor,
@@ -23,6 +23,7 @@ from areaflow.curvature import (
     constant_curvature_tensor,
     kulkarni_nomizu,
 )
+from areaflow.flow import FlowConfig, run
 from areaflow.spaces import ModelSpace, curvature_at
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -259,4 +260,61 @@ def test_bounds_of_are_the_same(tensor, tmp_path, monkeypatch):
     assert len(pids) == 1
     in_sequence(monkeypatch)
     assert bounds_of(r, seed=3) == shared
+    assert_no_child_left()
+
+
+# the helper holds its inbox's read end, so a request to a dead child does
+# not raise EPIPE; the death shows up as EOF, and the answer as None
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="waits for the death without reaping")
+def test_a_request_to_a_dead_helper_is_answered_none(monkeypatch):
+    pids = forked(monkeypatch)
+    with fanout.Helper(lambda: 2.5) as helper:
+        helper.ask()
+        assert helper.answer() == 2.5
+        os.kill(pids[0], signal.SIGKILL)
+        os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
+        helper.ask()
+        assert helper.answer() is None
+        helper.ask()
+        assert helper.answer() is None
+    assert len(pids) == 1
+    assert_no_child_left()
+
+
+TORUS = {"case": "torus", "grid": 16, "t_end": 0.1, "preset": "linear_sine",
+         "amplitude": 0.1, "monitor_every": 8}
+
+
+def _killed_helper_run(pids, monkeypatch):
+    """A torus run whose helper is killed right after the second row asked it
+    for a residual."""
+    rows, monitor = [], flow.torus_monitor
+
+    def killing(st):
+        if len(rows) == 1:
+            os.kill(pids[0], signal.SIGKILL)
+        rows.append(st.t)
+        return monitor(st)
+
+    monkeypatch.setattr(flow, "torus_monitor", killing)
+    assert run(FlowConfig.from_dict(TORUS)).abort_reason is None
+    assert len(rows) == TORUS["monitor_every"] + 1
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists the open fds in /proc")
+@pytest.mark.parametrize("child", ["fan_out", "torus", "aborted", "killed_helper"])
+def test_no_file_descriptor_outlives_a_child(child, monkeypatch):
+    pids = forked(monkeypatch)
+    before = sorted(os.listdir("/proc/self/fd"))
+    if child == "fan_out":
+        assert fanout.fan_out([lambda k=k: k * 0.5 for k in range(5)]) == [0, 0.5, 1, 1.5, 2]
+    elif child == "torus":
+        assert run(FlowConfig.from_dict(TORUS)).abort_reason is None
+    elif child == "aborted":
+        series = run(FlowConfig.from_dict({"case": "torus", "grid": 16, "amplitude": 60.0}))
+        assert series.abort_reason.startswith("lambda_max")
+    else:
+        _killed_helper_run(pids, monkeypatch)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert len(pids) == 1
     assert_no_child_left()

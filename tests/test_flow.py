@@ -1461,17 +1461,18 @@ class TestRowHelper:
             made.extend(fds)
             return fds
 
-        def interrupted(serve):
+        def interrupted():
             raise KeyboardInterrupt
 
         monkeypatch.setattr(os, "pipe", recorded)
-        monkeypatch.setattr(flow.fanout, "fork", interrupted)
+        monkeypatch.setattr(os, "fork", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run(FlowConfig.from_dict(HELPER_CONFIGS["m2"]))
         assert len(made) == 4
         for fd in made:
             with pytest.raises(OSError):
                 os.fstat(fd)
+        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
 
     # killed right after a row asked for its residual, so the next row finds
     # either the reply or EOF, and rows after it find the pipe closed

@@ -75,7 +75,12 @@ def test_no_module_imports_a_private_numpy_module():
 
 def test_only_the_fanout_module_forks():
     # a forked child must leave through ``os._exit`` with SIGINT ignored and
-    # the GC off; ``fanout.fork`` is the one place that sets that up
+    # the GC off, and its pipes must be closed and the child reaped on every
+    # way out; ``fanout._Child`` is the one place that does all of that, so
+    # no other module forks, touches a pipe, kills or waits for a process,
+    # or maps memory to share with a child
+    forks = ("os.fork", "os.forkpty", "os._exit")
+    child_io = ("os.pipe", "os.read", "os.write", "os.kill", "os.waitpid")
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "fanout.py":
@@ -83,12 +88,15 @@ def test_only_the_fanout_module_forks():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 names = [f"{node.value.id}.{node.attr}"]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names = [f"os.{node.value}"]  # hasattr(os, "fork") and the like
+                # hasattr(os, "fork") and the like
+                names = [f"os.{node.value}"] if f"os.{node.value}" in forks else []
             else:
                 continue
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
-                      if name in ("os.fork", "os.forkpty", "os._exit")]
+                      if name in forks + child_io or name.split(".")[0] == "mmap"]
     assert not found, found
