@@ -8,9 +8,11 @@ A task with no result, because it raised in either process or the child
 died, runs again in the parent, in task order, so the first failing task
 raises exactly as it would in sequence.
 
-``Helper(value)`` works out ``value()`` in a child, once per request: a
-torus run's residuals, on arrays made by ``shared_zeros`` before the fork.
-Both children live by one lifecycle, ``_Child``'s.
+``Pair(work)`` forks a child that runs ``work`` in step with the parent:
+``swap`` is their barrier, one byte each way; a torus run marches one slab
+of its grid in each process and swaps the slabs' edge rows through arrays
+made by ``shared_zeros`` before the fork.  Both children live by one
+lifecycle, ``_Child``'s.
 """
 
 from __future__ import annotations
@@ -29,7 +31,10 @@ import numpy as np
 
 _INDEX = struct.Struct("i")
 _HEADER = struct.Struct("iQ")  # task index, length of its pickled result
-_VALUE = struct.Struct("d")  # a helper's reply
+# Reads of an empty pipe a barrier makes before it sleeps (``Pair``), about
+# 0.2 ms at 1.1 us a read on a 2-core Xeon: longer than 99% of the waits of
+# a grid-48 torus run, whose median is 6 us, shorter than waking from sleep.
+_SPINS = 200
 # The indices are written before the fork, so they must fit in the pipe's
 # buffer, which holds at least PIPE_BUF >= 512 bytes (POSIX); a longer list
 # runs in sequence.
@@ -132,32 +137,63 @@ class _Child:
         os.close(fd)
 
 
-class Helper(_Child):
-    """``value()``, a float, worked out in a child forked on entering ``with``
-    where ``can_fork`` holds: ``ask()`` sends a request byte, ``answer()``
-    reads the value's 8 bytes.  A request cannot fail: the parent holds the
-    inbox's read end, so even a dead child's pipe raises no EPIPE, and the
-    death shows up as EOF, where ``answer()`` reaps the child.  ``answer()``
-    is None where no child serves; the caller works the value out itself.
-    """
+class Pair(_Child):
+    """A child forked on entering ``with``, where ``can_fork`` holds, that
+    runs ``work(pair)`` in step with the parent: ``swap(byte)`` sends one
+    byte to the other process and returns the one it sent, so neither passes
+    a swap before both have reached it.  Where the child is gone (or none was
+    forked: ``pid`` is None) the parent's ``swap`` reaps it and returns None;
+    where the parent is gone the child leaves.  The parent's write cannot
+    fail: it holds the read end of the child's inbox, so a dead child shows
+    up as EOF on the reply.  Each process reads its pipe without blocking
+    up to ``_SPINS`` times before it sleeps on it."""
 
-    def __init__(self, value):
+    def __init__(self, work):
         super().__init__(self._serve)
-        self.value = value
+        self.work = work
 
-    def ask(self) -> None:
+    def __enter__(self):
+        super().__enter__()
         if self.pid:
-            os.write(self.inbox[1], b"r")
+            self.ends = self.outbox[0], self.inbox[1]
+            os.set_blocking(self.outbox[0], False)
+        return self
 
-    def answer(self) -> float | None:
-        if self.pid and len(reply := os.read(self.outbox[0], _VALUE.size)) == _VALUE.size:
-            return _VALUE.unpack(reply)[0]
+    def swap(self, byte: int) -> int | None:
+        if self.pid is None:
+            return None
+        read, write = self.ends
+        try:
+            os.write(write, bytes((byte,)))
+            reply = _byte(read)
+        except BrokenPipeError:  # only the child's write: the parent closed its ends
+            reply = b""
+        if reply:
+            return reply[0]
+        if self.pid == 0:
+            os._exit(0)
         self.close()
         return None
 
     def _serve(self, inbox: int, outbox: int) -> None:
-        while os.read(inbox, 1):
-            os.write(outbox, _VALUE.pack(self.value()))
+        self.ends = inbox, outbox
+        os.set_blocking(inbox, False)
+        self.work(self)
+
+
+def _byte(fd: int) -> bytes:
+    """One byte read from the nonblocking pipe ``fd``, b"" at EOF; it sleeps
+    only after ``_SPINS`` reads found the pipe empty."""
+    for _ in range(_SPINS):
+        try:
+            return os.read(fd, 1)
+        except BlockingIOError:
+            pass
+    os.set_blocking(fd, True)
+    try:
+        return os.read(fd, 1)
+    finally:
+        os.set_blocking(fd, False)
 
 
 _MISSING = object()

@@ -20,13 +20,15 @@ itself evolves:
   at the state leaves, into arrays of its own, and the monitor, tr_eta S,
   its eta^{ij} Laplacian and term I read that one copy.  A run's rows read
   the stage the march evaluated at their time by a second plan of the run,
-  and their residual replays a third.  The row geometry and the row's u_t
-  sit in memory shared with the run's ``fanout.Helper``, a child process
-  that replays the residual plan on them while the march takes the next
-  step (``fanout`` owns the child, its pipes and that memory); each row
-  collects the last residual before its plan overwrites what it reads.
-  Where the helper has no answer (no child, as ``fanout.can_fork`` decides,
-  or a dead one), the run replays the plan itself, to the same bit;
+  and their residual replays a third.  A run whose stages plan at least
+  ``_TWO_SLABS`` units of work marches as two slabs of its first grid axis,
+  one in a child process (``fanout.Pair``, where ``fanout.can_fork``
+  allows one): each process replays its own plans over its slab, the two
+  swap the edge rows a stencil reads at a barrier, and a row combines the
+  slabs' exact minima and maxima (``_Slab``).  Every grid point passes
+  through the same calls as on the whole grid, so the run gives the same
+  bits either way; one that loses its child redoes the current step alone,
+  from the state both slabs left in shared memory;
 
 * equivariant sphere suspensions f(theta, xi) = (rho(theta), xi) between
   round spheres of radii r_M, r_N:
@@ -58,7 +60,8 @@ the fewest stages whose stability interval covers the CFL bound at the fixed
 fraction ``CFL`` of that interval, a margin of the method, not of the problem.
 A field is buffered: a stage reads the field's input array and writes the
 field's y_t, and the stepper adds y and the stage's increment straight into
-that input, so only a step allocates, a fixed handful of arrays.  Calling a
+that input, and it works in arrays of the field's, so a step allocates at
+most its new state.  Calling a
 field, f(y, t), copies y in and y_t out.  The right-hand side the march
 evaluates at a row's time serves the row and is the next step's first
 stage.  ``MAX_STEPS`` caps the right-hand-side evaluations of a run: a run
@@ -110,6 +113,12 @@ ROW_STAGES = 4
 
 class FlowAbort(RuntimeError):
     """Raised when a run leaves the graphical regime it can control."""
+
+
+# Why a det eta check aborts a run, the graver last: where slabs differ, the
+# graver one is what the whole grid's minimum gives (a NaN anywhere is NaN)
+_LOST = ("induced metric lost positive definiteness",
+         "induced metric is NaN: the map left the float range")
 
 
 @dataclass
@@ -239,6 +248,28 @@ def _ringed(lead: tuple, grid: tuple) -> np.ndarray:
     return np.zeros(lead + tuple(s + 2 for s in grid))
 
 
+def _edges(ring: np.ndarray, m: int) -> list:
+    """Views of a ringed array (``_ringed``) across its first grid axis, over
+    the interior of the others: its ring row, first and last interior rows
+    and ring row at the far end."""
+    rest = (slice(1, -1),) * (m - 1)
+    return [ring[(Ellipsis, i) + rest] for i in (0, 1, -2, -1)]
+
+
+def _periodic(rings, m: int):
+    """A plan call that fills the ring rows of each ring's first grid axis
+    periodically, from the interior row at the other end."""
+    copies = []
+    for ring in rings:
+        top, first, last, bottom = _edges(ring, m)
+        copies += [(top, last), (bottom, first)]
+
+    def fill():
+        for halo, edge in copies:
+            np.copyto(halo, edge)
+    return fill
+
+
 def _stencil(plan: _Plan, ring: np.ndarray, m: int, grad=True, hess=True):
     """Records the undivided centered differences of what the interior of
     ``ring`` (``_ringed``) holds when the plan runs (the caller writes it)
@@ -249,21 +280,24 @@ def _stencil(plan: _Plan, ring: np.ndarray, m: int, grad=True, hess=True):
     asked for is None.
 
     Both come ringed like ``ring``, and only the interior (``_inner(m)``)
-    holds differences.  The plan first copies one periodic cell on each side
-    into the ring, axis by axis; each difference is then a shift of the
-    ring's flat cells, one contiguous pass: the cells it writes outside the
-    interior hold values of no meaning, the few it does not write stay zero.
-    Pointwise work on the results may run over whole ringed arrays and read
-    the interior at the end.  The scales are left to the readers, which fold
-    them into what they compute anyway.
+    holds differences.  The caller records the fill of the first axis's ring
+    rows first (``_periodic``, or a slab's ``_Slab.halo``); this records the
+    copy of one periodic cell on each side along every other axis, axis by
+    axis, and each difference is then a shift of the ring's flat cells, one
+    contiguous pass: the cells it writes outside the interior hold values of
+    no meaning, the few it does not write stay zero.  Pointwise work on the
+    results may run over whole ringed arrays and read the interior at the
+    end.  The scales are left to the readers, which fold them into what they
+    compute anyway.
     """
     lead, ringed = ring.shape[:-m], ring.shape[-m:]
     size = math.prod(ringed)
     shifts = []  # per axis the flat windows (on, ahead, back) of a difference along it
     for d in range(m):
         pre, rest = (Ellipsis,) + (slice(None),) * d, (slice(1, -1),) * (m - d - 1)
-        plan(np.copyto, ring[pre + (0,) + rest], ring[pre + (-2,) + rest])
-        plan(np.copyto, ring[pre + (-1,) + rest], ring[pre + (1,) + rest])
+        if d:
+            plan(np.copyto, ring[pre + (0,) + rest], ring[pre + (-2,) + rest])
+            plan(np.copyto, ring[pre + (-1,) + rest], ring[pre + (1,) + rest])
         s = math.prod(ringed[d + 1:])  # one cell along axis d, in the flat order
         shifts.append(((Ellipsis, slice(s, size - s)), (Ellipsis, slice(2 * s, None)),
                        (Ellipsis, slice(None, size - 2 * s))))
@@ -316,10 +350,10 @@ def _torus_eta(plan: _Plan, df: np.ndarray) -> np.ndarray:
     return eta
 
 
-def _torus_cofactors(plan: _Plan, df: np.ndarray):
+def _torus_cofactors(plan: _Plan, df: np.ndarray, check):
     """Records the upper triangle c (indexed by (i, j)) and d with
-    eta^{-1} = c / d, over the whole ringed df; the plan aborts unless
-    det eta > 0 on the interior.  For m <= 3, c = adj(eta) and d = det eta:
+    eta^{-1} = c / d, over the whole ringed df, and ``check`` (``_Slab.check``)
+    of det eta on the interior.  For m <= 3, c = adj(eta) and d = det eta:
     adj(eta)_ij = (-1)^(i+j) times the minor of eta without row j and column
     i, with eta's entry (r, c) read from its upper triangle, and
     det eta = sum_j eta_0j adj(eta)_j0.  For m >= 4, c is NumPy's inverse of
@@ -333,7 +367,7 @@ def _torus_cofactors(plan: _Plan, df: np.ndarray):
             for j in range(i + 1, m):
                 plan(np.copyto, eta[j, i], eta[i, j])
         inv = np.zeros(eta.shape)
-        plan(_inverse, *(np.moveaxis(a[inner], (0, 1), (-2, -1)) for a in (eta, inv)))
+        plan(_inverse, check, *(np.moveaxis(a[inner], (0, 1), (-2, -1)) for a in (eta, inv)))
         return inv, np.ones(grid)
 
     def e(r, c):
@@ -356,7 +390,7 @@ def _torus_cofactors(plan: _Plan, df: np.ndarray):
     det = plan(np.multiply, eta[0, 0], adj[0, 0], np.zeros(grid))
     for j in range(1, m):
         plan(np.add, det, plan(np.multiply, eta[0, j], adj[0, j], product), det)
-    plan(_positive, det[inner])
+    plan(check, det[inner])
     return adj, det
 
 
@@ -364,17 +398,16 @@ def _positive(det: np.ndarray) -> None:
     """Aborts unless det eta > 0 everywhere, a NaN (an overflowed map) included."""
     low = det.min()
     if not low > 0:
-        raise FlowAbort("induced metric is NaN: the map left the float range" if math.isnan(low)
-                        else "induced metric lost positive definiteness")
+        raise FlowAbort(_LOST[math.isnan(low)])
 
 
-def _inverse(eta: np.ndarray, out: np.ndarray) -> None:
-    """out = eta^{-1} for stacked m x m matrices (m >= 4) once ``_positive``
-    passes det eta.  An eta that overflowed to +inf without a NaN has det
-    +inf, which aborts as a NaN does."""
+def _inverse(check, eta: np.ndarray, out: np.ndarray) -> None:
+    """out = eta^{-1} for stacked m x m matrices (m >= 4) once ``check``
+    (``_Slab.check``) passes det eta.  An eta that overflowed to +inf
+    without a NaN has det +inf, which fails as a NaN does."""
     det = np.linalg.det(eta)
-    _positive(np.where(det < math.inf, det, math.nan))
-    out[...] = np.linalg.inv(eta)
+    if check(np.where(det < math.inf, det, math.nan)):
+        out[...] = np.linalg.inv(eta)
 
 
 def _torus_eta_inv(plan: _Plan, adj, det: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -446,77 +479,200 @@ def torus_cfl_dt(st: TorusFlowState) -> float:
     return CFL * st.h**2 / (2.0 * st.m)
 
 
-def _torus_field(st: TorusFlowState):
+def _torus_field(st: TorusFlowState, slab=None):
     """Right-hand side (u, t) -> u_t = c_ij d_i d_j u / (d h^2) of the run ``st``
     starts, c / d = eta^{-1} by ``_torus_cofactors``, over whole ringed arrays,
-    a buffered field (``_buffered``).  Built once per run as one ``_Plan``
-    that ends in the division into the field's u_t: a stage replays the plan
-    on what the interior of the ring holds and allocates nothing.  The
-    field's ``stencil`` (df, undivided Hessian, c, d) is what it wrote last,
-    valid until its next stage."""
+    a buffered field (``_buffered``) of the rows of ``slab`` (``_Slab``; the
+    whole grid if not given).  Built once per run as one ``_Plan`` that
+    fills the ring rows of the slab's first grid axis and ends in the
+    division into the field's u_t: a stage replays the plan on what the
+    interior of the ring holds and allocates nothing.  The field's
+    ``stencil`` (df, undivided Hessian, c, d) is what it wrote last, valid
+    until its next stage."""
+    slab = _Slab(st) if slab is None else slab
     plan, h, inner = _Plan(), st.h, _inner(st.m)
-    ring = _ringed(st.u.shape[:1], st.u.shape[1:])
+    ring = _ringed(st.u.shape[:1], slab.grid)
+    plan.append((slab.halo([ring], st.m), ()))
     grad, hess = _stencil(plan, ring, st.m)
     df = _torus_df(plan, grad, st.lin, h)
-    adj, det = _torus_cofactors(plan, df)
+    adj, det = _torus_cofactors(plan, df, slab.check)
     num = _hessian_trace(plan, adj, hess)[inner]
     scale = plan(np.multiply, det, h * h, np.zeros(det.shape))[inner]
-    u_t = plan(np.divide, num, scale, np.zeros(st.u.shape))
-    field = _buffered(lambda t: plan.run(), ring[inner], u_t)
+    u_t = plan(np.divide, num, scale, np.zeros(st.u.shape[:1] + slab.grid))
+    field = _buffered(lambda t: plan.run(), ring[inner], u_t, slab.settle)
     field.stencil = df, hess, adj, det
     return field
 
 
-def _torus_record(st: TorusFlowState, field) -> _Rows:
-    """Row function (u, t, f) -> row of the run ``st`` starts, called right after
-    ``field`` gave f = u_t at (u, t) (``_Rows``).  Built once per run: the
-    row's state takes its geometry from the stencil that call left, by a plan
-    into arrays of the run's rows, and its residual replays a plan that reads
-    them and f, in memory shared with the run's helper (``fanout.shared_zeros``)."""
-    n, m, grid = st.n, st.m, st.u.shape[1:]
-    *arrays, ring = fanout.shared_zeros(*_geometry_shapes(n, m, grid),
-                                        (n,) + tuple(k + 2 for k in grid))  # f, ringed
+def _torus_record(st: TorusFlowState, field, slab=None):
+    """Row function (u, t, f) -> row of the run ``st`` starts, on the rows of
+    ``slab`` (the whole grid if not given), called right after ``field`` gave
+    f = u_t at (u, t) (``_march``).  Built once per run: the row's state
+    takes its geometry from the stencil that call left, by a plan into
+    arrays of the run's rows, and its residual replays a plan that reads them
+    and f; the monitor and the residual of the slab combine with the other
+    slab's (``_Slab.combine``)."""
+    slab = _Slab(st) if slab is None else slab
     plan = _Plan()
-    geometry = _torus_geometry(plan, *field.stencil, st.h, TorusGeometry(*arrays))
-    return _Rows(st, plan, geometry, _torus_residual(geometry, st.h, ring))
+    geometry = _torus_geometry(plan, *field.stencil, st.h, TorusGeometry(
+        *map(np.zeros, _geometry_shapes(st.n, st.m, slab.grid))))
+    residual = _torus_residual(geometry, st.h, slab.halo)
+
+    def record(u, t, f):
+        plan.run()
+        value = residual(f)  # its halo checks the stage, before the monitor reads it
+        now = TorusFlowState(st.m, st.n, st.period, st.lin, u, t)  # the slab's rows
+        vars(now)["geometry"] = geometry  # primes the cached_property
+        return (*slab.combine((*torus_monitor(now), value)), 1.0, 1.0)
+
+    return record
 
 
-class _Rows:
-    """The rows (u, t, f) -> row of a torus run, whose residuals are worked out
-    beside the march.
+# Least work of one stage, in ``_schedule``'s units (points x m^2), at which a
+# torus run marches as two slabs in two processes.  Below it the fork, the
+# pages both processes then copy and a barrier per stage cost more than half a
+# stage saves.  Run once in a fresh interpreter on a 2-core Xeon, as a
+# benchmark round runs it, a run took longer with two slabs at m = 2 grid 48
+# (9216 units; 69 against 59 ms), about as long at m = 2 grids 56 and 64 (79
+# against 72, 95 against 91 ms), and less at m = 3 grid 12 (15552; 89 against
+# 105 ms) and m = 2 grid 96 (215 against 330 ms).
+_TWO_SLABS = 10**4
 
-    A row forms its state's geometry by ``plan``, copies f into the
-    residual's input (both arrays shared with ``helper``), asks ``helper``
-    for the residual and returns the monitor with NaN for it.  The next row,
-    before its plan overwrites what the residual reads, or ``settle()`` at
-    the end of a run collects the answer into ``column``, in row order; where
-    the helper has none (no child, or a dead one), the rows replay the
-    residual (``_torus_residual``) here, to the same bytes.
+
+class _Restart(Exception):
+    """Raised where a march is to redo its current step from ``args``: the
+    state at the start of the step, the field and the row function."""
+
+
+class _Slab:
+    """The rows of a torus run's first grid axis one process marches, and its
+    side of the barrier with the process that marches the others.
+
+    With no ``pair`` one slab holds the whole grid: its plans fill their ring
+    rows from the slab's own far edge (``_periodic``), a failed det eta check
+    raises at once, and a step's end is the new state.  With two slabs, the
+    parent marches the first grid // 2 rows and the child of ``pair`` (a
+    ``fanout.Pair``) the rest, on the arrays ``_share`` made before the fork.
+    Each ``swap`` is a barrier that sends this slab's status, 0 or 1 + the
+    index in ``_LOST`` of the graver reason a det eta check failed for since
+    the last one, and both slabs raise the graver reason of the two after
+    it, as the whole grid would.  A plan's ``halo`` writes the slab's edge
+    rows into its mailbox before a swap and reads the other's into its ring
+    rows after it; mailboxes alternate with the parity of the swap, so no
+    slab overwrites what the other may still read.  A row ``combine``s the
+    slabs' monitors and residuals, exact minima and maxima.  A step ends by
+    writing its state into the shared arrays, alternating with the parity
+    of the step, and a swap (``settle``), so where the other process is
+    gone (``swap`` has None) the state at the start of the current step is
+    whole in them, and the run goes on alone from there (``_Restart``).
     """
 
-    def __init__(self, st: TorusFlowState, plan: _Plan, geometry: TorusGeometry, residual):
-        self.st, self.plan, self.geometry, self.residual = st, plan, geometry, residual
-        self.column, self.pending = [], False
-        self.helper = fanout.Helper(residual.evaluate)
+    def __init__(self, st: TorusFlowState, pair=None, shared=None):
+        self.st, self.pair, self.shared = st, pair, shared
+        self.index = int(pair is not None and not pair.pid)  # the child's is 1
+        rows = st.u.shape[1]
+        first = rows // 2 if pair else rows  # the parent's rows
+        self.grid = ((first, rows - first)[self.index],) + st.u.shape[2:]
+        self.code = self.swaps = self.now = 0
 
-    def __call__(self, u, t, f):
-        self.settle()
-        self.plan.run()
-        np.copyto(self.residual.f_in, f)
-        self.pending = True
-        self.helper.ask()
-        st = self.st
-        now = TorusFlowState(st.m, st.n, st.period, st.lin, u, t)
-        vars(now)["geometry"] = self.geometry  # primes the cached_property
-        return (*torus_monitor(now), math.nan, 1.0, 1.0)
+    @property
+    def y(self) -> np.ndarray:
+        """The slab's state at the start of the run, a view (a row's state
+        makes the view it holds read-only)."""
+        return self.st.u if self.pair is None else self.shared[0][0][self.index][...]
 
-    def settle(self) -> list:
-        """The residual column of the rows so far, the one in flight collected."""
-        if self.pending:
-            self.pending = False
-            value = self.helper.answer()
-            self.column.append(self.residual.evaluate() if value is None else value)
-        return self.column
+    def check(self, det: np.ndarray) -> bool:
+        """Whether det eta > 0 on the slab (``_positive``); a failure raises
+        at once with one slab, and is held for the next ``swap`` with two."""
+        try:
+            _positive(det)
+        except FlowAbort as err:
+            if self.pair is None:
+                raise
+            self.code = max(self.code, 1 + _LOST.index(str(err)))
+            return False
+        return True
+
+    def swap(self) -> None:
+        other = self.pair.swap(self.code)
+        self.swaps += 1
+        if other is None:
+            raise _Restart(*self.alone())
+        if code := max(self.code, other):
+            raise FlowAbort(_LOST[code - 1])
+
+    def halo(self, rings, m: int):
+        """A plan call that fills the ring rows of the first of the m grid axes
+        of each of ``rings`` (``_ringed`` over the slab) from the other slab's
+        edge rows (``_periodic`` with one slab)."""
+        if self.pair is None:
+            return _periodic(rings, m)
+        edges = [_edges(ring, m) for ring in rings]
+        sent = [e[1] for e in edges] + [e[2] for e in edges]  # first rows, then last
+        filled = [e[3] for e in edges] + [e[0] for e in edges]  # from the other's
+        boxes = [[self._box(parity, slab, sent) for slab in (0, 1)] for parity in (0, 1)]
+
+        def fill():
+            mine, theirs = boxes[self.swaps % 2][self.index], boxes[self.swaps % 2][1 - self.index]
+            for box, edge in zip(mine, sent):
+                np.copyto(box, edge)
+            self.swap()
+            for halo, box in zip(filled, theirs):
+                np.copyto(halo, box)
+        return fill
+
+    def _box(self, parity: int, slab: int, like: list) -> list:
+        """Views shaped like the arrays ``like``, one after another in the
+        mailbox of ``slab`` at ``parity``."""
+        box, views, start = self.shared[1][parity, slab], [], 0
+        for a in like:
+            views.append(box[start:start + a.size].reshape(a.shape))
+            start += a.size
+        return views
+
+    def combine(self, parts: tuple) -> tuple:
+        """(min, max, max, ...) of the slabs' ``parts``, each a (min, max,
+        max, ...) of its own rows: NaN where either slab's is."""
+        if self.pair is None:
+            return parts
+        both = self.shared[1][self.swaps % 2][:, :len(parts)]
+        both[self.index] = parts
+        self.swap()
+        return float(both[:, 0].min()), *map(float, both[:, 1:].max(axis=0))
+
+    def settle(self, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """y + d, the state a step ends in: with two slabs written into the
+        shared arrays of the next step's parity before a ``swap``, which
+        passes once both slabs have written theirs and checks the step's
+        last stage."""
+        if self.pair is None:
+            return np.add(y, d)
+        out = np.add(y, d, self.shared[0][1 - self.now][self.index])
+        self.swap()
+        self.now = 1 - self.now
+        return out[...]
+
+    def alone(self) -> tuple:
+        """The state at the start of the current step, a field and a row
+        function of the whole run with one slab."""
+        u = np.concatenate(self.shared[0][self.now], axis=1)
+        slab = _Slab(self.st)
+        field = _torus_field(self.st, slab)
+        return u, field, _torus_record(self.st, field, slab)
+
+
+def _share(st: TorusFlowState) -> tuple:
+    """The arrays two slabs of the run ``st`` starts share, made before the
+    fork (``fanout.shared_zeros``): per parity the two slabs' states, the
+    first holding ``st.u``, and per parity a mailbox per slab, room for the
+    edge rows of a row's n + 1 rings."""
+    n, rows, rest = st.n, st.u.shape[1], st.u.shape[2:]
+    cut = rows // 2
+    slabs = [(n, cut) + rest, (n, rows - cut) + rest]
+    *states, mail = fanout.shared_zeros(*slabs, *slabs, (2, 2, 2 * (n + 1) * math.prod(rest)))
+    np.copyto(states[0], st.u[:, :cut])
+    np.copyto(states[1], st.u[:, cut:])
+    return (states[:2], states[2:]), mail
 
 
 def torus_step(st: TorusFlowState, dt: float) -> TorusFlowState:
@@ -613,38 +769,34 @@ def _torus_term_one(plan: _Plan, g: TorusGeometry) -> np.ndarray:
     return plan(np.multiply, term, 4.0, term)
 
 
-def _torus_residual(g: TorusGeometry, h: float, ring=None):
+def _torus_residual(g: TorusGeometry, h: float, halo=_periodic):
     """f -> ``torus_evolution_residual`` of a state with geometry g and
-    u_t = f: a plan over arrays of its own, which reads g in place, and f
-    from the interior of ``ring`` (``_ringed`` (n,) + grid, made here if not
-    given).  The function's ``f_in`` is that interior and its ``evaluate()``
-    replays the plan on what ``f_in`` and g hold."""
+    u_t = f: a plan over arrays of its own, which reads g in place and copies
+    f into a ring.  ``halo`` (``_periodic``, or a slab's ``_Slab.halo``)
+    fills the ring rows of the first grid axis of f's ring and tr_eta S's."""
     n, m, grid = g.df.shape[0], g.df.shape[1], g.df.shape[2:]
     plan, inner = _Plan(), _inner(m)
-    ring = _ringed((n,), grid) if ring is None else ring
-    sigma_ring = _ringed((), grid)
+    ring, sigma_ring = _ringed((n,), grid), _ringed((), grid)
+    plan(np.copyto, sigma_ring[inner], _torus_sigma(plan, g.inv))
+    plan.append((halo([ring, sigma_ring], m), ()))
     df_t = _stencil(plan, ring, m, hess=False)[0][inner]  # 2h d(f), axis indices leading
     inv_df = plan(_einsum, "ij...,aj...->ia...", _square(plan, g.inv), g.df,
                   np.zeros(df_t.shape))
     res = plan(_einsum, "ia...,ia...->...", df_t, inv_df, np.zeros(grid))
     plan(np.multiply, res, -2.0 / h, res)
-    plan(np.copyto, sigma_ring[inner], _torus_sigma(plan, g.inv))
-    lap = _hessian_trace(plan, g.inv, _stencil(plan, sigma_ring, m, grad=False)[1][inner])
+    lap = _hessian_trace(plan, g.inv,
+                         _stencil(plan, sigma_ring, m, grad=False)[1][inner])
     plan(np.multiply, lap, h**-2, lap)
     plan(np.subtract, res, lap, res)
     plan(np.subtract, res, _torus_term_one(plan, g), res)
     plan(np.abs, res, res)
     f_in = ring[inner]
 
-    def evaluate():
+    def residual(f):
+        np.copyto(f_in, f)
         plan.run()
         return float(res.max())
 
-    def residual(f):
-        np.copyto(f_in, f)
-        return evaluate()
-
-    residual.f_in, residual.evaluate = f_in, evaluate
     return residual
 
 
@@ -896,18 +1048,21 @@ def _rkc_coefficients(s: int):
     return (*(tuple(map(np.array, x)) for x in (mu, nu, mut, gam)), tuple(c))
 
 
-def _buffered(stage, y_in: np.ndarray, y_t: np.ndarray):
+def _buffered(stage, y_in: np.ndarray, y_t: np.ndarray, settle=np.add):
     """The field (y, t) -> y_t of a buffered stage, a copy: it copies y into
     ``y_in`` and returns a copy of what ``stage(t)`` writes into ``y_t``.
     ``_rkc_step`` drives the stage through the field's ``stage``, ``y_in``
-    and ``y_t`` without either copy."""
+    and ``y_t`` without either copy, works in the field's five ``work``
+    arrays shaped like y_t, and ends a step by ``settle(y, d)``, which gives
+    y + d."""
 
     def field(y, t):
         np.copyto(y_in, y)
         stage(t)
         return y_t.copy()
 
-    field.stage, field.y_in, field.y_t = stage, y_in, y_t
+    field.stage, field.y_in, field.y_t, field.settle = stage, y_in, y_t, settle
+    field.work = tuple(np.zeros_like(y_t) for _ in range(5))
     return field
 
 
@@ -918,9 +1073,12 @@ def _rkc_step(y: np.ndarray, t: float, dt: float, s: int, field, y_t=None) -> np
     ``y_t``, if given, is field(y, t) already evaluated; it is not written.
 
     The recursion runs on the increments d_j = Y_j - y (d_0 = 0) and adds y
-    once at the end, so a stationary state does not drift by rounding.  The
-    step allocates f0 = dt y_t, three rotating increments and a gam f0
-    scratch; a stage writes y + d_{j-1} straight into ``field.y_in`` and
+    once at the end (``field.settle``), so a stationary state does not drift
+    by rounding.  f0 = dt y_t, three rotating increments and a gam f0
+    scratch are the field's ``work``, so a step allocates at most the state
+    it ends in (a torus's slab arrays, freed and made again at every step,
+    would otherwise fault in fresh pages each time, about 60 a step at grid
+    96); a stage writes y + d_{j-1} straight into ``field.y_in`` and
     allocates nothing.  Each stage sums mu d_{j-1} + nu d_{j-2} + mut f +
     gam f0 left to right, scaling d_{j-2} and the stage's f in place.
     """
@@ -931,9 +1089,9 @@ def _rkc_step(y: np.ndarray, t: float, dt: float, s: int, field, y_t=None) -> np
         stage(t)
         y_t = f
     step = np.array(dt)  # 0-d, like the weights
-    f0 = np.multiply(step, y_t)
-    d = np.multiply(mut[1], f0)
-    d_prev, d_new, g = np.empty_like(d), np.empty_like(d), np.empty_like(d)
+    f0, d, d_prev, d_new, g = field.work
+    np.multiply(step, y_t, f0)
+    np.multiply(mut[1], f0, d)
     for j in range(2, s + 1):
         np.add(y, d, y_in)
         stage(t + c[j - 1] * dt)
@@ -946,7 +1104,7 @@ def _rkc_step(y: np.ndarray, t: float, dt: float, s: int, field, y_t=None) -> np
         d_new += f
         d_new += np.multiply(gam[j], f0, g)
         d_prev, d, d_new = d, d_new, d_prev
-    return y + d
+    return field.settle(y, d)
 
 
 def _rkc_single(y: np.ndarray, t: float, dt: float, dt_cfl: float, field) -> np.ndarray:
@@ -1236,34 +1394,39 @@ def _march(series: FlowSeries, y: np.ndarray, rhs, cfl_dt, record, schedule) -> 
     ``record(y, t, f)`` gives the row's values after its time, and the next
     step takes f as its first stage.  Every row, the first included, aborts
     the run at a stretch past ``LAMBDA_ABORT`` or NaN.  Stage evaluations
-    count against ``MAX_STEPS``.
+    count against ``MAX_STEPS``.  Where ``rhs`` or ``record`` raises
+    ``_Restart`` (a torus run that lost its second process), the march takes
+    the state, field and row function it carries and does the current step
+    again, with its row if that was not appended yet.
     """
     per_record, n_steps, step, dt = schedule
-
-    def row(y, t):
-        f = rhs(y, t)
-        values = record(y, t, f)
-        series.append(t, *values)
-        lam = values[1]
-        if not lam <= LAMBDA_ABORT:  # a NaN stretch too, as "lambda_max nan"
-            raise FlowAbort(f"lambda_max {lam:{'.2f' if lam < 1e6 else '.3e'}} beyond guard")
-        return f
-
     steps = evals = 0
     refreshes = 1
     try:
-        f = row(y, 0.0)
-        while steps < n_steps:
+        while True:
             t = steps * step
-            if steps:
-                dt = cfl_dt(y, t)
-                refreshes += 1
-            s = _rkc_stages(step, dt, MAX_STEPS - evals)
-            if s is None:
-                raise FlowAbort(f"step cap {MAX_STEPS} reached at t={t!r}")
-            y = _rkc_step(y, t, step, s, rhs, f)
+            try:
+                f = rhs(y, t) if steps % per_record == 0 else None
+                if f is not None and len(series.times) == steps // per_record:
+                    values = record(y, t, f)
+                    series.append(t, *values)
+                    lam = values[1]
+                    if not lam <= LAMBDA_ABORT:  # a NaN stretch too, as "lambda_max nan"
+                        raise FlowAbort(f"lambda_max {lam:{'.2f' if lam < 1e6 else '.3e'}} "
+                                        "beyond guard")
+                if steps == n_steps:
+                    break
+                if steps:
+                    dt = cfl_dt(y, t)
+                    refreshes = steps + 1
+                s = _rkc_stages(step, dt, MAX_STEPS - evals)
+                if s is None:
+                    raise FlowAbort(f"step cap {MAX_STEPS} reached at t={t!r}")
+                y = _rkc_step(y, t, step, s, rhs, f)
+            except _Restart as restart:
+                y, rhs, record = restart.args
+                continue
             steps, evals = steps + 1, evals + s
-            f = row(y, steps * step) if steps % per_record == 0 else None
     except FlowAbort as err:
         series.abort_reason = str(err)
     series.meta.update(steps=steps, rhs_evals=evals, dt_min=step if steps else None,
@@ -1276,13 +1439,24 @@ def _run_torus(cfg: FlowConfig) -> FlowSeries:
     dt = torus_cfl_dt(st)  # eta^{-1} <= I: the same bound at every state
     schedule = _schedule("torus", cfg.t_end, st.h, cfg.monitor_every or 120, dt,
                          st.u[0].size, st.m**2)  # before the run's arrays are made
-    field = _torus_field(st)
     series = FlowSeries(meta={"case": "torus", "h": st.h, "t_end": cfg.t_end,
                               "config": cfg.to_dict(), "a_used": None})
-    record = _torus_record(st, field)
-    with record.helper:
-        _march(series, st.u, field, lambda u, t: dt, record, schedule)
-        series.residual = record.settle()
+
+    def march(series, pair=None, shared=None):
+        slab = _Slab(st, pair, shared)
+        field = _torus_field(st, slab)
+        _march(series, slab.y, field, lambda u, t: dt, _torus_record(st, field, slab), schedule)
+
+    if st.u[0].size * st.m**2 < _TWO_SLABS:
+        march(series)
+        return series
+    shared = _share(st)
+    # the child marches the second slab, to the same series, and leaves
+    with fanout.Pair(lambda pair: march(FlowSeries(), pair, shared)) as pair:
+        if pair.pid:
+            march(series, pair, shared)
+        else:  # no child: one slab
+            march(series)
     return series
 
 

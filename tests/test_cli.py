@@ -347,11 +347,12 @@ class TestFlowCommand:
         assert "winding" in json.loads(capsys.readouterr().err)["error"]
         assert not list(tmp_path.glob("flow_*"))
 
-    # a torus run's helper process writes nothing: its residuals go back over
-    # a pipe, and it leaves through os._exit
+    # a torus run's slab worker writes nothing: its rows go back through
+    # shared memory, and it leaves through os._exit (grid 64 marches as two
+    # slabs)
     def test_torus_run_with_a_helper_keeps_stderr_empty(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"case": "torus", "grid": 16, "t_end": 0.1,
+        cfgfile.write_text(json.dumps({"case": "torus", "grid": 64, "t_end": 0.02,
                                        "monitor_every": 8}))
         proc = child(["flow", "--case", "torus", "--config", str(cfgfile),
                       "--out", str(tmp_path)])
@@ -359,15 +360,15 @@ class TestFlowCommand:
         assert json.loads(proc.stdout)["records"] == 9
 
     # what the interpreter buffered before the fork, and its atexit hooks,
-    # come out once: the helper neither flushes the stdio it inherits nor
-    # runs the hooks
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper is forked")
+    # come out once: the slab worker neither flushes the stdio it inherits
+    # nor runs the hooks
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the slab worker is forked")
     def test_the_helper_flushes_no_inherited_stdio(self):
         code = ("import atexit, sys\n"
                 "from areaflow.flow import FlowConfig, run\n"
                 "atexit.register(print, 'atexit')\n"
                 "sys.stdout.write('buffered ')\n"
-                "run(FlowConfig(case='torus', grid=8, t_end=0.05, monitor_every=4))\n")
+                "run(FlowConfig(case='torus', grid=64, t_end=0.02, monitor_every=4))\n")
         proc = child([], module=("-c", code))
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "buffered atexit\n", "")
 

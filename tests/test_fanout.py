@@ -263,22 +263,49 @@ def test_bounds_of_are_the_same(tensor, tmp_path, monkeypatch):
     assert_no_child_left()
 
 
-# the helper holds its inbox's read end, so a request to a dead child does
-# not raise EPIPE; the death shows up as EOF, and the answer as None
+def test_a_pair_swaps_bytes_in_step(monkeypatch):
+    pids = forked(monkeypatch)
+    shared = fanout.shared_zeros((4,))[0]
+
+    def work(pair):
+        for k in range(4):
+            shared[k] = 10.0 + k  # written before the swap, read after it
+            assert pair.swap(k) == 2 * k
+        # the parent's third byte is its last: it leaves the block
+
+    with fanout.Pair(work) as pair:
+        assert pair.pid == pids[0]
+        for k in range(3):
+            assert pair.swap(2 * k) == k and shared[k] == 10.0 + k
+    assert len(pids) == 1
+    assert_no_child_left()
+
+
+# the parent holds the read end of the worker's inbox, so a swap with a dead
+# worker does not raise EPIPE; the death shows up as EOF, and the answer as None
 @pytest.mark.skipif(not hasattr(os, "waitid"), reason="waits for the death without reaping")
 def test_a_request_to_a_dead_helper_is_answered_none(monkeypatch):
     pids = forked(monkeypatch)
-    with fanout.Helper(lambda: 2.5) as helper:
-        helper.ask()
-        assert helper.answer() == 2.5
+
+    def work(pair):
+        while True:
+            pair.swap(7)
+
+    with fanout.Pair(work) as pair:
+        assert pair.swap(1) == 7
         os.kill(pids[0], signal.SIGKILL)
         os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
-        helper.ask()
-        assert helper.answer() is None
-        helper.ask()
-        assert helper.answer() is None
+        assert pair.swap(1) in (7, None)  # a byte it sent before it died, or EOF
+        assert pair.swap(1) is None and pair.pid is None
+        assert pair.swap(1) is None
     assert len(pids) == 1
     assert_no_child_left()
+
+
+def test_a_swap_without_a_worker_is_answered_none(monkeypatch):
+    in_sequence(monkeypatch)
+    with fanout.Pair(lambda pair: pair.swap(0)) as pair:
+        assert pair.pid is None and pair.swap(1) is None
 
 
 TORUS = {"case": "torus", "grid": 16, "t_end": 0.1, "preset": "linear_sine",
@@ -286,19 +313,22 @@ TORUS = {"case": "torus", "grid": 16, "t_end": 0.1, "preset": "linear_sine",
 
 
 def _killed_helper_run(pids, monkeypatch):
-    """A torus run whose helper is killed right after the second row asked it
-    for a residual."""
-    rows, monitor = [], flow.torus_monitor
+    """A two-slab torus run whose worker is killed mid-run, while the parent
+    checks the last stage of its second step, so the parent redoes that step
+    and finishes the run alone."""
+    monkeypatch.setattr(flow, "_TWO_SLABS", 0)
+    parent, stages, positive = os.getpid(), [], flow._positive
 
-    def killing(st):
-        if len(rows) == 1:
-            os.kill(pids[0], signal.SIGKILL)
-        rows.append(st.t)
-        return monitor(st)
+    def killing(det):
+        if os.getpid() == parent:
+            if len(stages) == 3:
+                os.kill(pids[0], signal.SIGKILL)
+            stages.append(1)
+        positive(det)
 
-    monkeypatch.setattr(flow, "torus_monitor", killing)
+    monkeypatch.setattr(flow, "_positive", killing)
     assert run(FlowConfig.from_dict(TORUS)).abort_reason is None
-    assert len(rows) == TORUS["monitor_every"] + 1
+    assert len(stages) > 4
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists the open fds in /proc")
@@ -309,8 +339,10 @@ def test_no_file_descriptor_outlives_a_child(child, monkeypatch):
     if child == "fan_out":
         assert fanout.fan_out([lambda k=k: k * 0.5 for k in range(5)]) == [0, 0.5, 1, 1.5, 2]
     elif child == "torus":
+        monkeypatch.setattr(flow, "_TWO_SLABS", 0)
         assert run(FlowConfig.from_dict(TORUS)).abort_reason is None
     elif child == "aborted":
+        monkeypatch.setattr(flow, "_TWO_SLABS", 0)
         series = run(FlowConfig.from_dict({"case": "torus", "grid": 16, "amplitude": 60.0}))
         assert series.abort_reason.startswith("lambda_max")
     else:

@@ -178,9 +178,10 @@ def replayed(record, *args, **kw):
 
 
 def stencil(a, m, **parts):
-    """``_stencil`` of a, over a ring of a's shape, run once."""
+    """``_stencil`` of a, over a ring of a's shape filled periodically, run once."""
     plan = flow._Plan()
     ring = flow._ringed(a.shape[:-m], a.shape[-m:])
+    plan.append((flow._periodic([ring], m), ()))
     out = _stencil(plan, ring, m, **parts)
     np.copyto(ring[flow._inner(m)], a)
     plan.run()
@@ -365,7 +366,9 @@ class TestTorusRecords:
     def run_holding_rows(m, n, monkeypatch):
         """A short run whose monitor keeps a fresh state of each row's u and t,
         and a copy of the row's geometry (which the next row overwrites);
-        returns the series and the pairs (fresh state, geometry)."""
+        returns the series and the pairs (fresh state, geometry).  The run
+        marches one slab, so the monitor reads the whole grid."""
+        monkeypatch.setattr(flow, "_TWO_SLABS", math.inf)
         cfg = FlowConfig(case="torus", m=m, n=n, grid=12 if m == 2 else 8, t_end=0.2,
                          preset="linear_sine", amplitude=0.15, monitor_every=4)
         held = []
@@ -813,7 +816,8 @@ class TestBufferedStepper:
         held, got = self.traced(field.stage, 0.1)
         assert held == 0 and got <= peak < y.nbytes
 
-    # f0, three increments, the gam f0 scratch and the new state, whatever s is
+    # at most the new state, whatever s is: f0, the increments and the gam f0
+    # scratch are the field's work arrays
     @pytest.mark.parametrize("field,y,t,dt_cfl", STEPPER_FIELDS)
     def test_step_memory_does_not_grow_with_the_stages(self, field, y, t, dt_cfl):
         peaks = [self.traced(flow._rkc_step, y, t, 1e-3 * dt_cfl, s, field)[1] for s in (2, 31)]
@@ -1356,9 +1360,10 @@ class TestConfigFuzz:
         assert series.abort_reason is None or len(series.abort_reason) < 60, d
 
 
-# Torus runs whose rows the helper process serves: m = 2, 3 and 4, a wound
-# n = 3 map, many rows close together, and the abort configs (a first row past the guard, and two maps
-# whose first stage leaves the float range)
+# Torus runs that march as two slabs once ``flow._TWO_SLABS`` lets them: m = 2,
+# 3 and 4 (``_inverse``), a wound n = 3 map, many rows close together, an odd
+# grid (slabs of 12 and 13 rows), and the abort configs (a first row past the
+# guard, and two maps whose first stage leaves the float range)
 HELPER_CONFIGS = {
     "m2": {"case": "torus", "grid": 16, "t_end": 0.1, "preset": "linear_sine",
            "amplitude": 0.1, "monitor_every": 8},
@@ -1366,8 +1371,10 @@ HELPER_CONFIGS = {
     "m4": {"case": "torus", "m": 4, "n": 2, "grid": 5, "t_end": 0.05, "monitor_every": 5},
     "wound_n3": {"case": "torus", "n": 3, "grid": 12, "t_end": 0.1, "amplitude": 0.05,
                  "winding": [[1, 0], [0, 1], [1, 1]], "monitor_every": 6},
-    # rows one two-stage step apart, each asked for before the last is done
+    # rows one two-stage step apart
     "many_rows": {"case": "torus", "grid": 8, "t_end": 0.2, "monitor_every": 200},
+    "odd_grid": {"case": "torus", "grid": 25, "t_end": 0.1, "preset": "linear_sine",
+                 "monitor_every": 7},
     "amplitude_60": {"case": "torus", "grid": 16, "amplitude": 60.0},
     "m4_amplitude_1e160": OVERFLOWING["torus_m4"],
     "amplitude_1e300": OVERFLOWING["torus"],
@@ -1375,7 +1382,7 @@ HELPER_CONFIGS = {
 
 
 def helpers_forked(monkeypatch) -> list:
-    """The pids of the helpers ``os.fork`` starts from here on."""
+    """The pids of the slab workers ``os.fork`` starts from here on."""
     pids, fork = [], os.fork
 
     def counted():
@@ -1386,6 +1393,11 @@ def helpers_forked(monkeypatch) -> list:
 
     monkeypatch.setattr(os, "fork", counted)
     return pids
+
+
+def two_slabs(monkeypatch) -> None:
+    """Lets every torus run march as two slabs."""
+    monkeypatch.setattr(flow, "_TWO_SLABS", 0)
 
 
 def assert_no_child_left():
@@ -1404,22 +1416,91 @@ def flow_bytes(config, tmp_path, name) -> tuple:
     return (out / "flow_torus.csv").read_bytes(), (out / "flow_torus.manifest.json").read_bytes()
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper is forked")
+def series_of(series) -> tuple:
+    """Everything a run recorded, to compare runs by."""
+    return (series.times, series.m_of_t, series.lambda_max, series.max_product,
+            series.residual, series.abort_reason, series.meta)
+
+
+def failing_checks(monkeypatch, fail) -> list:
+    """Makes the det eta check of a stage fail where ``fail(stage, rows)``
+    gives a reason: ``stage`` counts the checks of this process, ``rows`` is
+    "whole", "first" or "second", the slab checked.  Returns the stages."""
+    parent, stages, positive = os.getpid(), [], flow._positive
+
+    def checked(det):
+        whole = det.shape[0] == GRID
+        rows = "whole" if whole else ("first" if os.getpid() == parent else "second")
+        stages.append(rows)
+        if reason := fail(len(stages) - 1, rows):
+            raise flow.FlowAbort(reason)
+        positive(det)
+
+    monkeypatch.setattr(flow, "_positive", checked)
+    return stages
+
+
+GRID = 12
+NAN, LOST = flow._LOST[1], flow._LOST[0]
+# a grid-12 run of 4 rows; its steps take 3 stages, the first at the row
+FAILING = {"case": "torus", "grid": GRID, "t_end": 0.2, "monitor_every": 4}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the slab worker is forked")
 class TestRowHelper:
-    """A torus run's residuals, worked out in a forked helper, are the bytes
-    the rows would work out themselves, and no helper outlives its run."""
+    """A torus run marched as two slabs, the second in a forked worker,
+    writes the bytes one slab writes, and no worker outlives its run."""
 
     @pytest.mark.parametrize("name", sorted(HELPER_CONFIGS))
     def test_helper_and_in_process_rows_write_the_same_bytes(self, name, tmp_path,
                                                              monkeypatch):
         pids = helpers_forked(monkeypatch)
-        served = flow_bytes(HELPER_CONFIGS[name], tmp_path, "helper")
+        monkeypatch.setattr(flow, "_TWO_SLABS", math.inf)
+        alone = flow_bytes(HELPER_CONFIGS[name], tmp_path, "one_slab")
+        assert pids == []
+        two_slabs(monkeypatch)
+        assert flow_bytes(HELPER_CONFIGS[name], tmp_path, "two_slabs") == alone
         assert len(pids) == 1
         monkeypatch.delattr(os, "fork")
-        assert flow_bytes(HELPER_CONFIGS[name], tmp_path, "in_process") == served
+        assert flow_bytes(HELPER_CONFIGS[name], tmp_path, "no_fork") == alone
         assert_no_child_left()
 
+    # criterion 6's base grid and the benchmark's grid-96 run, past the constant
+    @pytest.mark.parametrize("grid", [64, 96])
+    def test_large_runs_fork_one_worker_and_write_the_same_bytes(self, grid, tmp_path,
+                                                                 monkeypatch):
+        config = {"case": "torus", "grid": grid, "t_end": 0.05, "preset": "linear_sine",
+                  "monitor_every": 4}
+        pids = helpers_forked(monkeypatch)
+        served = flow_bytes(config, tmp_path, "two_slabs")
+        assert len(pids) == 1
+        monkeypatch.delattr(os, "fork")
+        assert flow_bytes(config, tmp_path, "one_slab") == served
+        assert_no_child_left()
+
+    # points x m^2 of one stage against the constant: m = 2 grid 50 is 10000
+    @pytest.mark.parametrize("m,grid,forks", [(2, 49, 0), (2, 50, 1), (3, 10, 0), (3, 11, 1)])
+    def test_small_runs_fork_nothing(self, m, grid, forks, monkeypatch):
+        pids = helpers_forked(monkeypatch)
+        assert (grid**m * m * m >= flow._TWO_SLABS) == bool(forks)
+        series = run(FlowConfig(case="torus", m=m, grid=grid, t_end=0.001, monitor_every=1))
+        assert series.abort_reason is None and len(pids) == forks
+        assert_no_child_left()
+
+    def test_both_processes_record_the_same_series(self, monkeypatch):
+        # the worker marches the same rows: its series is the parent's
+        two_slabs(monkeypatch)
+        kept, march = [], flow._march
+        monkeypatch.setattr(flow, "_march", lambda series, *a: kept.append(series) or march(
+            series, *a))
+        series = run(FlowConfig.from_dict(HELPER_CONFIGS["odd_grid"]))
+        assert len(kept) == 1 and series.abort_reason is None  # the worker's went with it
+        monkeypatch.delattr(os, "fork")
+        assert series_of(run(FlowConfig.from_dict(HELPER_CONFIGS["odd_grid"]))) == \
+            series_of(series)
+
     def test_a_second_thread_keeps_the_rows_in_process(self, tmp_path, monkeypatch):
+        two_slabs(monkeypatch)
         pids = helpers_forked(monkeypatch)
         served = flow_bytes(HELPER_CONFIGS["m2"], tmp_path, "helper")
         release = threading.Event()
@@ -1432,8 +1513,9 @@ class TestRowHelper:
             waiter.join(timeout=10)
         assert not waiter.is_alive() and len(pids) == 1
 
-    # a helper pays only with a second core to run on
+    # a worker pays only with a second core to run on
     def test_a_single_cpu_keeps_the_rows_in_process(self, tmp_path, monkeypatch):
+        two_slabs(monkeypatch)
         pids = helpers_forked(monkeypatch)
         served = flow_bytes(HELPER_CONFIGS["m2"], tmp_path, "helper")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -1443,6 +1525,7 @@ class TestRowHelper:
 
     # no affinity mask (macOS): the CPU count decides, with the same bytes
     def test_without_an_affinity_mask_the_cpu_count_decides(self, tmp_path, monkeypatch):
+        two_slabs(monkeypatch)
         served = flow_bytes(HELPER_CONFIGS["m2"], tmp_path, "helper")
         pids = helpers_forked(monkeypatch)
         monkeypatch.delattr(os, "sched_getaffinity")
@@ -1452,8 +1535,9 @@ class TestRowHelper:
         assert len(pids) == 1
         assert_no_child_left()
 
-    # an interrupt as the fork returns leaves no pipe of the helper open
+    # an interrupt as the fork returns leaves no pipe of the worker open
     def test_an_interrupted_fork_closes_the_pipes(self, monkeypatch):
+        two_slabs(monkeypatch)
         made, pipe = [], os.pipe
 
         def recorded():
@@ -1474,33 +1558,66 @@ class TestRowHelper:
                 os.fstat(fd)
         assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
 
-    # killed right after a row asked for its residual, so the next row finds
-    # either the reply or EOF, and rows after it find the pipe closed
-    @pytest.mark.parametrize("row", [0, 1, 4])
+    # the worker is killed while the parent checks the stage it counts, in
+    # a run whose steps take 3 stages, the first at the row: a row's stage (0,
+    # 6), whose next barrier is the row's residual halo, a step's second (1,
+    # 4), whose next is the stage after it, and a step's last (2), whose next
+    # ends the step; the parent finds EOF there, reaps the worker and redoes
+    # the step alone
+    @pytest.mark.parametrize("row", [0, 1, 2, 4, 6])
     def test_a_killed_helper_leaves_the_same_bytes(self, row, tmp_path, monkeypatch):
+        config = FAILING
+        served = flow_bytes(config, tmp_path, "helper")
+        two_slabs(monkeypatch)
+        pids, parent, stages = helpers_forked(monkeypatch), os.getpid(), []
+        positive = flow._positive
+
+        def killing(det):
+            if os.getpid() == parent:
+                if len(stages) == row:
+                    os.kill(pids[0], signal.SIGKILL)
+                stages.append(1)
+            positive(det)
+
+        monkeypatch.setattr(flow, "_positive", killing)
+        assert flow_bytes(config, tmp_path, "killed") == served
+        assert len(pids) == 1 and len(stages) > row + 1
+        assert_no_child_left()
+
+    # killed between a row's two barriers, once the slabs' monitors are read
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_a_worker_killed_at_a_row_leaves_the_same_bytes(self, row, tmp_path, monkeypatch):
         config = HELPER_CONFIGS["m2"]
         served = flow_bytes(config, tmp_path, "helper")
-        pids, rows = helpers_forked(monkeypatch), []
+        two_slabs(monkeypatch)
+        pids, parent, rows = helpers_forked(monkeypatch), os.getpid(), []
         monitor = flow.torus_monitor
 
         def killing(st):
-            if len(rows) == row:
-                os.kill(pids[0], signal.SIGKILL)
-            rows.append(st.t)
+            if os.getpid() == parent:
+                if len(rows) == row:
+                    os.kill(pids[0], signal.SIGKILL)
+                rows.append(st.t)
             return monitor(st)
 
         monkeypatch.setattr(flow, "torus_monitor", killing)
         assert flow_bytes(config, tmp_path, "killed") == served
-        assert len(rows) == config["monitor_every"] + 1
+        # the row is redone alone, its monitor read again, unless the worker
+        # had sent its byte for the row's last barrier before it died
+        redone = len(rows) - config["monitor_every"] - 1
+        assert redone in (0, 1) and rows[row:row + 1 + redone] == [rows[row]] * (1 + redone)
+        assert sorted(set(rows)) == rows[:row] + rows[row + redone:]
         assert_no_child_left()
 
     def test_no_helper_outlives_a_run_that_ends(self, monkeypatch):
+        two_slabs(monkeypatch)
         pids = helpers_forked(monkeypatch)
         assert run(FlowConfig.from_dict(HELPER_CONFIGS["m2"])).abort_reason is None
         assert len(pids) == 1
         assert_no_child_left()
 
     def test_no_helper_outlives_an_aborted_run(self, monkeypatch):
+        two_slabs(monkeypatch)
         pids = helpers_forked(monkeypatch)
         series = run(FlowConfig.from_dict(HELPER_CONFIGS["amplitude_60"]))
         assert series.abort_reason.startswith("lambda_max")
@@ -1510,19 +1627,87 @@ class TestRowHelper:
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_no_helper_outlives_an_error_mid_march(self, error, monkeypatch):
-        pids, steps = helpers_forked(monkeypatch), []
+        two_slabs(monkeypatch)
+        pids, steps, parent = helpers_forked(monkeypatch), [], os.getpid()
         step = flow._rkc_step
 
         def failing(*args):
-            steps.append(1)
-            if len(steps) == 3:
-                raise error("mid-march")
+            if os.getpid() == parent:
+                steps.append(1)
+                if len(steps) == 3:
+                    raise error("mid-march")
             return step(*args)
 
         monkeypatch.setattr(flow, "_rkc_step", failing)
         with pytest.raises(error, match="mid-march"):
             run(FlowConfig.from_dict(HELPER_CONFIGS["m2"]))
         assert len(pids) == 1
+        assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the slab worker is forked")
+class TestSlabAborts:
+    """A det eta check that fails in one slab, or for another reason in each,
+    ends a two-slab run where, and why, it ends the whole grid's: at the same
+    row and step, with NaN the graver reason."""
+
+    @staticmethod
+    def runs(monkeypatch, fail) -> tuple:
+        """(one slab's series, two slabs' series, the worker's pids) of
+        ``FAILING`` with checks that fail where ``fail`` says."""
+        stages = failing_checks(monkeypatch, fail)
+        alone = run(FlowConfig.from_dict(FAILING))
+        assert set(stages) == {"whole"}
+        stages.clear()
+        two_slabs(monkeypatch)
+        pids = helpers_forked(monkeypatch)
+        both = run(FlowConfig.from_dict(FAILING))
+        assert set(stages) == {"first"}
+        return alone, both, pids
+
+    # the stage of the first row (0), the second (1) and last (2) stage of
+    # the first step, the second of the next (4) and the row after two steps (6)
+    @pytest.mark.parametrize("stage", [0, 1, 2, 4, 6])
+    @pytest.mark.parametrize("slab", ["first", "second"])
+    def test_one_slab_fails(self, stage, slab, monkeypatch):
+        alone, both, pids = self.runs(monkeypatch, lambda k, rows: LOST if k == stage and (
+            rows in ("whole", slab)) else None)
+        assert alone.abort_reason == LOST
+        assert series_of(both) == series_of(alone) and len(pids) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("stage", [0, 2, 4])
+    @pytest.mark.parametrize("nan", ["first", "second"])
+    def test_nan_in_one_slab_outranks_the_other(self, stage, nan, monkeypatch):
+        def fail(k, rows):
+            if k == stage:
+                return NAN if rows in ("whole", nan) else LOST
+            return None
+
+        alone, both, pids = self.runs(monkeypatch, fail)
+        assert alone.abort_reason == NAN
+        assert series_of(both) == series_of(alone) and len(pids) == 1
+        assert_no_child_left()
+
+    # real maps: a steep rank-one map on the first slab's rows, whose det eta
+    # rounds to nonpositive, and an overflowing one on the second's
+    @pytest.mark.parametrize("halves", [("steep", "flat"), ("flat", "steep"),
+                                        ("steep", "overflow"), ("overflow", "steep")])
+    def test_real_maps_abort_alike(self, halves, monkeypatch):
+        x = np.arange(GRID) * (2 * math.pi / GRID)
+        xx, yy = np.meshgrid(x, x, indexing="ij")
+        amplitude = {"flat": 0.1, "steep": 1e9, "overflow": 1e300}
+        u = np.zeros((2, GRID, GRID))
+        for rows, kind in zip((slice(0, GRID // 2), slice(GRID // 2, None)), halves):
+            u[0, rows] = (amplitude[kind] * np.sin(xx + yy))[rows]
+        monkeypatch.setattr(flow, "_torus_initial", lambda cfg: TorusFlowState(
+            2, 2, 2 * math.pi, np.zeros((2, 2)), u))
+        alone = run(FlowConfig.from_dict(FAILING))
+        two_slabs(monkeypatch)
+        pids = helpers_forked(monkeypatch)
+        both = run(FlowConfig.from_dict(FAILING))
+        assert alone.abort_reason == (NAN if "overflow" in halves else LOST)
+        assert series_of(both) == series_of(alone) and len(pids) == 1
         assert_no_child_left()
 
 
