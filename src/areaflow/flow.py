@@ -16,9 +16,10 @@ itself evolves:
   every view it reads or writes and the ordered list of its calls, the
   last of which divides into the field's u_t.  A stage replays the plan on
   what the interior of the ring holds and allocates nothing.  A state's
-  geometry (df, eta^{-1} and the Hessian) is read once from what one stage
-  at the state leaves, into arrays of its own, and the monitor, tr_eta S,
-  its eta^{ij} Laplacian and term I read that one copy.  A run's rows read
+  geometry (df, eta^{-1}, the Hessian and the pullback metric g) is read
+  once from what one stage at the state leaves, into arrays of its own, and
+  the monitor, tr_eta S, its eta^{ij} Laplacian and term I read that one
+  copy.  A run's rows read
   the stage the march evaluated at their time by a second plan of the run,
   and their residual replays a third.  A run whose stages plan at least
   ``_TWO_SLABS`` units of work marches as two slabs of its first grid axis,
@@ -161,6 +162,7 @@ class TorusGeometry(NamedTuple):
     df: np.ndarray    # (n, m, grid...): winding part plus centered gradients
     inv: np.ndarray   # (m, m, grid...): eta^{-1}, eta = I + df^T df the induced metric
     hess: np.ndarray  # (n, m, m, grid...): centered Hessian of u, symmetric in (m, m)
+    g: np.ndarray     # (m, m, grid...): the pullback metric df^T df
 
 
 class _Plan(list):
@@ -184,6 +186,24 @@ class _Plan(list):
 def _einsum(spec: str, *operands) -> None:
     """np.einsum of all operands but the last, into the last."""
     np.einsum(spec, *operands[:-1], out=operands[-1])
+
+
+def _reuse(*dead: np.ndarray):
+    """zeros(shape) that carves views, one after another, out of the
+    contiguous ``dead`` arrays, and makes a new array where none has room
+    left.  A plan passes arrays whose every reader it has recorded, to
+    writers that fill each view whole before anything reads it; a view
+    starts with what the dead array last held, not zeros."""
+    free = [a.reshape(-1) for a in dead]
+
+    def zeros(shape):
+        size = math.prod(shape)
+        for i, buf in enumerate(free):
+            if buf.size >= size:
+                free[i] = buf[size:]
+                return buf[:size].reshape(shape)
+        return np.zeros(shape)
+    return zeros
 
 
 @dataclass
@@ -335,40 +355,66 @@ def _torus_df(plan: _Plan, grad: np.ndarray, lin: np.ndarray, h: float) -> np.nd
     return df.swapaxes(0, 1)
 
 
-def _torus_eta(plan: _Plan, df: np.ndarray) -> np.ndarray:
-    """Records the upper triangle of the induced metric eta = I + df^T df, each
-    entry a dot product over the n components; nothing is written below the
-    diagonal."""
+def _torus_eta(plan: _Plan, df: np.ndarray, zeros) -> tuple:
+    """Records the upper triangle of the induced metric eta = I + df^T df and
+    the diagonal (m, grid) of the pullback metric g = df^T df, whose entries
+    above it are eta's, from products of the stacked differential (the
+    (m, n, grid) array ``_torus_df`` writes) into one buffer: the square of
+    the whole stack for the diagonal, then per row i < m - 1 the product of
+    df_i with the rows after it for the entries right of the diagonal.  Each
+    entry sums its n products in component order, as a dot product over the
+    components taken entry by entry does, to the bit; nothing is written
+    below the diagonal.  ``zeros`` makes the buffer (``_reuse``, say)."""
     n, m, grid = df.shape[0], df.shape[1], df.shape[2:]
-    eta, product = np.zeros((m, m) + grid), np.zeros(grid)
-    for i in range(m):
-        for j in range(i, m):
-            plan(np.multiply, df[0, i], df[0, j], eta[i, j])
-            for a in range(1, n):
-                plan(np.add, eta[i, j], plan(np.multiply, df[a, i], df[a, j], product), eta[i, j])
-        plan(np.add, eta[i, i], 1.0, eta[i, i])
-    return eta
+    stack, eta, g = df.swapaxes(0, 1), np.zeros((m, m) + grid), np.zeros((m,) + grid)
+    products = plan(np.square, stack, zeros(stack.shape))
+
+    def summed(out):
+        """Records the sums over the components of the leading rows of
+        ``products``, into ``out``."""
+        k = out.shape[0]
+        first = products[:k, 0]
+        if n == 1:
+            plan(np.copyto, out, first)
+        for a in range(1, n):
+            plan(np.add, first if a == 1 else out, products[:k, a], out)
+
+    summed(g)
+    plan(np.add, g, 1.0, _diagonal(eta))
+    for i in range(m - 1):
+        plan(np.multiply, stack[i], stack[i + 1:], products[:m - 1 - i])
+        summed(eta[i, i + 1:])
+    return eta, g
 
 
-def _torus_cofactors(plan: _Plan, df: np.ndarray, check):
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """The (m, grid...) view of the diagonal of an (m, m, grid...) array."""
+    m = a.shape[0]
+    return a.reshape((m * m,) + a.shape[2:])[::m + 1]
+
+
+def _torus_cofactors(plan: _Plan, df: np.ndarray, check, zeros):
     """Records the upper triangle c (indexed by (i, j)) and d with
     eta^{-1} = c / d, over the whole ringed df, and ``check`` (``_Slab.check``)
-    of det eta on the interior.  For m <= 3, c = adj(eta) and d = det eta:
-    adj(eta)_ij = (-1)^(i+j) times the minor of eta without row j and column
-    i, with eta's entry (r, c) read from its upper triangle, and
-    det eta = sum_j eta_0j adj(eta)_j0.  For m >= 4, c is NumPy's inverse of
-    eta on the interior only (``_inverse``; a ring cell's eta, from a
-    difference across the wrap, can be singular in floating point) and d = 1.
+    of det eta on the interior; returns c, d and eta with the diagonal of the
+    pullback metric (``_torus_eta``, its buffer from ``zeros``).  For m <= 3,
+    c = adj(eta) and d = det eta: adj(eta)_ij = (-1)^(i+j) times the minor of
+    eta without row j and column i, with eta's entry (r, c) read from its
+    upper triangle, and det eta = sum_j eta_0j adj(eta)_j0.  For m >= 4, c is
+    NumPy's inverse of eta on the interior only (``_inverse``; a ring cell's
+    eta, from a difference across the wrap, can be singular in floating
+    point) and d = 1.
     """
     m, grid = df.shape[1], df.shape[2:]
-    eta, inner = _torus_eta(plan, df), _inner(m)
+    metric, inner = _torus_eta(plan, df, zeros), _inner(m)
+    eta = metric[0]
     if m > 3:
         for i in range(m):
             for j in range(i + 1, m):
                 plan(np.copyto, eta[j, i], eta[i, j])
         inv = np.zeros(eta.shape)
         plan(_inverse, check, *(np.moveaxis(a[inner], (0, 1), (-2, -1)) for a in (eta, inv)))
-        return inv, np.ones(grid)
+        return inv, np.ones(grid), metric
 
     def e(r, c):
         return eta[min(r, c), max(r, c)]
@@ -391,7 +437,7 @@ def _torus_cofactors(plan: _Plan, df: np.ndarray, check):
     for j in range(1, m):
         plan(np.add, det, plan(np.multiply, eta[0, j], adj[0, j], product), det)
     plan(check, det[inner])
-    return adj, det
+    return adj, det, metric
 
 
 def _positive(det: np.ndarray) -> None:
@@ -424,13 +470,14 @@ def _torus_eta_inv(plan: _Plan, adj, det: np.ndarray, inv: np.ndarray) -> np.nda
     return inv
 
 
-def _hessian_trace(plan: _Plan, coef, hess: np.ndarray) -> np.ndarray:
+def _hessian_trace(plan: _Plan, coef, hess: np.ndarray, zeros) -> np.ndarray:
     """Records h^2 coef^{ij} d_i d_j a, from the upper triangle of a symmetric
     coef and the undivided Hessian of a (``_stencil``): an entry above the
-    diagonal counts twice, at a quarter of its weight."""
+    diagonal counts twice, at a quarter of its weight.  ``zeros`` makes the
+    arrays (``_reuse``, say)."""
     m = hess.shape[0]
-    out = plan(np.multiply, hess[0, 0], coef[0, 0], np.zeros(hess.shape[2:]))
-    half, term = np.zeros(hess.shape[-m:]), np.zeros(out.shape)
+    out = plan(np.multiply, hess[0, 0], coef[0, 0], zeros(hess.shape[2:]))
+    term, half = zeros(out.shape), zeros(hess.shape[-m:])
     for i in range(m):
         for j in range(i, m):
             if i or j:
@@ -454,18 +501,24 @@ def _torus_hessian(plan: _Plan, hess: np.ndarray, h: float, full: np.ndarray) ->
 
 def _geometry_shapes(n: int, m: int, grid: tuple) -> TorusGeometry:
     """The shapes of a ``TorusGeometry`` on an n-component, m-axis grid."""
-    return TorusGeometry((n, m) + grid, (m, m) + grid, (n, m, m) + grid)
+    return TorusGeometry((n, m) + grid, (m, m) + grid, (n, m, m) + grid, (m, m) + grid)
 
 
 def _torus_geometry(plan: _Plan, df: np.ndarray, hess: np.ndarray, adj, det: np.ndarray,
-                    h: float, out: TorusGeometry) -> TorusGeometry:
-    """Records df, eta^{-1} and the Hessian of the map on the grid, from what
-    one stage leaves (its field's ``stencil``: the ringed df and undivided
-    Hessian of u, and the cofactors of eta), into the arrays of ``out``
-    (``_geometry_shapes``)."""
-    plan(np.copyto, out.df, df[_inner(df.shape[1])])
+                    metric: tuple, h: float, out: TorusGeometry) -> TorusGeometry:
+    """Records df, eta^{-1}, the Hessian of the map and the pullback metric
+    on the grid, from what one stage leaves (its field's ``stencil``: the
+    ringed df and undivided Hessian of u, the cofactors of eta, and eta with
+    the diagonal of g), into the arrays of ``out`` (``_geometry_shapes``)."""
+    m, inner = df.shape[1], _inner(df.shape[1])
+    eta, diagonal = metric
+    plan(np.copyto, out.df, df[inner])
     _torus_eta_inv(plan, adj, det, out.inv)
     _torus_hessian(plan, hess, h, out.hess)
+    plan(np.copyto, _diagonal(out.g), diagonal[inner])
+    for i in range(m - 1):
+        plan(np.copyto, out.g[i, i + 1:], eta[i, i + 1:][inner])
+        plan(np.copyto, out.g[i + 1:, i], out.g[i, i + 1:])
     return out
 
 
@@ -487,20 +540,22 @@ def _torus_field(st: TorusFlowState, slab=None):
     fills the ring rows of the slab's first grid axis and ends in the
     division into the field's u_t: a stage replays the plan on what the
     interior of the ring holds and allocates nothing.  The field's
-    ``stencil`` (df, undivided Hessian, c, d) is what it wrote last, valid
-    until its next stage."""
+    ``stencil`` (df, undivided Hessian, c, d, eta with the diagonal of g) is
+    what it wrote last, valid until its next stage."""
     slab = _Slab(st) if slab is None else slab
     plan, h, inner = _Plan(), st.h, _inner(st.m)
     ring = _ringed(st.u.shape[:1], slab.grid)
     plan.append((slab.halo([ring], st.m), ()))
     grad, hess = _stencil(plan, ring, st.m)
     df = _torus_df(plan, grad, st.lin, h)
-    adj, det = _torus_cofactors(plan, df, slab.check)
-    num = _hessian_trace(plan, adj, hess)[inner]
+    # eta's products, then the Hessian trace's arrays, in one buffer
+    spare = np.zeros(df.shape[1::-1] + df.shape[2:])
+    adj, det, metric = _torus_cofactors(plan, df, slab.check, _reuse(spare))
+    num = _hessian_trace(plan, adj, hess, _reuse(spare))[inner]
     scale = plan(np.multiply, det, h * h, np.zeros(det.shape))[inner]
     u_t = plan(np.divide, num, scale, np.zeros(st.u.shape[:1] + slab.grid))
     field = _buffered(lambda t: plan.run(), ring[inner], u_t, slab.settle)
-    field.stencil = df, hess, adj, det
+    field.stencil = df, hess, adj, det, metric
     return field
 
 
@@ -510,8 +565,8 @@ def _torus_record(st: TorusFlowState, field, slab=None):
     f = u_t at (u, t) (``_march``).  Built once per run: the row's state
     takes its geometry from the stencil that call left, by a plan into
     arrays of the run's rows, and its residual replays a plan that reads them
-    and f; the monitor and the residual of the slab combine with the other
-    slab's (``_Slab.combine``)."""
+    and f (both plans are the row function's ``plans``); the monitor and the
+    residual of the slab combine with the other slab's (``_Slab.combine``)."""
     slab = _Slab(st) if slab is None else slab
     plan = _Plan()
     geometry = _torus_geometry(plan, *field.stencil, st.h, TorusGeometry(
@@ -525,6 +580,7 @@ def _torus_record(st: TorusFlowState, field, slab=None):
         vars(now)["geometry"] = geometry  # primes the cached_property
         return (*slab.combine((*torus_monitor(now), value)), 1.0, 1.0)
 
+    record.plans = plan, residual.plan
     return record
 
 
@@ -532,10 +588,11 @@ def _torus_record(st: TorusFlowState, field, slab=None):
 # torus run marches as two slabs in two processes.  Below it the fork, the
 # pages both processes then copy and a barrier per stage cost more than half a
 # stage saves.  Run once in a fresh interpreter on a 2-core Xeon, as a
-# benchmark round runs it, a run took longer with two slabs at m = 2 grid 48
-# (9216 units; 69 against 59 ms), about as long at m = 2 grids 56 and 64 (79
-# against 72, 95 against 91 ms), and less at m = 3 grid 12 (15552; 89 against
-# 105 ms) and m = 2 grid 96 (215 against 330 ms).
+# benchmark round runs it (medians of 9 alternating repeats), a run took
+# longer with two slabs at m = 2 grid 48 (9216 units; 60.1 against 50.6 ms) and
+# m = 3 grid 10 (9000; 67.8 against 59.5 ms), and less at m = 2 grids 56
+# (12544; 73.3 against 84.5 ms) and 64 (124.7 against 144.7 ms), m = 3 grid 12
+# (15552; 57.0 against 77.4 ms) and m = 2 grid 96 (157 against 217 ms).
 _TWO_SLABS = 10**4
 
 
@@ -684,27 +741,27 @@ def torus_step(st: TorusFlowState, dt: float) -> TorusFlowState:
 def torus_lambdas(st: TorusFlowState) -> np.ndarray:
     """Descending singular values per grid point, shape (points, m): the square
     roots of the eigenvalues of g = df^T df."""
-    pts = st.geometry.df.reshape(st.n, st.m, -1).transpose(2, 0, 1)
-    w = np.linalg.eigvalsh(np.einsum("pai,paj->pij", pts, pts))[:, ::-1]
+    g = st.geometry.g.reshape(st.m, st.m, -1).transpose(2, 0, 1)
+    w = np.linalg.eigvalsh(g)[:, ::-1]
     return np.sqrt(np.clip(w, 0.0, None))
 
 
 def torus_monitor(st: TorusFlowState):
     """(min S_11 + S_22, max lambda, max lambda_1 lambda_2) over the grid.
 
-    m = 2 reads the invariants of g = df^T df, with det g taken from its
-    entries, not as a difference of roots: S_1 + S_2 = 2 (1 - det g) / det eta
-    with det eta = 1 + tr g + det g, lambda_max^2 the larger root of g and
-    lambda_1 lambda_2 = sqrt(det g).  m >= 3 sorts ``torus_lambdas``.
+    m = 2 reads the invariants of the geometry's g = df^T df, with det g
+    taken from its entries, not as a difference of roots:
+    S_1 + S_2 = 2 (1 - det g) / det eta with det eta = 1 + tr g + det g,
+    lambda_max^2 the larger root of g and lambda_1 lambda_2 = sqrt(det g).
+    m >= 3 sorts ``torus_lambdas``.
     """
     if st.m > 2:
         lam = torus_lambdas(st)
         s = s_of(lam)
         return (float((s[:, 0] + s[:, 1]).min()), float(lam.max()),
                 float((lam[:, 0] * lam[:, 1]).max()))
-    df = st.geometry.df
-    g00, g11, g01 = (np.einsum("a...,a...->...", df[:, i], df[:, j])
-                     for i, j in ((0, 0), (1, 1), (0, 1)))
+    g = st.geometry.g
+    g00, g11, g01 = g[0, 0], g[1, 1], g[0, 1]
     half_tr = np.add(g00, g11)
     half_tr *= 0.5
     top = np.subtract(g00, g11)
@@ -712,8 +769,8 @@ def torus_monitor(st: TorusFlowState):
     np.hypot(top, g01, out=top)
     top += half_tr
     lam_max = math.sqrt(max(float(top.max()), 0.0))
-    det = np.multiply(g00, g11, out=g00)
-    det -= np.square(g01, out=g01)
+    det = np.multiply(g00, g11, out=top)
+    det -= np.square(g01)
     np.maximum(det, 0.0, out=det)  # g >= 0: a negative det g is rounding
     prod = math.sqrt(float(det.max()))
     # det eta = 1 + tr g + det g, as half_tr + half_tr + det + 1
@@ -726,46 +783,54 @@ def torus_monitor(st: TorusFlowState):
     return float(det.min()), lam_max, prod
 
 
-def _torus_sigma(plan: _Plan, inv: np.ndarray) -> np.ndarray:
-    """Records tr_eta S = 2 tr(eta^{-1}) - m, the scalar whose evolution is checked."""
-    sigma = plan(_einsum, "ii...->...", inv, np.zeros(inv.shape[2:]))
-    plan(np.multiply, sigma, 2.0, sigma)
-    return plan(np.subtract, sigma, inv.shape[0], sigma)
+def _torus_pushed(plan: _Plan, g: TorusGeometry) -> tuple:
+    """Records W = eta^{-1} df^T and eta^{-1} W = eta^{-2} df^T, (m, n, grid)
+    each: term I reads W, the residual's time derivative V."""
+    shape = g.df.shape[1::-1] + g.df.shape[2:]
+    w = plan(_einsum, "ij...,aj...->ia...", g.inv, g.df, np.zeros(shape))
+    return w, plan(_einsum, "ij...,ja...->ia...", g.inv, w, np.zeros(shape))
 
 
-def _square(plan: _Plan, a: np.ndarray) -> np.ndarray:
-    """Records the pointwise matrix square of a (k, k, grid...) field."""
-    return plan(_einsum, "ij...,jk...->ik...", a, a, np.zeros(a.shape))
-
-
-def _torus_term_one(plan: _Plan, g: TorusGeometry) -> np.ndarray:
+def _torus_term_one(plan: _Plan, g: TorusGeometry, w: np.ndarray, zeros) -> np.ndarray:
     """Records sum_i term_I at every grid point: 2 (S_ii + S_aa) |A[a,i,l]|^2
-    summed, from the geometry g of a state.
+    summed, from the geometry g of a state and W = eta^{-1} df^T
+    (``_torus_pushed``).
 
     In the adapted graph frame <A(e_i, e_l), nu_a> = hess[b,k,q] e_i^k e_l^q
     nu_a^b (the Christoffel part of A is tangential, so the normals annihilate
     it), and every frame sum is a matrix function of df:
     sum_l e_l e_l^T = eta^{-1}, sum_i S_ii e_i e_i^T = 2 eta^{-2} - eta^{-1},
-    sum_a nu_a nu_a^T = Z = zeta^{-1} = I - df eta^{-1} df^T (zeta = I + df df^T,
-    by Woodbury) and sum_a S_aa nu_a nu_a^T = 2 Z^2 - Z.  The zero singular
-    values of a non-square df (S = 1) come out right on both sides.  With
-    G_b = eta^{-1} hess_b, T_ab = tr(G_b G_a) and U_ab = tr(eta^{-1} G_b G_a)
-    the sum is 4 sum_ab [Z_ab U_ab + (Z^2 - Z)_ab T_ab].
+    sum_a nu_a nu_a^T = Z = zeta^{-1} and sum_a S_aa nu_a nu_a^T = 2 Z^2 - Z,
+    zeta = I + df df^T.  Pushing eta^{-1} through df (df eta^{-1} =
+    zeta^{-1} df) gives Z = I - Q with Q = df W, so zeta is never formed, and
+    Z^2 - Z = Q^2 - Q.  The zero singular values of a non-square df (S = 1)
+    come out right on both sides.  With G_b = eta^{-1} hess_b,
+    T_ab = tr(G_b G_a) and U_ab = tr(eta^{-1} G_b G_a) the sum is
+    4 sum_ab [Z_ab U_ab + (Z^2 - Z)_ab T_ab].
+    Q^2 - Q is taken from the same Q, not as -df eta^{-2} df^T: the two sums
+    cancel down to O(|hess|^2 / lambda^4) where m > n, and only an error of Q
+    that enters both of them cancels with them (-df eta^{-2} df^T was 2 to
+    1000 times less accurate at cond(eta) 1e3 to 3e4, m > n the worst).  T
+    and U share one buffer, each multiplied into its weights before the next
+    is written, and Z overwrites Q; ``zeros`` makes the arrays (``_reuse``,
+    say).
     """
     n, grid = g.df.shape[0], g.df.shape[2:]
     pair = (n, n) + grid
-    z = plan(_einsum, "ai...,ij...,bj...->ab...", g.df, g.inv, g.df, np.zeros(pair))
-    plan(np.negative, z, z)
-    for a in range(n):
-        plan(np.add, z[a, a], 1.0, z[a, a])
-    gb = plan(_einsum, "ij...,bjk...->bik...", g.inv, g.hess, np.zeros(g.hess.shape))
-    k = plan(_einsum, "ij...,bjk...->bik...", g.inv, gb, np.zeros(g.hess.shape))
-    t = plan(_einsum, "bij...,aji...->ab...", gb, gb, np.zeros(pair))
-    u = plan(_einsum, "bij...,aji...->ab...", k, gb, np.zeros(pair))
-    zz = _square(plan, z)
+    gb = plan(_einsum, "ij...,bjk...->bik...", g.inv, g.hess, zeros(g.hess.shape))
+    k = plan(_einsum, "ij...,bjk...->bik...", g.inv, gb, zeros(g.hess.shape))
+    z = plan(_einsum, "ai...,ib...->ab...", g.df, w, zeros(pair))  # Q
+    zz = plan(_einsum, "ab...,bc...->ac...", z, z, zeros(pair))
     plan(np.subtract, zz, z, zz)
-    term = plan(_einsum, "ab...,ab...->...", z, u, np.zeros(grid))
-    plan(np.add, term, plan(_einsum, "ab...,ab...->...", zz, t, np.zeros(grid)), term)
+    tu = zeros(pair)
+    plan(_einsum, "bij...,aji...->ab...", gb, gb, tu)  # T
+    plan(np.multiply, zz, tu, zz)
+    plan(_einsum, "bij...,aji...->ab...", k, gb, tu)  # U
+    plan(np.negative, z, z)
+    plan(np.add, _diagonal(z), 1.0, _diagonal(z))  # Z = I - Q
+    plan(np.multiply, z, tu, z)
+    plan(np.add, zz, z, zz)
+    term = plan(np.add.reduce, zz.reshape((n * n,) + grid), 0, None, zeros(grid))
     return plan(np.multiply, term, 4.0, term)
 
 
@@ -773,22 +838,29 @@ def _torus_residual(g: TorusGeometry, h: float, halo=_periodic):
     """f -> ``torus_evolution_residual`` of a state with geometry g and
     u_t = f: a plan over arrays of its own, which reads g in place and copies
     f into a ring.  ``halo`` (``_periodic``, or a slab's ``_Slab.halo``)
-    fills the ring rows of the first grid axis of f's ring and tr_eta S's."""
+    fills the ring rows of the first grid axis of f's ring and tr(eta^{-1})'s:
+    the Laplacian of tr_eta S = 2 tr(eta^{-1}) - m, the scalar whose
+    evolution is checked, is twice tr(eta^{-1})'s.  The Laplacian's arrays
+    reuse the time derivative's once those are read, and term I's the time
+    derivative's and the Hessian of tr(eta^{-1}) (``_reuse``).  The two
+    ringed ones are read only on the interior, which their differences write
+    at every replay, so what their other cells hold is never read."""
     n, m, grid = g.df.shape[0], g.df.shape[1], g.df.shape[2:]
     plan, inner = _Plan(), _inner(m)
-    ring, sigma_ring = _ringed((n,), grid), _ringed((), grid)
-    plan(np.copyto, sigma_ring[inner], _torus_sigma(plan, g.inv))
-    plan.append((halo([ring, sigma_ring], m), ()))
-    df_t = _stencil(plan, ring, m, hess=False)[0][inner]  # 2h d(f), axis indices leading
-    inv_df = plan(_einsum, "ij...,aj...->ia...", _square(plan, g.inv), g.df,
-                  np.zeros(df_t.shape))
-    res = plan(_einsum, "ia...,ia...->...", df_t, inv_df, np.zeros(grid))
+    ring, trace_ring = _ringed((n,), grid), _ringed((), grid)
+    trace = trace_ring[inner]
+    for i in range(1, m):
+        plan(np.add, g.inv[0, 0] if i == 1 else trace, g.inv[i, i], trace)
+    plan.append((halo([ring, trace_ring], m), ()))
+    grad = _stencil(plan, ring, m, hess=False)[0]  # 2h d(f), axis indices leading
+    w, v = _torus_pushed(plan, g)
+    res = plan(_einsum, "ia...,ia...->...", grad[inner], v, np.zeros(grid))
     plan(np.multiply, res, -2.0 / h, res)
-    lap = _hessian_trace(plan, g.inv,
-                         _stencil(plan, sigma_ring, m, grad=False)[1][inner])
-    plan(np.multiply, lap, h**-2, lap)
+    hess = _stencil(plan, trace_ring, m, grad=False)[1]
+    lap = _hessian_trace(plan, g.inv, hess[inner], _reuse(grad, v))
+    plan(np.multiply, lap, 2.0 / h**2, lap)
     plan(np.subtract, res, lap, res)
-    plan(np.subtract, res, _torus_term_one(plan, g), res)
+    plan(np.subtract, res, _torus_term_one(plan, g, w, _reuse(grad, v, hess)), res)
     plan(np.abs, res, res)
     f_in = ring[inner]
 
@@ -797,6 +869,7 @@ def _torus_residual(g: TorusGeometry, h: float, halo=_periodic):
         plan.run()
         return float(res.max())
 
+    residual.plan = plan
     return residual
 
 

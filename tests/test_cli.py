@@ -350,7 +350,7 @@ class TestFlowCommand:
     # a torus run's slab worker writes nothing: its rows go back through
     # shared memory, and it leaves through os._exit (grid 64 marches as two
     # slabs)
-    def test_torus_run_with_a_helper_keeps_stderr_empty(self, tmp_path):
+    def test_torus_run_with_a_slab_worker_keeps_stderr_empty(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"case": "torus", "grid": 64, "t_end": 0.02,
                                        "monitor_every": 8}))
@@ -363,7 +363,7 @@ class TestFlowCommand:
     # come out once: the slab worker neither flushes the stdio it inherits
     # nor runs the hooks
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="the slab worker is forked")
-    def test_the_helper_flushes_no_inherited_stdio(self):
+    def test_the_slab_worker_flushes_no_inherited_stdio(self):
         code = ("import atexit, sys\n"
                 "from areaflow.flow import FlowConfig, run\n"
                 "atexit.register(print, 'atexit')\n"

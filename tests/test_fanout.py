@@ -284,7 +284,7 @@ def test_a_pair_swaps_bytes_in_step(monkeypatch):
 # the parent holds the read end of the worker's inbox, so a swap with a dead
 # worker does not raise EPIPE; the death shows up as EOF, and the answer as None
 @pytest.mark.skipif(not hasattr(os, "waitid"), reason="waits for the death without reaping")
-def test_a_request_to_a_dead_helper_is_answered_none(monkeypatch):
+def test_a_request_to_a_dead_worker_is_answered_none(monkeypatch):
     pids = forked(monkeypatch)
 
     def work(pair):
@@ -312,7 +312,7 @@ TORUS = {"case": "torus", "grid": 16, "t_end": 0.1, "preset": "linear_sine",
          "amplitude": 0.1, "monitor_every": 8}
 
 
-def _killed_helper_run(pids, monkeypatch):
+def _killed_worker_run(pids, monkeypatch):
     """A two-slab torus run whose worker is killed mid-run, while the parent
     checks the last stage of its second step, so the parent redoes that step
     and finishes the run alone."""
@@ -346,7 +346,7 @@ def test_no_file_descriptor_outlives_a_child(child, monkeypatch):
         series = run(FlowConfig.from_dict({"case": "torus", "grid": 16, "amplitude": 60.0}))
         assert series.abort_reason.startswith("lambda_max")
     else:
-        _killed_helper_run(pids, monkeypatch)
+        _killed_worker_run(pids, monkeypatch)
     assert sorted(os.listdir("/proc/self/fd")) == before
     assert len(pids) == 1
     assert_no_child_left()

@@ -20,7 +20,6 @@ from areaflow.flow import (
     FlowConfig,
     TorusFlowState,
     _stencil,
-    _torus_sigma,
     _torus_term_one,
     equivariant_dt,
     equivariant_monitor,
@@ -139,6 +138,69 @@ def ref_term_one(st):
     return 2.0 * np.einsum("pail,pail->p", weight * a2, a2).reshape(grid)
 
 
+def ref_zeta_term_one(g):
+    """Term I from a geometry by the zeta form that pushing eta^{-1} through
+    df replaced: zeta^{-1} = I - df eta^{-1} df^T by one three-operand einsum
+    and zeta^{-2} - zeta^{-1} as its square less itself."""
+    n = g.df.shape[0]
+    z = -np.einsum("ai...,ij...,bj...->ab...", g.df, g.inv, g.df)
+    for a in range(n):
+        z[a, a] += 1.0
+    gb = np.einsum("ij...,bjk...->bik...", g.inv, g.hess)
+    k = np.einsum("ij...,bjk...->bik...", g.inv, gb)
+    t = np.einsum("bij...,aji...->ab...", gb, gb)
+    u = np.einsum("bij...,aji...->ab...", k, gb)
+    zz = np.einsum("ab...,bc...->ac...", z, z) - z
+    return 4.0 * (np.einsum("ab...,ab...->...", z, u) + np.einsum("ab...,ab...->...", zz, t))
+
+
+def ref_eta_per_entry(plan, df, zeros):
+    """``flow._torus_eta`` in the per-entry form the stacked products
+    replaced: each entry of g = df^T df one product per component, summed in
+    component order, eta's upper triangle g's with 1 + g_ii on its diagonal."""
+    n, m, grid = df.shape[0], df.shape[1], df.shape[2:]
+    eta, product, g = np.zeros((m, m) + grid), np.zeros(grid), np.zeros((m,) + grid)
+    for i in range(m):
+        for j in range(i, m):
+            out = g[i] if i == j else eta[i, j]
+            plan(np.multiply, df[0, i], df[0, j], out)
+            for a in range(1, n):
+                plan(np.add, out, plan(np.multiply, df[a, i], df[a, j], product), out)
+        plan(np.add, g[i], 1.0, eta[i, i])
+    return eta, g
+
+
+def ref_monitor(st):
+    """``torus_monitor`` in the form that read df before g joined the
+    geometry: at m = 2 the three entries of g by one einsum each, at m >= 3 g
+    by a point-major einsum into ``eigvalsh``."""
+    df = st.geometry.df
+    if st.m > 2:
+        pts = df.reshape(st.n, st.m, -1).transpose(2, 0, 1)
+        w = np.linalg.eigvalsh(np.einsum("pai,paj->pij", pts, pts))[:, ::-1]
+        return s_and_products(np.sqrt(np.clip(w, 0.0, None)))
+    g00, g11, g01 = (np.einsum("a...,a...->...", df[:, i], df[:, j])
+                     for i, j in ((0, 0), (1, 1), (0, 1)))
+    half_tr = np.add(g00, g11)
+    half_tr *= 0.5
+    top = np.subtract(g00, g11)
+    top *= 0.5
+    np.hypot(top, g01, out=top)
+    top += half_tr
+    lam_max = math.sqrt(max(float(top.max()), 0.0))
+    det = np.multiply(g00, g11, out=g00)
+    det -= np.square(g01, out=g01)
+    np.maximum(det, 0.0, out=det)
+    prod = math.sqrt(float(det.max()))
+    eta_det = np.add(half_tr, half_tr, out=half_tr)
+    eta_det += det
+    eta_det += 1.0
+    np.subtract(1.0, det, out=det)
+    det *= 2.0
+    det /= eta_det
+    return float(det.min()), lam_max, prod
+
+
 def ref_heun_step(st, dt):
     k1 = ref_rhs(st)
     mid = TorusFlowState(st.m, st.n, st.period, st.lin, st.u + dt * k1, st.t + dt)
@@ -245,9 +307,45 @@ class TestTorusReference:
         st = wound_state(m, n)
         assert_close(torus_rhs(st), ref_rhs(st))
         assert_close(flow._torus_field(st)(st.u, 0.0), ref_rhs(st))
-        assert_close(replayed(_torus_sigma, st.geometry.inv), ref_sigma(st))
-        assert_close(replayed(_torus_term_one, st.geometry), ref_term_one(st))
+        assert_close(replayed(_torus_term_one, st.geometry,
+                              replayed(flow._torus_pushed, st.geometry)[0], np.zeros),
+                     ref_term_one(st))
         assert_close(torus_evolution_residual(st), ref_chain_residual(st))
+
+    # the stacked products sum each entry of g as the per-entry form does, and
+    # g read from the stage is the contraction the monitor took it by
+    @pytest.mark.parametrize("m,n", REFERENCE_SHAPES)
+    def test_stage_and_monitor_are_bit_identical_to_their_reference_forms(self, m, n,
+                                                                         monkeypatch):
+        st = wound_state(m, n)
+        u_t, monitor, df = torus_rhs(st), torus_monitor(st), st.geometry.df
+        assert np.array_equal(st.geometry.g, np.einsum("ai...,aj...->ij...", df, df))
+        assert monitor == ref_monitor(st)
+        monkeypatch.setattr(flow, "_torus_eta", ref_eta_per_entry)
+        assert np.array_equal(torus_rhs(wound_state(m, n)), u_t)
+
+    # one component steep enough that cond(eta) is about 1e4: a matrix form of
+    # term I then loses digits to the cancellation between its two sums
+    # (1e-9 to 1e-6 here), and Z = I - df W may lose at most twice what the
+    # zeta form does; -df eta^{-2} df^T for zeta^{-2} - zeta^{-1} lost 2 to
+    # 60 times more
+    @pytest.mark.parametrize("m,n", REFERENCE_SHAPES)
+    def test_term_one_at_a_large_condition_number(self, m, n):
+        st = wound_state(m, n)
+        u = st.u.copy()
+        u[0] *= 700.0
+        st = torus_state(grid=u.shape[1], lin=st.lin, u=u, m=m, n=n)
+        eta = np.eye(m)[:, :, None] + np.einsum("ai...,aj...->ij...", st.geometry.df,
+                                                 st.geometry.df).reshape(m, m, -1)
+        assert 5e3 <= np.linalg.cond(np.moveaxis(eta, 2, 0)).max() <= 2.5e4
+        ref = ref_term_one(st)
+
+        def error(got):
+            return (abs(got - ref) / np.maximum(1.0, abs(ref))).max()
+
+        w = replayed(flow._torus_pushed, st.geometry)[0]
+        got = replayed(_torus_term_one, st.geometry, w, np.zeros)
+        assert error(got) <= max(1e-12, 2 * error(ref_zeta_term_one(st.geometry)))
 
     @pytest.mark.parametrize("m,n", SHAPES)
     def test_evolution_residual(self, m, n):
@@ -416,10 +514,10 @@ class TestTorusRecords:
         torus_evolution_residual(wound_state(2, 2, grid=8))
         assert len(calls) == 1
 
-    # the record's stencils, geometry, zeta^{-1} and term I write into
-    # arrays of the run's plans; what is left is the monitor's pointwise arrays (the
-    # three entries of the 2 x 2 pullback metric, half its trace and its larger
-    # root), five grid fields, 2.5 states' worth at n = 2
+    # the record's stencils, geometry (the pullback metric g with it), W and V,
+    # Q = df W and term I write into arrays of the run's plans; what is left is
+    # the monitor's pointwise arrays (half the trace of g, its larger root and
+    # g_01^2), three grid fields, 1.5 states' worth at n = 2
     def test_record_allocates_bounded_memory(self):
         st = wound_state(2, 2, grid=96)
         field = flow._torus_field(st)
@@ -433,6 +531,21 @@ class TestTorusRecords:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * st.u.nbytes
+
+    # the distinct arrays a grid-96 row's two plans hold, the stage's they read
+    # included: 40.7 states' worth, term I's pairwise arrays and the
+    # Laplacian's in arrays the residual has read
+    def test_row_plans_hold_bounded_memory(self):
+        st = wound_state(2, 2, grid=96)
+        held = {}
+        for plan in flow._torus_record(st, flow._torus_field(st)).plans:
+            for _, args in plan:
+                for a in args:
+                    if isinstance(a, np.ndarray):
+                        while a.base is not None:
+                            a = a.base
+                        held[id(a)] = a
+        assert sum(a.nbytes for a in held.values()) <= 41 * st.u.nbytes
 
 
 class TestTorusLambdas:
@@ -1364,7 +1477,7 @@ class TestConfigFuzz:
 # 3 and 4 (``_inverse``), a wound n = 3 map, many rows close together, an odd
 # grid (slabs of 12 and 13 rows), and the abort configs (a first row past the
 # guard, and two maps whose first stage leaves the float range)
-HELPER_CONFIGS = {
+SLAB_CONFIGS = {
     "m2": {"case": "torus", "grid": 16, "t_end": 0.1, "preset": "linear_sine",
            "amplitude": 0.1, "monitor_every": 8},
     "m3": {"case": "torus", "m": 3, "n": 2, "grid": 8, "t_end": 0.05, "monitor_every": 5},
@@ -1381,7 +1494,7 @@ HELPER_CONFIGS = {
 }
 
 
-def helpers_forked(monkeypatch) -> list:
+def workers_forked(monkeypatch) -> list:
     """The pids of the slab workers ``os.fork`` starts from here on."""
     pids, fork = [], os.fork
 
@@ -1451,18 +1564,18 @@ class TestRowHelper:
     """A torus run marched as two slabs, the second in a forked worker,
     writes the bytes one slab writes, and no worker outlives its run."""
 
-    @pytest.mark.parametrize("name", sorted(HELPER_CONFIGS))
+    @pytest.mark.parametrize("name", sorted(SLAB_CONFIGS))
     def test_helper_and_in_process_rows_write_the_same_bytes(self, name, tmp_path,
                                                              monkeypatch):
-        pids = helpers_forked(monkeypatch)
+        pids = workers_forked(monkeypatch)
         monkeypatch.setattr(flow, "_TWO_SLABS", math.inf)
-        alone = flow_bytes(HELPER_CONFIGS[name], tmp_path, "one_slab")
+        alone = flow_bytes(SLAB_CONFIGS[name], tmp_path, "one_slab")
         assert pids == []
         two_slabs(monkeypatch)
-        assert flow_bytes(HELPER_CONFIGS[name], tmp_path, "two_slabs") == alone
+        assert flow_bytes(SLAB_CONFIGS[name], tmp_path, "two_slabs") == alone
         assert len(pids) == 1
         monkeypatch.delattr(os, "fork")
-        assert flow_bytes(HELPER_CONFIGS[name], tmp_path, "no_fork") == alone
+        assert flow_bytes(SLAB_CONFIGS[name], tmp_path, "no_fork") == alone
         assert_no_child_left()
 
     # criterion 6's base grid and the benchmark's grid-96 run, past the constant
@@ -1471,7 +1584,7 @@ class TestRowHelper:
                                                                  monkeypatch):
         config = {"case": "torus", "grid": grid, "t_end": 0.05, "preset": "linear_sine",
                   "monitor_every": 4}
-        pids = helpers_forked(monkeypatch)
+        pids = workers_forked(monkeypatch)
         served = flow_bytes(config, tmp_path, "two_slabs")
         assert len(pids) == 1
         monkeypatch.delattr(os, "fork")
@@ -1481,7 +1594,7 @@ class TestRowHelper:
     # points x m^2 of one stage against the constant: m = 2 grid 50 is 10000
     @pytest.mark.parametrize("m,grid,forks", [(2, 49, 0), (2, 50, 1), (3, 10, 0), (3, 11, 1)])
     def test_small_runs_fork_nothing(self, m, grid, forks, monkeypatch):
-        pids = helpers_forked(monkeypatch)
+        pids = workers_forked(monkeypatch)
         assert (grid**m * m * m >= flow._TWO_SLABS) == bool(forks)
         series = run(FlowConfig(case="torus", m=m, grid=grid, t_end=0.001, monitor_every=1))
         assert series.abort_reason is None and len(pids) == forks
@@ -1493,21 +1606,21 @@ class TestRowHelper:
         kept, march = [], flow._march
         monkeypatch.setattr(flow, "_march", lambda series, *a: kept.append(series) or march(
             series, *a))
-        series = run(FlowConfig.from_dict(HELPER_CONFIGS["odd_grid"]))
+        series = run(FlowConfig.from_dict(SLAB_CONFIGS["odd_grid"]))
         assert len(kept) == 1 and series.abort_reason is None  # the worker's went with it
         monkeypatch.delattr(os, "fork")
-        assert series_of(run(FlowConfig.from_dict(HELPER_CONFIGS["odd_grid"]))) == \
+        assert series_of(run(FlowConfig.from_dict(SLAB_CONFIGS["odd_grid"]))) == \
             series_of(series)
 
     def test_a_second_thread_keeps_the_rows_in_process(self, tmp_path, monkeypatch):
         two_slabs(monkeypatch)
-        pids = helpers_forked(monkeypatch)
-        served = flow_bytes(HELPER_CONFIGS["m2"], tmp_path, "helper")
+        pids = workers_forked(monkeypatch)
+        served = flow_bytes(SLAB_CONFIGS["m2"], tmp_path, "worker")
         release = threading.Event()
         waiter = threading.Thread(target=release.wait)
         waiter.start()
         try:
-            assert flow_bytes(HELPER_CONFIGS["m2"], tmp_path, "threaded") == served
+            assert flow_bytes(SLAB_CONFIGS["m2"], tmp_path, "threaded") == served
         finally:
             release.set()
             waiter.join(timeout=10)
@@ -1516,22 +1629,22 @@ class TestRowHelper:
     # a worker pays only with a second core to run on
     def test_a_single_cpu_keeps_the_rows_in_process(self, tmp_path, monkeypatch):
         two_slabs(monkeypatch)
-        pids = helpers_forked(monkeypatch)
-        served = flow_bytes(HELPER_CONFIGS["m2"], tmp_path, "helper")
+        pids = workers_forked(monkeypatch)
+        served = flow_bytes(SLAB_CONFIGS["m2"], tmp_path, "worker")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert flow_bytes(HELPER_CONFIGS["m2"], tmp_path, "one_cpu") == served
+        assert flow_bytes(SLAB_CONFIGS["m2"], tmp_path, "one_cpu") == served
         assert len(pids) == 1
         assert_no_child_left()
 
     # no affinity mask (macOS): the CPU count decides, with the same bytes
     def test_without_an_affinity_mask_the_cpu_count_decides(self, tmp_path, monkeypatch):
         two_slabs(monkeypatch)
-        served = flow_bytes(HELPER_CONFIGS["m2"], tmp_path, "helper")
-        pids = helpers_forked(monkeypatch)
+        served = flow_bytes(SLAB_CONFIGS["m2"], tmp_path, "worker")
+        pids = workers_forked(monkeypatch)
         monkeypatch.delattr(os, "sched_getaffinity")
         for cpus in (2, 1):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            assert flow_bytes(HELPER_CONFIGS["m2"], tmp_path, f"cpus_{cpus}") == served
+            assert flow_bytes(SLAB_CONFIGS["m2"], tmp_path, f"cpus_{cpus}") == served
         assert len(pids) == 1
         assert_no_child_left()
 
@@ -1551,7 +1664,7 @@ class TestRowHelper:
         monkeypatch.setattr(os, "pipe", recorded)
         monkeypatch.setattr(os, "fork", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            run(FlowConfig.from_dict(HELPER_CONFIGS["m2"]))
+            run(FlowConfig.from_dict(SLAB_CONFIGS["m2"]))
         assert len(made) == 4
         for fd in made:
             with pytest.raises(OSError):
@@ -1567,9 +1680,9 @@ class TestRowHelper:
     @pytest.mark.parametrize("row", [0, 1, 2, 4, 6])
     def test_a_killed_helper_leaves_the_same_bytes(self, row, tmp_path, monkeypatch):
         config = FAILING
-        served = flow_bytes(config, tmp_path, "helper")
+        served = flow_bytes(config, tmp_path, "worker")
         two_slabs(monkeypatch)
-        pids, parent, stages = helpers_forked(monkeypatch), os.getpid(), []
+        pids, parent, stages = workers_forked(monkeypatch), os.getpid(), []
         positive = flow._positive
 
         def killing(det):
@@ -1587,10 +1700,10 @@ class TestRowHelper:
     # killed between a row's two barriers, once the slabs' monitors are read
     @pytest.mark.parametrize("row", [0, 3])
     def test_a_worker_killed_at_a_row_leaves_the_same_bytes(self, row, tmp_path, monkeypatch):
-        config = HELPER_CONFIGS["m2"]
-        served = flow_bytes(config, tmp_path, "helper")
+        config = SLAB_CONFIGS["m2"]
+        served = flow_bytes(config, tmp_path, "worker")
         two_slabs(monkeypatch)
-        pids, parent, rows = helpers_forked(monkeypatch), os.getpid(), []
+        pids, parent, rows = workers_forked(monkeypatch), os.getpid(), []
         monitor = flow.torus_monitor
 
         def killing(st):
@@ -1611,15 +1724,15 @@ class TestRowHelper:
 
     def test_no_helper_outlives_a_run_that_ends(self, monkeypatch):
         two_slabs(monkeypatch)
-        pids = helpers_forked(monkeypatch)
-        assert run(FlowConfig.from_dict(HELPER_CONFIGS["m2"])).abort_reason is None
+        pids = workers_forked(monkeypatch)
+        assert run(FlowConfig.from_dict(SLAB_CONFIGS["m2"])).abort_reason is None
         assert len(pids) == 1
         assert_no_child_left()
 
     def test_no_helper_outlives_an_aborted_run(self, monkeypatch):
         two_slabs(monkeypatch)
-        pids = helpers_forked(monkeypatch)
-        series = run(FlowConfig.from_dict(HELPER_CONFIGS["amplitude_60"]))
+        pids = workers_forked(monkeypatch)
+        series = run(FlowConfig.from_dict(SLAB_CONFIGS["amplitude_60"]))
         assert series.abort_reason.startswith("lambda_max")
         assert len(series.residual) == 1 and series.residual[0] > 0
         assert len(pids) == 1
@@ -1628,7 +1741,7 @@ class TestRowHelper:
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_no_helper_outlives_an_error_mid_march(self, error, monkeypatch):
         two_slabs(monkeypatch)
-        pids, steps, parent = helpers_forked(monkeypatch), [], os.getpid()
+        pids, steps, parent = workers_forked(monkeypatch), [], os.getpid()
         step = flow._rkc_step
 
         def failing(*args):
@@ -1640,7 +1753,7 @@ class TestRowHelper:
 
         monkeypatch.setattr(flow, "_rkc_step", failing)
         with pytest.raises(error, match="mid-march"):
-            run(FlowConfig.from_dict(HELPER_CONFIGS["m2"]))
+            run(FlowConfig.from_dict(SLAB_CONFIGS["m2"]))
         assert len(pids) == 1
         assert_no_child_left()
 
@@ -1660,7 +1773,7 @@ class TestSlabAborts:
         assert set(stages) == {"whole"}
         stages.clear()
         two_slabs(monkeypatch)
-        pids = helpers_forked(monkeypatch)
+        pids = workers_forked(monkeypatch)
         both = run(FlowConfig.from_dict(FAILING))
         assert set(stages) == {"first"}
         return alone, both, pids
@@ -1704,7 +1817,7 @@ class TestSlabAborts:
             2, 2, 2 * math.pi, np.zeros((2, 2)), u))
         alone = run(FlowConfig.from_dict(FAILING))
         two_slabs(monkeypatch)
-        pids = helpers_forked(monkeypatch)
+        pids = workers_forked(monkeypatch)
         both = run(FlowConfig.from_dict(FAILING))
         assert alone.abort_reason == (NAN if "overflow" in halves else LOST)
         assert series_of(both) == series_of(alone) and len(pids) == 1
