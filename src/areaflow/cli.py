@@ -58,12 +58,8 @@ def parse_space(spec: str) -> ModelSpace:
         raise ValueError(f"space spec {spec!r} is not kind:dim:value")
     kind, dim_s, value = parts
     dim = int(dim_s)
-    if kind == "sphere":
-        return ModelSpace("sphere", dim, scale=float(value))
-    if kind == "fubini":
-        return ModelSpace("fubini", dim, scale=float(value))
-    if kind == "torus":
-        return ModelSpace("torus", dim, scale=float(value))
+    if kind in ("sphere", "fubini", "torus"):
+        return ModelSpace(kind, dim, scale=float(value))
     if kind == "constant":
         return ModelSpace("constant", dim, curvature=float(value))
     if kind == "custom":

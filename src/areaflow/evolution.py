@@ -37,7 +37,7 @@ from .profile import SingularProfile, c_of, graph_frames, s_of, theta_wedge_matr
 
 GAP_TOL = -1e-10  # sweeps treat gaps above this as nonnegative
 C0 = 8.0  # starting factor c0 of ``lemma_constant``; coupled sweeps double it on a counterexample
-_BATCH = 4096  # rows per sweep batch; bounds the dense tensors of the term-II oracle
+_BATCH = 4096  # rows per sweep batch; it sets the draw order, so the states a seed draws
 # A draw redraws rows failing ``_margin`` for at most _ROUNDS rounds.  Positivity
 # draws (~3% admissible at alpha = 0, m = n = 4) reject on lambda alone: each
 # round draws about 1/(acceptance so far) candidates per missing row (at least
@@ -185,35 +185,35 @@ def terms_I_II_III(st, i: int):
     return tuple(_out(st, t[:, i]) for t in _terms(b))
 
 
-def _block_curvature(table: np.ndarray) -> np.ndarray:
-    """Minimal curvature tensors (B, d, d, d, d) with R[i,k,k,i] = table[i,k]."""
-    d = table.shape[1]
-    comp = np.zeros((len(table),) + (d,) * 4)
-    i, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    comp[:, i, k, k, i] = table
-    comp[:, i, k, i, k] = -table
-    return comp
+def _frame_ricci(table: np.ndarray, e: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """sum_k R(e_i, e_k, e_k, nu_i), (B, i), for frame rows e (B, k, d) and nu
+    (B, i, d) and the block curvature of a sectional table (B, d, d), nonzero
+    only at R(p,q,q,p) = table[p,q] = -R(p,q,p,q): with P = sum_k e_k e_k^T it
+    is e_i^T Q nu_i, Q_ps = delta_ps sum_q table[p,q] P_qq - table[p,s] P_ps."""
+    proj = e.transpose(0, 2, 1) @ e  # P
+    d = np.arange(table.shape[1])
+    q = -table * proj
+    q[:, d, d] += np.einsum("bpq,bq->bp", table, proj[:, d, d])
+    return np.sum((e[:, :nu.shape[1]] @ q) * nu, axis=2)
 
 
 def _term_II_product(n: int, lam, kg, kh) -> np.ndarray:
     """Term II of every direction through the ambient product curvature, (B, m),
     for a target of dim n, from the arguments of ``_term_II``.
 
-    Builds the block curvature of (M x N, g + h) from the sectional tables,
-    forms the adapted graph frames of the coordinate singular bases, and
-    contracts -2 C_ii sum_k R(e_i, e_k, e_k, nu_i) directly.  A direction
-    i >= n has no normal nu_i; its term is understood as zero.
+    Forms the adapted graph frames of the coordinate singular bases and
+    contracts -2 C_ii sum_k R(e_i, e_k, e_k, nu_i) against the block
+    curvature of (M x N, g + h) built from the sectional tables, at its
+    nonzero entries (``_frame_ricci``).  A direction i >= n has no normal
+    nu_i; its term is understood as zero.
     """
     m, ell = lam.shape[1], kh.shape[1]
-    kh = np.pad(kh, ((0, 0), (0, n - ell), (0, n - ell)))
     e, nu = graph_frames(lam, np.eye(m), np.eye(n))
-    path = "bpqrs,bip,bkq,bkr,bis->bik"  # i < l: the directions with a normal
-    tg = np.einsum(path, _block_curvature(kg), e[:, :ell, :m], e[..., :m], e[..., :m],
-                   nu[:, :ell, :m], optimize=True)
-    th = np.einsum(path, _block_curvature(kh), e[:, :ell, m:], e[..., m:], e[..., m:],
-                   nu[:, :ell, m:], optimize=True)
+    # i < l: the directions with a normal; K^h spans the first l target coordinates
+    tg = _frame_ricci(kg, e[..., :m], nu[:, :ell, :m])
+    th = _frame_ricci(kh, e[..., m:m + ell], nu[:, :ell, m:m + ell])
     out = np.zeros((len(lam), m))
-    out[:, :ell] = -2.0 * c_of(lam[:, :ell]) * (tg + th).sum(axis=2)
+    out[:, :ell] = -2.0 * c_of(lam[:, :ell]) * (tg + th)
     return out
 
 

@@ -104,10 +104,12 @@ MAX_STEPS = 10**7
 # measured at most 21 arrays of that size (8 bytes an entry) for m = 2 to 9.
 MAX_ENTRIES = 2**22
 # Most planned work of a run, in units of one stage's work on one grid point
-# and one entry of its m x m metric: a run plans (stage evaluations +
-# ROW_STAGES x rows) x points x m^2 units, an equivariant node counting 1, not
-# m^2.  A torus row measured 3.7 to 5.9 stages (m = 2 and 3, grids 4 to 96).
-# Criterion 6's grid-128 torus plans 4.5e7 units.
+# and one entry of its m x m metric: a run plans (stage evaluations + row
+# stages x rows) x points x m^2 units, an equivariant node counting 1, not
+# m^2.  A torus row counts 2m stages, the least line through 4 at m = 2 above
+# one row over one stage timed in process: 2.8-3.8 at m = 2, 3.2-5.6 at m = 3
+# and 0.9-1.8 at m = 4, whose stage inverts eta by NumPy.  An equivariant row
+# counts ROW_STAGES.  Criterion 6's grid-128 torus plans 4.5e7 units.
 MAX_WORK = 2**30
 ROW_STAGES = 4
 
@@ -937,8 +939,8 @@ def _pole_ghosts(rho: np.ndarray, boundary_class: int):
 
 def _rho_derivatives(rho: np.ndarray, boundary_class: int, h: float):
     """Centered rho' and rho'' on all nodes; the poles read the ghost nodes of
-    ``_pole_ghosts``.  The field and the monitor take their differences from
-    slices of rho; this is the reference path of the tests."""
+    ``_pole_ghosts``.  The monitor reads this rho'; the field takes its
+    differences from slices of its node buffer, with this as their reference."""
     left, right = _pole_ghosts(rho, boundary_class)
     ext = np.concatenate([[left], rho, [right]])
     dp = (ext[2:] - ext[:-2]) / (2.0 * h)
@@ -1199,17 +1201,13 @@ def equivariant_step(st: EquivariantFlowState, dt: float, r_of_t) -> Equivariant
 def equivariant_lambdas(st: EquivariantFlowState, r_m: float, r_n: float):
     """(lambda_radial, lambda_spherical) at every node.
 
-    The radial stretch is (r_N/r_M)|rho'|, with centered slopes that read
-    the ``_pole_ghosts`` at the poles.  The m-1 spherical stretches equal
+    The radial stretch is (r_N/r_M)|rho'|, with the centered slopes of
+    ``_rho_derivatives``.  The m-1 spherical stretches equal
     r_N sin(rho) / (r_M sin(theta)) with the pole values filled by the limit
     rho'(pole) * cos(rho(pole)) (L'Hopital).
     """
     rho = st.rho
-    left, right = _pole_ghosts(rho, st.boundary_class)
-    dp = np.empty_like(rho)
-    dp[1:-1] = rho[2:] - rho[:-2]
-    dp[0], dp[-1] = rho[1] - left, right - rho[-2]
-    dp /= 2.0 * st.h
+    dp, _ = _rho_derivatives(rho, st.boundary_class, st.h)
     lam_r = (r_n / r_m) * np.abs(dp)
     lam_s = np.empty_like(lam_r)
     i = slice(1, -1)
@@ -1430,16 +1428,17 @@ def run(cfg: FlowConfig) -> FlowSeries:
 
 
 def _schedule(case: str, t_end: float, h: float, records: int, dt: float | None, points: int,
-              per_point: int):
+              m: int | None = None):
     """(steps per record, steps, step, dt) of a run from 0 to t_end with
     ``records`` + 1 rows: each record interval of length gap is split into
     ceil(gap / h) equal steps (time error O(h^2), like space).  The plan takes
     every step at the stages of ``dt``, the explicit step the state at t = 0
-    allows, on ``points`` grid points of ``per_point`` work units each; with
-    ``dt`` None, at the 2 stages every step takes at least, so a run can be
-    refused before its state is built.  A plan past ``MAX_STEPS``
-    right-hand-side evaluations, or past ``MAX_WORK`` units with a row
-    counted as ``ROW_STAGES`` stages, is refused."""
+    allows, on ``points`` grid points of m^2 work units (a torus of dim m) or
+    1 (equivariant nodes); with ``dt`` None, at the 2 stages every step takes
+    at least, so a run can be refused before its state is built.  A plan past
+    ``MAX_STEPS`` right-hand-side evaluations, or past ``MAX_WORK`` units
+    with a torus row as 2m stages and an equivariant one as ``ROW_STAGES``,
+    is refused."""
     per_record = max(1, math.ceil(t_end / records / h))
     n_steps = records * per_record
     step = t_end / n_steps
@@ -1448,7 +1447,8 @@ def _schedule(case: str, t_end: float, h: float, records: int, dt: float | None,
     if s is None:
         raise ValueError(f"{case} run of {n_steps} steps needs more than {MAX_STEPS} "
                          "right-hand-side evaluations, the cap; lower t_end")
-    work = (n_steps * s + (records + 1) * ROW_STAGES) * points * per_point
+    per_point, row_stages = (m * m, 2 * m) if case == "torus" else (1, ROW_STAGES)
+    work = (n_steps * s + (records + 1) * row_stages) * points * per_point
     if work > MAX_WORK:
         raise ValueError(f"{case} run plans {n_steps * s} evaluations and {records + 1} rows "
                          f"on {points} points, {work:.2e} units of work, more than "
@@ -1511,7 +1511,7 @@ def _run_torus(cfg: FlowConfig) -> FlowSeries:
     st = _torus_initial(cfg)
     dt = torus_cfl_dt(st)  # eta^{-1} <= I: the same bound at every state
     schedule = _schedule("torus", cfg.t_end, st.h, cfg.monitor_every or 120, dt,
-                         st.u[0].size, st.m**2)  # before the run's arrays are made
+                         st.u[0].size, st.m)  # before the run's arrays are made
     series = FlowSeries(meta={"case": "torus", "h": st.h, "t_end": cfg.t_end,
                               "config": cfg.to_dict(), "a_used": None})
 
@@ -1552,7 +1552,7 @@ def _run_equivariant(cfg: FlowConfig) -> FlowSeries:
 
     records = cfg.monitor_every or 120
     # the least plan first, before the profile and the field are made
-    _schedule("equivariant", t_end, math.pi / cfg.grid, records, None, cfg.grid - 1, 1)
+    _schedule("equivariant", t_end, math.pi / cfg.grid, records, None, cfg.grid - 1)
     st = _equivariant_initial(cfg)
     # r sqrt(1.0) = r: a static run's field takes its radii once
     static = pm.mode == pn.mode == "static"
@@ -1570,7 +1570,7 @@ def _run_equivariant(cfg: FlowConfig) -> FlowSeries:
         "a_used": _coupling_constant(cfg, pm, pn, t_end) if math.isfinite(t_cap) else None,
     })
     schedule = _schedule("equivariant", t_end, st.h, records, field.cfl_dt(st.rho, 0.0),
-                         st.rho.size - 2, 1)
+                         st.rho.size - 2)
     _march(series, st.rho, field, field.cfl_dt, record, schedule)
     if series.meta["a_used"] is not None:
         series.meta["a_min_observed"] = smallest_monotone_rate(series)

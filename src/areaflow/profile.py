@@ -168,7 +168,6 @@ def singular_bases(df, g_m: SymBilinear | None = None, h_n: SymBilinear | None =
 
     # target basis: images of stretched directions, then a deterministic
     # h-orthonormal completion
-    hw, hv = np.linalg.eigh(h.comp)
     v_cols = []
     for i in range(min(m, n)):
         if lam[i] > 1e-10:

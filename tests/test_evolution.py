@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from areaflow.evolution import (
     terms_I_II_III,
     term_II_bruteforce,
 )
-from areaflow.profile import SingularProfile, s_of
+from areaflow.profile import SingularProfile, c_of, graph_frames, s_of
 
 
 def make_state(lam, kg=None, kh=None, a2=None, dtg=None, dth=None, n=None, **kw):
@@ -106,6 +108,72 @@ class TestTermIIBruteforce:
     def test_sweep(self):
         out = sweep_term_II(5000, seed=5)
         assert out["max_abs_diff"] <= 1e-12
+
+
+def block_curvature(table):
+    """Minimal curvature tensors (B, d, d, d, d) with R[i,k,k,i] = table[i,k]."""
+    d = table.shape[1]
+    comp = np.zeros((len(table),) + (d,) * 4)
+    i, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    comp[:, i, k, k, i] = table
+    comp[:, i, k, i, k] = -table
+    return comp
+
+
+def dense_term_II_product(n, lam, kg, kh):
+    """Term II through the whole block curvature of each factor, every entry of
+    R contracted with -2 C_ii sum_k R(e_i, e_k, e_k, nu_i): the reference
+    for the oracle, which reads only the nonzero entries."""
+    m, ell = lam.shape[1], kh.shape[1]
+    kh = np.pad(kh, ((0, 0), (0, n - ell), (0, n - ell)))
+    e, nu = graph_frames(lam, np.eye(m), np.eye(n))
+    path = "bpqrs,bip,bkq,bkr,bis->bik"
+    tg = np.einsum(path, block_curvature(kg), e[:, :ell, :m], e[..., :m], e[..., :m],
+                   nu[:, :ell, :m], optimize=True)
+    th = np.einsum(path, block_curvature(kh), e[:, :ell, m:], e[..., m:], e[..., m:],
+                   nu[:, :ell, m:], optimize=True)
+    out = np.zeros((len(lam), m))
+    out[:, :ell] = -2.0 * c_of(lam[:, :ell]) * (tg + th).sum(axis=2)
+    return out
+
+
+def term_II_inputs(m, n, rows, seed):
+    """lambda, K^g and K^h as ``sweep_term_II`` draws them."""
+    rng = np.random.default_rng(seed)
+    lam = evolution._lambdas(rng, m, n, rows)
+    kg, kh = (evolution._sym_tables(rng, rows, d, -1.0, 1.0) for d in (m, min(m, n)))
+    return lam, kg, kh
+
+
+class TestTermIIDenseReference:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_oracle_matches_the_dense_contraction(self, m, n):
+        lam, kg, kh = term_II_inputs(m, n, 4096, 10 * m + n)
+        want = dense_term_II_product(n, lam, kg, kh)
+        got = evolution._term_II_product(n, lam, kg, kh)
+        assert (abs(got - want) <= 4 * np.spacing(np.maximum(abs(want), 1.0))).all()
+
+    def test_bruteforce_on_a_point_state(self):
+        rng = np.random.default_rng(3)
+        for dims in ((2, 4), (3, 3), (4, 2), (4, 4)):
+            st = random_state(rng, None, dims=dims)
+            want = dense_term_II_product(st.n, st.profile.lam[None], st.kg[None], st.kh[None])[0]
+            for i in range(st.m):
+                got = term_II_bruteforce(st, i)
+                assert isinstance(got, float)
+                assert abs(got - want[i]) <= 4 * np.spacing(max(abs(want[i]), 1.0)), (dims, i)
+
+    def test_oracle_peak_memory(self):
+        # the dense contraction peaked at 29.5 MiB on these 4096 rows
+        lam, kg, kh = term_II_inputs(4, 4, 4096, 0)
+        tracemalloc.start()
+        try:
+            evolution._term_II_product(4, lam, kg, kh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 29.5 / 2 * 2**20
 
 
 class TestPositivity:

@@ -1827,11 +1827,14 @@ class TestSlabAborts:
 # The ``t_end`` 1e6 grid-8 torus plans 2.3e9 units of stage work (about 15
 # minutes), the m = 3 grid-70 one 1.9e9 and the largest m = 2 torus the size
 # cap admits 1.05e10; the grid-4 torus with 5e6 rows plans 6.4e8 units of
-# stages and 1.3e9 of rows, about 20 minutes and a 0.5 GB CSV.
+# stages and 1.3e9 of rows, about 20 minutes and a 0.5 GB CSV.  The m = 3
+# grid-24 torus with 1201 rows plans 3.0e8 units of stages and 9.0e8 of rows
+# at 2m = 6 stages a row; at 4 stages a row it would fit the budget.
 OVERWORKED = [{"case": "torus", "grid": 8, "t_end": 1e6},
               {"case": "torus", "m": 3, "n": 1, "grid": 70},
               {"case": "torus", "grid": 722},
-              {"case": "torus", "grid": 4, "monitor_every": 5000000}]
+              {"case": "torus", "grid": 4, "monitor_every": 5000000},
+              {"case": "torus", "m": 3, "grid": 24, "monitor_every": 1200}]
 
 
 class _Admitted(Exception):
@@ -1906,11 +1909,11 @@ class TestWorkBudget:
         assert elapsed < 0.1 and peak < 2**20
 
     # a torus takes every step at the stages of the same CFL step, so its
-    # evaluations are the plan's
+    # evaluations are the plan's; its 11 rows count 2m = 4 stages each
     def test_budget_edge(self, monkeypatch):
         cfg = FlowConfig(case="torus", grid=8, t_end=0.05, monitor_every=10)
         meta = run(cfg).meta
-        planned = (meta["rhs_evals"] + 11 * flow.ROW_STAGES) * 8**2 * 2**2
+        planned = (meta["rhs_evals"] + 11 * 4) * 8**2 * 2**2
         monkeypatch.setattr(flow, "MAX_WORK", planned)
         run(cfg)
         monkeypatch.setattr(flow, "MAX_WORK", planned - 1)

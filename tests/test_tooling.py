@@ -1,13 +1,21 @@
-"""Tooling around the package: the benchmark tracer's targets, the README's
-commands and config keys, the package's NumPy imports and its forks."""
+"""Tooling around the package: the benchmark tracer's targets and traced
+rounds, the README's commands and config keys, the package's NumPy imports
+and its forks."""
 
 import ast
 import importlib.util
+import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_every_tracer_target_resolves():
@@ -25,7 +33,46 @@ def test_every_tracer_target_resolves():
     assert not missing, f"tracer targets not found: {missing}"
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+# one traced benchmark round: the tracer's wrappers installed, the workload's
+# jobs run through ``SpanRecorder.run_job`` (a job that fails its gate raises),
+# then the per-layer metrics printed as JSON
+TRACED_ROUND = """
+import json, sys
+from pathlib import Path
+sys.path[:0] = [sys.argv[1] + "/perfbench", sys.argv[1] + "/src"]
+import tracer, workloads
+rec = tracer.SpanRecorder()
+tracer.install(rec)
+workload, jobs = sys.argv[2], workloads.JOBS[sys.argv[2]]
+inputs = workloads.make_inputs(workload, 1, Path(sys.argv[3]))
+counts, state = {}, {}
+for job in jobs:
+    for key, value in rec.run_job(job, workloads.JOB_FUNCS[job], inputs, state).items():
+        counts[key] = counts.get(key, 0) + value
+points = {job: workloads.grid_points(inputs, job) for job in jobs}
+print(json.dumps(tracer.layer_metrics(rec, counts, points)))
+"""
+
+
+@pytest.mark.parametrize("workload", ["equivariant_s3", "torus_t2", "algebra"])
+def test_traced_rounds_pass_their_gates_and_agree_on_counts(workload, tmp_path):
+    # the benchmark refuses a traced round whose job fails, whose tracer cannot
+    # wrap a target, or whose count metrics differ from another round's
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    counted = [m["name"] for m in spec["per_layer"] if m["unit"] in ("count", "bytes")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    rounds = []
+    for k in range(2):
+        done = subprocess.run(
+            [sys.executable, "-c", TRACED_ROUND, str(ROOT), workload, str(tmp_path / str(k))],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        layers = json.loads(done.stdout.splitlines()[-1])
+        rounds.append({name: layers[name] for name in counted})
+    assert rounds[0] == rounds[1]
+
+
+README = ROOT / "README.md"
 
 
 def test_readme_audit_and_pic1_commands_run():
@@ -52,7 +99,7 @@ def test_readme_config_keys_are_the_config_fields():
     assert sorted(keys) == sorted(f.name for f in fields(FlowConfig))
 
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "areaflow"
+SRC = ROOT / "src" / "areaflow"
 
 
 def test_no_module_imports_a_private_numpy_module():
