@@ -9,9 +9,9 @@ itself evolves:
   vanish on flat factors).  One centered stencil over all components gives
   undivided differences on a periodic ring around the grid, each one
   contiguous pass; the scales 1/(2h) and 1/h^2 are applied where a result
-  is read.  One function forms eta^{-1} = c / d for every m (c = adj eta,
-  d = det eta for m <= 3; NumPy's inverse and 1 for m >= 4), and a
-  right-hand side is c_ij d_i d_j f^a / d.
+  is read.  One function forms eta^{-1} = c / d for every m <= 4, c = adj eta
+  and d = det eta by Laplace expansion, and a right-hand side is
+  c_ij d_i d_j f^a / d.
   A run builds its stage once, as a plan: every array the stage writes,
   every view it reads or writes and the ordered list of its calls, the
   last of which divides into the field's u_t.  A stage replays the plan on
@@ -101,15 +101,16 @@ MAX_STEPS = 10**7
 # Most entries of a run's largest array, checked on the config: a torus's ringed
 # Hessian, m * m * n * (grid + 2)^m entries (criterion 6's grid-128 torus has
 # 1.4e5), or an equivariant run's grid + 1 nodes.  A torus run's memory peak
-# measured at most 21 arrays of that size (8 bytes an entry) for m = 2 to 9.
+# measured at most 20 arrays of that size (8 bytes an entry) for m = 2 to 4 and
+# n = 1 to 6 on grids from 16, 8 and 4 (19.4 at m = 2, n = 1; 10.1 at m = 4).
 MAX_ENTRIES = 2**22
 # Most planned work of a run, in units of one stage's work on one grid point
 # and one entry of its m x m metric: a run plans (stage evaluations + row
 # stages x rows) x points x m^2 units, an equivariant node counting 1, not
 # m^2.  A torus row counts 2m stages, the least line through 4 at m = 2 above
 # one row over one stage timed in process: 2.8-3.8 at m = 2, 3.2-5.6 at m = 3
-# and 0.9-1.8 at m = 4, whose stage inverts eta by NumPy.  An equivariant row
-# counts ROW_STAGES.  Criterion 6's grid-128 torus plans 4.5e7 units.
+# and 2.1-3.1 at m = 4.  An equivariant row counts ROW_STAGES.  Criterion 6's
+# grid-128 torus plans 4.5e7 units.
 MAX_WORK = 2**30
 ROW_STAGES = 4
 
@@ -396,49 +397,47 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
 
 
 def _torus_cofactors(plan: _Plan, df: np.ndarray, check, zeros):
-    """Records the upper triangle c (indexed by (i, j)) and d with
-    eta^{-1} = c / d, over the whole ringed df, and ``check`` (``_Slab.check``)
-    of det eta on the interior; returns c, d and eta with the diagonal of the
-    pullback metric (``_torus_eta``, its buffer from ``zeros``).  For m <= 3,
-    c = adj(eta) and d = det eta: adj(eta)_ij = (-1)^(i+j) times the minor of
-    eta without row j and column i, with eta's entry (r, c) read from its
-    upper triangle, and det eta = sum_j eta_0j adj(eta)_j0.  For m >= 4, c is
-    NumPy's inverse of eta on the interior only (``_inverse``; a ring cell's
-    eta, from a difference across the wrap, can be singular in floating
-    point) and d = 1.
+    """Records the upper triangle of c = adj(eta) (indexed by (i, j)) and
+    d = det eta, so eta^{-1} = c / d, over the whole ringed df, and ``check``
+    (``_Slab.check``) of det eta on the interior; returns c, d and eta with
+    the diagonal of the pullback metric (``_torus_eta``, its buffer from
+    ``zeros``).  adj(eta)_ij = (-1)^(i+j) times the minor of eta without row
+    j and column i, and det eta = sum_j eta_0j adj(eta)_j0.  A minor is
+    expanded along its first row into the minors one size smaller, each
+    recorded once, with eta's entry (r, c) read from its upper triangle; a
+    signed sum starts from its positive terms, in order, and subtracts the
+    negative ones, so a sign costs a call only in a negative 1 x 1 cofactor.
+    A cofactor takes (m - 1)! products, which is why a torus has m <= 4
+    (``FlowConfig``).
     """
     m, grid = df.shape[1], df.shape[2:]
-    metric, inner = _torus_eta(plan, df, zeros), _inner(m)
-    eta = metric[0]
-    if m > 3:
-        for i in range(m):
-            for j in range(i + 1, m):
-                plan(np.copyto, eta[j, i], eta[i, j])
-        inv = np.zeros(eta.shape)
-        plan(_inverse, check, *(np.moveaxis(a[inner], (0, 1), (-2, -1)) for a in (eta, inv)))
-        return inv, np.ones(grid), metric
+    metric = _torus_eta(plan, df, zeros)
+    eta, product = metric[0], np.zeros(grid)
 
     def e(r, c):
         return eta[min(r, c), max(r, c)]
 
-    adj, product = {}, np.zeros(grid)
-    for i in range(m):
-        for j in range(i, m):
-            rows = [r for r in range(m) if r != j]
-            cols = [c for c in range(m) if c != i]
-            if m == 2:
-                minor = e(rows[0], cols[0])
-                adj[i, j] = plan(np.negative, minor, np.zeros(grid)) if (i + j) % 2 else minor
-            else:
-                # the 2 x 2 minor, its two products swapped where the sign is odd
-                terms = [(e(rows[0], cols[0]), e(rows[1], cols[1])),
-                         (e(rows[0], cols[1]), e(rows[1], cols[0]))][::(-1) ** (i + j)]
-                adj[i, j] = plan(np.multiply, *terms[0], np.zeros(grid))
-                plan(np.subtract, adj[i, j], plan(np.multiply, *terms[1], product), adj[i, j])
+    @lru_cache(maxsize=None)
+    def minor(rows: tuple, cols: tuple, sign: int) -> np.ndarray:
+        """Records sign times the minor of eta on ``rows`` and ``cols``."""
+        if len(rows) == 1:
+            entry = e(rows[0], cols[0])
+            return entry if sign > 0 else plan(np.negative, entry, np.zeros(grid))
+        terms = sorted(((sign * (-1) ** t, e(rows[0], c),
+                         minor(rows[1:], cols[:t] + cols[t + 1:], 1)) for t, c in enumerate(cols)),
+                       key=lambda term: term[0] < 0)
+        out = plan(np.multiply, *terms[0][1:], np.zeros(grid))
+        for s, a, b in terms[1:]:
+            plan(np.add if s > 0 else np.subtract, out, plan(np.multiply, a, b, product), out)
+        return out
+
+    every = tuple(range(m))
+    adj = {(i, j): minor(every[:j] + every[j + 1:], every[:i] + every[i + 1:], (-1) ** (i + j))
+           for i in range(m) for j in range(i, m)}
     det = plan(np.multiply, eta[0, 0], adj[0, 0], np.zeros(grid))
     for j in range(1, m):
         plan(np.add, det, plan(np.multiply, eta[0, j], adj[0, j], product), det)
-    plan(check, det[inner])
+    plan(check, det[_inner(m)])
     return adj, det, metric
 
 
@@ -447,15 +446,6 @@ def _positive(det: np.ndarray) -> None:
     low = det.min()
     if not low > 0:
         raise FlowAbort(_LOST[math.isnan(low)])
-
-
-def _inverse(check, eta: np.ndarray, out: np.ndarray) -> None:
-    """out = eta^{-1} for stacked m x m matrices (m >= 4) once ``check``
-    (``_Slab.check``) passes det eta.  An eta that overflowed to +inf
-    without a NaN has det +inf, which fails as a NaN does."""
-    det = np.linalg.det(eta)
-    if check(np.where(det < math.inf, det, math.nan)):
-        out[...] = np.linalg.inv(eta)
 
 
 def _torus_eta_inv(plan: _Plan, adj, det: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -1346,6 +1336,8 @@ class FlowConfig:
             raise ValueError(f"grid {self.grid}, m {self.m} and n {self.n} give a Hessian of "
                              f"m * m * n * (grid + 2)^m entries, more than {MAX_ENTRIES}, "
                              "the cap")
+        if self.case == "torus" and self.m > 4:  # (m - 1)! products a cofactor
+            raise ValueError(f"torus flows need m <= 4, got m={self.m}")
 
     @staticmethod
     def from_dict(d: dict) -> "FlowConfig":
@@ -1420,9 +1412,9 @@ def _coupling_constant(cfg: FlowConfig, pm: BackgroundPath, pn: BackgroundPath,
 
 def run(cfg: FlowConfig) -> FlowSeries:
     """Integrate a configured flow and collect its monitor series.  A map that
-    overflows ends the run at a guard (a NaN det eta, or at m >= 4 an infinite
-    one; a NaN or too large stretch), with its reason; NumPy's floating-point
-    warnings on the way there are silenced, which changes no number."""
+    overflows ends the run at a guard (a NaN det eta; a NaN or too large
+    stretch), with its reason; NumPy's floating-point warnings on the way
+    there are silenced, which changes no number."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return _run_torus(cfg) if cfg.case == "torus" else _run_equivariant(cfg)
 

@@ -394,6 +394,15 @@ class TestFlowCommand:
         assert all(key in err for key in config if key != "case")
         assert not list(tmp_path.glob("flow_*"))
 
+    def test_torus_past_m4_exits_1_with_json_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"case": "torus", "m": 5, "n": 1, "grid": 5}))
+        code = main(["flow", "--case", "torus", "--config", str(cfgfile), "--out", str(tmp_path)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == "torus flows need m <= 4, got m=5"
+        assert not list(tmp_path.glob("flow_*"))
+
     def test_memory_error_exits_1_with_json_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(cfg):
             raise MemoryError("Unable to allocate 7.3 TiB")
