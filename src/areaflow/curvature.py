@@ -661,10 +661,14 @@ def ric3_min(r: CurvatureTensor, *, seed: int = 0) -> float:
     This is the smallest partial Ricci value over 3-dimensional subspaces:
     the quantity bounding the chi entries of the Ricci-flow-coupled
     conditions.  Always >= 2 * (sectional minimum); equality at constant
-    curvature.
+    curvature.  In dim 3, K(u,v) + K(u,w) = Ric(u,u) for every orthonormal
+    triple, so it is the smallest Ricci eigenvalue; in dim >= 4 it comes
+    from frame optimization, and only there does ``seed`` matter.
     """
     if r.dim < 3:
         raise ValueError("ric3_min needs dim >= 3")
+    if r.dim == 3:
+        return float(np.linalg.eigvalsh(ricci_matrix(r)).min())
     m = _pair_matrix(r.comp)
     val, _ = minimize_over_frames(partial(_RIC3.value, m), r.dim, 3,
                                   gradient=partial(_RIC3.gradient, m), seed=seed,
@@ -721,11 +725,12 @@ def bounds_of(r: CurvatureTensor, g: SymBilinear | None = None, *,
               seed: int = 0) -> CurvatureBounds:
     """Aggregate curvature extremes of a frame tensor.
 
-    Ricci and scalar data are exact (eigenvalues of the contracted tensor).
-    In dim <= 4 the sectional extremes come from the curvature operator and
-    its dual, certified to ALG_TOL (``sectional_range``); ric3 and chi
-    extremes, and the sectional ones in dim >= 5, come from seeded frame
-    optimization and are reported to the accuracy the optimizer achieved.
+    Ricci and scalar data are exact (eigenvalues of the contracted tensor),
+    and so is ric3 in dim 3 (``ric3_min``).  In dim <= 4 the sectional
+    extremes come from the curvature operator and its dual, certified to
+    ALG_TOL (``sectional_range``); ric3 and chi extremes in dim >= 4, and
+    the sectional ones in dim >= 5, come from seeded frame optimization and
+    are reported to the accuracy the optimizer achieved.
     ``seed`` matters only to the optimizer runs.  In dim >= 4 the chi, ric3
     and sectional runs are independent and are shared with a forked child
     where a second core is free (``fanout.fan_out``), which changes no

@@ -15,15 +15,14 @@ itself evolves:
   A run builds its stage once, as a plan: every array the stage writes,
   every view it reads or writes and the ordered list of its calls, the
   last of which divides into the field's u_t.  A stage replays the plan on
-  what the interior of the ring holds and allocates nothing.  A state's
-  geometry (df, eta^{-1}, the Hessian and the pullback metric g) is read
-  once from what one stage at the state leaves, into arrays of its own, and
-  the monitor, tr_eta S, its eta^{ij} Laplacian and term I read that one
-  copy.  A run's rows read
-  the stage the march evaluated at their time by a second plan of the run,
-  and their residual replays a third.  A run whose stages plan at least
-  ``_TWO_SLABS`` units of work marches as two slabs of its first grid axis,
-  one in a child process (``fanout.Pair``, where ``fanout.can_fork``
+  what the interior of the ring holds and allocates nothing.  A row reads
+  its state's geometry (df, eta^{-1}, the Hessian and the pullback metric g)
+  from the stage the march evaluated at its time by a second plan of the
+  run, and its residual replays a third; the monitor, tr_eta S, its eta^{ij}
+  Laplacian and term I read that one copy.  A fresh state is evaluated by
+  the field and row function of a run from it.  A run whose stages plan at
+  least ``_TWO_SLABS`` units of work marches as two slabs of its first grid
+  axis, one in a child process (``fanout.Pair``, where ``fanout.can_fork``
   allows one): each process replays its own plans over its slab, the two
   swap the edge rows a stencil reads at a barrier, and a row combines the
   slabs' exact minima and maxima (``_Slab``).  Every grid point passes
@@ -89,7 +88,7 @@ import numpy as np
 
 from . import fanout
 from .evolution import C0
-from .profile import s_of
+from .profile import area_monitor
 from .spaces import BackgroundPath, ModelSpace
 
 LAMBDA_ABORT = 50.0
@@ -107,10 +106,11 @@ MAX_ENTRIES = 2**22
 # Most planned work of a run, in units of one stage's work on one grid point
 # and one entry of its m x m metric: a run plans (stage evaluations + row
 # stages x rows) x points x m^2 units, an equivariant node counting 1, not
-# m^2.  A torus row counts 2m stages, the least line through 4 at m = 2 above
-# one row over one stage timed in process: 2.8-3.8 at m = 2, 3.2-5.6 at m = 3
-# and 2.1-3.1 at m = 4.  An equivariant row counts ROW_STAGES.  Criterion 6's
-# grid-128 torus plans 4.5e7 units.
+# m^2.  A torus row counts 2m + 2 stages, the least offset above 2m that covers
+# one row over one stage timed in process with OPENBLAS_NUM_THREADS=1 on a
+# 2-core Xeon: 3.6-4.1 at m = 2 (grids 48 and 96), 5.7-7.5 at m = 3 (grids 16
+# and 24) and 2.5-3.1 at m = 4 (grid 10).  An equivariant row counts
+# ROW_STAGES.  Criterion 6's grid-128 torus plans 5.0e7 units.
 MAX_WORK = 2**30
 ROW_STAGES = 4
 
@@ -218,10 +218,10 @@ class TorusFlowState:
     ``period``.  Splitting off the linear part keeps every stored field
     periodic, so centered stencils never see the winding jump.
 
-    A state is a value: ``u`` is read-only after construction, so its
-    ``geometry`` is built once, on first use, from one stage of its own, into
-    arrays of its own, and shared by every reader; the u_t of that stage is
-    kept for the residual.
+    A state is a value: ``u`` is read-only after construction, so on first
+    use it builds the field and row function of a run from it once and
+    evaluates one stage (``_stage``), whose geometry, u_t and residual every
+    reader shares.
     """
 
     m: int
@@ -246,19 +246,17 @@ class TorusFlowState:
 
     @cached_property
     def geometry(self) -> TorusGeometry:
-        return self._stage[0]
+        return self._stage[0].geometry
 
     @cached_property
     def _stage(self):
-        """The geometry and u_t of one stage of a field of the state's own."""
+        """The row function of a run from the state (``_torus_record``), with
+        its geometry read from one stage of the run's field, and its u_t."""
         field = _torus_field(self)
         u_t = field(self.u, self.t)
-        plan = _Plan()
-        shapes = _geometry_shapes(self.n, self.m, self.u.shape[1:])
-        geometry = _torus_geometry(plan, *field.stencil, self.h,
-                                   TorusGeometry(*map(np.zeros, shapes)))
-        plan.run()
-        return geometry, u_t
+        record = _torus_record(self, field)
+        record.plans[0].run()
+        return record, u_t
 
 
 def _inner(m: int) -> tuple:
@@ -491,17 +489,12 @@ def _torus_hessian(plan: _Plan, hess: np.ndarray, h: float, full: np.ndarray) ->
     return full
 
 
-def _geometry_shapes(n: int, m: int, grid: tuple) -> TorusGeometry:
-    """The shapes of a ``TorusGeometry`` on an n-component, m-axis grid."""
-    return TorusGeometry((n, m) + grid, (m, m) + grid, (n, m, m) + grid, (m, m) + grid)
-
-
 def _torus_geometry(plan: _Plan, df: np.ndarray, hess: np.ndarray, adj, det: np.ndarray,
                     metric: tuple, h: float, out: TorusGeometry) -> TorusGeometry:
     """Records df, eta^{-1}, the Hessian of the map and the pullback metric
     on the grid, from what one stage leaves (its field's ``stencil``: the
     ringed df and undivided Hessian of u, the cofactors of eta, and eta with
-    the diagonal of g), into the arrays of ``out`` (``_geometry_shapes``)."""
+    the diagonal of g), into the arrays of ``out``."""
     m, inner = df.shape[1], _inner(df.shape[1])
     eta, diagonal = metric
     plan(np.copyto, out.df, df[inner])
@@ -515,8 +508,8 @@ def _torus_geometry(plan: _Plan, df: np.ndarray, hess: np.ndarray, adj, det: np.
 
 
 def torus_rhs(st: TorusFlowState) -> np.ndarray:
-    """u_t of a state: one stage of a field of its own."""
-    return _torus_field(st)(st.u, st.t)
+    """u_t of a state, a copy of the stage its geometry is read from."""
+    return st._stage[1].copy()
 
 
 def torus_cfl_dt(st: TorusFlowState) -> float:
@@ -555,14 +548,14 @@ def _torus_record(st: TorusFlowState, field, slab=None):
     """Row function (u, t, f) -> row of the run ``st`` starts, on the rows of
     ``slab`` (the whole grid if not given), called right after ``field`` gave
     f = u_t at (u, t) (``_march``).  Built once per run: the row's state
-    takes its geometry from the stencil that call left, by a plan into
-    arrays of the run's rows, and its residual replays a plan that reads them
-    and f (both plans are the row function's ``plans``); the monitor and the
-    residual of the slab combine with the other slab's (``_Slab.combine``)."""
+    takes its ``geometry`` from the stencil that call left, by a plan into
+    arrays of the run's rows, and its ``residual`` replays a plan that reads
+    them and f (both plans are the row function's ``plans``); the monitor and
+    the residual of the slab combine with the other slab's (``_Slab.combine``)."""
     slab = _Slab(st) if slab is None else slab
-    plan = _Plan()
+    plan, n, m = _Plan(), st.n, st.m
     geometry = _torus_geometry(plan, *field.stencil, st.h, TorusGeometry(
-        *map(np.zeros, _geometry_shapes(st.n, st.m, slab.grid))))
+        *(np.zeros(lead + slab.grid) for lead in ((n, m), (m, m), (n, m, m), (m, m)))))
     residual = _torus_residual(geometry, st.h, slab.halo)
 
     def record(u, t, f):
@@ -572,7 +565,7 @@ def _torus_record(st: TorusFlowState, field, slab=None):
         vars(now)["geometry"] = geometry  # primes the cached_property
         return (*slab.combine((*torus_monitor(now), value)), 1.0, 1.0)
 
-    record.plans = plan, residual.plan
+    record.plans, record.geometry, record.residual = (plan, residual.plan), geometry, residual
     return record
 
 
@@ -584,7 +577,11 @@ def _torus_record(st: TorusFlowState, field, slab=None):
 # longer with two slabs at m = 2 grid 48 (9216 units; 60.1 against 50.6 ms) and
 # m = 3 grid 10 (9000; 67.8 against 59.5 ms), and less at m = 2 grids 56
 # (12544; 73.3 against 84.5 ms) and 64 (124.7 against 144.7 ms), m = 3 grid 12
-# (15552; 57.0 against 77.4 ms) and m = 2 grid 96 (157 against 217 ms).
+# (15552; 57.0 against 77.4 ms) and m = 2 grid 96 (157 against 217 ms).  The
+# second slab runs in a process, not a thread: a stage is a long series of
+# short NumPy calls, and between them a thread holds the GIL, so threaded slabs
+# were slower than one slab: on the same host a grid-96 run took 0.25-0.31 s
+# with two threads, 0.13-0.15 s with the forked pair and 0.22-0.28 s alone.
 _TWO_SLABS = 10**4
 
 
@@ -732,26 +729,23 @@ def torus_step(st: TorusFlowState, dt: float) -> TorusFlowState:
 
 def torus_lambdas(st: TorusFlowState) -> np.ndarray:
     """Descending singular values per grid point, shape (points, m): the square
-    roots of the eigenvalues of g = df^T df."""
+    roots of the eigenvalues of g = df^T df, and 0 past rank min(m, n), as
+    ``SingularProfile`` holds them (eigvalsh leaves rounding there)."""
     g = st.geometry.g.reshape(st.m, st.m, -1).transpose(2, 0, 1)
-    w = np.linalg.eigvalsh(g)[:, ::-1]
-    return np.sqrt(np.clip(w, 0.0, None))
+    lam = np.sqrt(np.clip(np.linalg.eigvalsh(g)[:, ::-1], 0.0, None))
+    lam[:, min(st.m, st.n):] = 0.0
+    return lam
 
 
 def torus_monitor(st: TorusFlowState):
-    """(min S_11 + S_22, max lambda, max lambda_1 lambda_2) over the grid.
-
-    m = 2 reads the invariants of the geometry's g = df^T df, with det g
-    taken from its entries, not as a difference of roots:
-    S_1 + S_2 = 2 (1 - det g) / det eta with det eta = 1 + tr g + det g,
-    lambda_max^2 the larger root of g and lambda_1 lambda_2 = sqrt(det g).
-    m >= 3 sorts ``torus_lambdas``.
-    """
+    """``area_monitor`` over the grid.  m = 2 reads the invariants of the
+    geometry's g = df^T df, with det g taken from its entries, not as a
+    difference of roots: S_1 + S_2 = 2 (1 - det g) / det eta with
+    det eta = 1 + tr g + det g, lambda_max^2 the larger root of g and
+    lambda_1 lambda_2 = sqrt(det g).  m >= 3 reads ``torus_lambdas``."""
     if st.m > 2:
         lam = torus_lambdas(st)
-        s = s_of(lam)
-        return (float((s[:, 0] + s[:, 1]).min()), float(lam.max()),
-                float((lam[:, 0] * lam[:, 1]).max()))
+        return area_monitor(lam[:, 0], lam[:, 1])
     g = st.geometry.g
     g00, g11, g01 = g[0, 0], g[1, 1], g[0, 1]
     half_tr = np.add(g00, g11)
@@ -826,17 +820,17 @@ def _torus_term_one(plan: _Plan, g: TorusGeometry, w: np.ndarray, zeros) -> np.n
     return plan(np.multiply, term, 4.0, term)
 
 
-def _torus_residual(g: TorusGeometry, h: float, halo=_periodic):
+def _torus_residual(g: TorusGeometry, h: float, halo):
     """f -> ``torus_evolution_residual`` of a state with geometry g and
     u_t = f: a plan over arrays of its own, which reads g in place and copies
-    f into a ring.  ``halo`` (``_periodic``, or a slab's ``_Slab.halo``)
-    fills the ring rows of the first grid axis of f's ring and tr(eta^{-1})'s:
-    the Laplacian of tr_eta S = 2 tr(eta^{-1}) - m, the scalar whose
-    evolution is checked, is twice tr(eta^{-1})'s.  The Laplacian's arrays
-    reuse the time derivative's once those are read, and term I's the time
-    derivative's and the Hessian of tr(eta^{-1}) (``_reuse``).  The two
-    ringed ones are read only on the interior, which their differences write
-    at every replay, so what their other cells hold is never read."""
+    f into a ring.  ``halo`` (a slab's ``_Slab.halo``) fills the ring rows
+    of the first grid axis of f's ring and tr(eta^{-1})'s: the Laplacian of
+    tr_eta S = 2 tr(eta^{-1}) - m, the scalar whose evolution is checked, is
+    twice tr(eta^{-1})'s.  The Laplacian's arrays reuse the time
+    derivative's once those are read, and term I's the time derivative's
+    and the Hessian of tr(eta^{-1}) (``_reuse``).  The two ringed ones are
+    read only on the interior, which their differences write at every
+    replay, so what their other cells hold is never read."""
     n, m, grid = g.df.shape[0], g.df.shape[1], g.df.shape[2:]
     plan, inner = _Plan(), _inner(m)
     ring, trace_ring = _ringed((n,), grid), _ringed((), grid)
@@ -873,11 +867,13 @@ def torus_evolution_residual(st: TorusFlowState) -> float:
     reparametrizing drift combines with the rough Laplacian into the plain
     eta^{ij} second-difference form.  The time derivative comes from the
     right-hand side f = ``torus_rhs`` (a run's rows take the one the march
-    evaluated; a fresh state's is the one its geometry's stage returned) by
-    the chain rule: d_t sigma = 2 tr d_t eta^{-1} = -2 tr(eta^{-1} d_t eta eta^{-1}),
-    d_t eta = d(f)^T df + df^T d(f), with d(f) the stencil gradient of f.
+    evaluated) by the chain rule: d_t sigma = 2 tr d_t eta^{-1} =
+    -2 tr(eta^{-1} d_t eta eta^{-1}), d_t eta = d(f)^T df + df^T d(f), with
+    d(f) the stencil gradient of f.  A fresh state replays the residual of
+    the row function it built (``_stage``).
     """
-    return _torus_residual(st.geometry, st.h)(st._stage[1])
+    record, u_t = st._stage
+    return record.residual(u_t)
 
 
 # ---------------------------------------------------------------------------
@@ -1208,12 +1204,11 @@ def equivariant_lambdas(st: EquivariantFlowState, r_m: float, r_n: float):
 
 
 def equivariant_monitor(st: EquivariantFlowState, r_m: float, r_n: float):
+    """``area_monitor`` over the nodes."""
     lam_r, lam_s = equivariant_lambdas(st, r_m, r_n)
     top1 = np.maximum(lam_r, lam_s)
     # second-largest singular value: the spherical one has multiplicity m-1
-    top2 = lam_s if st.m >= 3 else np.minimum(lam_r, lam_s)
-    m_of = float((s_of(top1) + s_of(top2)).min())
-    return m_of, float(top1.max()), float((top1 * top2).max())
+    return area_monitor(top1, lam_s if st.m >= 3 else np.minimum(lam_r, lam_s))
 
 
 # ---------------------------------------------------------------------------
@@ -1429,7 +1424,7 @@ def _schedule(case: str, t_end: float, h: float, records: int, dt: float | None,
     1 (equivariant nodes); with ``dt`` None, at the 2 stages every step takes
     at least, so a run can be refused before its state is built.  A plan past
     ``MAX_STEPS`` right-hand-side evaluations, or past ``MAX_WORK`` units
-    with a torus row as 2m stages and an equivariant one as ``ROW_STAGES``,
+    with a torus row as 2m + 2 stages and an equivariant one as ``ROW_STAGES``,
     is refused."""
     per_record = max(1, math.ceil(t_end / records / h))
     n_steps = records * per_record
@@ -1439,7 +1434,7 @@ def _schedule(case: str, t_end: float, h: float, records: int, dt: float | None,
     if s is None:
         raise ValueError(f"{case} run of {n_steps} steps needs more than {MAX_STEPS} "
                          "right-hand-side evaluations, the cap; lower t_end")
-    per_point, row_stages = (m * m, 2 * m) if case == "torus" else (1, ROW_STAGES)
+    per_point, row_stages = (m * m, 2 * m + 2) if case == "torus" else (1, ROW_STAGES)
     work = (n_steps * s + (records + 1) * row_stages) * points * per_point
     if work > MAX_WORK:
         raise ValueError(f"{case} run plans {n_steps * s} evaluations and {records + 1} rows "

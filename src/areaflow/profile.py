@@ -254,6 +254,13 @@ def m_monitor(profiles: Sequence[SingularProfile]) -> float:
     return min(p.theta_min() for p in profiles)
 
 
+def area_monitor(top1, top2) -> tuple:
+    """A flow's area monitor min S_11 + S_22, max lambda_1 and max
+    lambda_1 lambda_2 over sample points of the two largest singular values."""
+    return (float((s_of(top1) + s_of(top2)).min()), float(top1.max()),
+            float((top1 * top2).max()))
+
+
 def hopf_profile(n: int) -> SingularProfile:
     """Singular profile of the Hopf fibration S^{2n+1} -> CP^n.
 

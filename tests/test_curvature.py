@@ -619,6 +619,20 @@ class TestRic3:
             b = bounds_of(r, seed=3)
             assert b.ric3_min >= 2 * b.kappa - 1e-6
 
+    # K(u,v) + K(u,w) = Ric(u,u) in dim 3: the optimizer's 64 starts find the
+    # smallest Ricci eigenvalue to rounding
+    def test_dim_3_is_the_least_ricci_eigenvalue(self):
+        rng = np.random.default_rng(30)
+        for _ in range(30):
+            r = random_tensor(3, rng)
+            m = _pair_matrix(r.comp)
+            best, _ = minimize_over_frames(partial(_RIC3.value, m), 3, 3,
+                                           gradient=partial(_RIC3.gradient, m), seed=2,
+                                           structured=curvature._axis_frames(3, 3))
+            exact = ric3_min(r)
+            assert exact == np.linalg.eigvalsh(ricci_matrix(r)).min()
+            assert abs(best - exact) <= 1e-12 * max(1.0, abs(exact))
+
     def test_nonneg_chi_implies_nonneg_ric3(self):
         rng = np.random.default_rng(9)
         tried = 0
@@ -657,6 +671,21 @@ class TestBoundsOf:
         assert b.ric_max == pytest.approx(6.0, abs=1e-10)
         assert b.scal_min == pytest.approx(24.0, abs=1e-9)
         assert b.ric3_min == pytest.approx(2.0, abs=2e-3)
+
+    # dim 3 reads ric3 and chi off the Ricci eigenvalues and the sectional
+    # range off the certified curvature operator: no optimizer runs
+    def test_dim_3_runs_no_optimizer(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("an optimizer ran")
+
+        rng = np.random.default_rng(31)
+        tensors = [random_tensor(3, rng) for _ in range(5)]
+        expected = [np.linalg.eigvalsh(ricci_matrix(r)).min() for r in tensors]
+        monkeypatch.setattr(curvature, "minimize_over_frames", refused)
+        for r, ric_min in zip(tensors, expected):
+            b = bounds_of(r, seed=4)
+            assert b.ric3_min == b.chi_ic1 == b.ric_min == ric_min
+            assert b.ric3_min >= 2 * b.kappa - 1e-12 * max(1.0, abs(b.kappa))
 
     def test_general_metric_orthonormalization(self):
         # sphere tensor expressed in a squashed basis must give the same bounds

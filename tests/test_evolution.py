@@ -260,6 +260,15 @@ class TestBounds:
             if cond in ("C", "D"):
                 assert out["chosen_constants"]["c0"] == 8.0
 
+    # from a starting constant too small for the coupled bound, the sweep
+    # doubles c0 until its gap clears the tolerance: 0.1 fails, 0.2 fails, 0.4
+    # passes
+    def test_sweep_doubles_c0_until_the_gap_clears(self, monkeypatch):
+        monkeypatch.setattr(evolution, "C0", 0.1)
+        out = sweep_bound("D", 2000, 11)
+        assert out["chosen_constants"] == {"c0": 0.4}
+        assert out["min_gap"] >= evolution.GAP_TOL
+
     def test_lemma_constant_scales(self):
         st = make_state([1.0, 0.5], kg=const_table(2, 2.0))
         assert lemma_constant(st) == pytest.approx(8.0 * 2.0 * 4)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import threading
 import time
@@ -34,7 +35,7 @@ from areaflow.flow import (
     torus_rhs,
     torus_step,
 )
-from areaflow.profile import s_of
+from areaflow.profile import SingularProfile, s_of
 from areaflow.spaces import BackgroundPath
 
 
@@ -532,12 +533,17 @@ class TestTorusRecords:
         assert len(calls) == series.meta["rhs_evals"] + 1
 
     def test_fresh_residual_evaluates_one_stage(self, monkeypatch):
-        # the stage that forms the state's geometry gives the residual its u_t
+        # the geometry, u_t, monitor and residual of a fresh state all read
+        # one stage of the row function the state builds
         calls = []
         positive = flow._positive
         monkeypatch.setattr(flow, "_positive", lambda *a: calls.append(1) or positive(*a))
         torus_evolution_residual(wound_state(2, 2, grid=8))
         assert len(calls) == 1
+        for m in (2, 3):
+            st = wound_state(m, 2)
+            st.geometry, torus_rhs(st), torus_monitor(st), torus_evolution_residual(st)
+        assert len(calls) == 3
 
     # the record's stencils, geometry (the pullback metric g with it), W and V,
     # Q = df W and term I write into arrays of the run's plans; what is left is
@@ -601,6 +607,16 @@ class TestTorusLambdas:
         self.assert_squares_close(st)
         assert (flow.torus_lambdas(st) == 0.0).all()
         assert torus_monitor(st) == (2.0, 0.0, 0.0)
+
+    # lambda_i = 0 past rank min(m, n), where eigvalsh leaves rounding
+    @pytest.mark.parametrize("m,n", [(3, 1), (3, 2), (4, 1), (4, 2)])
+    def test_rows_are_singular_profiles(self, m, n):
+        for row in flow.torus_lambdas(wound_state(m, n)):
+            SingularProfile.from_lambdas(row, m, n)
+
+    def test_rank_one_run_has_no_product(self):
+        series = run(FlowConfig(case="torus", m=4, n=1, grid=6, t_end=0.05, monitor_every=5))
+        assert series.abort_reason is None and series.max_product == [0.0] * 6
 
 
 class TestTorusStep:
@@ -1859,14 +1875,17 @@ class TestSlabAborts:
 # The ``t_end`` 1e6 grid-8 torus plans 2.3e9 units of stage work (about 15
 # minutes), the m = 3 grid-70 one 1.9e9 and the largest m = 2 torus the size
 # cap admits 1.05e10; the grid-4 torus with 5e6 rows plans 6.4e8 units of
-# stages and 1.3e9 of rows, about 20 minutes and a 0.5 GB CSV.  The m = 3
-# grid-24 torus with 1201 rows plans 3.0e8 units of stages and 9.0e8 of rows
-# at 2m = 6 stages a row; at 4 stages a row it would fit the budget.
+# stages and 1.9e9 of rows, about 20 minutes and a 0.5 GB CSV.  The m = 3
+# grid-24 torus with 1201 rows plans 3.0e8 units of stages and 1.2e9 of rows
+# at 2m + 2 = 8 stages a row; at 4 stages a row it would fit the budget.
+# With 1001 rows (``PRICED_OUT``) it plans 1.25e9 units; at 2m = 6 stages a
+# row, less than a row costs, it would plan 9.96e8 and fit.
 OVERWORKED = [{"case": "torus", "grid": 8, "t_end": 1e6},
               {"case": "torus", "m": 3, "n": 1, "grid": 70},
               {"case": "torus", "grid": 722},
               {"case": "torus", "grid": 4, "monitor_every": 5000000},
               {"case": "torus", "m": 3, "grid": 24, "monitor_every": 1200}]
+PRICED_OUT = {"case": "torus", "m": 3, "grid": 24, "monitor_every": 1000}
 
 
 class _Admitted(Exception):
@@ -1886,6 +1905,15 @@ class TestWorkBudget:
             run(cfg)
         assert time.perf_counter() - start < 1.0
         assert all(key in str(err.value) for key in ("t_end", "grid", "m", "monitor_every"))
+
+    # a row over a stage timed 5.7-7.5 at m = 3, above the 2m = 6 that admits it
+    def test_row_price_alone_refuses(self):
+        cfg = FlowConfig.from_dict(PRICED_OUT)
+        with pytest.raises(ValueError, match="units of work") as err:
+            run(cfg)
+        evals, rows, points = map(int, re.search(
+            r"plans (\d+) evaluations and (\d+) rows on (\d+) points", str(err.value)).groups())
+        assert (evals + rows * 2 * cfg.m) * points * cfg.m**2 <= flow.MAX_WORK
 
     @pytest.mark.parametrize("config", [
         # criteria 6 (grids 64 and 128), 7, 8 and 9
@@ -1941,11 +1969,11 @@ class TestWorkBudget:
         assert elapsed < 0.1 and peak < 2**20
 
     # a torus takes every step at the stages of the same CFL step, so its
-    # evaluations are the plan's; its 11 rows count 2m = 4 stages each
+    # evaluations are the plan's; its 11 rows count 2m + 2 = 6 stages each
     def test_budget_edge(self, monkeypatch):
         cfg = FlowConfig(case="torus", grid=8, t_end=0.05, monitor_every=10)
         meta = run(cfg).meta
-        planned = (meta["rhs_evals"] + 11 * 4) * 8**2 * 2**2
+        planned = (meta["rhs_evals"] + 11 * 6) * 8**2 * 2**2
         monkeypatch.setattr(flow, "MAX_WORK", planned)
         run(cfg)
         monkeypatch.setattr(flow, "MAX_WORK", planned - 1)
